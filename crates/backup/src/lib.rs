@@ -11,7 +11,7 @@
 //! faster path per request. [`choose_access_path`] implements that picker
 //! over the same cost model.
 
-use rewind_common::{Error, IoStats, Lsn, MediaModel, Result, SimClock, Timestamp};
+use rewind_common::{Error, Lsn, MediaModel, Result, SimClock, Timestamp};
 use rewind_core::{Database, DbConfig};
 use rewind_pagestore::{FileManager, MemFileManager, Page, PAGE_SIZE};
 use rewind_wal::{find_split_lsn_deep, LogManager};
@@ -143,7 +143,7 @@ fn undo_losers_on_restored(
     analysis: &rewind_recovery::AnalysisResult,
 ) -> Result<()> {
     use rewind_access::store::{ModKind, Store};
-    use rewind_common::{ObjectId, PageId, TxnId};
+    use rewind_common::{ObjectId, PageId};
     use rewind_pagestore::PageType;
     use rewind_wal::LogPayload;
 
@@ -244,20 +244,14 @@ fn undo_losers_on_restored(
         Err(Error::ObjectNotFound(obj))
     };
 
-    let mut heap: std::collections::BinaryHeap<(Lsn, TxnId)> =
-        analysis.losers.iter().map(|l| (l.last_lsn, l.id)).collect();
-    while let Some((lsn, txn)) = heap.pop() {
-        let rec = log.get_record_deep(lsn)?;
-        let next = if rec.is_clr() {
-            rec.undo_next
-        } else {
-            rewind_recovery::rollback::undo_record(&store, &rec, &resolver)?;
-            rec.prev_lsn
-        };
-        if next.is_valid() {
-            heap.push((next, txn));
-        }
-    }
+    rewind_recovery::undo_sweep(
+        analysis.losers.iter().map(|l| (l.last_lsn, l.id)),
+        |lsn| log.get_record_deep(lsn),
+        |_, header, view| {
+            rewind_recovery::rollback::undo_record_view(&store, header, view, &resolver)
+        },
+        |_| {},
+    )?;
     Ok(())
 }
 
@@ -311,12 +305,6 @@ pub fn choose_access_path(e: &PathEstimate, data: &MediaModel, log: &MediaModel)
     } else {
         PathChoice::RestoreRollForward
     }
-}
-
-/// Convenience: fresh I/O stats handle (used by benches to cost a restore
-/// in isolation).
-pub fn fresh_stats() -> Arc<IoStats> {
-    Arc::new(IoStats::new())
 }
 
 #[cfg(test)]

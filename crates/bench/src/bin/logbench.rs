@@ -19,39 +19,14 @@
 //! cargo run -p rewind-bench --release --bin logbench [-- --quick]
 //! ```
 
+use rewind_common::testalloc::{thread_allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
 use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 // tidy: allow(std-sync) -- the seed-era mutex read path is the baseline under measurement
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Instant;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus relaxed atomic counting — every
-// GlobalAlloc contract obligation is discharged by the system allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: delegates to `System.alloc` with the caller's layout unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: delegates to `System.dealloc`; `ptr`/`layout` come from `alloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: delegates to `System.realloc` with the caller's arguments unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -208,13 +183,13 @@ fn main() {
 
     // Allocation count per record on both warm lock-free walks.
     let warm = walk_ref(&log, &heads);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     let walked = walk_ref(&log, &heads);
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ref_allocs = thread_allocations() - before;
     assert_eq!(warm, walked);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     walk_header(&log, &heads);
-    let header_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let header_allocs = thread_allocations() - before;
     println!(
         "allocations per record, warm: ref walk {:.4} ({ref_allocs}/{walked}), header walk {:.4} ({header_allocs}/{walked})",
         ref_allocs as f64 / walked as f64,

@@ -68,7 +68,7 @@
 //! whole table, ROADMAP item (h)) would march the clock over every frame
 //! and evict the live working set. [`BufferPool::scan_partition`] creates a
 //! pin-limited partition: misses taken through
-//! [`BufferPool::read_page_in`] reuse the partition's **own** frames
+//! [`BufferPool::read_page_staged_in`] reuse the partition's **own** frames
 //! ring-style once its bounded budget is reached, so a scan of any length
 //! dirties at most `budget` frames of the shared pool. Partition loads
 //! publish their frames with the reference bit clear, making them the
@@ -108,7 +108,7 @@ pub mod salvage;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rewind_common::{CorruptionKind, Error, Lsn, PageId, Result, StripedCounters};
 use rewind_obs::{EventKind, Obs};
-use rewind_pagestore::{IoBackend, Page, PageImage, WritebackPool};
+use rewind_pagestore::{FileManager, Page, PageImage, WritebackPool};
 use rewind_wal::{DptEntry, LogManager};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -237,7 +237,7 @@ impl PoolStatsView {
 
 /// A pin-limited partition of the pool for cold bulk streams (bulk as-of
 /// preparation, large scans). Created by [`BufferPool::scan_partition`];
-/// passed to [`BufferPool::read_page_in`].
+/// passed to [`BufferPool::read_page_staged_in`].
 ///
 /// The partition tracks the frames *it* loaded in a bounded ring. Until the
 /// ring reaches its budget, misses claim victims from the global clock like
@@ -252,7 +252,7 @@ impl PoolStatsView {
 /// ring entries are *all* transiently pinned falls back to the global
 /// clock. Callers sharing a partition across N concurrent readers should
 /// therefore budget at least two frames per reader (the snapshot layer's
-/// `prepare_pages_budgeted` enforces exactly that floor).
+/// `default_scan_budget` enforces exactly that floor).
 ///
 /// Shareable across the threads of one fan-out (`Sync`); the ring lock is
 /// taken only on misses, which pay an I/O anyway.
@@ -395,23 +395,23 @@ impl PageRead<'_> {
 /// accounts — exactly as before the batched backend existed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolIoConfig {
-    /// Maximum pages per staged vectored read (`IoBackend::read_pages`) and
-    /// per writeback batch. `0` or `1` means scalar.
+    /// Maximum pages per staged vectored read (`FileManager::read_pages`)
+    /// and per writeback batch. `0` or `1` means scalar.
     pub io_batch_pages: usize,
     /// Background writeback threads for `flush_all`/`flush_older_than`.
     /// `0` keeps flushes synchronous per-page (the scalar path).
     pub writeback_workers: usize,
-    /// Bound of the writeback queue, in batches; `submit` applies
-    /// backpressure beyond it.
-    pub writeback_queue_batches: usize,
 }
+
+/// Bound of the writeback queue, in batches; `WritebackPool::submit` applies
+/// backpressure beyond it.
+const WRITEBACK_QUEUE_BATCHES: usize = 64;
 
 impl Default for PoolIoConfig {
     fn default() -> Self {
         PoolIoConfig {
             io_batch_pages: 1,
             writeback_workers: 0,
-            writeback_queue_batches: 64,
         }
     }
 }
@@ -423,7 +423,6 @@ impl PoolIoConfig {
         PoolIoConfig {
             io_batch_pages: batch.max(1),
             writeback_workers: workers,
-            writeback_queue_batches: 64,
         }
     }
 }
@@ -435,7 +434,7 @@ pub struct BufferPool {
     shard_mask: usize,
     hand: AtomicUsize,
     stats: PoolStats,
-    fm: Arc<dyn IoBackend>,
+    fm: Arc<dyn FileManager>,
     log: Arc<LogManager>,
     /// The engine's observability handle, shared from the log manager.
     obs: Arc<Obs>,
@@ -451,7 +450,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// A pool of `capacity` frames over `fm`, flushing through `log` (WAL
     /// rule), with the default shard count.
-    pub fn new(fm: Arc<dyn IoBackend>, log: Arc<LogManager>, capacity: usize) -> Self {
+    pub fn new(fm: Arc<dyn FileManager>, log: Arc<LogManager>, capacity: usize) -> Self {
         Self::with_shards(fm, log, capacity, DEFAULT_SHARDS)
     }
 
@@ -460,7 +459,7 @@ impl BufferPool {
     /// as a baseline; accounting is identical for serial traces at *every*
     /// shard count.
     pub fn with_shards(
-        fm: Arc<dyn IoBackend>,
+        fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         capacity: usize,
         shards: usize,
@@ -473,7 +472,7 @@ impl BufferPool {
     /// bit-identical at every `io` setting; only device-op counts (and
     /// which thread performs flush writes) change.
     pub fn with_io(
-        fm: Arc<dyn IoBackend>,
+        fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         capacity: usize,
         shards: usize,
@@ -501,7 +500,7 @@ impl BufferPool {
             Some(WritebackPool::new(
                 Arc::clone(&fm),
                 io.writeback_workers,
-                io.writeback_queue_batches.max(1),
+                WRITEBACK_QUEUE_BATCHES,
             ))
         } else {
             None
@@ -535,21 +534,14 @@ impl BufferPool {
         self.shards.len()
     }
 
-    /// The underlying I/O backend (a [`rewind_pagestore::FileManager`] with
-    /// vectored extensions; upcast freely where only the scalar surface is
-    /// needed).
-    pub fn file_manager(&self) -> &Arc<dyn IoBackend> {
+    /// The underlying media.
+    pub fn file_manager(&self) -> &Arc<dyn FileManager> {
         &self.fm
     }
 
     /// The configured read/writeback batch size (`>= 1`).
     pub fn io_batch_pages(&self) -> usize {
         self.io.io_batch_pages.max(1)
-    }
-
-    /// Whether flushes run through the background writeback pool.
-    pub fn has_writeback(&self) -> bool {
-        self.writeback.is_some()
     }
 
     /// Wait until no background writeback work is queued or in flight.
@@ -565,11 +557,6 @@ impl BufferPool {
             let _gate = self.flush_gate.lock();
             let _ = wb.drain();
         }
-    }
-
-    /// The log manager used for WAL-rule flushes.
-    pub fn log_manager(&self) -> &Arc<LogManager> {
-        &self.log
     }
 
     /// Access counters (hits, misses, evictions, shard contention).
@@ -672,7 +659,8 @@ impl BufferPool {
         }
     }
 
-    /// Pin the frame holding `pid`, loading (and possibly evicting) as
+    /// The one way a page gets pinned: every public access function ends
+    /// here. Pin the frame holding `pid`, loading (and possibly evicting) as
     /// needed — optionally routing the *miss* path through a
     /// [`ScanPartition`] and/or consuming a *staged* first read
     /// attempt — this page's slot of an earlier vectored batch
@@ -682,7 +670,7 @@ impl BufferPool {
     /// *read* inside the miss protocol, never the protocol itself. The
     /// staged result is consumed at most once; claim-race retries fall back
     /// to scalar reads.
-    fn fetch_pin_staged_in(
+    fn pin_page(
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
@@ -1062,26 +1050,18 @@ impl BufferPool {
     /// Acquire a shared, revalidated read guard on page `pid`. The guard
     /// dereferences to [`Page`] and releases latch + pin on drop.
     pub fn read_page(&self, pid: PageId) -> Result<PageReadGuard<'_>> {
-        self.read_page_in(pid, None)
+        self.read_page_staged_in(pid, None, None)
     }
 
-    /// [`BufferPool::read_page`], with cold misses optionally routed
-    /// through a [`ScanPartition`] (bounded frame budget, ring reuse).
-    /// Hits — and therefore hit/IO accounting of anything resident — are
-    /// identical to the default path.
-    pub fn read_page_in(
-        &self,
-        pid: PageId,
-        scan: Option<&ScanPartition>,
-    ) -> Result<PageReadGuard<'_>> {
-        self.read_page_staged_in(pid, scan, None)
-    }
-
-    /// [`BufferPool::read_page_in`] with an optional staged first read
-    /// attempt from [`BufferPool::stage_read_run`]. A cold miss consumes
-    /// the staged result instead of issuing its own device read; everything
-    /// else — hit classification, victim choice, eviction accounting,
-    /// retry/salvage hardening — is bit-identical to the unstaged path.
+    /// [`BufferPool::read_page`] with the two optional arguments of a bulk
+    /// stream. `scan` routes cold misses through a [`ScanPartition`]
+    /// (bounded frame budget, ring reuse); `staged` is a first read attempt
+    /// from [`BufferPool::stage_read_run`], which a cold miss consumes
+    /// instead of issuing its own device read — the caller must know
+    /// nothing can have written `pid` since the batch was staged. Hits, and
+    /// everything else about a miss — classification, victim choice,
+    /// eviction accounting, retry/salvage hardening — are bit-identical to
+    /// the default path.
     pub fn read_page_staged_in(
         &self,
         pid: PageId,
@@ -1090,7 +1070,7 @@ impl BufferPool {
     ) -> Result<PageReadGuard<'_>> {
         let mut staged = staged;
         loop {
-            let idx = self.fetch_pin_staged_in(pid, scan, staged.take())?;
+            let idx = self.pin_page(pid, scan, staged.take())?;
             let st = self.frames[idx].state.read();
             if st.pid == pid {
                 return Ok(PageReadGuard {
@@ -1107,7 +1087,7 @@ impl BufferPool {
     }
 
     /// Vector-read the non-resident pages of `pids` through the backend's
-    /// [`IoBackend::read_pages`], in chunks of at most
+    /// [`FileManager::read_pages`], in chunks of at most
     /// [`BufferPool::io_batch_pages`] pages, and return the staged per-page
     /// results for consumption by [`BufferPool::read_page_staged_in`].
     ///
@@ -1150,25 +1130,8 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&mut FrameView<'_>) -> Result<R>,
     ) -> Result<R> {
-        self.with_page_mut_staged(pid, None, f)
-    }
-
-    /// [`BufferPool::with_page_mut`] with an optional staged first read for
-    /// `pid` (one slot of a [`BufferPool::stage_read_run`] batch). A miss
-    /// consumes the staged result instead of issuing its own device read;
-    /// classification and accounting are untouched. Callers must ensure the
-    /// staged bytes are still current — i.e. nothing can have written `pid`
-    /// since the batch was staged (restart's redo partitioning guarantees
-    /// this: one worker owns all records of a page).
-    pub fn with_page_mut_staged<R>(
-        &self,
-        pid: PageId,
-        staged: Option<Result<Page>>,
-        f: impl FnOnce(&mut FrameView<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let mut staged = staged;
         loop {
-            let idx = self.fetch_pin_staged_in(pid, None, staged.take())?;
+            let idx = self.pin_page(pid, None, None)?;
             let frame = &self.frames[idx];
             let mut st = frame.state.write();
             if st.pid == pid {
@@ -1586,7 +1549,9 @@ mod tests {
         // Cold stream 4x the pool size through a 4-frame partition.
         let part = pool.scan_partition(4);
         for pid in 100..=228u64 {
-            let g = pool.read_page_in(PageId(pid), Some(&part)).unwrap();
+            let g = pool
+                .read_page_staged_in(PageId(pid), Some(&part), None)
+                .unwrap();
             assert_eq!(g.page_id(), PageId(0), "fresh pages read as zeroed");
         }
         assert!(part.frames_held() <= part.budget());
@@ -1702,9 +1667,6 @@ mod tests {
             self.inner.io_stats()
         }
     }
-
-    // Default (scalar-delegating) batched methods suffice for these tests.
-    impl rewind_pagestore::IoBackend for FaultyFm {}
 
     #[test]
     fn read_fault_on_miss_releases_claim_and_pool_recovers() {

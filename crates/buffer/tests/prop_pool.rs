@@ -249,7 +249,9 @@ proptest! {
             (1..=512u64).filter(|&p| pool.contains(PageId(p))).collect();
         let io_before = fm.io_stats().snapshot();
         for p in 0..sweep {
-            let g = pool.read_page_in(PageId(1000 + p), Some(&part)).unwrap();
+            let g = pool
+                .read_page_staged_in(PageId(1000 + p), Some(&part), None)
+                .unwrap();
             prop_assert_eq!(g.page_id(), PageId(0)); // zeroed fresh page
         }
         let s2 = pool.stats();

@@ -11,16 +11,26 @@
 //! The type is inert unless a binary opts in:
 //!
 //! ```ignore
-//! use rewind_common::testalloc::{allocations, large_allocations, CountingAllocator};
+//! use rewind_common::testalloc::{thread_allocations, CountingAllocator};
 //!
 //! #[global_allocator]
 //! static ALLOC: CountingAllocator = CountingAllocator;
 //! ```
 //!
-//! Counters are process-global (there is only one global allocator);
-//! callers measure deltas, so absolute values never matter.
+//! # Counted per thread
+//!
+//! `cargo test` runs the tests of one binary on parallel threads, so a
+//! process-global counter read around a measured section also counts
+//! whatever a sibling test allocates meanwhile. The proofs therefore read
+//! [`thread_allocations`] / [`thread_large_allocations`]: `const`-initialised
+//! `thread_local!` cells bumped from `alloc`/`realloc` — no allocation, no
+//! lock, no destructor — which see only the calling thread. The one
+//! process-wide counter kept is [`large_allocations`], for the bench gate
+//! that measures a section executed by several worker threads at once.
+//! Callers measure deltas, so absolute values never matter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size count as "large" — sized to the
@@ -29,23 +39,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// its `PAGE_SIZE` matches.)
 pub const LARGE_ALLOC_MIN: usize = 8192;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes against the calling thread (and,
+/// when large, the process). `try_with`: an allocation made while the
+/// thread's locals are being torn down is simply not counted.
+fn count(size: usize) {
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    if size >= LARGE_ALLOC_MIN {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_LARGE_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    }
+}
 
 /// Forwards to the system allocator, counting every allocation (and
 /// page-sized ones separately). Frees are not counted — the proofs are
 /// about allocation pressure, and `realloc` counts as one allocation.
 pub struct CountingAllocator;
 
-// SAFETY: pure pass-through to `System` plus relaxed atomic counting — every
-// GlobalAlloc contract obligation is discharged by the system allocator.
+// SAFETY: pure pass-through to `System` plus counting that neither allocates
+// nor locks — every GlobalAlloc contract obligation is discharged by the
+// system allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System.alloc` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= LARGE_ALLOC_MIN {
-            LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -56,21 +79,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: delegates to `System.realloc` with the caller's arguments unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if new_size >= LARGE_ALLOC_MIN {
-            LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Total allocations since process start (meaningful as deltas).
-pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Allocations made by the calling thread (meaningful as deltas).
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-/// Allocations of [`LARGE_ALLOC_MIN`] bytes or more — page clones, in this
-/// engine (meaningful as deltas).
+/// Allocations of [`LARGE_ALLOC_MIN`] bytes or more made by the calling
+/// thread — page clones, in this engine (meaningful as deltas).
+pub fn thread_large_allocations() -> u64 {
+    THREAD_LARGE_ALLOCATIONS.with(Cell::get)
+}
+
+/// Process-wide allocations of [`LARGE_ALLOC_MIN`] bytes or more, for
+/// sections that run on several threads at once (meaningful as deltas, and
+/// only while nothing else in the process allocates pages).
 pub fn large_allocations() -> u64 {
     LARGE_ALLOCATIONS.load(Ordering::Relaxed)
 }

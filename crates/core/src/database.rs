@@ -10,15 +10,15 @@ use rewind_access::{BTree, Heap, Schema};
 use rewind_buffer::{BufferPool, PoolIoConfig};
 use rewind_common::{Error, IoSnapshot, Lsn, ObjectId, PageId, Result, SimClock, Timestamp, TxnId};
 use rewind_obs::{EventKind, FnSource, IoStatsSource, MetricsRegistry, MetricsSnapshot, Obs};
-use rewind_pagestore::{IoBackend, MemFileManager, PageType};
+use rewind_pagestore::{FileManager, MemFileManager, PageType};
 use rewind_recovery::{
-    pipelined_restart, rollback::undo_record, take_checkpoint, take_checkpoint_incremental,
-    AccessKind, EngineParts, EngineStore, RestartOutcome,
+    pipelined_restart, rollback::undo_record_view, take_checkpoint, take_checkpoint_incremental,
+    undo_sweep, AccessKind, EngineParts, EngineStore, RestartOutcome,
 };
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{LockKey, LockManager, LockMode, ObjectLatches, TxnManager, TxnShared, TxnState};
 use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,7 +180,7 @@ impl std::fmt::Display for RecoveryReport {
 /// What survives a crash: the database file, the durable log, and the clock.
 pub struct CrashArtifacts {
     /// The database file.
-    pub fm: Arc<dyn IoBackend>,
+    pub fm: Arc<dyn FileManager>,
     /// In-memory backend handle, when applicable (backup support).
     pub fm_mem: Option<Arc<MemFileManager>>,
     /// The write-ahead log (its unflushed tail is discarded by recovery).
@@ -227,17 +227,17 @@ impl Database {
     /// Create a fresh in-memory database sharing an external clock.
     pub fn create_with_clock(config: DbConfig, clock: SimClock) -> Result<Database> {
         let fm_mem = Arc::new(MemFileManager::new());
-        let fm: Arc<dyn IoBackend> = fm_mem.clone();
+        let fm: Arc<dyn FileManager> = fm_mem.clone();
         let log = Arc::new(LogManager::new(config.log.clone()));
         let db = Self::assemble(fm, Some(fm_mem), log, clock, config, true)?;
         Ok(db)
     }
 
-    /// Create a fresh database over an arbitrary [`IoBackend`] backend
+    /// Create a fresh database over an arbitrary [`FileManager`] backend
     /// (fault-injection harnesses, alternative storage). Backends that are
     /// not [`MemFileManager`] have no backup support.
     pub fn create_on(
-        fm: Arc<dyn IoBackend>,
+        fm: Arc<dyn FileManager>,
         config: DbConfig,
         clock: SimClock,
     ) -> Result<Database> {
@@ -253,12 +253,12 @@ impl Database {
         clock: SimClock,
         config: DbConfig,
     ) -> Result<Database> {
-        let fm: Arc<dyn IoBackend> = fm_mem.clone();
+        let fm: Arc<dyn FileManager> = fm_mem.clone();
         Self::assemble(fm, Some(fm_mem), log, clock, config, false)
     }
 
     fn make_parts(
-        fm: Arc<dyn IoBackend>,
+        fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         config: &DbConfig,
     ) -> Arc<EngineParts> {
@@ -283,7 +283,7 @@ impl Database {
     }
 
     fn assemble(
-        fm: Arc<dyn IoBackend>,
+        fm: Arc<dyn FileManager>,
         fm_mem: Option<Arc<MemFileManager>>,
         log: Arc<LogManager>,
         clock: SimClock,
@@ -1170,38 +1170,28 @@ impl Database {
 
         // Undo losers in a single merged descending-LSN sweep (CLRs logged
         // per transaction).
-        let mut shared: HashMap<u64, Arc<TxnShared>> = HashMap::new();
-        let mut heap: BinaryHeap<(Lsn, TxnId)> = BinaryHeap::new();
-        for loser in &analysis.losers {
-            shared.insert(loser.id.0, db.txns.adopt(loser.id, loser.last_lsn));
-            heap.push((loser.last_lsn, loser.id));
-        }
+        let shared: HashMap<u64, Arc<TxnShared>> = analysis
+            .losers
+            .iter()
+            .map(|l| (l.id.0, db.txns.adopt(l.id, l.last_lsn)))
+            .collect();
         let resolver = |obj: ObjectId| db.resolve_access_uncached(obj);
         let mut finished: Vec<Arc<TxnShared>> = Vec::new();
         // Monotonic timebase, not `obs.now_us()`: the report must carry
         // real durations even on a disabled-obs engine.
         let undo_started = rewind_obs::monotonic_us();
-        let mut records_undone = 0u64;
-        while let Some((lsn, txn)) = heap.pop() {
-            let rec = db.parts.log.get_record(lsn)?;
-            let sh = shared[&txn.0].clone();
-            let next = if rec.is_clr() {
-                rec.undo_next
-            } else {
-                let store = EngineStore::new(&db.parts, &sh);
+        let records_undone = undo_sweep(
+            analysis.losers.iter().map(|l| (l.last_lsn, l.id)),
+            |lsn| db.parts.log.get_record_ref(lsn),
+            |txn, header, view| {
+                let sh = &shared[&txn.0];
                 // Position the store's chain at this record so CLRs chain
                 // correctly even across restarts.
-                sh.set_last_lsn(lsn);
-                undo_record(&store, &rec, &resolver)?;
-                records_undone += 1;
-                rec.prev_lsn
-            };
-            if next.is_valid() {
-                heap.push((next, txn));
-            } else {
-                finished.push(sh);
-            }
-        }
+                sh.set_last_lsn(header.lsn);
+                undo_record_view(&EngineStore::new(&db.parts, sh), header, view, &resolver)
+            },
+            |txn| finished.push(shared[&txn.0].clone()),
+        )?;
         // Close every fully-undone loser with ONE batched append: all the
         // End markers are framed under a single writer-mutex acquisition.
         let mut ends: Vec<LogRecord> = finished

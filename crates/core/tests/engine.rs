@@ -168,6 +168,99 @@ fn rollback_restores_everything() {
     assert_eq!(before, after, "rollback must restore the exact pre-image");
 }
 
+/// `undo_sweep` is the one undo walk; `rollback_chain` is its one-chain
+/// case. Two interleaved losers — one of whose chains jumps over completed
+/// page splits through their closing CLRs — undone by ONE merged sweep must
+/// leave the same table, having written the same number of CLRs, as the
+/// same two losers rolled back one after the other on a twin engine.
+#[test]
+fn merged_undo_sweep_matches_independent_rollback_chains() {
+    use rewind_common::{Lsn, ObjectId, TxnId};
+    use rewind_core::Txn;
+    use rewind_recovery::rollback::undo_record_view;
+    use rewind_recovery::{rollback_chain, undo_sweep};
+
+    // Committed base, then two losers whose records interleave in the log.
+    let build = || -> (Database, Txn, Txn) {
+        let db = Database::create(small_config()).unwrap();
+        setup_items(&db, 60);
+        let (l1, l2) = (db.begin(), db.begin());
+        for round in 0..10u64 {
+            for i in 0..40 {
+                let id = 1_000 + round * 40 + i; // enough to split leaves
+                db.insert(&l1, "items", &item(id, &format!("l1-{id}"), 1))
+                    .unwrap();
+            }
+            for i in 0..3 {
+                let id = round * 6 + i;
+                db.update(&l2, "items", &item(id, "L2-SCRIBBLE", -1))
+                    .unwrap();
+            }
+            db.delete(&l2, "items", &[Value::U64(round * 6 + 3)])
+                .unwrap();
+            db.insert(&l2, "items", &item(5_000 + round, "l2-new", 2))
+                .unwrap();
+        }
+        (db, l1, l2)
+    };
+    let clrs_in = |db: &Database, from: Lsn| -> u64 {
+        let mut n = 0;
+        db.log()
+            .scan_views(from, db.log().tail_lsn(), |header, _| {
+                n += u64::from(header.is_clr());
+                Ok(true)
+            })
+            .unwrap();
+        n
+    };
+    let finish = |db: &Database, l1: Txn, l2: Txn| {
+        // Both chains now end in CLRs, so the real rollback only closes the
+        // transactions (markers, lock release).
+        db.rollback(l1).unwrap();
+        db.rollback(l2).unwrap();
+        db.check_consistency().unwrap();
+        db.with_txn(|txn| db.scan_all(txn, "items")).unwrap()
+    };
+
+    // Engine A: one merged sweep over both chains.
+    let (a, a1, a2) = build();
+    assert!(
+        clrs_in(&a, Lsn::FIRST) > 0,
+        "the workload must leave SMO-closing CLRs for the sweep to jump over"
+    );
+    let a_from = a.log().tail_lsn();
+    let resolver = |obj: ObjectId| a.resolve_access_uncached(obj);
+    let mut done: Vec<TxnId> = Vec::new();
+    let undone_a = undo_sweep(
+        [(a1.last_lsn(), a1.id()), (a2.last_lsn(), a2.id())],
+        |lsn| a.log().get_record_ref(lsn),
+        |txn, header, view| {
+            let owner = if txn == a1.id() { &a1 } else { &a2 };
+            undo_record_view(&a.store(owner), header, view, &resolver)
+        },
+        |txn| done.push(txn),
+    )
+    .unwrap();
+    let clrs_a = clrs_in(&a, a_from);
+    done.sort();
+    assert_eq!(done, vec![a1.id(), a2.id()], "each chain ends exactly once");
+    let rows_a = finish(&a, a1, a2);
+
+    // Engine B (same workload): two independent one-chain rollbacks.
+    let (b, b1, b2) = build();
+    let b_from = b.log().tail_lsn();
+    let resolver = |obj: ObjectId| b.resolve_access_uncached(obj);
+    let undone_b = rollback_chain(&b.store(&b2), b.log(), b2.last_lsn(), &resolver).unwrap()
+        + rollback_chain(&b.store(&b1), b.log(), b1.last_lsn(), &resolver).unwrap();
+    let clrs_b = clrs_in(&b, b_from);
+    let rows_b = finish(&b, b1, b2);
+
+    assert_eq!(undone_a, undone_b, "records undone");
+    assert_eq!(clrs_a, clrs_b, "CLRs written");
+    assert_eq!(rows_a, rows_b, "logical table contents");
+    assert_eq!(rows_a.len(), 60, "both losers fully backed out");
+}
+
 #[test]
 fn rollback_of_ddl_undoes_catalog_and_allocation() {
     let db = Database::create(small_config()).unwrap();

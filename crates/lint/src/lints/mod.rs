@@ -19,11 +19,12 @@ pub mod hygiene;
 pub mod lock_across_io;
 pub mod lock_order;
 pub mod no_panic;
+pub mod one_allocator;
 pub mod unsafe_audit;
 
 use crate::lexer::TokKind;
 use crate::report::{Finding, LockOrderFact};
-use crate::walk::FileCtx;
+use crate::walk::{CrateKind, FileCtx};
 
 /// Name + one-line contract of every lint, as shown by `--list`.
 pub const ALL: &[(&str, &str)] = &[
@@ -56,6 +57,10 @@ pub const ALL: &[(&str, &str)] = &[
         "no std::sync::{Mutex,RwLock,Condvar} — the parking_lot shim is mandated (poison-free, upgradeable later)",
     ),
     (
+        "one-allocator",
+        "no `GlobalAlloc` impl outside crates/common — tests, benches and examples included; the shared per-thread counting allocator is the only one",
+    ),
+    (
         "counter-drift",
         "every EventKind variant appears in from_u64 and name(); every ObsInner histogram is exposed by MetricSource for Obs",
     ),
@@ -63,6 +68,10 @@ pub const ALL: &[(&str, &str)] = &[
 
 /// Run every per-file lint over one file.
 pub fn run_file(ctx: &FileCtx, out: &mut Vec<Finding>) {
+    one_allocator::check(ctx, out);
+    if ctx.kind == CrateKind::Test {
+        return;
+    }
     no_panic::check(ctx, out);
     lock_across_io::check(ctx, out);
     unsafe_audit::check(ctx, out);

@@ -13,6 +13,11 @@
 //! tool crates (`bench`) exist to print and to time, so the output- and
 //! wall-clock-hygiene lints do not apply there, while the memory-safety
 //! and locking lints still do.
+//!
+//! Integration tests, examples and the standalone `bench/` workspace are
+//! walked too, as [`CrateKind::Test`]: they may unwrap, print and time
+//! freely, so only the workspace-wide structural lints (`one-allocator`)
+//! look at them.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,6 +32,9 @@ pub enum CrateKind {
     /// Drivers/benches: printing and wall-clock timing are their job;
     /// panic-freedom is not demanded of a CLI's top level.
     Tool,
+    /// Integration tests, examples, the `bench/` workspace: exempt from
+    /// every code lint except the workspace-wide structural ones.
+    Test,
 }
 
 /// One analyzed file: source, token stream, and derived masks.
@@ -189,6 +197,9 @@ const SKIP_DIRS: &[&str] = &[
     "target", "tests", "benches", "examples", "fixtures", ".git", ".github",
 ];
 
+/// Per-crate (and root) directories walked as [`CrateKind::Test`].
+const TEST_DIRS: &[&str] = &["tests", "examples", "benches"];
+
 /// Crate directories excluded wholesale.
 const SKIP_CRATES: &[&str] = &["shims", "lint"];
 
@@ -199,7 +210,12 @@ const TOOL_CRATES: &[&str] = &["bench"];
 /// workspace root). Deterministic order (sorted paths).
 pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<FileCtx>> {
     let mut paths: Vec<PathBuf> = Vec::new();
+    let mut test_paths: Vec<PathBuf> = Vec::new();
     collect_rs(&root.join("src"), &mut paths)?;
+    for dir in TEST_DIRS {
+        collect_rs(&root.join(dir), &mut test_paths)?;
+    }
+    collect_rs(&root.join("bench").join("src"), &mut test_paths)?;
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for entry in fs::read_dir(&crates_dir)? {
@@ -210,11 +226,16 @@ pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<FileCtx>> {
                 continue;
             }
             collect_rs(&entry.path().join("src"), &mut paths)?;
+            for dir in TEST_DIRS {
+                collect_rs(&entry.path().join(dir), &mut test_paths)?;
+            }
         }
     }
     paths.sort();
-    let mut out = Vec::with_capacity(paths.len());
-    for p in paths {
+    test_paths.sort();
+    let mut out = Vec::with_capacity(paths.len() + test_paths.len());
+    let engine = paths.into_iter().map(|p| (p, false));
+    for (p, is_test) in engine.chain(test_paths.into_iter().map(|p| (p, true))) {
         let rel = p
             .strip_prefix(root)
             .unwrap_or(&p)
@@ -224,7 +245,9 @@ pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<FileCtx>> {
             Some(rest) => rest.split('/').next().unwrap_or("").to_string(),
             None => "rewind".to_string(),
         };
-        let kind = if TOOL_CRATES.contains(&crate_name.as_str()) {
+        let kind = if is_test {
+            CrateKind::Test
+        } else if TOOL_CRATES.contains(&crate_name.as_str()) {
             CrateKind::Tool
         } else {
             CrateKind::Library

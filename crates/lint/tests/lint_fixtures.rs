@@ -91,6 +91,53 @@ fn unsafe_audit_exact_findings() {
 }
 
 #[test]
+fn one_allocator_exact_findings_everywhere_but_common() {
+    let lint_at = |path: &str, crate_name: &str, kind: CrateKind| {
+        let ctx = FileCtx::from_source(path, crate_name, kind, fixture("one_allocator.rs"));
+        run(std::slice::from_ref(&ctx)).findings
+    };
+    // A test file: the only lint that looks at it, test-masked item included.
+    let in_test = lint_at("crates/wal/tests/zero_alloc.rs", "wal", CrateKind::Test);
+    assert_eq!(
+        lines_of(&in_test, "one-allocator"),
+        vec![10, 20, 27],
+        "{in_test:#?}"
+    );
+    assert_eq!(in_test.len(), 3, "test files see no other lint");
+    // A bench binary: same three (plus whatever else applies to tools).
+    let in_tool = lint_at("crates/bench/src/bin/logbench.rs", "bench", CrateKind::Tool);
+    assert_eq!(lines_of(&in_tool, "one-allocator"), vec![10, 20, 27]);
+    // The one home of the allocator is exempt.
+    let at_home = lint_at(
+        "crates/common/src/testalloc.rs",
+        "common",
+        CrateKind::Library,
+    );
+    assert_eq!(lines_of(&at_home, "one-allocator"), Vec::<u32>::new());
+}
+
+#[test]
+fn the_workspace_has_exactly_one_global_allocator() {
+    // The walk covers tests/, examples/, benches/ and bench/src, so a copy
+    // pasted into any of them fails here (and in the CI tidy job).
+    let root = std::path::PathBuf::from(format!("{}/../..", env!("CARGO_MANIFEST_DIR")));
+    let files = rewind_lint::walk::walk_workspace(&root).unwrap();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.kind == CrateKind::Test && f.path == "crates/wal/tests/zero_alloc.rs"),
+        "integration tests are walked"
+    );
+    let result = run(&files);
+    assert_eq!(
+        lines_of(&result.findings, "one-allocator"),
+        Vec::<u32>::new(),
+        "{:#?}",
+        result.findings
+    );
+}
+
+#[test]
 fn hygiene_exact_findings() {
     let (findings, _) = lint_fixture("hygiene.rs");
     assert_eq!(

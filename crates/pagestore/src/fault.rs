@@ -28,7 +28,6 @@
 //! property the corruption-torture suite and its CI gate rely on.
 
 use crate::file::{FileManager, MemFileManager};
-use crate::io::IoBackend;
 use crate::page::{Page, PAGE_SIZE, TRAILER_SIZE};
 use crate::HEADER_SIZE;
 use parking_lot::Mutex;
@@ -279,9 +278,7 @@ impl FileManager for FaultInjector {
     fn io_stats(&self) -> &Arc<IoStats> {
         self.inner.io_stats()
     }
-}
 
-impl IoBackend for FaultInjector {
     fn read_pages(&self, pids: &[PageId]) -> Vec<Result<Page>> {
         // Consume fault tokens page by page, exactly as N scalar reads
         // would, and hand the maximal clean segments to the inner backend

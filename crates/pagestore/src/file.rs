@@ -1,7 +1,10 @@
 //! File managers: random page I/O with accounting.
 //!
-//! The buffer manager sits on top of a [`FileManager`]. Two implementations
-//! are provided: [`MemFileManager`] (the default for tests and benchmarks —
+//! The buffer manager sits on top of a [`FileManager`] — the one media
+//! trait: scalar page reads and writes, plus the batch entry points
+//! `read_pages`/`write_pages` whose provided bodies are the scalar loop (see
+//! the [`crate::io`] module docs for the batching cost model). Two
+//! implementations are provided: [`MemFileManager`] (the default for tests and benchmarks —
 //! all I/O is counted in an [`IoStats`] and costed through a
 //! [`rewind_common::MediaModel`], so media behaviour is modeled rather than
 //! endured) and [`DiskFileManager`] (real files, for durability-oriented
@@ -24,7 +27,7 @@
 //! deterministic fault injection against either backend, wrap it in
 //! [`crate::FaultInjector`].
 
-use crate::io::{contiguous_runs, contiguous_runs_by, IoBackend};
+use crate::io::{contiguous_runs, contiguous_runs_by};
 use crate::page::{Page, PAGE_SIZE};
 use parking_lot::RwLock;
 use rewind_common::{Error, IoStats, PageId, Result};
@@ -44,8 +47,32 @@ pub trait FileManager: Send + Sync {
     /// Counted as sequential bytes, not a random I/O.
     fn read_page_seq(&self, pid: PageId) -> Result<Page>;
 
+    /// Read every page in `pids`, returning one result per requested page,
+    /// in order. A failed page occupies only its own slot; the rest of the
+    /// batch still succeeds (partial-batch results).
+    ///
+    /// The provided body is the plain scalar loop and counts no vectored
+    /// op; the real backends override it to coalesce each contiguous run
+    /// into one device op. Per-page accounting (`page_reads`, corruption
+    /// detection, fault-token consumption) is identical either way, so
+    /// callers may mix scalar and batch calls without skewing any gated
+    /// counter.
+    fn read_pages(&self, pids: &[PageId]) -> Vec<Result<Page>> {
+        pids.iter().map(|&pid| self.read_page(pid)).collect()
+    }
+
     /// Write page `pid`. Counted as one random page write.
     fn write_page(&self, pid: PageId, page: &Page) -> Result<()>;
+
+    /// Write every `(page id, page)` pair in `batch`, returning one result
+    /// per page, in order. Like [`FileManager::read_pages`], failures are
+    /// per-page and the provided body is the scalar loop.
+    fn write_pages(&self, batch: &[(PageId, Page)]) -> Vec<Result<()>> {
+        batch
+            .iter()
+            .map(|(pid, page)| self.write_page(*pid, page))
+            .collect()
+    }
 
     /// Write page `pid` as part of a large sequential pass (restore).
     fn write_page_seq(&self, pid: PageId, page: &Page) -> Result<()>;
@@ -240,9 +267,7 @@ impl FileManager for MemFileManager {
     fn io_stats(&self) -> &Arc<IoStats> {
         &self.stats
     }
-}
 
-impl IoBackend for MemFileManager {
     fn read_pages(&self, pids: &[PageId]) -> Vec<Result<Page>> {
         let mut out = Vec::with_capacity(pids.len());
         for run in contiguous_runs(pids) {
@@ -405,9 +430,7 @@ impl FileManager for DiskFileManager {
     fn io_stats(&self) -> &Arc<IoStats> {
         &self.stats
     }
-}
 
-impl IoBackend for DiskFileManager {
     fn read_pages(&self, pids: &[PageId]) -> Vec<Result<Page>> {
         let mut out = Vec::with_capacity(pids.len());
         for run in contiguous_runs(pids) {

@@ -1,19 +1,22 @@
-//! Batched I/O backend: vectored multi-page reads and background writeback.
+//! Batched I/O: contiguous-run coalescing and background writeback.
 //!
-//! [`FileManager`] is a strictly per-page surface: every read and write is
-//! one call, and — under a modeled device — one device round trip. That is
-//! faithful to the paper's cost model but leaves batch-shaped work (cold
-//! as-of scan prefetch, fuzzy-checkpoint flushes, redo-window fetches) paying
-//! one modeled seek per page even when the pages are physically contiguous.
-//! [`IoBackend`] extends the surface with two batch operations:
+//! Every media access goes through the one [`FileManager`] trait. Its scalar
+//! `read_page`/`write_page` are one call and — under a modeled device — one
+//! device round trip each, which is faithful to the paper's cost model but
+//! leaves batch-shaped work (cold as-of scan prefetch, fuzzy-checkpoint
+//! flushes) paying one modeled seek per page even when the pages are
+//! physically contiguous. The trait's two batch entry points fix that:
 //!
-//! * [`IoBackend::read_pages`] — read a batch of pages, returning one
+//! * [`FileManager::read_pages`] — read a batch of pages, returning one
 //!   `Result` per page. Backends coalesce maximal *contiguous ascending
 //!   runs* of page ids into one device op each (counted in
 //!   [`IoStats::add_vectored_read_ops`](rewind_common::IoStats::add_vectored_read_ops)).
-//! * [`IoBackend::write_pages`] — write a batch, again with per-page
+//! * [`FileManager::write_pages`] — write a batch, again with per-page
 //!   results and per-run device ops
 //!   ([`IoStats::add_batched_write_ops`](rewind_common::IoStats::add_batched_write_ops)).
+//!
+//! Both have provided bodies (the scalar loop, counting no vectored op), so
+//! a minimal backend implements only the scalar methods.
 //!
 //! # Why the modeled stall is charged per batch
 //!
@@ -83,35 +86,6 @@ pub fn contiguous_runs(pids: &[PageId]) -> Vec<&[PageId]> {
     contiguous_runs_by(pids, |p| *p)
 }
 
-/// A [`FileManager`] that can additionally read and write *batches* of
-/// pages, coalescing contiguous runs into single modeled device ops.
-///
-/// The default method bodies are plain scalar loops, so any `FileManager`
-/// can opt in with `impl IoBackend for T {}` and behave exactly as before
-/// (no vectored ops are counted); the real backends override them with
-/// run-coalescing implementations. Per-page accounting (`page_reads`,
-/// `page_writes`, corruption detection, fault-token consumption) is
-/// identical between the scalar and batched entry points — callers may mix
-/// them freely without skewing any gated counter.
-pub trait IoBackend: FileManager {
-    /// Read every page in `pids`, returning one result per requested page,
-    /// in order. A failed page occupies only its own slot; the rest of the
-    /// batch still succeeds (partial-batch results).
-    fn read_pages(&self, pids: &[PageId]) -> Vec<Result<Page>> {
-        pids.iter().map(|&pid| self.read_page(pid)).collect()
-    }
-
-    /// Write every `(page id, page)` pair in `batch`, returning one result
-    /// per page, in order. Like [`IoBackend::read_pages`], failures are
-    /// per-page.
-    fn write_pages(&self, batch: &[(PageId, Page)]) -> Vec<Result<()>> {
-        batch
-            .iter()
-            .map(|(pid, page)| self.write_page(*pid, page))
-            .collect()
-    }
-}
-
 /// Bounded retry for transiently-failing background writes, mirroring the
 /// buffer pool's foreground `with_io_retry` loop (same attempt bound, same
 /// `add_io_retry` accounting per failed transient attempt).
@@ -130,7 +104,7 @@ struct WbState {
 }
 
 struct WbShared {
-    backend: Arc<dyn IoBackend>,
+    backend: Arc<dyn FileManager>,
     state: Mutex<WbState>,
     /// Workers wait here for queued batches (or shutdown).
     work_cv: Condvar,
@@ -141,11 +115,11 @@ struct WbShared {
     capacity: usize,
 }
 
-/// A background writeback thread pool over an [`IoBackend`].
+/// A background writeback thread pool over a [`FileManager`].
 ///
 /// `submit` enqueues a batch of dirty-page copies (blocking when the
 /// bounded queue is full), workers drain the queue through
-/// [`IoBackend::write_pages`], and `drain` waits for quiescence and hands
+/// [`FileManager::write_pages`], and `drain` waits for quiescence and hands
 /// back which pages landed and which failed — see the module docs for why
 /// errors defer. Dropping the pool finishes queued work and joins the
 /// workers deterministically.
@@ -157,7 +131,11 @@ pub struct WritebackPool {
 impl WritebackPool {
     /// Start `workers` background writers over `backend` with a queue bound
     /// of `queue_batches` batches. Both bounds are clamped to at least 1.
-    pub fn new(backend: Arc<dyn IoBackend>, workers: usize, queue_batches: usize) -> WritebackPool {
+    pub fn new(
+        backend: Arc<dyn FileManager>,
+        workers: usize,
+        queue_batches: usize,
+    ) -> WritebackPool {
         let shared = Arc::new(WbShared {
             backend,
             state: Mutex::new(WbState::default()),
@@ -216,11 +194,6 @@ impl WritebackPool {
             std::mem::take(&mut st.failed),
         )
     }
-
-    /// The number of worker threads (for tests and metrics).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for WritebackPool {
@@ -274,7 +247,7 @@ fn worker_loop(shared: &WbShared) {
 }
 
 fn write_batch_with_retry(
-    backend: &dyn IoBackend,
+    backend: &dyn FileManager,
     batch: &[(PageId, Page)],
 ) -> Vec<(PageId, Result<()>)> {
     let first = backend.write_pages(batch);
@@ -360,6 +333,59 @@ mod tests {
         );
     }
 
+    /// A backend that implements only the scalar surface and inherits the
+    /// provided batch entry points.
+    struct ScalarOnly(MemFileManager);
+
+    impl FileManager for ScalarOnly {
+        fn read_page(&self, pid: PageId) -> Result<Page> {
+            self.0.read_page(pid)
+        }
+        fn read_page_seq(&self, pid: PageId) -> Result<Page> {
+            self.0.read_page_seq(pid)
+        }
+        fn write_page(&self, pid: PageId, page: &Page) -> Result<()> {
+            self.0.write_page(pid, page)
+        }
+        fn write_page_seq(&self, pid: PageId, page: &Page) -> Result<()> {
+            self.0.write_page_seq(pid, page)
+        }
+        fn page_count(&self) -> u64 {
+            self.0.page_count()
+        }
+        fn grow_to(&self, count: u64) -> Result<()> {
+            self.0.grow_to(count)
+        }
+        fn sync(&self) -> Result<()> {
+            self.0.sync()
+        }
+        fn io_stats(&self) -> &Arc<rewind_common::IoStats> {
+            self.0.io_stats()
+        }
+    }
+
+    #[test]
+    fn provided_batch_methods_are_the_scalar_loop() {
+        let fm = ScalarOnly(MemFileManager::new());
+        let batch: Vec<(PageId, Page)> = [4u64, 5, 6, 9]
+            .into_iter()
+            .map(|p| (PageId(p), sample_page(PageId(p))))
+            .collect();
+        assert!(fm.write_pages(&batch).into_iter().all(|r| r.is_ok()));
+        let pids: Vec<PageId> = batch.iter().map(|(p, _)| *p).collect();
+        let got = fm.read_pages(&pids);
+        for (r, pid) in got.iter().zip(&pids) {
+            assert_eq!(r.as_ref().unwrap().page_id(), *pid);
+        }
+        let s = fm.io_stats().snapshot();
+        assert_eq!((s.page_writes, s.page_reads), (4, 4), "per-page accounting");
+        assert_eq!(
+            (s.batched_write_ops, s.vectored_read_ops),
+            (0, 0),
+            "only a backend's own batch entry points count device-op runs"
+        );
+    }
+
     #[test]
     fn mid_batch_fault_fails_only_that_page() {
         let fi = FaultInjector::new(11);
@@ -377,7 +403,7 @@ mod tests {
 
     #[test]
     fn writeback_pool_lands_batches_and_drains_clean() {
-        let fm: Arc<dyn IoBackend> = Arc::new(MemFileManager::new());
+        let fm: Arc<dyn FileManager> = Arc::new(MemFileManager::new());
         let pool = WritebackPool::new(Arc::clone(&fm), 2, 4);
         for base in [10u64, 20, 30] {
             let batch: Vec<(PageId, Page)> = (base..base + 3)
@@ -398,7 +424,7 @@ mod tests {
     #[test]
     fn writeback_retries_transient_and_defers_nothing_on_recovery() {
         let fi = Arc::new(FaultInjector::new(5));
-        let backend: Arc<dyn IoBackend> = fi.clone();
+        let backend: Arc<dyn FileManager> = fi.clone();
         let pool = WritebackPool::new(backend, 1, 4);
         fi.arm_eio_writes(2);
         pool.submit(vec![(PageId(3), sample_page(PageId(3)))]);
@@ -411,7 +437,7 @@ mod tests {
     #[test]
     fn drop_joins_workers_after_finishing_queued_work() {
         let fm = Arc::new(MemFileManager::new());
-        let backend: Arc<dyn IoBackend> = fm.clone();
+        let backend: Arc<dyn FileManager> = fm.clone();
         {
             let pool = WritebackPool::new(backend, 1, 8);
             for pid in 1u64..=16 {

@@ -213,12 +213,6 @@ impl Page {
         ObjectId(read_u64_at(&self.buf[..], OFF_OBJECT_ID))
     }
 
-    /// Change the owning object (used when reformatting).
-    #[inline]
-    pub fn set_object_id(&mut self, o: ObjectId) {
-        write_u64_at(&mut self.buf[..], OFF_OBJECT_ID, o.0);
-    }
-
     /// The page type.
     pub fn page_type(&self) -> PageType {
         PageType::from_u16(read_u16_at(&self.buf[..], OFF_PAGE_TYPE)).unwrap_or(PageType::Free)

@@ -168,9 +168,31 @@ impl AnalysisBuilder {
             records_scanned: 0,
         };
         if let Some(c) = &checkpoint {
-            let rec = log.get_record_deep(c.end_lsn)?;
+            let rec = log.get_record_deep(c.end_lsn)?.decode()?;
             if let LogPayload::CheckpointEnd(body) = rec.payload {
                 for e in body.att {
+                    // A fuzzy checkpoint captures its ATT after the begin
+                    // marker, so it can list a transaction that has already
+                    // appended its Commit (or End) but not yet left the
+                    // transaction table. That record lies below the scan
+                    // start, so the scan would never see it and the
+                    // transaction would be undone as a loser. Its own last
+                    // record settles it (header-only read; an unreadable
+                    // record keeps the entry, the conservative choice). An
+                    // `End` carrying the CLR flag closes a structure
+                    // modification, not the transaction.
+                    let finished = log
+                        .get_record_deep(e.last_lsn)
+                        .and_then(|r| r.header())
+                        .is_ok_and(|h| match h.kind {
+                            PayloadKind::Commit => true,
+                            PayloadKind::End => !h.is_clr(),
+                            _ => false,
+                        });
+                    b.max_txn = b.max_txn.max(e.txn);
+                    if finished {
+                        continue;
+                    }
                     b.att.insert(
                         e.txn.0,
                         TxnInfo {
@@ -179,7 +201,6 @@ impl AnalysisBuilder {
                             locks: Vec::new(),
                         },
                     );
-                    b.max_txn = b.max_txn.max(e.txn);
                 }
                 for e in &body.dpt {
                     b.dpt.entry(e.page).or_insert(e.rec_lsn);
@@ -393,5 +414,82 @@ mod tests {
             vec![(LockKey::row(obj, b"same"), LockMode::X)],
             "a same-key update acquires its key exactly once"
         );
+    }
+
+    fn marker(txn: TxnId, prev_lsn: Lsn, payload: LogPayload) -> LogRecord {
+        LogRecord {
+            lsn: Lsn::NULL,
+            txn,
+            prev_lsn,
+            page: PageId::INVALID,
+            prev_page_lsn: Lsn::NULL,
+            object: ObjectId::NONE,
+            undo_next: Lsn::NULL,
+            flags: 0,
+            payload,
+        }
+    }
+
+    /// Regression (ROADMAP item 0(b) / G2): a fuzzy checkpoint captures its
+    /// ATT after the begin marker, so it can list a transaction whose
+    /// commit record is already in the log — below the scan start, where
+    /// analysis never sees it. Restart then tried to roll the committed
+    /// transaction back and died. The log is built by hand in exactly that
+    /// shape: updates, commit, checkpoint begin, and a checkpoint end whose
+    /// ATT lists the transaction at its commit LSN.
+    #[test]
+    fn checkpoint_att_entry_at_its_commit_record_is_not_a_loser() {
+        use rewind_common::Timestamp;
+        use rewind_wal::{CheckpointBody, TxnTableEntry};
+
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let txn = TxnId(9);
+        let first = log.append(&update(txn, row_bytes(b"k"), row_bytes(b"k")));
+        let mut second = update(txn, row_bytes(b"k"), row_bytes(b"k"));
+        second.prev_lsn = first;
+        let second = log.append(&second);
+        let commit = log.append(&marker(
+            txn,
+            second,
+            LogPayload::Commit {
+                at: Timestamp::from_secs(1),
+            },
+        ));
+        let at = Timestamp::from_secs(2);
+        let begin_lsn = log.append(&marker(
+            TxnId::NONE,
+            Lsn::NULL,
+            LogPayload::CheckpointBegin { at },
+        ));
+        let end_lsn = log.append(&marker(
+            TxnId::NONE,
+            Lsn::NULL,
+            LogPayload::CheckpointEnd(CheckpointBody {
+                at,
+                begin_lsn,
+                att: vec![TxnTableEntry {
+                    txn,
+                    first_lsn: first,
+                    last_lsn: commit,
+                }],
+                dpt: Vec::new(),
+            }),
+        ));
+        // A later, genuinely in-flight transaction keeps the window busy.
+        log.append(&update(TxnId(10), row_bytes(b"z"), row_bytes(b"z")));
+        assert_eq!(log.checkpoint_before(Lsn::MAX).unwrap().end_lsn, end_lsn);
+
+        for bound in [Lsn::MAX, end_lsn] {
+            let analysis = analyze(&log, bound).unwrap();
+            assert_eq!(analysis.scan_start, begin_lsn, "seeded from the checkpoint");
+            assert!(
+                analysis.losers.iter().all(|l| l.id != txn),
+                "committed txn listed as a loser at bound {bound:?}: {:?}",
+                analysis.losers
+            );
+            assert!(analysis.max_txn_id >= txn, "id floor still covers it");
+        }
+        assert_eq!(analyze(&log, Lsn::MAX).unwrap().losers.len(), 1);
+        assert!(analyze(&log, end_lsn).unwrap().losers.is_empty());
     }
 }

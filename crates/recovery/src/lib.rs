@@ -10,20 +10,23 @@
 //!   [`checkpoint::take_checkpoint_incremental`] — the background-cadence
 //!   variant that flushes only old dirt, bounding crash-redo work to the
 //!   checkpoint interval.
-//! * [`analysis`] / [`redo`] — the restart passes, shared between crash
-//!   recovery and as-of snapshot recovery (§5.2); analysis also collects the
-//!   row locks that snapshot recovery must reacquire.
-//! * [`restart`] — crash restart's pipelined form: one forward scan feeds
-//!   the incremental [`analysis::AnalysisBuilder`] *and* dispatches
-//!   qualifying page-ops to redo workers partitioned by `PageId`. Per-page
-//!   backward chains mean redo's only ordering constraint is per page, so
+//! * [`analysis`] — the analysis pass, shared between crash recovery and
+//!   as-of snapshot recovery (§5.2); it also collects the row locks that
+//!   snapshot recovery must reacquire.
+//! * [`restart`] — the one redo: a single forward scan feeds the
+//!   incremental [`analysis::AnalysisBuilder`] *and* dispatches qualifying
+//!   page-ops to redo workers partitioned by `PageId`. Per-page backward
+//!   chains mean redo's only ordering constraint is per page, so
 //!   hash-partitioning pages across workers (each applying its pages'
-//!   records in LSN order) is exactly as correct as the serial pass — the
-//!   module docs carry the full argument.
-//! * [`rollback::rollback_chain`] — transaction rollback with CLRs that
-//!   carry undo information (§4.2-2), logical undo for B-Tree rows,
-//!   physical undo for heap rows, allocation bits and partial structure
-//!   modifications.
+//!   records in LSN order) is exactly as correct as one worker applying
+//!   inline — which is the serial pass; the module docs carry the full
+//!   argument.
+//! * [`rollback::undo_sweep`] — the one undo walk: a merged descending-LSN
+//!   sweep over any number of transaction chains, shared by transaction
+//!   rollback ([`rollback::rollback_chain`], the one-chain case), restart
+//!   undo, as-of snapshot recovery and restore. CLRs carry undo information
+//!   (§4.2-2); undo is logical for B-Tree rows, physical for heap rows,
+//!   allocation bits and partial structure modifications.
 //! * [`EngineStore`] — the canonical live-engine [`rewind_access::Store`]
 //!   implementation:
 //!   buffer pool + WAL + per-page/per-txn chains + FPI cadence + the
@@ -32,7 +35,6 @@
 pub mod analysis;
 pub mod checkpoint;
 pub mod prepare;
-pub mod redo;
 pub mod restart;
 pub mod rollback;
 pub mod store;
@@ -40,7 +42,6 @@ pub mod store;
 pub use analysis::{analyze, AnalysisBuilder, AnalysisResult, LoserTxn};
 pub use checkpoint::{take_checkpoint, take_checkpoint_incremental};
 pub use prepare::{prepare_page_as_of, PrepareStats};
-pub use redo::redo_pass;
 pub use restart::{pipelined_restart, PartitionedRedo, RestartOutcome};
-pub use rollback::{rollback_chain, AccessKind};
+pub use rollback::{rollback_chain, undo_sweep, AccessKind};
 pub use store::{CowSink, EngineParts, EngineStore};

@@ -12,10 +12,12 @@
 //! record to a worker by its `PageId` therefore suffices: all records for
 //! one page land on one worker, a FIFO channel delivers them (in batches)
 //! in the dispatcher's scan order (= LSN order), and the worker applies them with
-//! the same `page_lsn < lsn` idempotency test as the serial pass. Apply
-//! counts are bit-exact with the serial pass for the same reason the test
+//! the same `page_lsn < lsn` idempotency test at every worker count. Apply
+//! counts are bit-exact across worker counts for the same reason the test
 //! is per-page: whether a record applies depends only on its own page's
-//! LSN, which only that record's worker advances.
+//! LSN, which only that record's worker advances. One worker applying
+//! inline on the scanning thread *is* the serial pass — there is no other
+//! redo implementation.
 //!
 //! # Why analysis can stream into redo
 //!
@@ -44,7 +46,7 @@
 use crate::analysis::{AnalysisBuilder, AnalysisResult};
 use rewind_buffer::BufferPool;
 use rewind_common::{Error, Lsn, PageId, Result};
-use rewind_pagestore::Page;
+use rewind_obs::Obs;
 use rewind_wal::{LogManager, RecordRef};
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -52,8 +54,8 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 /// Redo statistics from the partitioned dispatcher.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionedRedo {
-    /// Records applied, summed over workers — bit-exact with the serial
-    /// [`crate::redo_pass`] on the same log.
+    /// Records applied, summed over workers — identical at every worker
+    /// count on the same log.
     pub applied: u64,
     /// Records applied by each worker (length = worker count; shows
     /// partition skew).
@@ -80,8 +82,7 @@ pub struct RestartOutcome {
 }
 
 /// Records per dispatched batch: one channel rendezvous per batch instead
-/// of per record, which is what makes fan-out cheaper than the serial
-/// inline path. Order within and across batches is the dispatcher's scan
+/// of per record. Order within and across batches is the dispatcher's scan
 /// order, so per-page LSN order is preserved.
 const REDO_BATCH: usize = 64;
 
@@ -96,38 +97,52 @@ fn partition_of(page: PageId, workers: usize) -> usize {
     ((page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % workers
 }
 
-/// Apply one dispatched record to its page; returns whether the page image
-/// actually advanced (the serial pass's `applied` criterion). `staged`
-/// optionally carries the page's slot of a vectored batch read — safe here
-/// because redo partitioning gives one worker all records of a page, so
-/// nothing can have written the page since its batch was staged.
-fn apply_one(pool: &BufferPool, rec: &RecordRef, staged: Option<Result<Page>>) -> Result<bool> {
-    let (header, view) = rec.view()?;
-    pool.with_page_mut_staged(header.page, staged, |v| {
-        if v.page().page_lsn() < header.lsn {
-            view.redo(v.page_mut(), header.page, header.lsn)?;
-            v.mark_dirty(header.lsn);
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    })
+/// One redo worker: applies the batches it is handed, tallying records
+/// applied and µs spent applying. The inline single-worker path and every
+/// worker thread run exactly this.
+struct RedoWorker<'a> {
+    pool: &'a BufferPool,
+    obs: &'a Obs,
+    applied: u64,
+    busy_us: u64,
 }
 
-/// Vector-read a redo batch's cold first-touch pages: the distinct pids of
-/// the batch, sorted so physically adjacent pages coalesce into single
-/// device ops ([`BufferPool::stage_read_run`] skips resident pages and
-/// returns nothing in scalar mode). Pure read-ahead — each staged result is
-/// consumed by that page's first miss in the batch, so apply decisions and
-/// per-page accounting are unchanged.
-fn stage_batch(pool: &BufferPool, batch: &[RecordRef]) -> Result<Vec<(PageId, Result<Page>)>> {
-    let mut wanted: Vec<PageId> = Vec::with_capacity(batch.len());
-    for rec in batch {
-        wanted.push(rec.header()?.page);
+impl<'a> RedoWorker<'a> {
+    fn new(pool: &'a BufferPool, obs: &'a Obs) -> Self {
+        RedoWorker {
+            pool,
+            obs,
+            applied: 0,
+            busy_us: 0,
+        }
     }
-    wanted.sort_unstable();
-    wanted.dedup();
-    Ok(pool.stage_read_run(&wanted))
+
+    /// Apply `batch` in order. A record counts as applied when its page
+    /// image actually advanced (`page_lsn < lsn`).
+    fn apply_batch(&mut self, batch: &[RecordRef]) -> Result<()> {
+        let t0 = self.obs.now_us();
+        for rec in batch {
+            let (header, view) = rec.view()?;
+            let advanced = self.pool.with_page_mut(header.page, |v| {
+                if v.page().page_lsn() < header.lsn {
+                    view.redo(v.page_mut(), header.page, header.lsn)?;
+                    v.mark_dirty(header.lsn);
+                    Ok(true)
+                } else {
+                    Ok(false)
+                }
+            })?;
+            self.applied += u64::from(advanced);
+        }
+        self.busy_us += self.obs.now_us().saturating_sub(t0);
+        Ok(())
+    }
+
+    /// Record the worker's busy time; returns its applied count.
+    fn finish(self) -> u64 {
+        self.obs.redo_worker_us(self.busy_us);
+        self.applied
+    }
 }
 
 /// The single forward pass: the prefix scan dispatching checkpoint-DPT
@@ -196,17 +211,12 @@ pub fn pipelined_restart(
     let obs = log.obs().clone();
 
     let redo = if workers == 1 {
-        let mut applied = 0u64;
-        let mut busy = 0u64;
+        let mut worker = RedoWorker::new(pool, &obs);
         scan_and_dispatch(log, &mut builder, bound, |rec, _page| {
-            let t0 = obs.now_us();
-            if apply_one(pool, rec, None)? {
-                applied += 1;
-            }
-            busy += obs.now_us().saturating_sub(t0);
+            worker.apply_batch(std::slice::from_ref(rec))?;
             Ok(true)
         })?;
-        obs.redo_worker_us(busy);
+        let applied = worker.finish();
         PartitionedRedo {
             applied,
             per_worker: vec![applied],
@@ -219,25 +229,11 @@ pub fn pipelined_restart(
                 let (tx, rx) = sync_channel::<Vec<RecordRef>>(REDO_CHANNEL_DEPTH);
                 let obs = &obs;
                 handles.push(s.spawn(move || -> Result<u64> {
-                    let mut applied = 0u64;
-                    let mut busy = 0u64;
-                    while let Ok(batch) = rx.recv() {
-                        let t0 = obs.now_us();
-                        let mut staged = stage_batch(pool, &batch)?;
-                        for rec in &batch {
-                            let page = rec.header()?.page;
-                            let pre = staged
-                                .iter()
-                                .position(|(p, _)| *p == page)
-                                .map(|i| staged.remove(i).1);
-                            if apply_one(pool, rec, pre)? {
-                                applied += 1;
-                            }
-                        }
-                        busy += obs.now_us().saturating_sub(t0);
+                    let mut worker = RedoWorker::new(pool, obs);
+                    for batch in rx {
+                        worker.apply_batch(&batch)?;
                     }
-                    obs.redo_worker_us(busy);
-                    Ok(applied)
+                    Ok(worker.finish())
                 }));
                 txs.push(tx);
             }
@@ -301,4 +297,27 @@ pub fn pipelined_restart(
         analysis_us,
         redo_us,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rewind_pagestore::MemFileManager;
+    use rewind_wal::LogConfig;
+    use std::sync::Arc;
+
+    /// `bound` values adjacent to `Lsn::MAX` used to compute `bound.0 + 1`,
+    /// which overflows (wrapping the scan end to `Lsn::NULL` and silently
+    /// redoing nothing). The saturating scan end must keep these bounds
+    /// meaning "to the end of the log".
+    #[test]
+    fn redo_bound_adjacent_to_max_does_not_overflow() {
+        let fm = Arc::new(MemFileManager::new());
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let pool = BufferPool::new(fm, log.clone(), 8);
+        for bound in [Lsn::MAX, Lsn(u64::MAX - 1)] {
+            let out = pipelined_restart(&log, &pool, bound, 1).unwrap();
+            assert_eq!(out.redo.applied, 0);
+        }
+    }
 }

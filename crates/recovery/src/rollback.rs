@@ -15,10 +15,11 @@
 
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap};
-use rewind_common::{Error, Lsn, ObjectId, Result};
+use rewind_common::{Error, Lsn, ObjectId, Result, TxnId};
 use rewind_wal::{
-    LogManager, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, REC_FLAG_SYSTEM,
+    LogManager, LogPayload, LogPayloadView, LogRecordHeader, RecordRef, REC_FLAG_SYSTEM,
 };
+use std::collections::BinaryHeap;
 
 /// How an object stores rows — resolved from the catalog during rollback.
 #[derive(Clone, Copy, Debug)]
@@ -29,31 +30,12 @@ pub enum AccessKind {
     Heap(Heap),
 }
 
-/// Undo one record, logging CLR(s). Returns `Ok(())` even when the logical
-/// target no longer exists (idempotent crash-resume).
-///
-/// Compatibility wrapper over [`undo_record_view`] for callers holding an
-/// owned record.
-pub fn undo_record<S: Store>(
-    s: &S,
-    rec: &LogRecord,
-    resolver: &dyn Fn(ObjectId) -> Result<AccessKind>,
-) -> Result<()> {
-    match rec.payload.as_view() {
-        Some(view) => undo_record_view(s, &rec.header(), &view, resolver),
-        None => Err(Error::Internal(format!(
-            "unexpected payload in rollback: {:?}",
-            rec.payload
-        ))),
-    }
-}
-
 /// Undo one record from its header and borrowed payload view, logging
-/// CLR(s). The zero-copy workhorse: undo walks hand payloads straight from
-/// the log segment; bytes are copied only into the CLRs actually written.
+/// CLR(s). Returns `Ok(())` even when the logical target no longer exists
+/// (idempotent crash-resume). Payloads come straight from the log segment;
+/// bytes are copied only into the CLRs actually written.
 ///
-/// Public because both restart undo and as-of snapshot recovery (§5.2) drive
-/// merged multi-transaction sweeps through it.
+/// Public so each [`undo_sweep`] caller can bind it to its own store.
 pub fn undo_record_view<S: Store>(
     s: &S,
     header: &LogRecordHeader,
@@ -172,32 +154,62 @@ pub fn undo_record_view<S: Store>(
     Ok(())
 }
 
-/// Roll back a transaction chain starting at `from` (its most recent LSN).
+/// The one undo walk: a merged descending-LSN sweep over the backward
+/// chains starting at `heads` (each a transaction's most recent LSN; null
+/// heads are skipped). Merging by LSN across transactions is what keeps
+/// structure-modification ordering honoured when several losers touched the
+/// same tree.
 ///
-/// CLRs encountered jump via `undo_next` (so completed structure
-/// modifications and already-compensated work are skipped) after a
-/// header-only decode — their payloads are never materialized; every other
-/// record is undone straight from its borrowed payload view, with a new CLR.
-/// Returns the number of records undone.
+/// `read` fetches a record ([`LogManager::get_record_ref`] for the live log,
+/// the archive-aware read for restore). CLRs jump via `undo_next` (so
+/// completed structure modifications and already-compensated work are
+/// skipped) after a header-only decode — their payloads are never
+/// materialized; every other record is handed to `undo` as its header and
+/// borrowed payload view, which the caller binds to the transaction's
+/// store through [`undo_record_view`]. `chain_done` fires when a
+/// transaction's chain is exhausted. Returns the number of records undone.
+pub fn undo_sweep(
+    heads: impl IntoIterator<Item = (Lsn, TxnId)>,
+    read: impl Fn(Lsn) -> Result<RecordRef>,
+    mut undo: impl FnMut(TxnId, &LogRecordHeader, &LogPayloadView<'_>) -> Result<()>,
+    mut chain_done: impl FnMut(TxnId),
+) -> Result<u64> {
+    let mut heap: BinaryHeap<(Lsn, TxnId)> =
+        heads.into_iter().filter(|(l, _)| l.is_valid()).collect();
+    let mut undone = 0u64;
+    while let Some((lsn, txn)) = heap.pop() {
+        let rec = read(lsn)?;
+        let header = rec.header()?;
+        let next = if header.is_clr() {
+            header.undo_next
+        } else {
+            let (_, view) = rec.view()?;
+            undo(txn, &header, &view)?;
+            undone += 1;
+            header.prev_lsn
+        };
+        if next.is_valid() {
+            heap.push((next, txn));
+        } else {
+            chain_done(txn);
+        }
+    }
+    Ok(undone)
+}
+
+/// Roll back one transaction chain starting at `from` (its most recent
+/// LSN), logging a CLR per undone record: the one-transaction case of
+/// [`undo_sweep`]. Returns the number of records undone.
 pub fn rollback_chain<S: Store>(
     s: &S,
     log: &LogManager,
     from: Lsn,
     resolver: &dyn Fn(ObjectId) -> Result<AccessKind>,
 ) -> Result<u64> {
-    let mut cur = from;
-    let mut undone = 0u64;
-    while cur.is_valid() {
-        let rec = log.get_record_ref(cur)?;
-        let header = rec.header()?;
-        if header.is_clr() {
-            cur = header.undo_next;
-            continue;
-        }
-        let (_, view) = rec.view()?;
-        undo_record_view(s, &header, &view, resolver)?;
-        undone += 1;
-        cur = header.prev_lsn;
-    }
-    Ok(undone)
+    undo_sweep(
+        [(from, TxnId::NONE)],
+        |lsn| log.get_record_ref(lsn),
+        |_, header, view| undo_record_view(s, header, view, resolver),
+        |_| {},
+    )
 }

@@ -332,12 +332,3 @@ impl EngineStore<'_> {
         rollback::rollback_chain(self, &self.parts.log, self.txn.last_lsn(), resolver)
     }
 }
-
-/// Convenience: validate that a payload can be redone; re-exported for
-/// stores in other crates.
-pub fn payload_applies(payload: &LogPayload, page: &Page) -> Result<()> {
-    if !payload.is_page_op() {
-        return Err(Error::Internal("not a page op".into()));
-    }
-    payload.precheck(page)
-}

@@ -4,14 +4,13 @@ use crate::stats::SnapshotStatsView;
 use crate::store::{SnapInner, SnapshotMutator, SnapshotStore};
 use parking_lot::{Condvar, Mutex};
 use rewind_buffer::ScanPartition;
-use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp, TxnId};
+use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
 use rewind_obs::EventKind;
 use rewind_pagestore::Page;
 use rewind_recovery::rollback::undo_record_view;
-use rewind_recovery::{analyze, AccessKind, CowSink, EngineParts, LoserTxn};
+use rewind_recovery::{analyze, undo_sweep, AccessKind, CowSink, EngineParts, LoserTxn};
 use rewind_txn::{LockManager, LockMode, ObjectLatches};
 use rewind_wal::find_split_lsn;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,29 +251,13 @@ impl AsOfSnapshot {
             return Ok(0);
         }
         let mutator = self.mutator();
-        let mut heap: BinaryHeap<(Lsn, TxnId)> =
-            self.losers.iter().map(|l| (l.last_lsn, l.id)).collect();
-        let mut processed = 0u64;
-        while let Some((lsn, txn)) = heap.pop() {
-            // Zero-copy walk: CLRs are skipped after a header-only decode;
-            // only records actually undone materialize a payload view.
-            let rec = self.inner.log.get_record_ref(lsn)?;
-            let header = rec.header()?;
-            let next = if header.is_clr() {
-                header.undo_next
-            } else {
-                let (_, view) = rec.view()?;
-                undo_record_view(&mutator, &header, &view, resolver)?;
-                processed += 1;
-                header.prev_lsn
-            };
-            if next.is_valid() {
-                heap.push((next, txn));
-            } else {
-                // transaction fully undone: release its reacquired locks
-                self.locks.release_all(txn);
-            }
-        }
+        let processed = undo_sweep(
+            self.losers.iter().map(|l| (l.last_lsn, l.id)),
+            |lsn| self.inner.log.get_record_ref(lsn),
+            |_, header, view| undo_record_view(&mutator, header, view, resolver),
+            // transaction fully undone: release its reacquired locks
+            |txn| self.locks.release_all(txn),
+        )?;
         self.mark_undo_done();
         Ok(processed)
     }
@@ -348,9 +331,10 @@ impl AsOfSnapshot {
     /// **scan-resistantly** (ROADMAP item (h)): the whole fan-out shares
     /// one pin-limited [`rewind_buffer::ScanPartition`], so its cold §5.3
     /// step (b) reads reuse a bounded ring of pool frames instead of
-    /// marching the clock over the live working set. The budget defaults to
+    /// marching the clock over the live working set. The budget is
     /// [`AsOfSnapshot::default_scan_budget`]; use
-    /// [`AsOfSnapshot::prepare_pages_budgeted`] to pick one explicitly.
+    /// [`AsOfSnapshot::prepare_pages_in`] to bring a partition of another
+    /// size.
     ///
     /// Distinct pages prepare fully in parallel — the §5.3 protocol already
     /// serializes only *same-page* first-preparations through the per-page
@@ -373,37 +357,20 @@ impl AsOfSnapshot {
     /// parallel stall time as the max over workers rather than the sum.
     pub fn prepare_pages(&self, pids: &[PageId], workers: usize) -> Result<PrefetchOutcome> {
         let budget = self.default_scan_budget(workers);
-        self.prepare_pages_budgeted(pids, workers, budget)
+        let part = self.inner.pool.scan_partition(budget);
+        self.prepare_pages_in(pids, workers, &part)
     }
 
     /// The default frame budget for a bulk preparation: an eighth of the
-    /// pool, but at least two frames per worker (so ring reuse never stalls
-    /// the fan-out on its own transient pins) and never more than half the
-    /// pool (a scan must not monopolize the cache it is guarding).
-    pub fn default_scan_budget(&self, workers: usize) -> usize {
-        let cap = self.inner.pool.capacity();
-        (cap / 8).max(2 * workers.max(1)).clamp(1, (cap / 2).max(1))
-    }
-
-    /// [`AsOfSnapshot::prepare_pages`] with an explicit frame budget for
-    /// the shared scan partition. A bulk preparation touching more pages
-    /// than the primary's buffer pool holds will disturb at most `budget`
-    /// frames of it.
-    ///
-    /// The effective budget is raised to two frames per worker (and capped
-    /// at half the pool): with fewer, concurrent workers could keep every
+    /// pool, but at least two frames per worker and never more than half the
+    /// pool (a scan must not monopolize the cache it is guarding). With
+    /// fewer than two frames per worker, concurrent workers could keep every
     /// ring entry transiently pinned, forcing ring reuse to fall back to
     /// the global clock on each miss — which would quietly void the damage
     /// bound the budget exists to provide.
-    pub fn prepare_pages_budgeted(
-        &self,
-        pids: &[PageId],
-        workers: usize,
-        budget: usize,
-    ) -> Result<PrefetchOutcome> {
-        let capped = workers.clamp(1, pids.len().max(1));
-        let part = self.inner.pool.scan_partition(budget.max(2 * capped));
-        self.prepare_pages_in(pids, workers, &part)
+    pub fn default_scan_budget(&self, workers: usize) -> usize {
+        let cap = self.inner.pool.capacity();
+        (cap / 8).max(2 * workers.max(1)).clamp(1, (cap / 2).max(1))
     }
 
     /// [`AsOfSnapshot::prepare_pages`] inside a caller-owned partition, so
@@ -451,8 +418,7 @@ impl AsOfSnapshot {
                                     .iter()
                                     .position(|(p, _)| *p == pid)
                                     .map(|i| staged.remove(i).1);
-                                let (_, prep) =
-                                    inner.fetch_traced_staged_in(pid, Some(part), pre)?;
+                                let (_, prep) = inner.fetch_traced(pid, Some(part), pre)?;
                                 stats.pages += 1;
                                 if let Some(p) = prep {
                                     stats.prepared += 1;
@@ -495,7 +461,7 @@ impl AsOfSnapshot {
 
     /// Number of page versions currently held by the side file.
     pub fn side_pages(&self) -> usize {
-        self.inner.side_len()
+        self.inner.side.len()
     }
 
     /// Page ids currently held by the side file (diagnostics: the warm set
@@ -514,23 +480,13 @@ impl AsOfSnapshot {
 
     /// Instrumentation counters.
     pub fn stats(&self) -> SnapshotStatsView {
-        self.inner.stats_view()
+        self.inner.stats.snapshot()
     }
 
     /// The earliest LSN this snapshot still needs (log truncation must not
     /// pass it while the snapshot is open).
     pub fn min_needed_lsn(&self) -> Lsn {
         self.creation.analysis_start
-    }
-}
-
-impl SnapInner {
-    fn side_len(&self) -> usize {
-        self.side.len()
-    }
-
-    fn stats_view(&self) -> SnapshotStatsView {
-        self.stats.snapshot()
     }
 }
 
@@ -542,13 +498,7 @@ pub struct CowPusher {
 
 impl CowSink for CowPusher {
     fn before_modify(&self, pid: PageId, current: &Page) {
-        self.inner.cow_push(pid, current);
-    }
-}
-
-impl SnapInner {
-    fn cow_push(&self, pid: PageId, current: &Page) {
-        self.side.put_if_absent(pid, current);
+        self.inner.side.put_if_absent(pid, current);
     }
 }
 

@@ -54,10 +54,3 @@ pub struct SnapshotStatsView {
     /// See [`SnapshotStats::undo_records`].
     pub undo_records: u64,
 }
-
-impl SnapshotStatsView {
-    /// Total log reads attributable to undo work (paper Fig. 11's metric).
-    pub fn undo_log_reads(&self) -> u64 {
-        self.records_undone + self.fpi_chain_reads
-    }
-}

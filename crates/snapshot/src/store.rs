@@ -157,7 +157,7 @@ impl SnapInner {
     /// The §5.3 read protocol: a shared immutable image of `pid` as of the
     /// SplitLSN. Warm hits are an `Arc` clone — zero page bytes copied.
     pub(crate) fn fetch_image(&self, pid: PageId) -> Result<PageImage> {
-        Ok(self.fetch_traced_in(pid, None)?.0)
+        Ok(self.fetch_traced(pid, None, None)?.0)
     }
 
     /// Gate entries currently live (regression guard: bounded by in-flight
@@ -171,21 +171,12 @@ impl SnapInner {
     /// when this call prepared it. The concurrent prepare fan-out uses the
     /// trace to attribute undo work to individual workers, and passes a
     /// [`ScanPartition`] so cold step (b) reads stay inside a bounded frame
-    /// budget of the shared pool.
-    pub(crate) fn fetch_traced_in(
-        &self,
-        pid: PageId,
-        scan: Option<&ScanPartition>,
-    ) -> Result<(PageImage, Option<rewind_recovery::PrepareStats>)> {
-        self.fetch_traced_staged_in(pid, scan, None)
-    }
-
-    /// [`SnapInner::fetch_traced_in`] with an optional pre-fetched primary
-    /// read for `pid` — one slot of a vectored `read_pages` batch issued by
-    /// the bulk prepare fan-out. The staged result is consumed only if this
-    /// call reaches step (b) itself (side miss, gate won); otherwise it is
+    /// budget of the shared pool. `staged` is an optional pre-fetched
+    /// primary read for `pid` — one slot of a vectored `read_pages` batch
+    /// issued by the bulk prepare fan-out — consumed only if this call
+    /// reaches step (b) itself (side miss, gate won); otherwise it is
     /// dropped, exactly like the pool's own staged misses.
-    pub(crate) fn fetch_traced_staged_in(
+    pub(crate) fn fetch_traced(
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
@@ -245,11 +236,7 @@ impl SnapInner {
             let primary = self.pool.read_page_staged_in(pid, scan, staged)?;
             Page::clone(&primary)
         };
-        let st =
-            prepare_page_as_of(&self.log, &mut page, pid, self.split).map_err(|e| match e {
-                Error::LogTruncated(lsn) => Error::LogTruncated(lsn),
-                other => other,
-            })?;
+        let st = prepare_page_as_of(&self.log, &mut page, pid, self.split)?;
         self.stats.pages_prepared.fetch_add(1, Ordering::Relaxed);
         // Adjacent to the `pages_prepared` increment so the histogram
         // count equals the prepared-page count exactly.
@@ -310,7 +297,7 @@ impl SnapshotStore<'_> {
     /// it as long as they like (epoch-stable even under background undo).
     /// Cold preparations honour the store's scan partition, if any.
     pub fn read_page(&self, pid: PageId) -> Result<rewind_buffer::PageRead<'static>> {
-        let (image, _) = self.inner.fetch_traced_in(pid, self.scan)?;
+        let (image, _) = self.inner.fetch_traced(pid, self.scan, None)?;
         Ok(rewind_buffer::PageRead::Image(image))
     }
 }
@@ -318,7 +305,7 @@ impl SnapshotStore<'_> {
 impl Store for SnapshotStore<'_> {
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> Result<R>) -> Result<R> {
         // Borrow straight from the shared image: zero copies on warm hits.
-        let (image, _) = self.inner.fetch_traced_in(pid, self.scan)?;
+        let (image, _) = self.inner.fetch_traced(pid, self.scan, None)?;
         f(&image)
     }
 

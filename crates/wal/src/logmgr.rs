@@ -1273,12 +1273,13 @@ impl LogManager {
             .unwrap_or(index.trunc))
     }
 
-    /// Read a record, falling back to the archive for truncated history.
-    /// Only point-in-time restore uses this — the as-of machinery stays
-    /// retention-bound on purpose. Lock-free like [`LogManager::get_record`],
-    /// without cache accounting.
-    pub fn get_record_deep(&self, lsn: Lsn) -> Result<LogRecord> {
-        self.read_ref_at(lsn, true)?.decode()
+    /// Read a record as a zero-copy [`RecordRef`], falling back to the
+    /// archive for truncated history. Point-in-time restore and checkpoint
+    /// seeding use this — the as-of machinery stays retention-bound on
+    /// purpose. Lock-free like [`LogManager::get_record_ref`], without cache
+    /// accounting.
+    pub fn get_record_deep(&self, lsn: Lsn) -> Result<RecordRef> {
+        self.read_ref_at(lsn, true)
     }
 
     /// Like [`LogManager::scan`] but reading archived history too.

@@ -205,27 +205,11 @@ pub enum LogPayload {
 }
 
 impl LogPayload {
-    /// The payload's kind tag.
+    /// The payload's kind tag (also its serialized tag byte) — read off the
+    /// view, so the variant-to-kind table exists once.
     pub fn kind(&self) -> PayloadKind {
-        match self {
-            LogPayload::Commit { .. } => PayloadKind::Commit,
-            LogPayload::Abort => PayloadKind::Abort,
-            LogPayload::End => PayloadKind::End,
-            LogPayload::Format { .. } => PayloadKind::Format,
-            LogPayload::Preformat { .. } => PayloadKind::Preformat,
-            LogPayload::Reformat { .. } => PayloadKind::Reformat,
-            LogPayload::InsertRecord { .. } => PayloadKind::InsertRecord,
-            LogPayload::DeleteRecord { .. } => PayloadKind::DeleteRecord,
-            LogPayload::UpdateRecord { .. } => PayloadKind::UpdateRecord,
-            LogPayload::SetNextPage { .. } => PayloadKind::SetNextPage,
-            LogPayload::SetPrevPage { .. } => PayloadKind::SetPrevPage,
-            LogPayload::AllocSet { .. } => PayloadKind::AllocSet,
-            LogPayload::BootWrite { .. } => PayloadKind::BootWrite,
-            LogPayload::FullPageImage { .. } => PayloadKind::FullPageImage,
-            LogPayload::CheckpointBegin { .. } => PayloadKind::CheckpointBegin,
-            LogPayload::CheckpointEnd(_) => PayloadKind::CheckpointEnd,
-            LogPayload::RestoreImage { .. } => PayloadKind::RestoreImage,
-        }
+        self.as_view()
+            .map_or(PayloadKind::CheckpointEnd, |v| v.kind())
     }
 
     /// Whether this payload modifies a page (and therefore participates in
@@ -405,30 +389,8 @@ impl LogPayload {
         self.as_view()?.compensation()
     }
 
-    fn tag(&self) -> u8 {
-        match self {
-            LogPayload::Commit { .. } => 1,
-            LogPayload::Abort => 2,
-            LogPayload::End => 3,
-            LogPayload::Format { .. } => 4,
-            LogPayload::Preformat { .. } => 5,
-            LogPayload::Reformat { .. } => 6,
-            LogPayload::InsertRecord { .. } => 7,
-            LogPayload::DeleteRecord { .. } => 8,
-            LogPayload::UpdateRecord { .. } => 9,
-            LogPayload::SetNextPage { .. } => 10,
-            LogPayload::SetPrevPage { .. } => 11,
-            LogPayload::AllocSet { .. } => 12,
-            LogPayload::BootWrite { .. } => 13,
-            LogPayload::FullPageImage { .. } => 14,
-            LogPayload::CheckpointBegin { .. } => 15,
-            LogPayload::CheckpointEnd(_) => 16,
-            LogPayload::RestoreImage { .. } => 17,
-        }
-    }
-
     fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u8(self.tag());
+        w.put_u8(self.kind() as u8);
         match self {
             LogPayload::Commit { at } => w.put_u64(at.as_micros()),
             LogPayload::Abort | LogPayload::End => {}
@@ -513,81 +475,6 @@ impl LogPayload {
             }
         }
     }
-
-    fn decode_from(r: &mut ByteReader<'_>) -> Result<LogPayload> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            1 => LogPayload::Commit {
-                at: Timestamp::from_micros(r.get_u64()?),
-            },
-            2 => LogPayload::Abort,
-            3 => LogPayload::End,
-            4 => LogPayload::Format {
-                object: ObjectId(r.get_u64()?),
-                ty: PageType::from_u16(r.get_u16()?)?,
-                level: r.get_u16()?,
-                next: PageId(r.get_u64()?),
-                prev: PageId(r.get_u64()?),
-            },
-            5 => LogPayload::Preformat {
-                prev_image: read_image(r)?,
-            },
-            6 => LogPayload::Reformat {
-                object: ObjectId(r.get_u64()?),
-                ty: PageType::from_u16(r.get_u16()?)?,
-                level: r.get_u16()?,
-                prev_image: read_image(r)?,
-            },
-            7 => LogPayload::InsertRecord {
-                slot: r.get_u16()?,
-                bytes: r.get_bytes()?.to_vec(),
-            },
-            8 => LogPayload::DeleteRecord {
-                slot: r.get_u16()?,
-                old: r.get_bytes()?.to_vec(),
-            },
-            9 => LogPayload::UpdateRecord {
-                slot: r.get_u16()?,
-                old: r.get_bytes()?.to_vec(),
-                new: r.get_bytes()?.to_vec(),
-            },
-            10 => LogPayload::SetNextPage {
-                old: PageId(r.get_u64()?),
-                new: PageId(r.get_u64()?),
-            },
-            11 => LogPayload::SetPrevPage {
-                old: PageId(r.get_u64()?),
-                new: PageId(r.get_u64()?),
-            },
-            12 => LogPayload::AllocSet {
-                index: r.get_u32()?,
-                old: r.get_u8()?,
-                new: r.get_u8()?,
-            },
-            13 => LogPayload::BootWrite {
-                offset: r.get_u16()?,
-                old: r.get_bytes()?.to_vec(),
-                new: r.get_bytes()?.to_vec(),
-            },
-            14 => LogPayload::FullPageImage {
-                prev_fpi_lsn: Lsn(r.get_u64()?),
-                image: read_image(r)?,
-            },
-            17 => LogPayload::RestoreImage {
-                old: read_image(r)?,
-                new: read_image(r)?,
-            },
-            15 => LogPayload::CheckpointBegin {
-                at: Timestamp::from_micros(r.get_u64()?),
-            },
-            16 => LogPayload::CheckpointEnd(decode_checkpoint_body(r)?),
-            other => {
-                return Err(Error::corruption(format!(
-                    "unknown log payload tag {other}"
-                )))
-            }
-        })
-    }
 }
 
 fn decode_checkpoint_body(r: &mut ByteReader<'_>) -> Result<CheckpointBody> {
@@ -616,13 +503,6 @@ fn decode_checkpoint_body(r: &mut ByteReader<'_>) -> Result<CheckpointBody> {
         att,
         dpt,
     })
-}
-
-fn read_image(r: &mut ByteReader<'_>) -> Result<Box<[u8; PAGE_SIZE]>> {
-    let raw = r.get_raw(PAGE_SIZE)?;
-    let mut img = Box::new([0u8; PAGE_SIZE]);
-    img.copy_from_slice(raw);
-    Ok(img)
 }
 
 fn read_image_ref<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8; PAGE_SIZE]> {
@@ -848,7 +728,8 @@ pub enum LogPayloadView<'a> {
 impl<'a> LogPayloadView<'a> {
     /// Decode a payload view from the payload portion of a record body
     /// (everything after the fixed header). Borrows byte payloads and page
-    /// images from `bytes`; allocates nothing.
+    /// images from `bytes`; allocates nothing. The only parser of payload
+    /// bodies: the owned decode materializes from this view.
     pub fn decode(bytes: &'a [u8]) -> Result<LogPayloadView<'a>> {
         let mut r = ByteReader::new(bytes);
         let view = match PayloadKind::from_tag(r.get_u8()?)? {
@@ -1381,25 +1262,18 @@ impl LogRecord {
 
     /// Deserialize a record body; `lsn` is the offset it was read from.
     pub fn decode(lsn: Lsn, bytes: &[u8]) -> Result<LogRecord> {
-        let mut r = ByteReader::new(bytes);
-        let rec = LogRecord {
+        let (header, view) = Self::decode_view(lsn, bytes)?;
+        Ok(LogRecord {
             lsn,
-            txn: TxnId(r.get_u64()?),
-            prev_lsn: Lsn(r.get_u64()?),
-            page: PageId(r.get_u64()?),
-            prev_page_lsn: Lsn(r.get_u64()?),
-            object: ObjectId(r.get_u64()?),
-            undo_next: Lsn(r.get_u64()?),
-            flags: r.get_u8()?,
-            payload: LogPayload::decode_from(&mut r)?,
-        };
-        if !r.is_exhausted() {
-            return Err(Error::corruption(format!(
-                "{} trailing bytes after log record at {lsn}",
-                r.remaining()
-            )));
-        }
-        Ok(rec)
+            txn: header.txn,
+            prev_lsn: header.prev_lsn,
+            page: header.page,
+            prev_page_lsn: header.prev_page_lsn,
+            object: header.object,
+            undo_next: header.undo_next,
+            flags: header.flags,
+            payload: view.to_owned_payload()?,
+        })
     }
 }
 

@@ -74,7 +74,7 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
         Err(Error::LogTruncated(_))
     ));
     // deep read succeeds
-    let r = log.get_record_deep(commits[10]).unwrap();
+    let r = log.get_record_deep(commits[10]).unwrap().decode().unwrap();
     assert_eq!(r.lsn, commits[10]);
 
     // deep scan crosses the archive/live boundary seamlessly

@@ -1,42 +1,20 @@
 //! Proof that the header-only chain-walk path allocates nothing per record.
 //!
-//! A counting global allocator wraps the system allocator; after warming the
-//! thread-local segment snapshot and the cache model, a backward chain walk
-//! over sealed history (header + borrowed payload view + undo application
-//! against a page) must perform **zero** heap allocations.
+//! The shared counting allocator (`rewind_common::testalloc`) wraps the
+//! system allocator and counts per thread, so the two proofs below can run
+//! on parallel test threads without counting each other's allocations.
+//! After warming the thread-local segment snapshot and the cache model, a
+//! backward chain walk over sealed history (header, borrowed payload view
+//! and undo application against a page) must perform **zero** heap
+//! allocations.
 
+use rewind_common::testalloc::{thread_allocations as allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
 use rewind_pagestore::{Page, PageType};
 use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn header_only_chain_walk_allocates_nothing() {

@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use rewind_access::store::Store;
 use rewind_buffer::BufferPool;
 use rewind_common::{ObjectId, PageId, SimClock};
-use rewind_pagestore::{FileManager, IoBackend, MemFileManager, Page, PageType};
+use rewind_pagestore::{FileManager, MemFileManager, Page, PageType};
 use rewind_recovery::{take_checkpoint, EngineParts};
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{ObjectLatches, TxnManager};
@@ -27,7 +27,6 @@ fn engine_with_pages() -> Arc<EngineParts> {
         fm.write_page(pid, &Page::formatted(pid, ObjectId(1), PageType::Heap))
             .unwrap();
     }
-    let fm: Arc<dyn IoBackend> = fm;
     let log = Arc::new(LogManager::new(LogConfig::default()));
     let pool = Arc::new(BufferPool::new(fm, log.clone(), 128));
     Arc::new(EngineParts {

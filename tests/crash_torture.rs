@@ -98,11 +98,13 @@ fn crash_recover_repeatedly_matches_model() {
 /// deterministic workload to the same crash point and restarting with 1, 4
 /// and 16 redo workers must yield byte-identical backing files, identical
 /// row state, and identical recovery accounting (records scanned / redone /
-/// undone, loser sets). Only the worker count in the report may differ.
+/// undone, loser sets). Only the worker count in the report may differ —
+/// and the device sees the same traffic: restart reads each page it needs
+/// once, scalar, at every worker count (there is no redo read-ahead).
 #[test]
 fn restart_is_bit_identical_across_worker_counts() {
     use rewind::common::TxnId;
-    use rewind::pagestore::PAGE_SIZE;
+    use rewind::pagestore::{FileManager, PAGE_SIZE};
 
     struct Outcome {
         rows: BTreeMap<u64, Row>,
@@ -111,6 +113,7 @@ fn restart_is_bit_identical_across_worker_counts() {
         redone: u64,
         undone: u64,
         losers: Vec<TxnId>,
+        page_reads: u64,
     }
 
     let run = |workers: usize| -> Outcome {
@@ -161,7 +164,14 @@ fn restart_is_bit_identical_across_worker_counts() {
         std::mem::forget(l1);
         std::mem::forget(l2);
 
-        let db = Database::recover(db.simulate_crash()).unwrap();
+        let artifacts = db.simulate_crash();
+        let io0 = artifacts.fm.io_stats().snapshot();
+        let db = Database::recover(artifacts).unwrap();
+        let io = db.mem_file().unwrap().io_stats().snapshot().delta(io0);
+        assert_eq!(
+            io.vectored_read_ops, 0,
+            "restart issues no vectored reads at {workers} workers"
+        );
         let report = db.last_recovery().expect("recover() leaves a report");
         assert_eq!(
             report.redo_workers, workers as u64,
@@ -188,6 +198,7 @@ fn restart_is_bit_identical_across_worker_counts() {
             redone: report.records_redone,
             undone: report.records_undone,
             losers: report.loser_txns,
+            page_reads: io.page_reads,
         }
     };
 
@@ -206,6 +217,10 @@ fn restart_is_bit_identical_across_worker_counts() {
             (base.scanned, base.redone, base.undone)
         );
         assert_eq!(o.losers, base.losers);
+        assert_eq!(
+            o.page_reads, base.page_reads,
+            "restart page reads diverged at {workers} workers"
+        );
     }
 }
 

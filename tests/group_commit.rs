@@ -86,9 +86,6 @@ impl FileManager for FailingFm {
     }
 }
 
-// Scalar-delegating batched defaults: a failed write fails per page.
-impl rewind_pagestore::IoBackend for FailingFm {}
-
 /// Regression: `Database::commit` used to run `maybe_checkpoint()` on the
 /// commit path and propagate its error, reporting `Err` for a transaction
 /// that was already durably committed. A checkpoint failure must now be

@@ -8,17 +8,18 @@
 //! under the shard lock.)
 
 use rewind::access::store::Store;
-use rewind::common::testalloc::{allocations, large_allocations, CountingAllocator};
+use rewind::common::testalloc::{thread_allocations, thread_large_allocations, CountingAllocator};
 use rewind::{Column, DataType, Database, DbConfig, Schema, Value};
 
-// The shared counting allocator: every allocation counted, page-sized
-// (>= 8 KiB) ones tracked separately — any 8 KiB page clone lands in the
-// large-allocation counter. Same implementation the snapbench CI gate uses.
+// The shared counting allocator: every allocation counted per thread,
+// page-sized (>= 8 KiB) ones tracked separately — any 8 KiB page clone
+// lands in the large-allocation counter. Same implementation the snapbench
+// CI gate uses.
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn counts() -> (u64, u64) {
-    (allocations(), large_allocations())
+    (thread_allocations(), thread_large_allocations())
 }
 
 fn schema() -> Schema {
