@@ -8,8 +8,6 @@
 //! [`MediaModel`]s — exactly the terms the paper's hardware exposes.
 //! Measured CPU time is reported alongside.
 
-pub mod report;
-
 use rewind_backup::{restore_to_point_in_time, take_full_backup};
 use rewind_common::{IoSnapshot, MediaModel, Timestamp};
 use rewind_core::{Database, DbConfig, Result, SimClock};
@@ -241,7 +239,7 @@ pub fn fig7_to_fig11(exp: &AsofExperiment, distances_min: &[u64]) -> Result<Vec<
         let data0 = exp.db.data_io();
         let t0 = Instant::now();
         let snap = exp.db.create_snapshot_asof(&name, target)?;
-        snap.wait_undo_complete();
+        snap.wait_undo_complete()?;
         let create_real = t0.elapsed().as_micros() as u64;
         let create_log = exp.db.log_io().delta(log0);
         let create_data = exp.db.data_io().delta(data0);
@@ -339,7 +337,7 @@ pub fn sec63_concurrent(effort: &Effort) -> Result<ConcurrentRow> {
             let t1 = Instant::now();
             let _ = stock_level_asof(&snap, 1, 1, 15)?;
             query_us += t1.elapsed().as_micros() as u64;
-            snap.wait_undo_complete();
+            snap.wait_undo_complete()?;
             db2.drop_snapshot(&name)?;
             created += 1;
         }
@@ -525,7 +523,7 @@ pub fn ablation_log_cache(effort: &Effort) -> Result<Vec<CacheAblationRow>> {
         }
         let target = start.plus_micros(30_000_000);
         let snap = db.create_snapshot_asof("cache_ab", target)?;
-        snap.wait_undo_complete();
+        snap.wait_undo_complete()?;
         let log0 = db.log_io();
         let data0 = db.data_io();
         let _ = stock_level_asof(&snap, 1, 1, 15)?;

@@ -219,7 +219,7 @@ pub struct PoolStatsView {
     /// Victim frames that held a valid page when reclaimed.
     pub evictions: u64,
     /// Shard-lock acquisitions that could not be granted immediately
-    /// (contention probe; `snapbench` reports this).
+    /// (contention probe; `e2ebench` reports it as `buffer.map_contended`).
     pub map_contended: u64,
 }
 

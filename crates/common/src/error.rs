@@ -160,17 +160,6 @@ impl Error {
         }
     }
 
-    /// A checkpoint anchor slot failed its CRC.
-    #[inline]
-    pub fn anchor_corruption(detail: impl Into<String>) -> Error {
-        Error::Corruption {
-            kind: CorruptionKind::CheckpointAnchor,
-            lsn: None,
-            pid: None,
-            detail: detail.into(),
-        }
-    }
-
     /// The [`CorruptionKind`] if this is a corruption error.
     #[inline]
     pub fn corruption_kind(&self) -> Option<CorruptionKind> {

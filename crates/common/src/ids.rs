@@ -181,14 +181,6 @@ impl fmt::Display for ObjectId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotId(pub u16);
 
-impl SlotId {
-    /// Slot index as a usize, for indexing into slot directories.
-    #[inline]
-    pub fn as_usize(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for SlotId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)

@@ -169,7 +169,7 @@ impl IoStats {
 
     /// Record one physical log flush (a device write barrier). Group commit
     /// coalesces many committers' requests into one of these; the ratio
-    /// flushes / commits is the quantity `commitbench` gates on. Flushes are
+    /// flushes / commits is the quantity `tests/group_commit.rs` gates on. Flushes are
     /// not part of modeled time — the bytes they move already are.
     #[inline]
     pub fn add_log_flush(&self) {

@@ -5,8 +5,8 @@
 //! walk allocates nothing per record", "clones-per-hit is exactly 0" — by
 //! registering a counting allocator as the binary's `#[global_allocator]`
 //! and reading counter deltas around the measured section. The counting
-//! logic lives here exactly once so the test and the CI bench gate can
-//! never drift apart in what they measure.
+//! logic lives here exactly once so the proofs can never drift apart in
+//! what they measure.
 //!
 //! The type is inert unless a binary opts in:
 //!
@@ -24,35 +24,29 @@
 //! whatever a sibling test allocates meanwhile. The proofs therefore read
 //! [`thread_allocations`] / [`thread_large_allocations`]: `const`-initialised
 //! `thread_local!` cells bumped from `alloc`/`realloc` — no allocation, no
-//! lock, no destructor — which see only the calling thread. The one
-//! process-wide counter kept is [`large_allocations`], for the bench gate
-//! that measures a section executed by several worker threads at once.
-//! Callers measure deltas, so absolute values never matter.
+//! lock, no destructor — which see only the calling thread. Callers
+//! measure deltas, so absolute values never matter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size count as "large" — sized to the
 /// engine's 8 KiB page, so every page clone lands in
-/// [`large_allocations`]. (`rewind-pagestore` asserts at compile time that
+/// [`thread_large_allocations`]. (`rewind-pagestore` asserts at compile time that
 /// its `PAGE_SIZE` matches.)
 pub const LARGE_ALLOC_MIN: usize = 8192;
-
-static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static THREAD_LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Count one allocation of `size` bytes against the calling thread (and,
-/// when large, the process). `try_with`: an allocation made while the
+/// Count one allocation of `size` bytes against the calling thread.
+/// `try_with`: an allocation made while the
 /// thread's locals are being torn down is simply not counted.
 fn count(size: usize) {
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     if size >= LARGE_ALLOC_MIN {
-        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         let _ = THREAD_LARGE_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     }
 }
@@ -93,11 +87,4 @@ pub fn thread_allocations() -> u64 {
 /// thread — page clones, in this engine (meaningful as deltas).
 pub fn thread_large_allocations() -> u64 {
     THREAD_LARGE_ALLOCATIONS.with(Cell::get)
-}
-
-/// Process-wide allocations of [`LARGE_ALLOC_MIN`] bytes or more, for
-/// sections that run on several threads at once (meaningful as deltas, and
-/// only while nothing else in the process allocates pages).
-pub fn large_allocations() -> u64 {
-    LARGE_ALLOCATIONS.load(Ordering::Relaxed)
 }

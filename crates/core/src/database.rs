@@ -28,10 +28,6 @@ use std::time::Duration;
 pub struct DbConfig {
     /// Buffer pool size in 8 KiB frames.
     pub buffer_pages: usize,
-    /// Buffer pool page-table shards (0 = the pool's default). Sharding
-    /// changes only contention, never accounting: serial hit/IO/eviction
-    /// classification is identical at every shard count.
-    pub buffer_shards: usize,
     /// Frame budget for the scan partition that bulk as-of streams (table
     /// scans, `prefetch_table`, `prepare_pages`) run in; 0 picks the
     /// snapshot's default (pool/8). A bulk as-of stream larger than the
@@ -64,21 +60,23 @@ pub struct DbConfig {
     /// Initial retention period in microseconds (paper §4.3); 0 retains
     /// everything until configured otherwise.
     pub retention_micros: u64,
-    /// Pages per vectored read / batched write device op (1 = fully scalar
-    /// I/O). Batching changes only the device-op count, never accounting:
-    /// per-page hit/miss/eviction classification is bit-identical at every
-    /// batch size.
-    pub io_batch_pages: usize,
-    /// Background writeback threads for checkpoint/flush page writes
-    /// (0 = synchronous scalar flushing).
-    pub writeback_workers: usize,
 }
+
+/// Buffer pool page-table shards: 0 = the pool's own default. Sharding
+/// changes only contention, never accounting, so no caller has a reason to
+/// choose (`crates/buffer/tests/prop_pool.rs` sweeps it as the reference).
+const BUFFER_SHARDS: usize = 0;
+/// Pages per vectored read / batched write device op. Batching changes only
+/// the device-op count, never per-page accounting
+/// (`crates/buffer/tests/prop_batched_io.rs` sweeps it as the reference).
+const IO_BATCH_PAGES: usize = 16;
+/// Background writeback threads for checkpoint/flush page writes.
+const WRITEBACK_WORKERS: usize = 2;
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             buffer_pages: 4096,
-            buffer_shards: 0,
             asof_scan_budget: 0,
             fpi_interval: 0,
             lock_timeout: Duration::from_secs(5),
@@ -86,8 +84,6 @@ impl Default for DbConfig {
             redo_workers: 0,
             log: LogConfig::default(),
             retention_micros: 0,
-            io_batch_pages: 16,
-            writeback_workers: 2,
         }
     }
 }
@@ -262,13 +258,12 @@ impl Database {
         log: Arc<LogManager>,
         config: &DbConfig,
     ) -> Arc<EngineParts> {
-        let io = PoolIoConfig::batched(config.io_batch_pages, config.writeback_workers);
         let pool = Arc::new(BufferPool::with_io(
             fm,
             log.clone(),
             config.buffer_pages,
-            config.buffer_shards,
-            io,
+            BUFFER_SHARDS,
+            PoolIoConfig::batched(IO_BATCH_PAGES, WRITEBACK_WORKERS),
         ));
         Arc::new(EngineParts {
             pool,
@@ -497,11 +492,6 @@ impl Database {
     /// histograms). Owned by the log manager; see `LogConfig::obs`.
     pub fn obs(&self) -> &Arc<Obs> {
         self.parts.log.obs()
-    }
-
-    /// The unified metrics registry (register extra sources here).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// One coherent point-in-time snapshot of every registered metric.

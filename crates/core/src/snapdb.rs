@@ -241,9 +241,46 @@ impl SnapshotDb {
         self.snap.undo_complete()
     }
 
-    /// Block until background undo completes.
-    pub fn wait_undo_complete(&self) {
+    /// Block until background undo completes; the error it died with, if
+    /// it did.
+    pub fn wait_undo_complete(&self) -> Result<()> {
         self.snap.wait_undo_complete()
+    }
+
+    /// The one gated read (§5.2). `read` fetches, `gate` blocks on whatever
+    /// reacquired locks cover what was fetched and says whether it had to
+    /// wait. The result stands only if nothing waited *and* the undo epoch
+    /// did not move across the two: undo can restore a row and drop its
+    /// lock between the read and the gate, and then the gate alone would
+    /// pass a pre-undo row (see [`AsOfSnapshot::undo_epoch`]). A dead undo
+    /// thread surfaces here as its typed error.
+    fn gated<T>(
+        &self,
+        mut read: impl FnMut() -> Result<T>,
+        mut gate: impl FnMut(&T) -> Result<bool>,
+    ) -> Result<T> {
+        loop {
+            let epoch = self.snap.undo_epoch()?;
+            let out = read()?;
+            if !gate(&out)? && self.snap.undo_epoch()? == epoch {
+                return Ok(out);
+            }
+        }
+    }
+
+    /// Gate every key of `keys` under `object`; whether any of them waited.
+    fn gate_rows<K: AsRef<[u8]>>(
+        &self,
+        object: ObjectId,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Result<bool> {
+        let mut waited = false;
+        if !self.snap.undo_complete() {
+            for key in keys {
+                waited |= self.snap.gate_row(object, key.as_ref())?;
+            }
+        }
+        Ok(waited)
     }
 
     // ---- metadata (the §1 workflow starts here) ------------------------------
@@ -255,53 +292,36 @@ impl SnapshotDb {
             return Ok(info.clone());
         }
         let store = self.snap.store();
-        loop {
-            match catalog::read_table_by_name(&store, &self.sys, name)? {
-                Some(info) => {
-                    // Gate on the catalog row: an in-flight DDL transaction
-                    // at the split may still own it.
-                    if self
-                        .snap
-                        .gate_row(ObjectId::SYS_TABLES, &catalog::table_key(info.id))?
-                    {
-                        continue; // waited: re-read
-                    }
-                    let info = Arc::new(info);
-                    self.cache.write().insert(name.to_string(), info.clone());
-                    return Ok(info);
-                }
-                None => {
-                    // Absence is only trustworthy once no in-flight DDL locks
-                    // remain on the catalog.
-                    if !self.snap.undo_complete() {
-                        self.snap
-                            .locks
-                            .wait_until_object_free(ObjectId::SYS_TABLES)?;
-                        if catalog::read_table_by_name(&store, &self.sys, name)?.is_some() {
-                            continue;
-                        }
-                    }
-                    return Err(Error::TableNotFound(name.to_string()));
-                }
-            }
-        }
+        let found = self.gated(
+            || catalog::read_table_by_name(&store, &self.sys, name),
+            |found| match found {
+                // An in-flight DDL transaction at the split may still own
+                // the catalog row.
+                Some(info) => self
+                    .snap
+                    .gate_row(ObjectId::SYS_TABLES, &catalog::table_key(info.id)),
+                // Absence is only trustworthy once no in-flight DDL locks
+                // remain on the catalog.
+                None => self.snap.gate_object(ObjectId::SYS_TABLES),
+            },
+        )?;
+        let info = Arc::new(found.ok_or_else(|| Error::TableNotFound(name.to_string()))?);
+        self.cache.write().insert(name.to_string(), info.clone());
+        Ok(info)
     }
 
     /// All tables as of the snapshot time.
     pub fn list_tables(&self) -> Result<Vec<TableInfo>> {
         let store = self.snap.store();
-        loop {
-            let tables = catalog::list_tables(&store, &self.sys)?;
-            let mut waited = false;
-            for t in &tables {
-                waited |= self
-                    .snap
-                    .gate_row(ObjectId::SYS_TABLES, &catalog::table_key(t.id))?;
-            }
-            if !waited {
-                return Ok(tables);
-            }
-        }
+        self.gated(
+            || catalog::list_tables(&store, &self.sys),
+            |tables| {
+                self.gate_rows(
+                    ObjectId::SYS_TABLES,
+                    tables.iter().map(|t| catalog::table_key(t.id)),
+                )
+            },
+        )
     }
 
     // ---- queries ----------------------------------------------------------------
@@ -309,18 +329,9 @@ impl SnapshotDb {
     /// Point lookup as of the snapshot time.
     pub fn get(&self, table: &TableInfo, key: &[Value]) -> Result<Option<Row>> {
         let refs: Vec<&Value> = key.iter().collect();
-        let key_bytes = encode_key(&refs)?;
-        let store = self.snap.store();
-        loop {
-            let found = table.tree()?.get(&store, &key_bytes)?;
-            if self.snap.gate_row(table.id, &key_bytes)? {
-                continue; // waited for in-flight txn: re-read
-            }
-            return match found {
-                Some(v) => Ok(Some(decode_row(&v)?)),
-                None => Ok(None),
-            };
-        }
+        self.get_value_bytes(table, &encode_key(&refs)?)?
+            .map(|v| decode_row(&v))
+            .transpose()
     }
 
     /// Point lookup by already-encoded key bytes, returning the stored row
@@ -329,13 +340,11 @@ impl SnapshotDb {
     /// log only yields encoded keys — is avoided entirely).
     pub fn get_value_bytes(&self, table: &TableInfo, key_bytes: &[u8]) -> Result<Option<Vec<u8>>> {
         let store = self.snap.store();
-        loop {
-            let found = table.tree()?.get(&store, key_bytes)?;
-            if self.snap.gate_row(table.id, key_bytes)? {
-                continue; // waited for in-flight txn: re-read
-            }
-            return Ok(found);
-        }
+        let tree = table.tree()?;
+        self.gated(
+            || tree.get(&store, key_bytes),
+            |_| self.snap.gate_row(table.id, key_bytes),
+        )
     }
 
     fn scan_gated(
@@ -365,23 +374,19 @@ impl SnapshotDb {
             Some(p) => self.snap.store_partitioned(p),
             None => self.snap.store(),
         };
-        loop {
-            let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            table.tree()?.scan(&store, lo, hi, |k, v| {
-                rows.push((k.to_vec(), v.to_vec()));
-                Ok(rows.len() < limit)
-            })?;
-            if !self.snap.undo_complete() {
-                let mut waited = false;
-                for (k, _) in &rows {
-                    waited |= self.snap.gate_row(table.id, k)?;
-                }
-                if waited {
-                    continue;
-                }
-            }
-            return rows.into_iter().map(|(_, v)| decode_row(&v)).collect();
-        }
+        let tree = table.tree()?;
+        let rows = self.gated(
+            || {
+                let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                tree.scan(&store, lo, hi, |k, v| {
+                    rows.push((k.to_vec(), v.to_vec()));
+                    Ok(rows.len() < limit)
+                })?;
+                Ok(rows)
+            },
+            |rows| self.gate_rows(table.id, rows.iter().map(|(k, _)| k)),
+        )?;
+        rows.into_iter().map(|(_, v)| decode_row(&v)).collect()
     }
 
     /// Rows whose key starts with `prefix`, as of the snapshot time.
@@ -431,17 +436,18 @@ impl SnapshotDb {
                     Some(p) => self.snap.store_partitioned(p),
                     None => self.snap.store(),
                 };
-                loop {
-                    let mut rows = Vec::new();
-                    table.heap()?.scan(&store, |_, bytes| {
-                        rows.push(decode_row(bytes)?);
-                        Ok(true)
-                    })?;
-                    if self.snap.gate_table(table.id)? {
-                        continue;
-                    }
-                    return Ok(rows);
-                }
+                let heap = table.heap()?;
+                self.gated(
+                    || {
+                        let mut rows = Vec::new();
+                        heap.scan(&store, |_, bytes| {
+                            rows.push(decode_row(bytes)?);
+                            Ok(true)
+                        })?;
+                        Ok(rows)
+                    },
+                    |_| self.snap.gate_table(table.id),
+                )
             }
         }
     }
@@ -468,30 +474,30 @@ impl SnapshotDb {
         // snapshot's working set, not a cold stream — so they deliberately
         // stay off the scan partition.
         let store = self.snap.store();
-        loop {
-            let mut pks: Vec<Vec<u8>> = Vec::new();
-            idx.tree().scan(
-                &store,
-                Bound::Included(&lo),
-                Bound::Excluded(&hi),
-                |_, pk| {
-                    pks.push(pk.to_vec());
-                    Ok(pks.len() < limit)
-                },
-            )?;
-            let mut rows = Vec::with_capacity(pks.len());
-            let mut waited = false;
-            for pk in &pks {
-                waited |= self.snap.gate_row(table.id, pk)?;
-                if let Some(v) = table.tree()?.get(&store, pk)? {
-                    rows.push(decode_row(&v)?);
+        let tree = table.tree()?;
+        let (_, rows) = self.gated(
+            || {
+                let mut pks: Vec<Vec<u8>> = Vec::new();
+                idx.tree().scan(
+                    &store,
+                    Bound::Included(&lo),
+                    Bound::Excluded(&hi),
+                    |_, pk| {
+                        pks.push(pk.to_vec());
+                        Ok(pks.len() < limit)
+                    },
+                )?;
+                let mut rows = Vec::with_capacity(pks.len());
+                for pk in &pks {
+                    if let Some(v) = tree.get(&store, pk)? {
+                        rows.push(decode_row(&v)?);
+                    }
                 }
-            }
-            if waited {
-                continue;
-            }
-            return Ok(rows);
-        }
+                Ok((pks, rows))
+            },
+            |(pks, _)| self.gate_rows(table.id, pks),
+        )?;
+        Ok(rows)
     }
 }
 
@@ -608,4 +614,126 @@ pub fn restore_table_from_snapshot(
             Ok(rows.len())
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Column, DataType, DbConfig, Schema};
+    use std::sync::mpsc;
+
+    fn row(id: u64, n: u64) -> Row {
+        vec![Value::U64(id), Value::U64(n)]
+    }
+
+    /// A database with row 1 = 100 committed and one transaction — in flight
+    /// at the returned time, and for ever after — that has set it to 999;
+    /// with an as-of snapshot of that time whose undo has not been started.
+    fn snapshot_with_pending_undo() -> (Database, Arc<AsOfSnapshot>, SnapshotDb) {
+        let db = Database::create(DbConfig {
+            checkpoint_interval_bytes: 0,
+            ..DbConfig::default()
+        })
+        .unwrap();
+        db.with_txn(|txn| {
+            let schema = Schema::new(
+                vec![
+                    Column::new("id", DataType::U64),
+                    Column::new("n", DataType::U64),
+                ],
+                &["id"],
+            )?;
+            db.create_table(txn, "t", schema)?;
+            db.insert(txn, "t", &row(1, 100))?;
+            db.insert(txn, "t", &row(2, 200))
+        })
+        .unwrap();
+        db.clock().advance_secs(1);
+        let loser = db.begin();
+        db.update(&loser, "t", &row(1, 999)).unwrap();
+        std::mem::forget(loser);
+        // A later commit puts the loser's update below the split.
+        db.with_txn(|txn| db.update(txn, "t", &row(2, 201)))
+            .unwrap();
+        db.clock().advance_secs(1);
+        let at = db.clock().now();
+        db.clock().advance_secs(1);
+        let snap = AsOfSnapshot::create("pending", db.parts(), at).unwrap();
+        assert_eq!(snap.creation.loser_count, 1);
+        let sdb = SnapshotDb::open(snap.clone()).unwrap();
+        (db, snap, sdb)
+    }
+
+    /// ROADMAP item 0, deterministically. The reader is parked right after
+    /// its read — it has the loser's 999 in hand — while undo restores the
+    /// row, releases the lock and finishes. Its gate then finds nothing to
+    /// wait for; only the moved epoch says the 999 is stale. (With the epoch
+    /// comparison taken out of `gated` this returns 999, which is what every
+    /// gated read did before there was an epoch.)
+    #[test]
+    fn a_read_that_straddles_undo_is_repeated() {
+        let (_db, snap, sdb) = snapshot_with_pending_undo();
+        let table = sdb.table("t").unwrap();
+        let tree = table.tree().unwrap();
+        let key = encode_key(&[&Value::U64(1)]).unwrap();
+
+        let (read_done, wait_read) = mpsc::channel();
+        let (undo_done, wait_undo) = mpsc::channel::<()>();
+        let (found, reads) = std::thread::scope(|s| {
+            let (sdb, tree, table, key) = (&sdb, &tree, &table, &key);
+            let reader = s.spawn(move || {
+                let store = sdb.snap.store();
+                let mut reads = 0;
+                let found = sdb.gated(
+                    || {
+                        let found = tree.get(&store, key)?;
+                        reads += 1;
+                        if reads == 1 {
+                            read_done.send(found.clone()).unwrap();
+                            wait_undo.recv().unwrap();
+                        }
+                        Ok(found)
+                    },
+                    |_| sdb.snap.gate_row(table.id, key),
+                );
+                (found, reads)
+            });
+            let first = wait_read.recv().unwrap().unwrap();
+            assert_eq!(decode_row(&first).unwrap(), row(1, 999), "a pre-undo read");
+            snap.run_undo(&|obj| SnapshotDb::resolve_on(&snap, obj))
+                .unwrap();
+            assert!(snap.undo_complete());
+            undo_done.send(()).unwrap();
+            reader.join().unwrap()
+        });
+        assert_eq!(decode_row(&found.unwrap().unwrap()).unwrap(), row(1, 100));
+        assert_eq!(reads, 2, "read once more, and only once");
+        assert_eq!(
+            sdb.get(&table, &[Value::U64(2)]).unwrap(),
+            Some(row(2, 201))
+        );
+    }
+
+    /// ROADMAP G3: an undo thread that dies hands its error to everyone who
+    /// would otherwise wait for it — `wait_undo_complete` and a reader
+    /// blocked on a loser's lock — instead of leaving them parked.
+    #[test]
+    fn a_failed_undo_reaches_waiters_and_gated_readers_as_its_error() {
+        let (_db, snap, sdb) = snapshot_with_pending_undo();
+        let table = sdb.table("t").unwrap();
+        let boom = Error::Internal("resolver failed".into());
+
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| sdb.wait_undo_complete());
+            let reader = s.spawn(|| sdb.get(&table, &[Value::U64(1)]));
+            let undo = snap.run_undo(&|_| Err(boom.clone()));
+            assert_eq!(undo, Err(boom.clone()));
+            assert_eq!(waiter.join().unwrap(), Err(boom.clone()));
+            assert_eq!(reader.join().unwrap(), Err(boom.clone()));
+        });
+        assert!(!sdb.undo_complete());
+        // Not only those already waiting: whoever comes later is told too.
+        assert_eq!(sdb.wait_undo_complete(), Err(boom.clone()));
+        assert_eq!(sdb.scan_all(&table), Err(boom));
+    }
 }

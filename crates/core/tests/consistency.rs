@@ -152,7 +152,7 @@ fn holds_as_of_the_past() {
     // the rewound database must be a well-formed database, including the
     // dropped heap and the index state as of `t`
     let snap = db.create_snapshot_asof("past", t).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let report = snap.check_consistency().unwrap();
     assert_eq!(report.tables, 2, "dropped table visible as-of");
     assert_eq!(report.rows, 400 + 134);

@@ -96,7 +96,7 @@ fn snapshot_lifecycle_management() {
     assert_eq!(s2.count(&info).unwrap(), 1);
     assert_eq!(s1.split_lsn(), s2.split_lsn());
 
-    s1.wait_undo_complete();
+    s1.wait_undo_complete().unwrap();
     db.drop_snapshot("snap").unwrap();
     assert!(matches!(
         db.snapshot("snap"),
@@ -108,7 +108,7 @@ fn snapshot_lifecycle_management() {
     ));
     // the name is reusable
     let s3 = db.create_snapshot_asof("snap", t).unwrap();
-    s3.wait_undo_complete();
+    s3.wait_undo_complete().unwrap();
     db.drop_snapshot("snap").unwrap();
 }
 
@@ -155,8 +155,8 @@ fn two_snapshots_at_different_times_coexist() {
         Ok(())
     })
     .unwrap();
-    s1.wait_undo_complete();
-    s2.wait_undo_complete();
+    s1.wait_undo_complete().unwrap();
+    s2.wait_undo_complete().unwrap();
     db.drop_snapshot("at1").unwrap();
     db.drop_snapshot("at2").unwrap();
 }
@@ -219,7 +219,7 @@ fn open_snapshot_pins_the_log_against_retention() {
         snap.get(&info, &[Value::U64(3)]).unwrap().unwrap()[1],
         Value::str("keep")
     );
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     db.drop_snapshot("pin").unwrap();
 
     // once dropped, retention may reclaim: a new snapshot at `t` now fails

@@ -387,7 +387,7 @@ fn asof_snapshot_sees_the_past() {
     db.clock().advance_secs(10);
 
     let snap = db.create_snapshot_asof("past", t1).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let info = snap.table("items").unwrap();
     assert_eq!(
         snap.count(&info).unwrap(),
@@ -454,7 +454,7 @@ fn snapshot_gates_on_inflight_transaction() {
         snap.get(&info, &[Value::U64(900)]).unwrap().unwrap(),
         item(900, "marker", 1)
     );
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
 
     db.rollback(inflight).unwrap();
     db.drop_snapshot("gated").unwrap();
@@ -527,7 +527,7 @@ fn regular_snapshot_is_stable_under_writes() {
     let db = Database::create(small_config()).unwrap();
     setup_items(&db, 50);
     let snap = db.create_snapshot("stable").unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
 
     db.with_txn(|txn| {
         for i in 0..50u64 {
@@ -597,7 +597,7 @@ fn retention_is_enforced() {
     // a recent time still works
     let recent = db.clock().now().minus_micros(30_000_000);
     let snap = db.create_snapshot_asof("recent", recent).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     db.drop_snapshot("recent").unwrap();
 }
 
@@ -707,7 +707,7 @@ fn fpi_interval_changes_nothing_semantically() {
         .unwrap();
 
         let snap = db.create_snapshot_asof("t", t).unwrap();
-        snap.wait_undo_complete();
+        snap.wait_undo_complete().unwrap();
         let info = snap.table("items").unwrap();
         let row = snap.get(&info, &[Value::U64(77)]).unwrap().unwrap();
         assert_eq!(row, item(77, "item-77", 770), "fpi={fpi}");
@@ -758,7 +758,7 @@ fn drop_index_and_recover_it_asof() {
         .unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0], item(42, "item-42", 420));
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     db.drop_snapshot("with_index").unwrap();
 }
 
@@ -779,7 +779,7 @@ fn truncate_table_and_recover_it_asof() {
     assert_eq!(db.count_approx("items").unwrap(), 0);
 
     let snap = db.create_snapshot_asof("pre_truncate", t).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let info = snap.table("items").unwrap();
     assert_eq!(
         snap.count(&info).unwrap(),

@@ -105,7 +105,7 @@ fn one_allocator_exact_findings_everywhere_but_common() {
     );
     assert_eq!(in_test.len(), 3, "test files see no other lint");
     // A bench binary: same three (plus whatever else applies to tools).
-    let in_tool = lint_at("crates/bench/src/bin/logbench.rs", "bench", CrateKind::Tool);
+    let in_tool = lint_at("crates/bench/src/bin/figures.rs", "bench", CrateKind::Tool);
     assert_eq!(lines_of(&in_tool, "one-allocator"), vec![10, 20, 27]);
     // The one home of the allocator is exempt.
     let at_home = lint_at(

@@ -295,12 +295,6 @@ impl EventRing {
         out.sort_by_key(|e| e.at_us);
         out
     }
-
-    /// Count of retained events of one kind (cheaper than `events()` when
-    /// only a tally is needed; same torn-slot skipping).
-    pub fn count_kind(&self, kind: EventKind) -> u64 {
-        self.events().iter().filter(|e| e.kind == kind).count() as u64
-    }
 }
 
 impl std::fmt::Debug for EventRing {

@@ -1,7 +1,6 @@
 //! Allocation proofs for the obs hot path, measured the hard way: a
 //! counting `#[global_allocator]` and counter deltas around the measured
-//! section (the same technique as `tests/zero_copy_asof.rs` and the
-//! snapbench clones-per-hit gate).
+//! section (the same technique as `tests/zero_copy_asof.rs`).
 //!
 //! Two claims, both ROADMAP invariants:
 //!

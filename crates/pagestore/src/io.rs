@@ -31,8 +31,8 @@
 //! and every per-page failure is reported in that page's slot of the result
 //! vector (a fault inside a batch fails only that page, never the batch).
 //! Only the *device-op* count changes, which is exactly the quantity the
-//! `vectored_read_ops`/`batched_write_ops` counters expose and snapbench
-//! gates on.
+//! `vectored_read_ops`/`batched_write_ops` counters expose and
+//! `tests/scan_resistance.rs` gates on.
 //!
 //! # Why background writeback errors defer
 //!

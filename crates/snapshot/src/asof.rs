@@ -11,7 +11,7 @@ use rewind_recovery::rollback::undo_record_view;
 use rewind_recovery::{analyze, undo_sweep, AccessKind, CowSink, EngineParts, LoserTxn};
 use rewind_txn::{LockManager, LockMode, ObjectLatches};
 use rewind_wal::find_split_lsn;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,16 +70,6 @@ impl PrefetchOutcome {
     pub fn log_reads(&self) -> u64 {
         self.per_worker.iter().map(|w| w.log_reads()).sum()
     }
-
-    /// The busiest worker's random log reads — the quantity that bounds
-    /// parallel wall-clock time on stall-dominated media.
-    pub fn max_worker_log_reads(&self) -> u64 {
-        self.per_worker
-            .iter()
-            .map(|w| w.log_reads())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A read-only database as of a point in time in the past.
@@ -98,7 +88,12 @@ pub struct AsOfSnapshot {
     pub locks: Arc<LockManager>,
     losers: Vec<LoserTxn>,
     undo_done: AtomicBool,
-    undo_signal: (Mutex<bool>, Condvar),
+    /// Moves each time a loser's rows are all restored — *before* that
+    /// loser's locks go — and once more when undo ends. See
+    /// [`AsOfSnapshot::undo_epoch`].
+    undo_epoch: AtomicU64,
+    /// Completion latch: `None` while undo runs, then its outcome.
+    undo_signal: (Mutex<Option<Result<()>>>, Condvar),
     cow_token: Option<u64>,
 }
 
@@ -197,11 +192,12 @@ impl AsOfSnapshot {
             locks,
             losers: analysis.losers,
             undo_done: AtomicBool::new(false),
-            undo_signal: (Mutex::new(false), Condvar::new()),
+            undo_epoch: AtomicU64::new(0),
+            undo_signal: (Mutex::new(None), Condvar::new()),
             cow_token,
         });
         if snap.losers.is_empty() {
-            snap.mark_undo_done();
+            snap.mark_undo_done(Ok(()));
         }
         Ok(snap)
     }
@@ -246,6 +242,10 @@ impl AsOfSnapshot {
     /// ordering is honoured; each transaction's reacquired locks are
     /// released as it completes. Normally run in the background via
     /// [`AsOfSnapshot::spawn_undo`]; queries are admitted concurrently.
+    ///
+    /// The outcome — success or the error undo died with — is published
+    /// through the completion latch, so [`AsOfSnapshot::wait_undo_complete`]
+    /// and gated readers see it whoever called this.
     pub fn run_undo(&self, resolver: &dyn Fn(ObjectId) -> Result<AccessKind>) -> Result<u64> {
         if self.undo_done.load(Ordering::Acquire) {
             return Ok(0);
@@ -255,11 +255,16 @@ impl AsOfSnapshot {
             self.losers.iter().map(|l| (l.last_lsn, l.id)),
             |lsn| self.inner.log.get_record_ref(lsn),
             |_, header, view| undo_record_view(&mutator, header, view, resolver),
-            // transaction fully undone: release its reacquired locks
-            |txn| self.locks.release_all(txn),
-        )?;
-        self.mark_undo_done();
-        Ok(processed)
+            // Transaction fully undone. Move the epoch first, then release
+            // its reacquired locks: a reader that finds the locks gone is
+            // then certain to find the epoch moved.
+            |txn| {
+                self.undo_epoch.fetch_add(1, Ordering::SeqCst);
+                self.locks.release_all(txn)
+            },
+        );
+        self.mark_undo_done(processed.as_ref().map(|_| ()).map_err(Error::clone));
+        processed
     }
 
     /// Spawn [`AsOfSnapshot::run_undo`] on a background thread, opening the
@@ -272,25 +277,60 @@ impl AsOfSnapshot {
         std::thread::spawn(move || snap.run_undo(&*resolver))
     }
 
-    fn mark_undo_done(&self) {
-        self.undo_done.store(true, Ordering::Release);
+    /// Publish undo's outcome through the completion latch. A failed undo
+    /// leaves rows it never restored, so on failure the losers' remaining
+    /// locks go too — after the latch is set: a reader parked on one wakes,
+    /// samples [`AsOfSnapshot::undo_epoch`] and gets the error, not a lock
+    /// timeout.
+    fn mark_undo_done(&self, outcome: Result<()>) {
+        let failed = outcome.is_err();
+        self.undo_epoch.fetch_add(1, Ordering::SeqCst);
+        self.undo_done.store(!failed, Ordering::Release);
         let (lock, cv) = &self.undo_signal;
-        *lock.lock() = true;
+        *lock.lock() = Some(outcome);
         cv.notify_all();
+        if failed {
+            for loser in &self.losers {
+                self.locks.release_all(loser.id);
+            }
+        }
     }
 
-    /// Whether background undo has finished.
+    /// Whether background undo has finished successfully.
     pub fn undo_complete(&self) -> bool {
         self.undo_done.load(Ordering::Acquire)
     }
 
-    /// Block until background undo finishes.
-    pub fn wait_undo_complete(&self) {
+    /// Block until background undo finishes; the error it died with, if it
+    /// did.
+    pub fn wait_undo_complete(&self) -> Result<()> {
         let (lock, cv) = &self.undo_signal;
-        let mut done = lock.lock();
-        while !*done {
-            cv.wait(&mut done);
+        let mut outcome = lock.lock();
+        loop {
+            if let Some(result) = &*outcome {
+                return result.clone();
+            }
+            cv.wait(&mut outcome);
         }
+    }
+
+    /// The undo epoch — or the error background undo died with.
+    ///
+    /// The row gates below answer "is this row locked *now*", which is not
+    /// "was what I just read already restored": undo can restore a row and
+    /// release its lock between a reader's read and its gate check. So a
+    /// gated read samples the epoch before reading and again after gating,
+    /// and reads again when it moved. The epoch moves after a loser's last
+    /// row is restored and before its locks are released, so a read that
+    /// saw a pre-undo row and then found the lock gone finds the epoch
+    /// moved as well.
+    pub fn undo_epoch(&self) -> Result<u64> {
+        if !self.undo_complete() {
+            if let Some(Err(e)) = &*self.undo_signal.0.lock() {
+                return Err(e.clone());
+            }
+        }
+        Ok(self.undo_epoch.load(Ordering::SeqCst))
     }
 
     /// Gate a row read against the reacquired locks of in-flight
@@ -326,6 +366,16 @@ impl AsOfSnapshot {
         Ok(false)
     }
 
+    /// Gate on every lock under `object`, table or row: what a read that
+    /// found *nothing* has to wait for (a row an in-flight transaction
+    /// deleted has no key to gate on).
+    pub fn gate_object(&self, object: ObjectId) -> Result<bool> {
+        if self.undo_done.load(Ordering::Acquire) {
+            return Ok(false);
+        }
+        self.locks.wait_until_object_free(object)
+    }
+
     /// Prepare `pids` concurrently on a bounded pool of `workers` threads
     /// (ROADMAP perf item (c): concurrent `PreparePageAsOf` fan-out),
     /// **scan-resistantly** (ROADMAP item (h)): the whole fan-out shares
@@ -353,8 +403,7 @@ impl AsOfSnapshot {
     /// Owning whole chunks also lets each worker vector-read its cold
     /// primaries: one `read_pages` device op per contiguous run per chunk.
     ///
-    /// Returns per-worker aggregates so callers (repairbench) can model the
-    /// parallel stall time as the max over workers rather than the sum.
+    /// Returns per-worker aggregates.
     pub fn prepare_pages(&self, pids: &[PageId], workers: usize) -> Result<PrefetchOutcome> {
         let budget = self.default_scan_budget(workers);
         let part = self.inner.pool.scan_partition(budget);

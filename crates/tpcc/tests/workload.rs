@@ -157,7 +157,7 @@ fn stock_level_matches_asof_at_quiesced_time() {
         asof, live,
         "as-of StockLevel must reproduce the historical result"
     );
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     db.drop_snapshot("sl").unwrap();
 }
 

@@ -104,11 +104,6 @@ impl LockKey {
             row: key.to_vec(),
         }
     }
-
-    /// Whether this is the table-level lock.
-    pub fn is_table(&self) -> bool {
-        self.row.is_empty()
-    }
 }
 
 #[derive(Default)]
@@ -350,28 +345,25 @@ impl LockManager {
     /// incompatible with a shared read. Snapshot queries use this when a
     /// *absence* must be validated against in-flight transactions (§5.2) —
     /// e.g. a table missing from the catalog while a DDL transaction's
-    /// reacquired locks are still held.
-    pub fn wait_until_object_free(&self, object: ObjectId) -> Result<()> {
+    /// reacquired locks are still held. Returns whether it had to wait.
+    pub fn wait_until_object_free(&self, object: ObjectId) -> Result<bool> {
         let mut st = self.state.lock();
         #[allow(clippy::disallowed_methods)]
         // tidy: allow(wall-clock) -- lock-wait deadlines are real elapsed time, not sim time
         let deadline = std::time::Instant::now() + self.timeout;
+        let mut waited = false;
         loop {
             let blocked = st.entries.iter().any(|(k, e)| {
                 k.object == object && e.granted.values().any(|&m| !LockMode::S.compatible(m))
             });
             if !blocked {
-                return Ok(());
+                return Ok(waited);
             }
             if self.cv.wait_until(&mut st, deadline).timed_out() {
                 return Err(Error::LockTimeout(TxnId::NONE));
             }
+            waited = true;
         }
-    }
-
-    /// Number of keys `txn` holds (diagnostics).
-    pub fn held_count(&self, txn: TxnId) -> usize {
-        self.state.lock().held.get(&txn).map_or(0, |s| s.len())
     }
 
     /// Total number of lock entries (diagnostics).

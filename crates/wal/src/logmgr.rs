@@ -109,7 +109,8 @@
 //!   coalesce: one leader performs a single sequential flush to the highest
 //!   requested LSN and wakes exactly the followers it covered, so N
 //!   concurrent commits pay one physical flush (`log_flushes` counts them;
-//!   `commitbench` gates on flushes-per-commit < 1).
+//!   `tests/group_commit.rs` gates on flushes-per-commit < 1 at four
+//!   committers).
 //!
 //! **Flush-accounting invariant:** `log_bytes_written` grows by precisely
 //! the framed bytes made durable by explicit flush requests; `flushed_lsn`
@@ -580,12 +581,10 @@ impl LogManager {
         &self.obs
     }
 
-    /// Run `f` against the current sealed index: one atomic version check
-    /// against the thread-local copy; falls back to cloning the published
-    /// `Arc` (the only locked step, taken once per publication, not per
-    /// read). The borrow-based shape lets hot paths read segment bytes with
-    /// no refcount traffic at all. `f` must not reenter the log's read path.
-    fn with_sealed<R>(&self, f: impl FnOnce(&Arc<SealedIndex>) -> R) -> R {
+    /// The current sealed index: one atomic version check against the
+    /// thread-local copy; falls back to cloning the published `Arc` (the
+    /// only locked step, taken once per publication, not per read).
+    fn load_sealed(&self) -> Arc<SealedIndex> {
         let version = self.version.load(Ordering::Acquire);
         let retire_epoch = LOG_RETIRE_EPOCH.load(Ordering::Acquire);
         TLS_INDEXES.with(|cell| {
@@ -613,14 +612,8 @@ impl LogManager {
                     entries.len() - 1
                 }
             };
-            f(&entries[pos].1)
+            entries[pos].1.clone()
         })
-    }
-
-    /// Clone out the current sealed index (for reads that outlive the
-    /// thread-local borrow — i.e. everything returning a [`RecordRef`]).
-    fn load_sealed(&self) -> Arc<SealedIndex> {
-        self.with_sealed(Arc::clone)
     }
 
     /// Publish a new sealed index. Callers hold the writer mutex, so
@@ -1057,39 +1050,6 @@ impl LogManager {
             &self.stats,
         );
         self.read_ref_in(index, lsn, false)
-    }
-
-    /// Read the fixed header of the record at `lsn` (cache-accounted).
-    ///
-    /// The fastest read the log offers: for sealed history the 50 header
-    /// bytes are parsed in place through the thread-local index borrow — no
-    /// lock, no allocation, not even refcount traffic.
-    pub fn get_record_header(&self, lsn: Lsn) -> Result<LogRecordHeader> {
-        let fast = self.with_sealed(|index| {
-            if lsn.0 < index.trunc {
-                return Some(Err(Error::LogTruncated(lsn)));
-            }
-            if lsn.0 >= index.sealed_end {
-                return None; // tail range: slow path below
-            }
-            Some((|| {
-                self.cache.classify(
-                    lsn.0,
-                    self.tail.load(Ordering::Acquire),
-                    &self.config,
-                    &self.stats,
-                );
-                let seg = SealedIndex::lookup(&index.segs, lsn.0).ok_or_else(|| {
-                    Error::corruption(format!("log offset {} out of range", lsn.0))
-                })?;
-                let (body_off, len) = seg.frame(lsn, &self.stats)?;
-                LogRecord::decode_header(lsn, &seg.data[body_off..body_off + len])
-            })())
-        });
-        match fast {
-            Some(result) => result,
-            None => self.get_record_ref(lsn)?.header(),
-        }
     }
 
     /// Read the record at `lsn`, accounting the read through the cache model.

@@ -839,11 +839,18 @@ impl<'a> LogPayloadView<'a> {
         self.kind().is_page_op()
     }
 
-    /// The wall-clock stamp of a commit or checkpoint-begin record, the two
-    /// kinds the SplitLSN search keys off.
+    /// The wall-clock stamp of a commit, checkpoint-begin or checkpoint-end
+    /// record: every kind the log's time index keys (`LogInner::push_time`),
+    /// so the SplitLSN search can read the stamp of whatever record the
+    /// index starts it on.
     pub fn time_stamp(&self) -> Option<Timestamp> {
         match self {
             LogPayloadView::Commit { at } | LogPayloadView::CheckpointBegin { at } => Some(*at),
+            // The stamp leads the serialized body.
+            LogPayloadView::CheckpointEnd { raw } => ByteReader::new(raw)
+                .get_u64()
+                .ok()
+                .map(Timestamp::from_micros),
             _ => None,
         }
     }

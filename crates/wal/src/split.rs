@@ -171,10 +171,13 @@ mod tests {
     fn oracle_split(log: &LogManager, t: Timestamp) -> Lsn {
         let mut split = Lsn::FIRST;
         log.scan(log.truncation_point(), Lsn::MAX, |rec| {
-            if let LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } = rec.payload {
-                if at <= t {
-                    split = rec.lsn;
-                }
+            let at = match &rec.payload {
+                LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } => *at,
+                LogPayload::CheckpointEnd(body) => body.at,
+                _ => return Ok(true),
+            };
+            if at <= t {
+                split = rec.lsn;
             }
             Ok(true)
         })
@@ -206,6 +209,50 @@ mod tests {
                 "t={t}"
             );
         }
+    }
+
+    /// Regression: the sparse time index also keys `CheckpointEnd` records.
+    /// A search started on one (no checkpoint directory to start from, as
+    /// after a crash) whose stamp is the requested time used to skip it —
+    /// `time_stamp()` answered for commits and checkpoint-begins only — stop
+    /// at the next, later commit with nothing found, and report a retained
+    /// time as out of retention.
+    #[test]
+    fn split_search_started_on_a_checkpoint_end_finds_it() {
+        let log = LogManager::new(LogConfig::default());
+        let pad = LogRecord {
+            payload: LogPayload::InsertRecord {
+                slot: 0,
+                bytes: vec![0; 4096],
+            },
+            ..data_rec(1)
+        };
+        // More than one 64 KiB index interval of log, then a checkpoint.
+        log.append(&commit_rec(1, Timestamp::from_secs(1)));
+        for _ in 0..20 {
+            log.append(&pad);
+        }
+        let begin = log.append(&checkpoint_begin(Timestamp::from_secs(2)));
+        for _ in 0..20 {
+            log.append(&pad);
+        }
+        let t = Timestamp::from_secs(3);
+        let end = log.append(&checkpoint_end(begin, t));
+        log.append(&commit_rec(2, Timestamp::from_secs(4)));
+        assert_eq!(log.time_index_floor(t), Some((end, t)));
+        // A crash keeps only the two newest checkpoints in the directory
+        // (ROADMAP G1); two later ones push this one out, so the search has
+        // the time index alone to start from.
+        for secs in [5, 6] {
+            let at = Timestamp::from_secs(secs);
+            let begin = log.append(&checkpoint_begin(at));
+            log.append(&checkpoint_end(begin, at));
+        }
+        log.flush_to(log.tail_lsn());
+        log.discard_unflushed();
+        assert!(log.checkpoint_before_time(t).is_none());
+
+        assert_eq!(find_split_lsn(&log, t), Ok(end));
     }
 
     #[test]

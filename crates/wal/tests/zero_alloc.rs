@@ -126,11 +126,11 @@ fn header_reads_after_warmup_allocate_nothing() {
     }
     // Warm: snapshot + cache blocks.
     for &l in &lsns[..2000] {
-        log.get_record_header(l).unwrap();
+        log.get_record_ref(l).unwrap().header().unwrap();
     }
     let before = allocations();
     for &l in &lsns[..2000] {
-        let h = log.get_record_header(l).unwrap();
+        let h = log.get_record_ref(l).unwrap().header().unwrap();
         assert_eq!(h.lsn, l);
     }
     assert_eq!(

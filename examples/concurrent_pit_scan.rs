@@ -107,7 +107,7 @@ fn main() -> Result<()> {
          (≥2x pool) with 4 prepare workers, budget {SCAN_BUDGET} frames…"
     );
     let snap = db.create_snapshot_asof("analytics", t0)?;
-    snap.wait_undo_complete();
+    snap.wait_undo_complete()?;
     let events = snap.table("events")?;
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -60,7 +60,7 @@ fn main() -> Result<()> {
             "{:>9} | {:>10} | {:>9.2} | {:>14} | {:>13} | {:>9}",
             mins_back, low, ms, stats.pages_prepared, stats.records_undone, undo_ios
         );
-        snap.wait_undo_complete();
+        snap.wait_undo_complete()?;
         db.drop_snapshot(&name)?;
     }
 

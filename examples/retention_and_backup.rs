@@ -76,7 +76,7 @@ fn main() -> Result<()> {
         recent,
         snap.count(&w)?
     );
-    snap.wait_undo_complete();
+    snap.wait_undo_complete()?;
     db.drop_snapshot("recent")?;
 
     // Outside retention: a clean error — and the backup still covers it.

@@ -145,7 +145,7 @@ fn run_oracle(fpi_interval: u32, seed: u64) {
             assert_eq!(via_index.len(), expect_grp.len(), "era {i} index grp {grp}");
         }
 
-        snap.wait_undo_complete();
+        snap.wait_undo_complete().unwrap();
         db.drop_snapshot(&name).unwrap();
     }
 

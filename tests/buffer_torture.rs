@@ -62,7 +62,7 @@ fn pool_torture_live_asof_writer_evictor_crash() {
     .unwrap();
 
     let snap = db.create_snapshot_asof("torture", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let table = snap.table("t").unwrap();
     let expect: Vec<Row> = (0..ROWS)
         .map(|i| vec![Value::U64(i), Value::str("v0")])

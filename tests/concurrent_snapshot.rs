@@ -92,7 +92,7 @@ fn snapshots_are_stable_under_concurrent_writes() {
         assert_eq!(rows.len(), 32);
         let total: u64 = rows.iter().map(|r| r[1].as_u64().unwrap()).sum();
         assert_eq!(total, 0, "round {round}: the mark predates all increments");
-        snap.wait_undo_complete();
+        snap.wait_undo_complete().unwrap();
         db.drop_snapshot(&name).unwrap();
     }
 
@@ -279,7 +279,7 @@ fn snapshot_of_running_state_is_transactionally_consistent() {
             total, 16_000,
             "snapshot {checked} must be transactionally consistent"
         );
-        snap.wait_undo_complete();
+        snap.wait_undo_complete().unwrap();
         db.drop_snapshot(&name).unwrap();
         checked += 1;
     }

@@ -205,7 +205,7 @@ fn restart_is_bit_identical_across_worker_counts() {
     let base = run(1);
     assert!(base.redone > 0, "the workload left redo work");
     assert_eq!(base.losers.len(), 2, "both in-flight txns are losers");
-    for workers in [4usize, 16] {
+    for workers in [2usize, 4, 16] {
         let o = run(workers);
         assert_eq!(o.rows, base.rows, "row state diverged at {workers} workers");
         assert_eq!(
@@ -306,7 +306,7 @@ fn asof_scans_racing_drop_cache_never_see_mixed_epochs() {
     .unwrap();
 
     let snap = db.create_snapshot_asof("mid_crash", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let table = snap.table("t").unwrap();
     let expect: Vec<Row> = (0..ROWS)
         .map(|i| vec![Value::U64(i), Value::str("epoch0")])
@@ -390,7 +390,7 @@ fn snapshot_works_on_recovered_database() {
     let info = snap.table("t").unwrap();
     let row = snap.get(&info, &[Value::U64(7)]).unwrap().unwrap();
     assert_eq!(row[1], Value::str("before"));
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     db.drop_snapshot("pre_crash_time").unwrap();
 }
 

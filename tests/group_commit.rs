@@ -286,6 +286,8 @@ fn concurrent_database_commits_coalesce_flushes() {
     let threads = 4u64;
     let per_thread = 40u64;
     let s0 = db.log_io();
+    let logged0 = db.log().total_bytes();
+    let samples0 = db.obs().commit_latency().count;
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let db = db.clone();
@@ -302,12 +304,18 @@ fn concurrent_database_commits_coalesce_flushes() {
     }
 
     let commits = threads * per_thread;
-    let flushes = db.log_io().log_flushes - s0.log_flushes;
+    let io = db.log_io().delta(s0);
+    let flushes = io.log_flushes;
     assert!(flushes > 0);
     assert!(
         flushes < commits,
         "no coalescing: {flushes} flushes for {commits} commits"
     );
+    // Coalescing leaves the accounting exact: one latency sample per
+    // durable commit, and — the last commit record being the last record
+    // in the log — every byte logged charged once, to somebody's flush.
+    assert_eq!(db.obs().commit_latency().count - samples0, commits);
+    assert_eq!(io.log_bytes_written, db.log().total_bytes() - logged0);
     assert_eq!(
         db.with_txn(|t| db.scan_all(t, "t")).unwrap().len() as u64,
         commits

@@ -59,6 +59,14 @@ fn serial_trace_histogram_counts_are_exact() {
     let commit0 = obs.commit_latency().count;
     let flush0 = obs.flush_stall().count;
     let flushes0 = db.log_io().log_flushes;
+    let durable = || {
+        let events = obs.events();
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::CommitDurable)
+            .count() as u64
+    };
+    let durable0 = durable();
 
     let commits = workload(&db);
 
@@ -92,7 +100,7 @@ fn serial_trace_histogram_counts_are_exact() {
     })
     .unwrap();
     let snap = db.create_snapshot_asof("trace", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let prepare0 = obs.asof_prepare().count;
     let prepared0 = snap.stats().pages_prepared;
     let table = snap.table("t").unwrap();
@@ -118,6 +126,11 @@ fn serial_trace_histogram_counts_are_exact() {
         .filter(|e| e.kind == EventKind::CommitDurable)
         .count();
     assert_eq!(begins, durables, "every durable commit has a begin event");
+    assert_eq!(
+        durable() - durable0,
+        obs.commit_latency().count - commit0,
+        "one commit_durable event per durable commit"
+    );
 
     // The registry composes everything and the exposition round-trips.
     let metrics = db.metrics();

@@ -88,7 +88,7 @@ proptest! {
                 .into_iter()
                 .map(|r| (r[0].as_u64().unwrap() as u8, r[1].as_u64().unwrap() as u16))
                 .collect();
-            snap.wait_undo_complete();
+            snap.wait_undo_complete().unwrap();
             db.drop_snapshot("mid").unwrap();
             prop_assert_eq!(&got, &expect);
         }

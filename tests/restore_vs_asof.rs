@@ -69,7 +69,7 @@ fn restore_and_asof_agree_at_every_mark() -> Result<()> {
             assert_eq!(a.len(), b.len(), "{table} row count at mark {i}");
             assert_eq!(a, b, "{table} contents at mark {i}");
         }
-        snap.wait_undo_complete();
+        snap.wait_undo_complete().unwrap();
         db.drop_snapshot(&name)?;
     }
     Ok(())

@@ -10,7 +10,7 @@
 //! as-of scans and `drop_cache` to show the partitioned path keeps the
 //! PR 4 invariants: split-consistent scans, no lost pins, exact values.
 
-use rewind::{Column, DataType, Database, DbConfig, Schema, Value};
+use rewind::{Column, DataType, Database, DbConfig, PageId, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -94,7 +94,7 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
         .create_snapshot_asof("scanres", t0)
         .unwrap()
         .with_scan_budget(BUDGET);
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let big = snap.table("big").unwrap();
     let s1 = db.pool_stats();
     let prepared = snap.prefetch_table(&big, 4).unwrap();
@@ -127,6 +127,23 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
     let rows = snap.scan_all(&big).unwrap();
     assert_eq!(rows.len(), 16_000);
     db.drop_snapshot("scanres").unwrap();
+
+    // Device-op arithmetic of the same budgeted stream: a cold serial
+    // preparation of a contiguous page range costs one miss and one page
+    // read per page, issued 16 pages to the vectored device op.
+    let snap = db.create_snapshot_asof("cold", t0).unwrap();
+    snap.wait_undo_complete().unwrap();
+    let pages = db.parts().pool.file_manager().page_count();
+    let pids: Vec<PageId> = (1..pages).map(PageId).collect();
+    assert!(pids.len() > POOL);
+    db.parts().pool.drop_cache();
+    let (io0, s0) = (db.data_io(), db.pool_stats());
+    let cold = snap.raw().prepare_pages(&pids, 1).unwrap();
+    let (io, pool) = (db.data_io().delta(io0), db.pool_stats().delta(s0));
+    let n = pids.len() as u64;
+    assert_eq!((cold.prepared(), pool.misses, io.page_reads), (n, n, n));
+    assert_eq!(io.vectored_read_ops, n.div_ceil(16));
+    db.drop_snapshot("cold").unwrap();
 }
 
 /// A *serial* cold `scan_all` must honour a configured scan budget too —
@@ -175,7 +192,7 @@ fn serial_scan_with_configured_budget_engages_partition() {
     // A *bounded* range scan covering most of the (cold) table first: a
     // configured budget must bound it even though it takes no prefetch.
     let snap = db.create_snapshot_asof("serial", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let big = snap.table("big").unwrap();
     let rows = snap
         .scan_between(&big, &[Value::U64(100)], &[Value::U64(15_000)])
@@ -315,7 +332,7 @@ fn partitioned_prepare_races_drop_cache_split_consistently() {
                 .create_snapshot_asof(&name, t0)
                 .unwrap()
                 .with_scan_budget(6);
-            snap.wait_undo_complete();
+            snap.wait_undo_complete().unwrap();
             let big = snap.table("big").unwrap();
             let prepared = snap.prefetch_table(&big, 4).unwrap();
             assert!(prepared > POOL as u64, "round {round}: {prepared} pages");

@@ -13,8 +13,7 @@ use rewind::{Column, DataType, Database, DbConfig, Schema, Value};
 
 // The shared counting allocator: every allocation counted per thread,
 // page-sized (>= 8 KiB) ones tracked separately — any 8 KiB page clone
-// lands in the large-allocation counter. Same implementation the snapbench
-// CI gate uses.
+// lands in the large-allocation counter.
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
@@ -76,7 +75,7 @@ fn warm_side_file_hits_allocate_no_pages() {
     .unwrap();
 
     let snap = db.create_snapshot_asof("zc", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     // Cold pass: prepare every page of the table (the §5.3 miss path; this
     // side allocates — once per page, into the shared image).
     let table = snap.table("t").unwrap();
@@ -154,7 +153,7 @@ fn warm_hits_share_one_image_allocation() {
     db.clock().advance_secs(1);
 
     let snap = db.create_snapshot_asof("share", t0).unwrap();
-    snap.wait_undo_complete();
+    snap.wait_undo_complete().unwrap();
     let table = snap.table("t").unwrap();
     let _ = snap.scan_all(&table).unwrap();
 
