@@ -106,12 +106,13 @@ pub fn restore_to_point_in_time(
     // 2. Replay the log forward from the backup position to the split.
     let io0 = log.io_stats().snapshot();
     let scan_to = Lsn(split.0 + 1);
-    log.scan_deep(backup.backup_lsn, scan_to, |rec| {
-        if rec.payload.is_page_op() && rec.page.is_valid() {
-            let mut page = fm.read_page(rec.page)?;
-            if page.page_lsn() < rec.lsn {
-                rec.payload.redo(&mut page, rec.page, rec.lsn)?;
-                fm.write_page(rec.page, &page)?;
+    log.scan_refs(backup.backup_lsn, scan_to, true, |rec| {
+        let (header, view) = rec.view()?;
+        if header.is_page_op() && header.page.is_valid() {
+            let mut page = fm.read_page(header.page)?;
+            if page.page_lsn() < header.lsn {
+                view.redo(&mut page, header.page, header.lsn)?;
+                fm.write_page(header.page, &page)?;
                 report.records_replayed += 1;
             }
         }

@@ -50,11 +50,6 @@ pub struct DbConfig {
     /// before `tail - interval`), so restart time tracks this interval
     /// while commits never stall behind a pool flush.
     pub checkpoint_interval_bytes: u64,
-    /// Redo worker threads for partitioned crash restart; 0 resolves to
-    /// the machine's available parallelism at recovery time. Restart
-    /// accounting (records applied, analysis tables, post-restart state)
-    /// is bit-identical at every worker count.
-    pub redo_workers: usize,
     /// Log manager tuning.
     pub log: LogConfig,
     /// Initial retention period in microseconds (paper §4.3); 0 retains
@@ -81,7 +76,6 @@ impl Default for DbConfig {
             fpi_interval: 0,
             lock_timeout: Duration::from_secs(5),
             checkpoint_interval_bytes: 8 << 20,
-            redo_workers: 0,
             log: LogConfig::default(),
             retention_micros: 0,
         }
@@ -1128,14 +1122,12 @@ impl Database {
         log.discard_corrupt_tail();
         // Repeat history before touching any structure (the boot page itself
         // may only exist in the log). Analysis and redo run as ONE pipelined
-        // forward scan, with redo hash-partitioned by page across workers —
-        // accounting is bit-identical at every worker count.
+        // forward scan, with redo hash-partitioned by page across one worker
+        // per available core — accounting is bit-identical at every worker
+        // count, so the count is the machine's to choose, not a knob.
         let parts = Self::make_parts(fm, log, &config);
         let obs = parts.log.obs().clone();
-        let workers = match config.redo_workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         let RestartOutcome {
             analysis,
             redo,

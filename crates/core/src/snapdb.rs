@@ -10,8 +10,10 @@
 //! global page-table lock.
 //!
 //! Reads gate on the locks reacquired for transactions in flight at the
-//! SplitLSN (§5.2): a read that would observe such a row blocks until the
-//! background undo releases the lock, then retries.
+//! SplitLSN (§5.2): a point read blocks on its row's lock, a multi-row read
+//! on every lock under its object — a row such a transaction *deleted* is
+//! not among the rows the read found, so the keys found say nothing — until
+//! the background undo releases them, then retries.
 //!
 //! [`restore_table_from_snapshot`] implements the paper's §1 recovery
 //! workflow: read the dropped/damaged table's schema from the snapshot
@@ -268,21 +270,6 @@ impl SnapshotDb {
         }
     }
 
-    /// Gate every key of `keys` under `object`; whether any of them waited.
-    fn gate_rows<K: AsRef<[u8]>>(
-        &self,
-        object: ObjectId,
-        keys: impl IntoIterator<Item = K>,
-    ) -> Result<bool> {
-        let mut waited = false;
-        if !self.snap.undo_complete() {
-            for key in keys {
-                waited |= self.snap.gate_row(object, key.as_ref())?;
-            }
-        }
-        Ok(waited)
-    }
-
     // ---- metadata (the §1 workflow starts here) ------------------------------
 
     /// Look up a table *as of the snapshot time*. This is how a user
@@ -315,12 +302,7 @@ impl SnapshotDb {
         let store = self.snap.store();
         self.gated(
             || catalog::list_tables(&store, &self.sys),
-            |tables| {
-                self.gate_rows(
-                    ObjectId::SYS_TABLES,
-                    tables.iter().map(|t| catalog::table_key(t.id)),
-                )
-            },
+            |_| self.snap.gate_object(ObjectId::SYS_TABLES),
         )
     }
 
@@ -375,18 +357,17 @@ impl SnapshotDb {
             None => self.snap.store(),
         };
         let tree = table.tree()?;
-        let rows = self.gated(
+        self.gated(
             || {
-                let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                tree.scan(&store, lo, hi, |k, v| {
-                    rows.push((k.to_vec(), v.to_vec()));
+                let mut rows = Vec::new();
+                tree.scan(&store, lo, hi, |_, v| {
+                    rows.push(decode_row(v)?);
                     Ok(rows.len() < limit)
                 })?;
                 Ok(rows)
             },
-            |rows| self.gate_rows(table.id, rows.iter().map(|(k, _)| k)),
-        )?;
-        rows.into_iter().map(|(_, v)| decode_row(&v)).collect()
+            |_| self.snap.gate_object(table.id),
+        )
     }
 
     /// Rows whose key starts with `prefix`, as of the snapshot time.
@@ -446,7 +427,7 @@ impl SnapshotDb {
                         })?;
                         Ok(rows)
                     },
-                    |_| self.snap.gate_table(table.id),
+                    |_| self.snap.gate_object(table.id),
                 )
             }
         }
@@ -475,7 +456,7 @@ impl SnapshotDb {
         // stay off the scan partition.
         let store = self.snap.store();
         let tree = table.tree()?;
-        let (_, rows) = self.gated(
+        self.gated(
             || {
                 let mut pks: Vec<Vec<u8>> = Vec::new();
                 idx.tree().scan(
@@ -493,11 +474,10 @@ impl SnapshotDb {
                         rows.push(decode_row(&v)?);
                     }
                 }
-                Ok((pks, rows))
+                Ok(rows)
             },
-            |(pks, _)| self.gate_rows(table.id, pks),
-        )?;
-        Ok(rows)
+            |_| self.snap.gate_object(table.id),
+        )
     }
 }
 
@@ -627,9 +607,12 @@ mod tests {
     }
 
     /// A database with row 1 = 100 committed and one transaction — in flight
-    /// at the returned time, and for ever after — that has set it to 999;
-    /// with an as-of snapshot of that time whose undo has not been started.
-    fn snapshot_with_pending_undo() -> (Database, Arc<AsOfSnapshot>, SnapshotDb) {
+    /// at the returned time, and for ever after — that has done `loser_op` to
+    /// it; with an as-of snapshot of that time whose undo has not been
+    /// started.
+    fn snapshot_with_pending_undo(
+        loser_op: impl FnOnce(&Database, &crate::Txn) -> Result<()>,
+    ) -> (Database, Arc<AsOfSnapshot>, SnapshotDb) {
         let db = Database::create(DbConfig {
             checkpoint_interval_bytes: 0,
             ..DbConfig::default()
@@ -650,9 +633,9 @@ mod tests {
         .unwrap();
         db.clock().advance_secs(1);
         let loser = db.begin();
-        db.update(&loser, "t", &row(1, 999)).unwrap();
+        loser_op(&db, &loser).unwrap();
         std::mem::forget(loser);
-        // A later commit puts the loser's update below the split.
+        // A later commit puts the loser's write below the split.
         db.with_txn(|txn| db.update(txn, "t", &row(2, 201)))
             .unwrap();
         db.clock().advance_secs(1);
@@ -672,7 +655,8 @@ mod tests {
     /// gated read did before there was an epoch.)
     #[test]
     fn a_read_that_straddles_undo_is_repeated() {
-        let (_db, snap, sdb) = snapshot_with_pending_undo();
+        let (_db, snap, sdb) =
+            snapshot_with_pending_undo(|db, txn| db.update(txn, "t", &row(1, 999)));
         let table = sdb.table("t").unwrap();
         let tree = table.tree().unwrap();
         let key = encode_key(&[&Value::U64(1)]).unwrap();
@@ -714,12 +698,43 @@ mod tests {
         );
     }
 
+    /// ROADMAP G6: a row a loser *deleted* is not among the rows a scan
+    /// finds, so gating the keys found let the scan through without it. A
+    /// multi-row read gates on the object: it blocks while the loser holds
+    /// anything under the table and, once undo has put the row back, reads
+    /// it. (Gating the keys found, this returned row 2 alone, at once.)
+    #[test]
+    fn a_scan_waits_for_the_row_a_loser_deleted() {
+        let (_db, snap, sdb) =
+            snapshot_with_pending_undo(|db, txn| db.delete(txn, "t", &[Value::U64(1)]));
+        let table = sdb.table("t").unwrap();
+
+        let (scanned, wait_scan) = mpsc::channel();
+        std::thread::scope(|s| {
+            let (sdb, table) = (&sdb, &table);
+            s.spawn(move || scanned.send(sdb.scan_all(table)).unwrap());
+            let early = wait_scan.recv_timeout(std::time::Duration::from_millis(200));
+            assert!(
+                early.is_err(),
+                "the scan returned {early:?} with undo pending"
+            );
+            snap.run_undo(&|obj| SnapshotDb::resolve_on(&snap, obj))
+                .unwrap();
+            assert_eq!(
+                wait_scan.recv().unwrap().unwrap(),
+                vec![row(1, 100), row(2, 201)]
+            );
+        });
+        assert_eq!(sdb.list_tables().unwrap().len(), 1);
+    }
+
     /// ROADMAP G3: an undo thread that dies hands its error to everyone who
     /// would otherwise wait for it — `wait_undo_complete` and a reader
     /// blocked on a loser's lock — instead of leaving them parked.
     #[test]
     fn a_failed_undo_reaches_waiters_and_gated_readers_as_its_error() {
-        let (_db, snap, sdb) = snapshot_with_pending_undo();
+        let (_db, snap, sdb) =
+            snapshot_with_pending_undo(|db, txn| db.update(txn, "t", &row(1, 999)));
         let table = sdb.table("t").unwrap();
         let boom = Error::Internal("resolver failed".into());
 

@@ -4,17 +4,68 @@
 //! cargo run -p rewind-lint --release              # lint the workspace, exit 1 on findings
 //! cargo run -p rewind-lint --release -- --json tidy-report.json
 //! cargo run -p rewind-lint --release -- --list    # lint catalog
+//! cargo run -p rewind-lint --release -- --loc     # non-test code lines per crate
 //! cargo run -p rewind-lint --release -- --root /path/to/workspace
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use rewind_lint::lexer::TokKind;
+use rewind_lint::walk::{CrateKind, FileCtx};
 use rewind_lint::{lints, run, walk};
+
+/// Non-test code lines of one file: lines that carry at least one
+/// non-comment token, above the file's first `#[cfg(test)]` / `#[test]`
+/// item. The measure ROADMAP aim 2 ("the trend should be down") is read in:
+/// moving code into tests or deleting comments does not move it.
+fn code_lines(ctx: &FileCtx) -> usize {
+    let first_test = ctx.test_mask.iter().position(|&masked| masked);
+    let cutoff = first_test.map_or(u32::MAX, |i| ctx.tokens[i].line);
+    let mut lines: Vec<u32> = Vec::new();
+    for tok in &ctx.tokens {
+        if tok.line >= cutoff {
+            break;
+        }
+        if matches!(tok.kind, TokKind::LineComment | TokKind::BlockComment) {
+            continue;
+        }
+        // A token spanning lines (a multi-line string) is code on each.
+        let spanned = tok.text(&ctx.source).matches('\n').count() as u32;
+        lines.extend(tok.line..=tok.line + spanned);
+    }
+    lines.dedup();
+    lines.len()
+}
+
+/// `--loc`: [`code_lines`] per crate and in total over everything the walker
+/// polices as shipped code (`crates/*/src` and the root `src/`; the lint
+/// tool, the shims, tests, examples and `bench/` are not in it).
+fn print_loc(files: &[FileCtx]) {
+    let mut per_crate: Vec<(&str, usize)> = Vec::new();
+    for ctx in files.iter().filter(|c| c.kind != CrateKind::Test) {
+        let n = code_lines(ctx);
+        match per_crate
+            .iter_mut()
+            .find(|(name, _)| *name == ctx.crate_name)
+        {
+            Some(entry) => entry.1 += n,
+            None => per_crate.push((&ctx.crate_name, n)),
+        }
+    }
+    per_crate.sort();
+    println!("loc: non-blank non-comment lines above each file's first #[cfg(test)]");
+    for (name, n) in &per_crate {
+        println!("  {name:12} {n:6}");
+    }
+    let total: usize = per_crate.iter().map(|(_, n)| n).sum();
+    println!("  {:12} {total:6}", "total");
+}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
+    let mut loc = false;
     let mut json_path: Option<Option<PathBuf>> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -24,6 +75,7 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
+            "--loc" => loc = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -39,9 +91,10 @@ fn main() -> ExitCode {
                 println!(
                     "rewind-tidy: static enforcement of the ROADMAP invariants\n\
                      \n\
-                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list]\n\
+                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list] [--loc]\n\
                      \n\
                      Exits 0 when the tree is clean, 1 on findings, 2 on usage/IO errors.\n\
+                     `--loc` prints non-test code lines per crate instead (always exits 0).\n\
                      Escape hatch: `// tidy: allow(<lint>) -- <reason>` on or above the line."
                 );
                 return ExitCode::SUCCESS;
@@ -74,6 +127,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if loc {
+        print_loc(&files);
+        return ExitCode::SUCCESS;
+    }
     let result = run(&files);
 
     if let Some(dest) = &json_path {
@@ -110,5 +167,18 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_everything_from_the_first_test_item() {
+        let src = "//! docs\n\nuse a::b; // trailing\n/* block\n   comment */\nfn f() {\n    let s = \"two\nlines\";\n}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        let ctx = FileCtx::from_source("x.rs", "x", CrateKind::Library, src.to_string());
+        // `use`, `fn f() {`, the string's two lines, `}`.
+        assert_eq!(code_lines(&ctx), 5);
     }
 }

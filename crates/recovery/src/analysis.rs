@@ -286,12 +286,13 @@ impl AnalysisBuilder {
             .min();
         if let Some(from) = earliest {
             let ids: Vec<u64> = att.keys().copied().collect();
-            log.scan_views_deep(from, scan_start, |header, view| {
+            log.scan_refs(from, scan_start, true, |rec| {
+                let (header, view) = rec.view()?;
                 if header.txn.is_valid()
                     && ids.contains(&header.txn.0)
                     && header.flags & rewind_wal::REC_FLAG_SYSTEM == 0
                 {
-                    let (first, second) = locks_for(header.flags, header.object, view);
+                    let (first, second) = locks_for(header.flags, header.object, &view);
                     if let Some(info) = att.get_mut(&header.txn.0) {
                         if let Some(key) = first {
                             info.push_lock(key);
@@ -351,8 +352,9 @@ pub fn analyze(log: &LogManager, bound: Lsn) -> Result<AnalysisResult> {
     // row bytes are inspected in place for lock keys, never copied.
     // `scan_end()` saturates, so the `Lsn::MAX` crash-restart sentinel
     // stays "to the end of the log" instead of overflowing to NULL.
-    log.scan_views_deep(builder.scan_start(), bound.scan_end(), |header, view| {
-        builder.observe(header, view);
+    log.scan_refs(builder.scan_start(), bound.scan_end(), true, |rec| {
+        let (header, view) = rec.view()?;
+        builder.observe(&header, &view);
         Ok(true)
     })?;
     builder.finish(log, bound)

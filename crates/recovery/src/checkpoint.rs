@@ -136,7 +136,7 @@ mod tests {
         assert_eq!(info.at, Timestamp::from_secs(42));
         assert!(log.flushed_lsn() > end);
 
-        let rec = log.get_record(end).unwrap();
+        let rec = log.get_record_ref(end).unwrap().decode().unwrap();
         match rec.payload {
             LogPayload::CheckpointEnd(body) => {
                 assert_eq!(body.att.len(), 1);
@@ -168,7 +168,7 @@ mod tests {
         let end = take_checkpoint_incremental(&log, &txns, &pool, &clock, Lsn(500)).unwrap();
         // Page 3 (recLSN 100 < 500) was flushed; page 4 stays dirty and is
         // captured in the checkpoint's DPT, bounding redo to recLSN >= 500.
-        let rec = log.get_record(end).unwrap();
+        let rec = log.get_record_ref(end).unwrap().decode().unwrap();
         match rec.payload {
             LogPayload::CheckpointEnd(body) => {
                 assert_eq!(body.dpt.len(), 1);

@@ -18,9 +18,9 @@
 //!   page-ops to redo workers partitioned by `PageId`. Per-page backward
 //!   chains mean redo's only ordering constraint is per page, so
 //!   hash-partitioning pages across workers (each applying its pages'
-//!   records in LSN order) is exactly as correct as one worker applying
-//!   inline — which is the serial pass; the module docs carry the full
-//!   argument.
+//!   records in LSN order) is exactly as correct as one worker — which is
+//!   the same code with one thread behind one channel; the module docs
+//!   carry the full argument.
 //! * [`rollback::undo_sweep`] — the one undo walk: a merged descending-LSN
 //!   sweep over any number of transaction chains, shared by transaction
 //!   rollback ([`rollback::rollback_chain`], the one-chain case), restart

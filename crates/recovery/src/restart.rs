@@ -15,9 +15,10 @@
 //! the same `page_lsn < lsn` idempotency test at every worker count. Apply
 //! counts are bit-exact across worker counts for the same reason the test
 //! is per-page: whether a record applies depends only on its own page's
-//! LSN, which only that record's worker advances. One worker applying
-//! inline on the scanning thread *is* the serial pass — there is no other
-//! redo implementation.
+//! LSN, which only that record's worker advances. One worker is the same
+//! code at `workers = 1`: one thread behind the one channel, fed by the same
+//! scan — there is no other redo implementation, and no branch on the
+//! worker count.
 //!
 //! # Why analysis can stream into redo
 //!
@@ -49,7 +50,7 @@ use rewind_common::{Error, Lsn, PageId, Result};
 use rewind_obs::Obs;
 use rewind_wal::{LogManager, RecordRef};
 use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Redo statistics from the partitioned dispatcher.
 #[derive(Clone, Debug, Default)]
@@ -97,33 +98,17 @@ fn partition_of(page: PageId, workers: usize) -> usize {
     ((page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % workers
 }
 
-/// One redo worker: applies the batches it is handed, tallying records
-/// applied and µs spent applying. The inline single-worker path and every
-/// worker thread run exactly this.
-struct RedoWorker<'a> {
-    pool: &'a BufferPool,
-    obs: &'a Obs,
-    applied: u64,
-    busy_us: u64,
-}
-
-impl<'a> RedoWorker<'a> {
-    fn new(pool: &'a BufferPool, obs: &'a Obs) -> Self {
-        RedoWorker {
-            pool,
-            obs,
-            applied: 0,
-            busy_us: 0,
-        }
-    }
-
-    /// Apply `batch` in order. A record counts as applied when its page
-    /// image actually advanced (`page_lsn < lsn`).
-    fn apply_batch(&mut self, batch: &[RecordRef]) -> Result<()> {
-        let t0 = self.obs.now_us();
-        for rec in batch {
+/// One redo worker: applies the batches its channel delivers, in order,
+/// until the dispatcher closes it. A record counts as applied when its page
+/// image actually advanced (`page_lsn < lsn`). Records its busy time;
+/// returns its applied count.
+fn redo_worker(pool: &BufferPool, obs: &Obs, batches: Receiver<Vec<RecordRef>>) -> Result<u64> {
+    let (mut applied, mut busy_us) = (0u64, 0u64);
+    for batch in batches {
+        let t0 = obs.now_us();
+        for rec in &batch {
             let (header, view) = rec.view()?;
-            let advanced = self.pool.with_page_mut(header.page, |v| {
+            let advanced = pool.with_page_mut(header.page, |v| {
                 if v.page().page_lsn() < header.lsn {
                     view.redo(v.page_mut(), header.page, header.lsn)?;
                     v.mark_dirty(header.lsn);
@@ -132,17 +117,12 @@ impl<'a> RedoWorker<'a> {
                     Ok(false)
                 }
             })?;
-            self.applied += u64::from(advanced);
+            applied += u64::from(advanced);
         }
-        self.busy_us += self.obs.now_us().saturating_sub(t0);
-        Ok(())
+        busy_us += obs.now_us().saturating_sub(t0);
     }
-
-    /// Record the worker's busy time; returns its applied count.
-    fn finish(self) -> u64 {
-        self.obs.redo_worker_us(self.busy_us);
-        self.applied
-    }
+    obs.redo_worker_us(busy_us);
+    Ok(applied)
 }
 
 /// The single forward pass: the prefix scan dispatching checkpoint-DPT
@@ -165,7 +145,7 @@ fn scan_and_dispatch(
         .collect();
     let prefix_from = seed.values().copied().min().filter(|l| *l < scan_start);
     if let Some(from) = prefix_from {
-        log.scan_refs(from, scan_start, |rec| {
+        log.scan_refs(from, scan_start, false, |rec| {
             let header = rec.header()?;
             if header.is_page_op() && header.page.is_valid() {
                 if let Some(&rec_lsn) = seed.get(&header.page) {
@@ -179,7 +159,7 @@ fn scan_and_dispatch(
     }
     // Combined scan: every record feeds analysis; page-ops that qualify
     // against the first-sighting recLSN are dispatched immediately.
-    log.scan_refs_deep(scan_start, bound.scan_end(), |rec| {
+    log.scan_refs(scan_start, bound.scan_end(), true, |rec| {
         let (header, view) = rec.view()?;
         if let Some(rec_lsn) = builder.observe(&header, &view) {
             if header.lsn >= rec_lsn {
@@ -193,7 +173,7 @@ fn scan_and_dispatch(
 
 /// Run restart's analysis and redo as one pipelined pass over
 /// `[checkpoint, bound]`, with redo partitioned across `workers` threads
-/// (clamped to at least 1; 1 applies inline on the scanning thread).
+/// (at least 1), so the scan always overlaps apply.
 ///
 /// Returns the completed [`AnalysisResult`] (the undo phase's input) and
 /// the redo statistics. Accounting — total applied count, per-page apply
@@ -210,83 +190,64 @@ pub fn pipelined_restart(
     let mut builder = AnalysisBuilder::seed(log, bound)?;
     let obs = log.obs().clone();
 
-    let redo = if workers == 1 {
-        let mut worker = RedoWorker::new(pool, &obs);
-        scan_and_dispatch(log, &mut builder, bound, |rec, _page| {
-            worker.apply_batch(std::slice::from_ref(rec))?;
-            Ok(true)
-        })?;
-        let applied = worker.finish();
-        PartitionedRedo {
-            applied,
-            per_worker: vec![applied],
+    let redo = std::thread::scope(|s| -> Result<PartitionedRedo> {
+        let mut txs: Vec<SyncSender<Vec<RecordRef>>> = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let (tx, rx) = sync_channel::<Vec<RecordRef>>(REDO_CHANNEL_DEPTH);
+            let obs = &obs;
+            handles.push(s.spawn(move || redo_worker(pool, obs, rx)));
+            txs.push(tx);
         }
-    } else {
-        std::thread::scope(|s| -> Result<PartitionedRedo> {
-            let mut txs: Vec<SyncSender<Vec<RecordRef>>> = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = sync_channel::<Vec<RecordRef>>(REDO_CHANNEL_DEPTH);
-                let obs = &obs;
-                handles.push(s.spawn(move || -> Result<u64> {
-                    let mut worker = RedoWorker::new(pool, obs);
-                    for batch in rx {
-                        worker.apply_batch(&batch)?;
-                    }
-                    Ok(worker.finish())
-                }));
-                txs.push(tx);
+        let mut bufs: Vec<Vec<RecordRef>> = (0..workers)
+            .map(|_| Vec::with_capacity(REDO_BATCH))
+            .collect();
+        let scan_res = scan_and_dispatch(log, &mut builder, bound, |rec, page| {
+            let w = partition_of(page, workers);
+            bufs[w].push(rec.clone());
+            if bufs[w].len() == REDO_BATCH {
+                let batch = std::mem::replace(&mut bufs[w], Vec::with_capacity(REDO_BATCH));
+                // A failed send means the worker already exited (on
+                // error); stop dispatching, the join below surfaces it.
+                return Ok(txs[w].send(batch).is_ok());
             }
-            let mut bufs: Vec<Vec<RecordRef>> = (0..workers)
-                .map(|_| Vec::with_capacity(REDO_BATCH))
-                .collect();
-            let scan_res = scan_and_dispatch(log, &mut builder, bound, |rec, page| {
-                let w = partition_of(page, workers);
-                bufs[w].push(rec.clone());
-                if bufs[w].len() == REDO_BATCH {
-                    let batch = std::mem::replace(&mut bufs[w], Vec::with_capacity(REDO_BATCH));
-                    // A failed send means the worker already exited (on
-                    // error); stop dispatching, the join below surfaces it.
-                    return Ok(txs[w].send(batch).is_ok());
-                }
-                Ok(true)
-            });
-            // Flush the partial tail batches, then close the channels so
-            // idle workers drain out and exit.
-            if scan_res.is_ok() {
-                for (w, buf) in bufs.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        let _ = txs[w].send(buf);
-                    }
+            Ok(true)
+        });
+        // Flush the partial tail batches, then close the channels so
+        // idle workers drain out and exit.
+        if scan_res.is_ok() {
+            for (w, buf) in bufs.into_iter().enumerate() {
+                if !buf.is_empty() {
+                    let _ = txs[w].send(buf);
                 }
             }
-            drop(txs);
-            let mut per_worker = Vec::with_capacity(workers);
-            let mut first_err = scan_res.err();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(applied)) => per_worker.push(applied),
-                    Ok(Err(e)) => {
-                        per_worker.push(0);
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(_) => {
-                        per_worker.push(0);
-                        first_err = Some(Error::Internal("redo worker panicked".into()));
+        }
+        drop(txs);
+        let mut per_worker = Vec::with_capacity(workers);
+        let mut first_err = scan_res.err();
+        for h in handles {
+            match h.join() {
+                Ok(Ok(applied)) => per_worker.push(applied),
+                Ok(Err(e)) => {
+                    per_worker.push(0);
+                    if first_err.is_none() {
+                        first_err = Some(e);
                     }
                 }
+                Err(_) => {
+                    per_worker.push(0);
+                    first_err = Some(Error::Internal("redo worker panicked".into()));
+                }
             }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(PartitionedRedo {
-                    applied: per_worker.iter().sum(),
-                    per_worker,
-                }),
-            }
-        })?
-    };
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(PartitionedRedo {
+                applied: per_worker.iter().sum(),
+                per_worker,
+            }),
+        }
+    })?;
     let redo_us = rewind_obs::monotonic_us().saturating_sub(started);
 
     let analysis = builder.finish(log, bound)?;

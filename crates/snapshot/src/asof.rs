@@ -353,22 +353,10 @@ impl AsOfSnapshot {
         Ok(false)
     }
 
-    /// Gate a whole-table read (heap scans).
-    pub fn gate_table(&self, object: ObjectId) -> Result<bool> {
-        if self.undo_done.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-        let tk = rewind_txn::LockKey::table(object);
-        if self.locks.would_block(&tk, LockMode::S) {
-            self.locks.wait_until_free(&tk, LockMode::S)?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Gate on every lock under `object`, table or row: what a read that
-    /// found *nothing* has to wait for (a row an in-flight transaction
-    /// deleted has no key to gate on).
+    /// Gate on every lock under `object`, table or row: the one gate of a
+    /// multi-row read (scans, listings) and of a point read that found
+    /// *nothing* — a row an in-flight transaction deleted is not in the
+    /// result, so there is no key to gate on.
     pub fn gate_object(&self, object: ObjectId) -> Result<bool> {
         if self.undo_done.load(Ordering::Acquire) {
             return Ok(false);

@@ -9,19 +9,21 @@
 //!
 //! Every frame carries a CRC-32C of its body, computed once at append time
 //! (inside the same scratch-buffer pass that writes the length prefix) and
-//! verified on every read — sealed-segment reads in [`SealedSeg::frame`],
-//! tail reads under the writer mutex. A mismatch surfaces as a typed
-//! [`Error::Corruption`] with [`CorruptionKind::LogBlock`] and the frame's
-//! LSN, never as a garbage decode. Two degraded-mode policies follow:
+//! verified on every read by the one function that reads a frame back,
+//! [`parse_frame`] — sealed-segment reads, tail reads under the writer
+//! mutex, `flush_to`'s frame-end lookup and the restart-time tail check all
+//! go through it. A mismatch surfaces as a typed [`Error::Corruption`] with
+//! [`CorruptionKind::LogBlock`] and the frame's LSN, never as a garbage
+//! decode. Two degraded-mode policies follow:
 //!
 //! * **Tail corruption at restart** — [`LogManager::discard_corrupt_tail`]
 //!   forward-verifies every retained frame and cuts the log at the first
-//!   bad one, exactly as [`LogManager::discard_unflushed`] cuts at the
-//!   flush point: whole later segments evaporate, the damaged segment is
-//!   *replaced* by a shorter copy (sealed bytes are never mutated in
-//!   place), and the time/checkpoint indexes are trimmed to the cut. A
-//!   torn or bit-flipped device tail therefore recovers the longest clean
-//!   record prefix.
+//!   bad one with the same `cut_at` [`LogManager::discard_unflushed`] cuts
+//!   at the flush point with: whole later segments evaporate, the damaged
+//!   segment is *replaced* by a shorter copy (sealed bytes are never
+//!   mutated in place), and the time/checkpoint indexes are trimmed to the
+//!   cut. A torn or bit-flipped device tail therefore recovers the longest
+//!   clean record prefix.
 //! * **Mid-retention corruption at read time** — random reads and scans
 //!   return the typed error to the caller, which decides (page salvage
 //!   fails, repair skips the region, queries abort) — the log itself never
@@ -34,7 +36,7 @@
 //! one (a longer analysis scan, same answer) rather than losing the
 //! directory.
 //!
-//! Random record reads (`get_record*`) are how `PreparePageAsOf` walks
+//! Random record reads (`get_record_ref`) are how `PreparePageAsOf` walks
 //! per-page chains. Each read is classified as a *log cache hit* or a *log
 //! I/O* through a simple cache model (hot tail + LRU of recently touched
 //! blocks), because the number of undo log I/Os is exactly what the paper
@@ -56,9 +58,10 @@
 //!   seal/truncate/discard and bump a version counter; readers keep a
 //!   thread-local cache of the latest index per log and revalidate with one
 //!   atomic load. The hot read path therefore takes **no lock at all** —
-//!   `get_record`, `scan` and the `*_deep` variants resolve entirely
-//!   against the snapshot; only reads that land in the active tail segment
-//!   fall back to the writer mutex.
+//!   the four read entry points (`get_record_ref`, `get_record_deep`,
+//!   `scan_refs`, `scan_views`) resolve entirely against the snapshot; only
+//!   reads that land in the active tail segment fall back to the writer
+//!   mutex.
 //! * **Snapshot isolation for readers.** A reader holding a [`RecordRef`]
 //!   (or a thread-local index) keeps the underlying `Arc<[u8]>` alive, so
 //!   `truncate_before`/`discard_unflushed` can never invalidate an
@@ -158,7 +161,7 @@ pub struct LogConfig {
     /// Keep truncated segments as a *log archive* (the moral equivalent of
     /// incremental log backups, paper §1). Archived log is out of retention
     /// for the as-of machinery but remains readable to point-in-time
-    /// restore via the `*_deep` methods.
+    /// restore via [`LogManager::get_record_deep`] and deep scans.
     pub archive_on_truncate: bool,
     /// Modeled latency of one physical flush, in microseconds (a device
     /// write barrier / fsync). `0` (the default) makes flushes instantaneous
@@ -207,40 +210,54 @@ impl SealedSeg {
     fn end(&self) -> u64 {
         self.start + self.data.len() as u64
     }
+}
 
-    /// Resolve the `[u32 length][u32 crc][body]` frame at `lsn`, returning
-    /// the body's offset and length within this segment. The single place
-    /// sealed frames are parsed: the length prefix is bounds-checked and the
-    /// body is verified against its CRC-32C, so a bit flip or torn frame
-    /// surfaces here as a typed [`CorruptionKind::LogBlock`] error instead
-    /// of reaching the record decoder.
-    fn frame(&self, lsn: Lsn, stats: &IoStats) -> Result<(usize, usize)> {
-        let off = (lsn.0 - self.start) as usize;
-        if off + FRAME_HEADER > self.data.len() {
-            return Err(Error::log_corruption(
-                lsn,
-                format!("log read at {lsn} past segment end"),
-            ));
-        }
-        let len = read_u32_at(&self.data, off) as usize;
-        if off + FRAME_HEADER + len > self.data.len() {
-            return Err(Error::log_corruption(
-                lsn,
-                format!("log record at {lsn} overruns segment"),
-            ));
-        }
-        let stored = read_u32_at(&self.data, off + 4);
-        let body = &self.data[off + FRAME_HEADER..off + FRAME_HEADER + len];
-        let actual = crc32c(body);
-        if stored != actual {
-            stats.add_corruption_detected();
-            return Err(Error::log_corruption(
-                lsn,
-                format!("frame crc mismatch (stored {stored:08x}, computed {actual:08x})"),
-            ));
-        }
-        Ok((off + FRAME_HEADER, len))
+/// Why the bytes at a frame offset are not one whole, intact frame.
+enum FrameFault {
+    /// Fewer than [`FRAME_HEADER`] bytes exist at the offset.
+    Short,
+    /// The length prefix runs past the bytes that exist.
+    Overrun,
+    /// The body does not match its stored CRC-32C.
+    Crc { stored: u32, actual: u32 },
+}
+
+impl FrameFault {
+    /// The typed [`CorruptionKind::LogBlock`] error a read at `lsn` reports.
+    fn at(&self, lsn: Lsn) -> Error {
+        let detail = match self {
+            FrameFault::Short => format!("log read at {lsn} past the end of the log"),
+            FrameFault::Overrun => format!("log record at {lsn} overruns the log"),
+            FrameFault::Crc { stored, actual } => {
+                format!("frame crc mismatch (stored {stored:08x}, computed {actual:08x})")
+            }
+        };
+        Error::log_corruption(lsn, detail)
     }
+}
+
+/// Parse the `[u32 length][u32 crc][body]` frame at `off` in `data` (a
+/// sealed segment's bytes or the active tail's), returning the body's range.
+/// The single place a frame is read back: the header and the length prefix
+/// are bounds-checked against the bytes that exist and the body is verified
+/// against its CRC-32C, so a bit flip or a torn frame is a [`FrameFault`]
+/// here and never reaches the record decoder. Pure — what a fault *counts*
+/// as is the caller's business (see [`LogManager::read_frame`]).
+fn parse_frame(data: &[u8], off: usize) -> std::result::Result<Range<usize>, FrameFault> {
+    let body = off
+        .checked_add(FRAME_HEADER)
+        .filter(|body| *body <= data.len())
+        .ok_or(FrameFault::Short)?;
+    let end = body
+        .checked_add(read_u32_at(data, off) as usize)
+        .filter(|end| *end <= data.len())
+        .ok_or(FrameFault::Overrun)?;
+    let stored = read_u32_at(data, off + 4);
+    let actual = crc32c(&data[body..end]);
+    if stored != actual {
+        return Err(FrameFault::Crc { stored, actual });
+    }
+    Ok(body..end)
 }
 
 /// An immutable snapshot of everything readers need: the sealed segments,
@@ -841,29 +858,28 @@ impl LogManager {
                 return None;
             }
             if lsn.0 < index.sealed_end {
-                if let Some(seg) = SealedIndex::lookup(&index.segs, lsn.0) {
-                    if let Ok((body_off, len)) = seg.frame(lsn, &self.stats) {
-                        return Some(seg.start + (body_off + len) as u64);
-                    }
-                }
                 // Anomalous LSN (mid-record offset, corrupt length prefix):
                 // fall back to flushing the whole tail rather than silently
                 // skipping — callers like the buffer pool's write-back rely
                 // on flush_to upholding the WAL rule unconditionally.
-                return Some(tail);
+                let end = SealedIndex::lookup(&index.segs, lsn.0).and_then(|seg| {
+                    let body = self.read_frame(&seg.data, lsn.0 - seg.start, lsn).ok()?;
+                    Some(seg.start + body.end as u64)
+                });
+                return Some(end.unwrap_or(tail));
             }
             let inner = self.inner.lock();
             if inner.active_start > lsn.0 {
                 // Sealed between the snapshot load and the lock; retry.
                 continue;
             }
-            if lsn.0 + FRAME_HEADER as u64 > inner.tail {
-                // Raced a discard; flush whatever still exists.
-                return Some(inner.tail);
-            }
+            // A frame that no longer parses raced a discard (or is damaged
+            // in memory): flush whatever still exists.
             let off = (lsn.0 - inner.active_start) as usize;
-            let len = read_u32_at(&inner.active, off) as u64;
-            return Some((lsn.0 + FRAME_HEADER as u64 + len).min(inner.tail));
+            return Some(
+                parse_frame(&inner.active, off)
+                    .map_or(inner.tail, |body| inner.active_start + body.end as u64),
+            );
         }
     }
 
@@ -959,20 +975,14 @@ impl LogManager {
     /// Resolve a record's bytes without touching the cache model. Lock-free
     /// for any record in a sealed segment (or the archive, with `deep`);
     /// only tail-segment reads take the writer mutex, and those copy the
-    /// frame out so the mutex is never held across decoding.
-    fn read_ref_at(&self, lsn: Lsn, deep: bool) -> Result<RecordRef> {
-        self.read_ref_in(self.load_sealed(), lsn, deep)
-    }
-
-    /// [`LogManager::read_ref_at`] against an already-loaded index, so hot
-    /// callers that just consulted the snapshot pay only one load per read.
-    fn read_ref_in(&self, index: Arc<SealedIndex>, lsn: Lsn, deep: bool) -> Result<RecordRef> {
-        let mut index = index;
+    /// frame out so the mutex is never held across decoding. Takes the
+    /// index the caller already loaded, so a read pays one load.
+    fn read_ref_in(&self, mut index: Arc<SealedIndex>, lsn: Lsn, deep: bool) -> Result<RecordRef> {
         loop {
             if lsn.0 < index.trunc {
                 if deep {
                     if let Some(seg) = SealedIndex::lookup(&index.archive, lsn.0) {
-                        return Self::ref_in_segment(seg, lsn, &self.stats);
+                        return self.ref_in_segment(seg, lsn);
                     }
                 }
                 return Err(Error::LogTruncated(lsn));
@@ -981,7 +991,7 @@ impl LogManager {
                 let seg = SealedIndex::lookup(&index.segs, lsn.0).ok_or_else(|| {
                     Error::corruption(format!("log offset {} out of range", lsn.0))
                 })?;
-                return Self::ref_in_segment(seg, lsn, &self.stats);
+                return self.ref_in_segment(seg, lsn);
             }
             // Tail range: read under the writer mutex, copying the frame out.
             let inner = self.inner.lock();
@@ -992,46 +1002,37 @@ impl LogManager {
                 index = self.load_sealed();
                 continue;
             }
-            if lsn.0 + FRAME_HEADER as u64 > inner.tail {
-                return Err(Error::log_corruption(
-                    lsn,
-                    format!("log read at {lsn} past tail {}", inner.tail),
-                ));
-            }
-            let off = (lsn.0 - inner.active_start) as usize;
-            let len = read_u32_at(&inner.active, off) as usize;
-            if lsn.0 + (FRAME_HEADER + len) as u64 > inner.tail {
-                return Err(Error::log_corruption(
-                    lsn,
-                    format!("log record at {lsn} overruns tail"),
-                ));
-            }
-            let stored = read_u32_at(&inner.active, off + 4);
-            let body_bytes = &inner.active[off + FRAME_HEADER..off + FRAME_HEADER + len];
-            if crc32c(body_bytes) != stored {
-                self.stats.add_corruption_detected();
-                return Err(Error::log_corruption(
-                    lsn,
-                    format!("frame crc mismatch at {lsn} (tail)"),
-                ));
-            }
-            let body: Arc<[u8]> = Arc::from(body_bytes);
+            let body = self.read_frame(&inner.active, lsn.0 - inner.active_start, lsn)?;
+            let data: Arc<[u8]> = Arc::from(&inner.active[body]);
             return Ok(RecordRef {
-                data: body,
+                len: data.len(),
+                data,
                 off: 0,
-                len,
                 lsn,
             });
         }
     }
 
-    fn ref_in_segment(seg: &SealedSeg, lsn: Lsn, stats: &IoStats) -> Result<RecordRef> {
-        let (body_off, len) = seg.frame(lsn, stats)?;
+    fn ref_in_segment(&self, seg: &SealedSeg, lsn: Lsn) -> Result<RecordRef> {
+        let body = self.read_frame(&seg.data, lsn.0 - seg.start, lsn)?;
         Ok(RecordRef {
             data: seg.data.clone(),
-            off: body_off,
-            len,
+            off: body.start,
+            len: body.len(),
             lsn,
+        })
+    }
+
+    /// [`parse_frame`] for a reader of the record at `lsn`, `off` bytes into
+    /// `data`: every fault is the typed error, and a CRC mismatch — damage,
+    /// as opposed to an LSN that is not a record boundary — is counted in
+    /// `corruptions_detected`.
+    fn read_frame(&self, data: &[u8], off: u64, lsn: Lsn) -> Result<Range<usize>> {
+        parse_frame(data, off as usize).map_err(|fault| {
+            if matches!(fault, FrameFault::Crc { .. }) {
+                self.stats.add_corruption_detected();
+            }
+            fault.at(lsn)
         })
     }
 
@@ -1052,44 +1053,20 @@ impl LogManager {
         self.read_ref_in(index, lsn, false)
     }
 
-    /// Read the record at `lsn`, accounting the read through the cache model.
-    pub fn get_record(&self, lsn: Lsn) -> Result<LogRecord> {
-        self.get_record_ref(lsn)?.decode()
-    }
-
-    /// Iterate records in `[from, to)` in order, invoking `f` for each.
-    /// Returns the LSN one past the last record visited. Sequential bytes
-    /// are accounted as `log_bytes_scanned`. Lock-free over sealed history.
-    pub fn scan(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecord) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut |rec_ref| f(&rec_ref.decode()?))
-    }
-
-    /// Like [`LogManager::scan`] but yielding borrowed header + payload
-    /// views, skipping owned materialization entirely. The workhorse of
-    /// analysis and SplitLSN search.
-    pub fn scan_views(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut |rec_ref| {
-            let (header, view) = rec_ref.view()?;
-            f(&header, &view)
-        })
-    }
-
-    fn scan_impl(
+    /// Iterate records in `[from, to)` in order, handing `f` each one as a
+    /// zero-copy [`RecordRef`] — to decode in place, or to `clone` (an `Arc`
+    /// bump) and ship to another thread, which is how partitioned redo fans
+    /// out. `f` returns `Ok(false)` to stop. Returns the LSN one past the
+    /// last record visited. `deep` reads archived history below the
+    /// truncation point too (restore, analysis); without it such a start is
+    /// [`Error::LogTruncated`]. Sequential bytes are accounted as
+    /// `log_bytes_scanned`. Lock-free over sealed history.
+    pub fn scan_refs(
         &self,
         from: Lsn,
         to: Lsn,
         deep: bool,
-        f: &mut dyn FnMut(&RecordRef) -> Result<bool>,
+        mut f: impl FnMut(&RecordRef) -> Result<bool>,
     ) -> Result<Lsn> {
         let mut cur = from;
         loop {
@@ -1103,11 +1080,26 @@ impl LogManager {
             let rec_ref = self.read_ref_in(index, cur, deep)?;
             let frame = rec_ref.frame_len();
             self.stats.add_log_bytes_scanned(frame);
-            if !f(&rec_ref)? {
-                return Ok(Lsn(cur.0 + frame));
-            }
             cur = Lsn(cur.0 + frame);
+            if !f(&rec_ref)? {
+                return Ok(cur);
+            }
         }
+    }
+
+    /// [`LogManager::scan_refs`] over retained history, yielding each
+    /// record's header and borrowed payload view. The workhorse of SplitLSN
+    /// search and the repair harvest.
+    pub fn scan_views(
+        &self,
+        from: Lsn,
+        to: Lsn,
+        mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
+    ) -> Result<Lsn> {
+        self.scan_refs(from, to, false, |rec_ref| {
+            let (header, view) = rec_ref.view()?;
+            f(&header, &view)
+        })
     }
 
     /// The checkpoint directory (ascending by LSN), as a cheap shared view.
@@ -1239,88 +1231,37 @@ impl LogManager {
     /// purpose. Lock-free like [`LogManager::get_record_ref`], without cache
     /// accounting.
     pub fn get_record_deep(&self, lsn: Lsn) -> Result<RecordRef> {
-        self.read_ref_at(lsn, true)
+        self.read_ref_in(self.load_sealed(), lsn, true)
     }
 
-    /// Like [`LogManager::scan`] but reading archived history too.
-    pub fn scan_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecord) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut |rec_ref| f(&rec_ref.decode()?))
-    }
-
-    /// Like [`LogManager::scan_views`] but reading archived history too.
-    pub fn scan_views_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut |rec_ref| {
-            let (header, view) = rec_ref.view()?;
-            f(&header, &view)
-        })
-    }
-
-    /// Like [`LogManager::scan_views`] but yielding the zero-copy
-    /// [`RecordRef`] itself, so the callback can `clone` it (an `Arc` bump)
-    /// and ship it to another thread. The fan-out primitive of partitioned
-    /// redo: the dispatcher scans once, workers decode in parallel.
-    pub fn scan_refs(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&RecordRef) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, false, &mut f)
-    }
-
-    /// Like [`LogManager::scan_refs`] but reading archived history too.
-    pub fn scan_refs_deep(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&RecordRef) -> Result<bool>,
-    ) -> Result<Lsn> {
-        self.scan_impl(from, to, true, &mut f)
-    }
-
-    /// Discard everything after the flushed LSN — what a crash does to the
-    /// volatile log tail. Used by crash simulation before restart recovery.
-    /// Everything at or below `flushed_lsn` survives; nothing after it does.
-    pub fn discard_unflushed(&self) {
-        let mut inner = self.inner.lock();
-        let flushed = self.flushed.load(Ordering::Acquire);
+    /// Cut the log at byte offset `cut` (a frame boundary): nothing at or
+    /// after it survives, everything before it stays readable. The one place
+    /// a log loses its end. Whole later segments evaporate; the segment the
+    /// cut falls inside is *replaced* by a shorter copy — sealed bytes are
+    /// never mutated in place, so a reader holding a [`RecordRef`] past the
+    /// cut still decodes it. The tail, the published index, the time index,
+    /// the read cache and the flush queue all follow. Writer mutex held;
+    /// returns the new tail.
+    fn cut_at(&self, inner: &mut LogInner, cut: u64) -> u64 {
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
-        // Whole sealed segments at or past the flush point evaporate.
-        while segs.last().is_some_and(|s| s.start >= flushed) {
-            segs.pop();
-        }
-        // The flush point may fall inside the last surviving sealed segment.
+        segs.retain(|s| s.start < cut);
         if let Some(last) = segs.last_mut() {
-            let keep = (flushed - last.start) as usize;
+            let keep = (cut - last.start) as usize;
             if keep < last.data.len() {
                 last.data = Arc::from(&last.data[..keep]);
             }
         }
-        // And the active tail.
-        if inner.active_start >= flushed {
-            inner.active.clear();
-        } else {
-            let keep = (flushed - inner.active_start) as usize;
-            if keep < inner.active.len() {
-                inner.active.truncate(keep);
-            }
+        let keep = cut.saturating_sub(inner.active_start) as usize;
+        if keep < inner.active.len() {
+            inner.active.truncate(keep);
         }
-        inner.tail = flushed.max(old.trunc);
+        let tail = cut.max(old.trunc);
+        inner.tail = tail;
         if inner.active.is_empty() {
-            inner.active_start = inner.tail;
+            inner.active_start = tail;
         }
-        self.tail.store(inner.tail, Ordering::Release);
+        self.tail.store(tail, Ordering::Release);
         self.publish(SealedIndex {
             version: old.version + 1,
             trunc: old.trunc,
@@ -1328,8 +1269,29 @@ impl LogManager {
             segs,
             archive: old.archive.clone(),
         });
-        let tail = inner.tail;
         inner.time_index.retain(|(l, _)| l.0 < tail);
+        self.cache.clear();
+        // Outstanding flush requests above the new tail point at bytes that
+        // no longer exist: clamp them (so a stale high-water mark can never
+        // cause a later over-flush) and wake every parked follower to
+        // re-check — each sees its target past the tail and abandons it.
+        {
+            let mut queue = self.flush_queue.lock();
+            queue.requested = queue.requested.min(tail);
+            self.flush_cv.notify_all();
+        }
+        // Discarded tail segments are retired memory too.
+        LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
+        tail
+    }
+
+    /// Discard everything after the flushed LSN — what a crash does to the
+    /// volatile log tail. Used by crash simulation before restart recovery.
+    /// Everything at or below `flushed_lsn` survives; nothing after it does.
+    pub fn discard_unflushed(&self) {
+        let mut inner = self.inner.lock();
+        let tail = self.cut_at(&mut inner, self.flushed.load(Ordering::Acquire));
+        let trunc = self.published.lock().trunc;
         // The in-memory checkpoint directory is volatile: what survives a
         // crash is the pair of checksummed anchor slots. Rebuild the
         // directory from the valid anchors (ascending by sequence), dropping
@@ -1349,21 +1311,9 @@ impl LogManager {
             anchors
                 .into_iter()
                 .map(|(_, info)| info)
-                .filter(|c| c.end_lsn.0 < tail && c.begin_lsn.0 >= old.trunc)
+                .filter(|c| c.end_lsn.0 < tail && c.begin_lsn.0 >= trunc)
                 .collect(),
         );
-        self.cache.clear();
-        // Outstanding flush requests above the new tail point at bytes that
-        // no longer exist: clamp them (so a stale high-water mark can never
-        // cause a later over-flush) and wake every parked follower to
-        // re-check — each sees its target past the tail and abandons it.
-        {
-            let mut queue = self.flush_queue.lock();
-            queue.requested = queue.requested.min(tail);
-            self.flush_cv.notify_all();
-        }
-        // Discarded tail segments are retired memory too.
-        LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
     }
 
     /// Forward-verify every retained frame (length sanity + CRC-32C) and
@@ -1371,98 +1321,39 @@ impl LogManager {
     /// the restart-time half of the media-hardening contract. Returns the
     /// cut LSN when damage was found, `None` for a clean log.
     ///
-    /// The cut has exactly the semantics of [`LogManager::discard_unflushed`]
-    /// applied at the damage point: whole later segments evaporate, the
-    /// damaged segment is *replaced* by a shorter copy (sealed bytes are
-    /// never mutated in place), the flushed LSN is pulled back, and the
-    /// time/checkpoint indexes are trimmed. Everything before the first bad
-    /// frame — the longest clean durable prefix — stays readable.
+    /// The cut is [`LogManager::discard_unflushed`]'s, applied at the damage
+    /// point; what is this path's own is that the flushed LSN is pulled back
+    /// with it and the checkpoint directory keeps its surviving entries.
+    /// Everything before the first bad frame — the longest clean durable
+    /// prefix — stays readable.
     pub fn discard_corrupt_tail(&self) -> Option<Lsn> {
-        /// First structurally-bad or CRC-bad frame offset in `data`, whose
-        /// first byte sits at stream offset `base`. `data` is assumed to
-        /// begin on a frame boundary (segments always do).
+        /// Offset of the first frame in `data` that does not parse, whose
+        /// first byte sits at stream offset `base`. `data` begins on a frame
+        /// boundary (segments always do).
         fn first_bad_frame(base: u64, data: &[u8]) -> Option<u64> {
-            let mut off = 0usize;
+            let mut off = 0;
             while off < data.len() {
-                if off + FRAME_HEADER > data.len() {
-                    return Some(base + off as u64);
+                match parse_frame(data, off) {
+                    Ok(body) => off = body.end,
+                    Err(_) => return Some(base + off as u64),
                 }
-                let len = read_u32_at(data, off) as usize;
-                let Some(end) = (off + FRAME_HEADER).checked_add(len) else {
-                    return Some(base + off as u64);
-                };
-                if end > data.len() {
-                    return Some(base + off as u64);
-                }
-                let stored = read_u32_at(data, off + 4);
-                if crc32c(&data[off + FRAME_HEADER..end]) != stored {
-                    return Some(base + off as u64);
-                }
-                off = end;
             }
             None
         }
 
         let mut inner = self.inner.lock();
         let old = self.published.lock().clone();
-        let mut cut: Option<u64> = None;
-        for seg in &old.segs {
-            if let Some(bad) = first_bad_frame(seg.start, &seg.data) {
-                cut = Some(bad);
-                break;
-            }
-        }
-        if cut.is_none() {
-            cut = first_bad_frame(inner.active_start, &inner.active);
-        }
-        let cut = cut?;
+        let cut = old
+            .segs
+            .iter()
+            .find_map(|seg| first_bad_frame(seg.start, &seg.data))
+            .or_else(|| first_bad_frame(inner.active_start, &inner.active))?;
         self.stats.add_corruption_detected();
-
-        let mut segs = old.segs.clone();
-        while segs.last().is_some_and(|s| s.start >= cut) {
-            segs.pop();
-        }
-        if let Some(last) = segs.last_mut() {
-            let keep = (cut - last.start) as usize;
-            if keep < last.data.len() {
-                last.data = Arc::from(&last.data[..keep]);
-            }
-        }
-        if inner.active_start >= cut {
-            inner.active.clear();
-        } else {
-            let keep = (cut - inner.active_start) as usize;
-            if keep < inner.active.len() {
-                inner.active.truncate(keep);
-            }
-        }
-        inner.tail = cut.max(old.trunc);
-        if inner.active.is_empty() {
-            inner.active_start = inner.tail;
-        }
-        self.tail.store(inner.tail, Ordering::Release);
+        let tail = self.cut_at(&mut inner, cut);
         // The damaged bytes were "durable" on the failed media; the clean
         // prefix is the new durability horizon.
-        let tail = inner.tail;
-        if self.flushed.load(Ordering::Acquire) > tail {
-            self.flushed.store(tail, Ordering::Release);
-        }
-        self.publish(SealedIndex {
-            version: old.version + 1,
-            trunc: old.trunc,
-            sealed_end: inner.active_start,
-            segs,
-            archive: old.archive.clone(),
-        });
-        inner.time_index.retain(|(l, _)| l.0 < tail);
+        self.flushed.fetch_min(tail, Ordering::AcqRel);
         Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
-        self.cache.clear();
-        {
-            let mut queue = self.flush_queue.lock();
-            queue.requested = queue.requested.min(tail);
-            self.flush_cv.notify_all();
-        }
-        LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
         Some(Lsn(cut))
     }
 
@@ -1594,6 +1485,11 @@ mod tests {
         }
     }
 
+    /// The owned record at `lsn`, read the way chain walks read it.
+    fn get(log: &LogManager, lsn: Lsn) -> Result<LogRecord> {
+        log.get_record_ref(lsn)?.decode()
+    }
+
     fn insert_rec(txn: u64, n: usize) -> LogRecord {
         rec(
             txn,
@@ -1617,7 +1513,7 @@ mod tests {
         ));
         assert!(a < b && b < c);
         assert_eq!(a, Lsn::FIRST);
-        let back = log.get_record(b).unwrap();
+        let back = get(&log, b).unwrap();
         assert_eq!(back.lsn, b);
         match back.payload {
             LogPayload::InsertRecord { ref bytes, .. } => assert_eq!(bytes.len(), 20),
@@ -1633,7 +1529,7 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 3000)));
         }
         for &l in &lsns {
-            let owned = log.get_record(l).unwrap();
+            let owned = get(&log, l).unwrap();
             let r = log.get_record_ref(l).unwrap();
             assert_eq!(r.header().unwrap(), owned.header());
             let (_, view) = r.view().unwrap();
@@ -1666,15 +1562,15 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 8)));
         }
         let mut seen = Vec::new();
-        log.scan(lsns[2], lsns[7], |r| {
-            seen.push(r.lsn);
+        log.scan_refs(lsns[2], lsns[7], false, |r| {
+            seen.push(r.lsn());
             Ok(true)
         })
         .unwrap();
         assert_eq!(seen, lsns[2..7].to_vec());
         // early stop
         let mut count = 0;
-        log.scan(Lsn::FIRST, Lsn::MAX, |_| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |_| {
             count += 1;
             Ok(count < 3)
         })
@@ -1698,7 +1594,8 @@ mod tests {
             }
         }
         let mut owned = Vec::new();
-        log.scan(Lsn::FIRST, Lsn::MAX, |r| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
+            let r = r.decode()?;
             owned.push((r.lsn, r.txn, r.payload.kind()));
             Ok(true)
         })
@@ -1723,7 +1620,7 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 5000)));
         }
         for &l in &lsns {
-            let r = log.get_record(l).unwrap();
+            let r = get(&log, l).unwrap();
             assert_eq!(r.lsn, l);
         }
         assert!(log.total_bytes() > 2 * SEGMENT_BYTES);
@@ -1748,11 +1645,8 @@ mod tests {
         let new_trunc = log.truncate_before(mid);
         assert!(new_trunc <= mid);
         assert!(new_trunc > Lsn::FIRST);
-        assert!(matches!(
-            log.get_record(lsns[0]),
-            Err(Error::LogTruncated(_))
-        ));
-        assert!(log.get_record(lsns[400]).is_ok());
+        assert!(matches!(get(&log, lsns[0]), Err(Error::LogTruncated(_))));
+        assert!(get(&log, lsns[400]).is_ok());
         assert!(log.retained_bytes() < log.total_bytes());
         // earliest retained time reflects truncation
         let t = log.earliest_retained_time().unwrap();
@@ -1832,21 +1726,21 @@ mod tests {
         }
         // tail read: hit
         let s0 = log.io_stats().snapshot();
-        log.get_record(*lsns.last().unwrap()).unwrap();
+        get(&log, *lsns.last().unwrap()).unwrap();
         let s1 = log.io_stats().snapshot();
         assert_eq!(s1.log_read_ios, s0.log_read_ios);
         assert_eq!(s1.log_cache_hits, s0.log_cache_hits + 1);
         // cold read: miss, then hit on re-read
-        log.get_record(lsns[0]).unwrap();
+        get(&log, lsns[0]).unwrap();
         let s2 = log.io_stats().snapshot();
         assert_eq!(s2.log_read_ios, s1.log_read_ios + 1);
-        log.get_record(lsns[0]).unwrap();
+        get(&log, lsns[0]).unwrap();
         let s3 = log.io_stats().snapshot();
         assert_eq!(s3.log_read_ios, s2.log_read_ios);
         // far-apart cold reads evict each other (cache_blocks = 2)
-        log.get_record(lsns[500]).unwrap();
-        log.get_record(lsns[1000]).unwrap();
-        log.get_record(lsns[0]).unwrap(); // evicted by now
+        get(&log, lsns[500]).unwrap();
+        get(&log, lsns[1000]).unwrap();
+        get(&log, lsns[0]).unwrap(); // evicted by now
         let s4 = log.io_stats().snapshot();
         assert!(s4.log_read_ios >= s3.log_read_ios + 2);
     }
@@ -1855,8 +1749,8 @@ mod tests {
     fn get_past_tail_is_error() {
         let log = LogManager::new(LogConfig::default());
         log.append(&insert_rec(1, 10));
-        assert!(log.get_record(log.tail_lsn()).is_err());
-        assert!(log.get_record(Lsn(999_999)).is_err());
+        assert!(get(&log, log.tail_lsn()).is_err());
+        assert!(get(&log, Lsn(999_999)).is_err());
     }
 
     #[test]
@@ -1916,7 +1810,7 @@ mod tests {
         assert_eq!(range.start, batch[0].lsn);
         assert_eq!(range.end, log.tail_lsn());
         for (i, rec) in batch.iter().enumerate() {
-            let back = log.get_record(rec.lsn).unwrap();
+            let back = get(&log, rec.lsn).unwrap();
             if i == 0 {
                 // The batch head keeps its caller-provided linkage…
                 assert_eq!(back.prev_lsn, head);
@@ -1931,7 +1825,7 @@ mod tests {
         // A batch of differently-keyed records is left unchained.
         let mut mixed = vec![insert_rec(1, 8), insert_rec(2, 8)];
         log.append_batch(&mut mixed);
-        let back = log.get_record(mixed[1].lsn).unwrap();
+        let back = get(&log, mixed[1].lsn).unwrap();
         assert_eq!(back.prev_lsn, Lsn::NULL);
     }
 
@@ -1955,7 +1849,7 @@ mod tests {
         );
         let range2 = log.append_stamped(&mut r2, &|| Timestamp::from_secs(5));
         assert_eq!(range2.end, log.tail_lsn());
-        match log.get_record(range2.start).unwrap().payload {
+        match get(&log, range2.start).unwrap().payload {
             LogPayload::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
             ref other => panic!("unexpected {other:?}"),
         }
@@ -1979,10 +1873,7 @@ mod tests {
         log.truncate_before(lsns[400]);
         assert!(log.truncation_point() > lsns[10]);
         // New reads fail; the held snapshot still decodes the same record.
-        assert!(matches!(
-            log.get_record(lsns[10]),
-            Err(Error::LogTruncated(_))
-        ));
+        assert!(matches!(get(&log, lsns[10]), Err(Error::LogTruncated(_))));
         assert_eq!(held.decode().unwrap(), expect);
         assert_eq!(held.header().unwrap(), expect.header());
     }
@@ -2011,15 +1902,15 @@ mod tests {
         let a = log.append(&insert_rec(1, 64));
         let b = log.append(&insert_rec(1, 64));
         log.flush_to(log.tail_lsn());
-        assert!(log.get_record(b).is_ok());
+        assert!(get(&log, b).is_ok());
         // Flip one bit in b's body; the frame CRC must catch it.
         assert!(log.corrupt_byte_at(b.0 + FRAME_HEADER as u64 + 3, 0x10));
-        let err = log.get_record(b).unwrap_err();
+        let err = get(&log, b).unwrap_err();
         assert_eq!(err.corruption_kind(), Some(CorruptionKind::LogBlock));
         assert!(err.to_string().contains("crc"), "{err}");
         assert!(log.io_stats().snapshot().corruptions_detected >= 1);
         // Undamaged records stay readable.
-        assert!(log.get_record(a).is_ok());
+        assert!(get(&log, a).is_ok());
         // Out-of-range and no-op corruption requests are rejected.
         assert!(!log.corrupt_byte_at(log.tail_lsn().0 + 100, 0x10));
         assert!(!log.corrupt_byte_at(a.0, 0));
@@ -2040,10 +1931,10 @@ mod tests {
         assert_eq!(log.tail_lsn(), lsns[12]);
         assert_eq!(log.flushed_lsn(), lsns[12], "durable horizon pulled back");
         for &l in &lsns[..12] {
-            assert!(log.get_record(l).is_ok(), "clean prefix must survive");
+            assert!(get(&log, l).is_ok(), "clean prefix must survive");
         }
         let mut seen = 0;
-        log.scan(lsns[0], Lsn::MAX, |_| {
+        log.scan_refs(lsns[0], Lsn::MAX, false, |_| {
             seen += 1;
             Ok(true)
         })
@@ -2053,7 +1944,7 @@ mod tests {
         let next = log.append(&insert_rec(99, 10));
         assert_eq!(next, lsns[12]);
         log.flush_to(log.tail_lsn());
-        assert!(log.get_record(next).is_ok());
+        assert!(get(&log, next).is_ok());
         // Idempotent: the repaired log is clean again.
         assert_eq!(log.discard_corrupt_tail(), None);
     }
@@ -2077,7 +1968,7 @@ mod tests {
         assert!(log.corrupt_byte_at(lsns[50].0 + FRAME_HEADER as u64, 0x01));
         assert_eq!(log.discard_corrupt_tail(), Some(lsns[50]));
         assert_eq!(log.tail_lsn(), lsns[50]);
-        assert!(log.get_record(lsns[49]).is_ok());
+        assert!(get(&log, lsns[49]).is_ok());
         assert!(held.decode().is_ok(), "sealed bytes are never mutated");
     }
 
@@ -2159,5 +2050,208 @@ mod tests {
             }
         }
         assert!(log.io_stats().snapshot().io_retries > 0, "faults consumed");
+    }
+
+    /// A log of `n` 3 000-byte inserts, a commit stamp after every fourth:
+    /// several sealed segments, an active tail and a populated time index.
+    /// Nothing flushed.
+    fn long_log(n: u64) -> (LogManager, Vec<Lsn>) {
+        let log = LogManager::new(LogConfig::default());
+        let mut lsns = Vec::new();
+        for i in 0..n {
+            lsns.push(log.append(&insert_rec(i, 3000)));
+            if i % 4 == 3 {
+                let at = Timestamp::from_secs(i);
+                log.append(&rec(i, LogPayload::Commit { at }));
+            }
+        }
+        assert!(log.load_sealed().segs.len() >= 2, "need sealed history");
+        assert!(!log.inner.lock().active.is_empty(), "need an active tail");
+        (log, lsns)
+    }
+
+    /// The four ways a frame goes bad, each reached the way media reaches
+    /// it: a tail torn inside the header or inside the body, a length prefix
+    /// gone wild, a flipped body bit.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Damage {
+        TornHeader,
+        TornBody,
+        HugeLen,
+        CrcFlip,
+    }
+
+    /// Satellite 2(a): one fault table through the one parser from all four
+    /// callers — random read, scan, `flush_target`, the restart-time tail
+    /// check — in a sealed segment and in the active tail. Every fault is
+    /// the typed `LogBlock` error; what it *counts* as is pinned per caller
+    /// (these are the numbers of the four parsers this one replaced): a
+    /// reader counts a CRC mismatch and nothing else, `flush_target` counts
+    /// one only over sealed bytes, the tail check counts one per cut.
+    #[test]
+    fn frame_faults_read_the_same_through_every_caller() {
+        use Damage::*;
+        for sealed in [true, false] {
+            for damage in [TornHeader, TornBody, HugeLen, CrcFlip] {
+                let case = format!("{damage:?}, sealed = {sealed}");
+                let (log, lsns) = long_log(900);
+                let victim = if sealed {
+                    lsns[40]
+                } else {
+                    lsns[lsns.len() - 2]
+                };
+                assert_eq!(victim.0 < log.load_sealed().sealed_end, sealed, "{case}");
+                let body = victim.0 + FRAME_HEADER as u64;
+                match damage {
+                    // A crash that got part of the frame to the device.
+                    TornHeader | TornBody => {
+                        let keep = if damage == TornHeader { 4 } else { 18 };
+                        log.flush_up_to(Lsn(victim.0 + keep));
+                        log.discard_unflushed();
+                        assert_eq!(log.tail_lsn(), Lsn(victim.0 + keep), "{case}");
+                    }
+                    // Every bit of the length prefix flipped: a length a
+                    // few thousand short of `u32::MAX`.
+                    HugeLen => {
+                        log.flush_to(log.tail_lsn());
+                        for i in 0..4 {
+                            assert!(log.corrupt_byte_at(victim.0 + i, 0xFF));
+                        }
+                    }
+                    CrcFlip => {
+                        log.flush_to(log.tail_lsn());
+                        assert!(log.corrupt_byte_at(body + 5, 0x04));
+                    }
+                }
+                let tail = log.tail_lsn();
+                let crc = u64::from(damage == CrcFlip);
+                let detected = || log.io_stats().snapshot().corruptions_detected;
+                let assert_log_block = |err: Error| {
+                    assert_eq!(
+                        err.corruption_kind(),
+                        Some(CorruptionKind::LogBlock),
+                        "{case}: {err}"
+                    );
+                };
+
+                let d0 = detected();
+                assert_log_block(log.get_record_ref(victim).err().expect(&case));
+                assert_log_block(log.get_record_deep(victim).err().expect(&case));
+                assert_eq!(detected() - d0, 2 * crc, "{case}: random reads");
+
+                let d0 = detected();
+                let mut seen = 0;
+                let scan = log.scan_refs(lsns[38], Lsn::MAX, false, |_| {
+                    seen += 1;
+                    Ok(true)
+                });
+                assert_log_block(scan.expect_err(&case));
+                assert!(seen > 0, "{case}: the clean prefix is scanned");
+                assert_eq!(detected() - d0, crc, "{case}: scan");
+
+                let d0 = detected();
+                assert_eq!(
+                    log.flush_target(victim),
+                    Some(tail.0),
+                    "{case}: a frame that does not parse flushes the whole tail"
+                );
+                assert_eq!(
+                    detected() - d0,
+                    crc * u64::from(sealed),
+                    "{case}: flush_target"
+                );
+
+                let d0 = detected();
+                assert_eq!(log.discard_corrupt_tail(), Some(victim), "{case}");
+                assert_eq!(detected() - d0, 1, "{case}: one per cut");
+                assert_eq!(log.tail_lsn(), victim, "{case}");
+                assert_eq!(log.flushed_lsn(), victim, "{case}");
+                assert_eq!(log.discard_corrupt_tail(), None, "{case}: clean again");
+                assert_eq!(detected() - d0, 1, "{case}");
+            }
+        }
+    }
+
+    /// Satellite 2(b): the crash cut and the damage cut are one `cut_at`.
+    /// The same log cut at the same byte by `discard_unflushed` and by
+    /// `discard_corrupt_tail` — inside a sealed segment, and inside the
+    /// active tail — ends in the same state, and a reader holding a
+    /// `RecordRef` past the cut still decodes it.
+    #[test]
+    fn crash_cut_and_damage_cut_leave_the_same_log() {
+        type SegBytes = Vec<(u64, Vec<u8>)>;
+        #[derive(Debug, PartialEq)]
+        struct State {
+            segs: SegBytes,
+            trunc: u64,
+            sealed_end: u64,
+            active_start: u64,
+            active: Vec<u8>,
+            tail: Lsn,
+            flushed: Lsn,
+            time_index: Vec<(Lsn, Timestamp)>,
+            earliest: Option<Timestamp>,
+            flush_requested: u64,
+        }
+        let state = |log: &LogManager| {
+            let index = log.load_sealed();
+            let inner = log.inner.lock();
+            State {
+                segs: index
+                    .segs
+                    .iter()
+                    .map(|s| (s.start, s.data.to_vec()))
+                    .collect(),
+                trunc: index.trunc,
+                sealed_end: index.sealed_end,
+                active_start: inner.active_start,
+                active: inner.active.clone(),
+                tail: log.tail_lsn(),
+                flushed: log.flushed_lsn(),
+                time_index: inner.time_index.clone(),
+                earliest: {
+                    drop(inner);
+                    log.earliest_retained_time()
+                },
+                flush_requested: log.flush_queue.lock().requested,
+            }
+        };
+
+        for at in [500usize, 897] {
+            let build = || {
+                let (log, lsns) = long_log(900);
+                log.flush_up_to(lsns[at]);
+                assert!(log.truncate_before(lsns[400]) > Lsn::FIRST);
+                let held = log.get_record_ref(lsns[at + 1]).unwrap();
+                (log, lsns, held)
+            };
+            let (crashed, lsns, held_crashed) = build();
+            let cut = lsns[at];
+            assert_eq!(
+                cut.0 < crashed.load_sealed().sealed_end,
+                at == 500,
+                "one cut in sealed history, one in the active tail"
+            );
+            crashed.discard_unflushed();
+
+            let (damaged, _, held_damaged) = build();
+            damaged.flush_to(damaged.tail_lsn());
+            assert!(damaged.corrupt_byte_at(cut.0 + FRAME_HEADER as u64 + 1, 0x20));
+            assert_eq!(damaged.discard_corrupt_tail(), Some(cut));
+
+            let (a, b) = (state(&crashed), state(&damaged));
+            assert_eq!(a, b, "cut at record {at}");
+            assert_eq!((a.tail, a.flushed), (cut, cut));
+            assert!(a.time_index.iter().all(|(l, _)| *l < cut));
+            assert!(a.earliest.is_some());
+            for (log, held) in [(&crashed, &held_crashed), (&damaged, &held_damaged)] {
+                assert!(
+                    log.get_record_ref(held.lsn()).is_err(),
+                    "gone for new reads"
+                );
+                assert_eq!(held.decode().unwrap().lsn, lsns[at + 1], "kept for old");
+                assert_eq!(log.append(&insert_rec(7, 10)), cut, "appendable at the cut");
+            }
+        }
     }
 }

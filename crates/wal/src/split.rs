@@ -29,24 +29,7 @@ pub fn find_split_lsn(log: &LogManager, t: Timestamp) -> Result<Lsn> {
         return Err(retention_err(log, t));
     }
 
-    // Scan forward for the last commit at or before `t`. Transactions with
-    // no commit stamp by `t` are losers; records after the chosen split are
-    // simply "the future" from the snapshot's point of view. Header-only
-    // views: only the commit/checkpoint time stamps are decoded.
-    let mut split: Option<Lsn> = None;
-    log.scan_views(start, Lsn::MAX, |header, view| match view.time_stamp() {
-        Some(at) => {
-            if at <= t {
-                split = Some(header.lsn);
-                Ok(true)
-            } else {
-                Ok(false) // commits are time-ordered; we can stop
-            }
-        }
-        None => Ok(true),
-    })?;
-
-    match split {
+    match last_stamp_by(log, start, t, false)? {
         Some(lsn) => Ok(lsn),
         None => {
             // No commit at or before `t` in the retained region: if the log
@@ -75,19 +58,24 @@ pub fn find_split_lsn_deep(log: &LogManager, t: Timestamp) -> Result<Lsn> {
         .checkpoint_before_time(t)
         .map(|c| c.begin_lsn)
         .unwrap_or_else(|| log.earliest_available_lsn());
-    let mut split: Option<Lsn> = None;
-    log.scan_views_deep(start, Lsn::MAX, |header, view| match view.time_stamp() {
-        Some(at) => {
-            if at <= t {
-                split = Some(header.lsn);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
+    Ok(last_stamp_by(log, start, t, true)?.unwrap_or(Lsn::FIRST))
+}
+
+/// Scan forward from `start` for the last commit/checkpoint record stamped
+/// at or before `t`. Transactions with no commit stamp by `t` are losers;
+/// records after the chosen split are simply "the future" from the
+/// snapshot's point of view. Only the time stamps are decoded.
+fn last_stamp_by(log: &LogManager, start: Lsn, t: Timestamp, deep: bool) -> Result<Option<Lsn>> {
+    let mut split = None;
+    log.scan_refs(start, Lsn::MAX, deep, |rec| {
+        match rec.view()?.1.time_stamp() {
+            Some(at) if at <= t => split = Some(rec.lsn()),
+            Some(_) => return Ok(false), // stamps are time-ordered; we can stop
+            None => {}
         }
-        None => Ok(true),
+        Ok(true)
     })?;
-    Ok(split.unwrap_or(Lsn::FIRST))
+    Ok(split)
 }
 
 #[cfg(test)]
@@ -170,7 +158,8 @@ mod tests {
     /// Oracle: linear scan of the whole log.
     fn oracle_split(log: &LogManager, t: Timestamp) -> Lsn {
         let mut split = Lsn::FIRST;
-        log.scan(log.truncation_point(), Lsn::MAX, |rec| {
+        log.scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
+            let rec = rec.decode()?;
             let at = match &rec.payload {
                 LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } => *at,
                 LogPayload::CheckpointEnd(body) => body.at,

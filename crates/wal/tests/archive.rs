@@ -52,7 +52,7 @@ fn truncation_without_archive_discards_history() {
     assert!(log.truncation_point() > Lsn::FIRST);
     assert_eq!(log.archived_bytes(), 0);
     assert!(matches!(
-        log.get_record(commits[10]),
+        log.get_record_ref(commits[10]).and_then(|r| r.decode()),
         Err(Error::LogTruncated(_))
     ));
     // deep reads cannot help: the bytes are gone
@@ -70,7 +70,7 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // shallow (retention-bound) read still refuses
     assert!(matches!(
-        log.get_record(commits[10]),
+        log.get_record_ref(commits[10]).and_then(|r| r.decode()),
         Err(Error::LogTruncated(_))
     ));
     // deep read succeeds
@@ -79,7 +79,8 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // deep scan crosses the archive/live boundary seamlessly
     let mut seen = 0u64;
-    log.scan_deep(Lsn::FIRST, Lsn::MAX, |_| {
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, true, |r| {
+        r.decode()?;
         seen += 1;
         Ok(true)
     })
@@ -88,7 +89,8 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // shallow scan from the truncation point sees only the retained suffix
     let mut shallow = 0u64;
-    log.scan(trunc, Lsn::MAX, |_| {
+    log.scan_refs(trunc, Lsn::MAX, false, |r| {
+        r.decode()?;
         shallow += 1;
         Ok(true)
     })
@@ -135,17 +137,23 @@ fn discard_unflushed_drops_only_the_volatile_tail() {
             bytes: vec![2; 100],
         },
     ));
-    assert!(log.get_record(b).is_ok());
+    assert!(log.get_record_ref(b).and_then(|r| r.decode()).is_ok());
     log.discard_unflushed();
     assert_eq!(
         log.tail_lsn(),
         flushed_tail,
         "tail rewinds to the flushed point"
     );
-    assert!(log.get_record(a).is_ok());
-    assert!(log.get_record(b).is_err());
+    assert!(log.get_record_ref(a).and_then(|r| r.decode()).is_ok());
+    assert!(log.get_record_ref(b).and_then(|r| r.decode()).is_err());
     // appends continue cleanly after the discard
     let c = log.append(&rec(2, LogPayload::Abort));
     assert_eq!(c, flushed_tail);
-    assert_eq!(log.get_record(c).unwrap().payload, LogPayload::Abort);
+    assert_eq!(
+        log.get_record_ref(c)
+            .and_then(|r| r.decode())
+            .unwrap()
+            .payload,
+        LogPayload::Abort
+    );
 }

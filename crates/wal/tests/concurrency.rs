@@ -48,7 +48,7 @@ impl XorShift {
     }
 }
 
-/// N reader threads doing random `get_record`/`scan` while one writer
+/// N reader threads doing random `get_record_ref`/`scan_refs` while one writer
 /// appends and another thread truncates. Readers must never observe a torn
 /// record: every read either decodes to exactly the record that was
 /// appended at that LSN (validated by a marker) or fails with
@@ -116,8 +116,8 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                     if rng.next().is_multiple_of(8) {
                         // bounded scan from the pick (validates frame chaining)
                         let mut n = 0;
-                        let res = log.scan(lsn, Lsn::MAX, |rec| {
-                            assert!(rec.lsn >= lsn, "scan went backwards");
+                        let res = log.scan_refs(lsn, Lsn::MAX, false, |rec| {
+                            assert!(rec.decode()?.lsn >= lsn, "scan went backwards");
                             n += 1;
                             Ok(n < 16)
                         });
@@ -129,7 +129,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                             Err(e) => panic!("scan failed: {e}"),
                         };
                     } else {
-                        match log.get_record(lsn) {
+                        match log.get_record_ref(lsn).and_then(|r| r.decode()) {
                             Ok(rec) => {
                                 assert_eq!(rec.lsn, lsn);
                                 assert_eq!(marker_of(&rec), marker, "torn read at {lsn}");
@@ -138,7 +138,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                             Err(Error::LogTruncated(_)) => {
                                 reads_truncated.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(e) => panic!("get_record({lsn}) failed: {e}"),
+                            Err(e) => panic!("get_record_ref({lsn}) failed: {e}"),
                         }
                     }
                 }
@@ -194,7 +194,10 @@ fn truncation_does_not_invalidate_inflight_readers() {
 
     for (lsn, marker, rec_ref) in &held {
         // fresh reads fail…
-        assert!(matches!(log.get_record(*lsn), Err(Error::LogTruncated(_))));
+        assert!(matches!(
+            log.get_record_ref(*lsn).and_then(|r| r.decode()),
+            Err(Error::LogTruncated(_))
+        ));
         // …the held snapshot still reads exactly the old record
         let rec = rec_ref.decode().unwrap();
         assert_eq!(rec.lsn, *lsn);
@@ -276,7 +279,8 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     for (&lsn, &marker) in &last_write {
         if lsn < crash_point.0 {
             let rec = log
-                .get_record(Lsn(lsn))
+                .get_record_ref(Lsn(lsn))
+                .and_then(|r| r.decode())
                 .unwrap_or_else(|e| panic!("flushed record at {lsn} lost: {e}"));
             assert_eq!(marker_of(&rec), marker, "wrong record at {lsn}");
             survivors += 1;
@@ -284,14 +288,17 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     }
     assert!(survivors > 0, "some flushed records must survive");
     assert!(
-        log.get_record(crash_point).is_err(),
+        log.get_record_ref(crash_point)
+            .and_then(|r| r.decode())
+            .is_err(),
         "nothing readable at/after the crash point"
     );
 
     // The surviving stream decodes cleanly end to end (no torn frames).
     let mut last = Lsn::NULL;
     let end = log
-        .scan(log.truncation_point(), Lsn::MAX, |rec| {
+        .scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
+            let rec = rec.decode()?;
             assert!(rec.lsn > last);
             last = rec.lsn;
             Ok(true)
@@ -314,15 +321,24 @@ fn discard_unflushed_boundary_is_exact_and_log_continues() {
     log.discard_unflushed();
 
     assert_eq!(log.tail_lsn(), flushed);
-    assert_eq!(marker_of(&log.get_record(a).unwrap()), 1);
-    assert_eq!(marker_of(&log.get_record(b).unwrap()), 2);
-    assert!(log.get_record(c).is_err());
-    assert!(log.get_record(d).is_err());
+    assert_eq!(
+        marker_of(&log.get_record_ref(a).and_then(|r| r.decode()).unwrap()),
+        1
+    );
+    assert_eq!(
+        marker_of(&log.get_record_ref(b).and_then(|r| r.decode()).unwrap()),
+        2
+    );
+    assert!(log.get_record_ref(c).and_then(|r| r.decode()).is_err());
+    assert!(log.get_record_ref(d).and_then(|r| r.decode()).is_err());
 
     // New appends continue exactly at the crash point.
     let e = log.append(&payload_rec(2, 5, 64));
     assert_eq!(e, flushed);
-    assert_eq!(marker_of(&log.get_record(e).unwrap()), 5);
+    assert_eq!(
+        marker_of(&log.get_record_ref(e).and_then(|r| r.decode()).unwrap()),
+        5
+    );
     log.flush_to(e);
 
     // A commit record makes the time index usable again after the cut.

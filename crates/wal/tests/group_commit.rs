@@ -60,15 +60,21 @@ fn oversized_record_reads_back_and_scans() {
     let c = log.append(&payload_rec(1, 64));
 
     for &lsn in &[a, big, b, c] {
-        assert_eq!(log.get_record(lsn).unwrap().lsn, lsn);
+        assert_eq!(
+            log.get_record_ref(lsn)
+                .and_then(|r| r.decode())
+                .unwrap()
+                .lsn,
+            lsn
+        );
     }
     let big_frame = log.get_record_ref(big).unwrap().frame_len();
     assert!(big_frame as usize > 2 * SEGMENT_BYTES);
 
     // The scan walks straight across the oversized segment's boundaries.
     let mut seen = Vec::new();
-    log.scan(Lsn::FIRST, Lsn::MAX, |r| {
-        seen.push(r.lsn);
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
+        seen.push(r.decode()?.lsn);
         Ok(true)
     })
     .unwrap();
@@ -96,13 +102,25 @@ fn truncation_drops_oversized_segments_whole() {
 
     // Truncating below the oversized record keeps it…
     log.truncate_before(big);
-    assert!(log.get_record(early).is_err());
-    assert_eq!(log.get_record(big).unwrap().lsn, big);
+    assert!(log.get_record_ref(early).and_then(|r| r.decode()).is_err());
+    assert_eq!(
+        log.get_record_ref(big)
+            .and_then(|r| r.decode())
+            .unwrap()
+            .lsn,
+        big
+    );
 
     // …truncating past it drops the whole oversized segment at once.
     log.truncate_before(late);
-    assert!(log.get_record(big).is_err());
-    assert_eq!(log.get_record(late).unwrap().lsn, late);
+    assert!(log.get_record_ref(big).and_then(|r| r.decode()).is_err());
+    assert_eq!(
+        log.get_record_ref(late)
+            .and_then(|r| r.decode())
+            .unwrap()
+            .lsn,
+        late
+    );
     assert_eq!(log.truncation_point(), late);
 }
 
@@ -121,9 +139,12 @@ fn discard_unflushed_handles_oversized_tail() {
 
     assert_eq!(log.tail_lsn(), crash_point);
     assert_eq!(log.flushed_lsn(), crash_point);
-    assert_eq!(log.get_record(a).unwrap().lsn, a);
-    assert!(log.get_record(big).is_err());
-    assert!(log.get_record(after).is_err());
+    assert_eq!(
+        log.get_record_ref(a).and_then(|r| r.decode()).unwrap().lsn,
+        a
+    );
+    assert!(log.get_record_ref(big).and_then(|r| r.decode()).is_err());
+    assert!(log.get_record_ref(after).and_then(|r| r.decode()).is_err());
 
     // The log continues cleanly from the cut, including another oversized
     // record at the reused LSN.
@@ -132,7 +153,13 @@ fn discard_unflushed_handles_oversized_tail() {
     log.append(&payload_rec(2, 64));
     log.flush_to(log.tail_lsn());
     assert_eq!(log.flushed_lsn(), log.tail_lsn());
-    assert_eq!(log.get_record(big2).unwrap().txn, TxnId(2));
+    assert_eq!(
+        log.get_record_ref(big2)
+            .and_then(|r| r.decode())
+            .unwrap()
+            .txn,
+        TxnId(2)
+    );
 }
 
 // ---- group-commit durability contract --------------------------------------
@@ -166,7 +193,7 @@ fn followers_never_wake_before_durable_even_racing_discard() {
                     // LSN are no longer ours (LSNs are reused by *later*
                     // appends with different markers).
                     if log.flushed_lsn().0 < lsn.0 + frame {
-                        if let Ok(now) = log.get_record(lsn) {
+                        if let Ok(now) = log.get_record_ref(lsn).and_then(|r| r.decode()) {
                             assert_ne!(
                                 marker_of(&now),
                                 marker,

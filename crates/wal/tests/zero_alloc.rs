@@ -75,7 +75,10 @@ fn header_only_chain_walk_allocates_nothing() {
     scratch_page.set_page_lsn(walk_from);
     // The page record must match the state at walk_from for undo to apply;
     // reconstruct it by replaying from the log's own view of walk_from.
-    let rec = log.get_record(walk_from).unwrap();
+    let rec = log
+        .get_record_ref(walk_from)
+        .and_then(|r| r.decode())
+        .unwrap();
     match rec.payload {
         LogPayload::UpdateRecord { ref new, .. } => {
             scratch_page.update_record(0, new).unwrap();

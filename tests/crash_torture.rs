@@ -95,28 +95,23 @@ fn crash_recover_repeatedly_matches_model() {
 }
 
 /// Partitioned redo must be a pure performance feature: running the SAME
-/// deterministic workload to the same crash point and restarting with 1, 4
-/// and 16 redo workers must yield byte-identical backing files, identical
-/// row state, and identical recovery accounting (records scanned / redone /
-/// undone, loser sets). Only the worker count in the report may differ —
-/// and the device sees the same traffic: restart reads each page it needs
-/// once, scalar, at every worker count (there is no redo read-ahead).
+/// deterministic workload to the same crash point and driving restart's one
+/// pass — `pipelined_restart`, which no knob reaches any more — at 1, 2, 4
+/// and 16 workers must yield byte-identical backing files and identical
+/// accounting (records scanned, records applied, loser set). Only the
+/// per-worker split may differ — and the device sees the same traffic:
+/// restart reads each page it needs once, scalar, at every worker count
+/// (there is no redo read-ahead). One full `Database::recover` then shows
+/// the engine picks the machine's parallelism and lands on the same rows.
 #[test]
 fn restart_is_bit_identical_across_worker_counts() {
-    use rewind::common::TxnId;
+    use rewind::buffer::{BufferPool, PoolIoConfig};
+    use rewind::common::{Lsn, TxnId};
     use rewind::pagestore::{FileManager, PAGE_SIZE};
+    use rewind::recovery::pipelined_restart;
+    use rewind::CrashArtifacts;
 
-    struct Outcome {
-        rows: BTreeMap<u64, Row>,
-        image: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
-        scanned: u64,
-        redone: u64,
-        undone: u64,
-        losers: Vec<TxnId>,
-        page_reads: u64,
-    }
-
-    let run = |workers: usize| -> Outcome {
+    let crash = || -> CrashArtifacts {
         let db = Database::create(DbConfig {
             buffer_pages: 128,
             // No checkpoint daemon: its kicks land at nondeterministic log
@@ -124,7 +119,6 @@ fn restart_is_bit_identical_across_worker_counts() {
             // manual checkpoint below still exercises the DPT-seeded
             // prefix-redo path.
             checkpoint_interval_bytes: 0,
-            redo_workers: workers,
             ..DbConfig::default()
         })
         .unwrap();
@@ -163,65 +157,96 @@ fn restart_is_bit_identical_across_worker_counts() {
         db.log().flush_to(db.log().tail_lsn());
         std::mem::forget(l1);
         std::mem::forget(l2);
+        db.simulate_crash()
+    };
 
-        let artifacts = db.simulate_crash();
+    struct Outcome {
+        image: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+        scanned: u64,
+        applied: u64,
+        losers: Vec<TxnId>,
+        page_reads: u64,
+    }
+
+    // The pass alone, on a pool of the engine's shape, then every page out.
+    let run = |workers: usize| -> Outcome {
+        let artifacts = crash();
         let io0 = artifacts.fm.io_stats().snapshot();
-        let db = Database::recover(artifacts).unwrap();
-        let io = db.mem_file().unwrap().io_stats().snapshot().delta(io0);
+        let pool = BufferPool::with_io(
+            artifacts.fm.clone(),
+            artifacts.log.clone(),
+            128,
+            0,
+            PoolIoConfig::batched(16, 2),
+        );
+        let out = pipelined_restart(&artifacts.log, &pool, Lsn::MAX, workers).unwrap();
+        pool.flush_all().unwrap();
+        let io = artifacts.fm.io_stats().snapshot().delta(io0);
         assert_eq!(
             io.vectored_read_ops, 0,
             "restart issues no vectored reads at {workers} workers"
         );
-        let report = db.last_recovery().expect("recover() leaves a report");
-        assert_eq!(
-            report.redo_workers, workers as u64,
-            "restart used the configured worker count"
-        );
-        assert_eq!(report.redone_per_worker.len(), workers);
-        assert_eq!(
-            report.redone_per_worker.iter().sum::<u64>(),
-            report.records_redone
-        );
-        let rows = db
-            .with_txn(|txn| db.scan_all(txn, "t"))
-            .unwrap()
-            .into_iter()
-            .map(|r| (r[0].as_u64().unwrap(), r))
-            .collect();
-        // recover() ends with a full checkpoint (flush_all), so the backing
-        // file carries the complete post-restart state.
-        let image = db.mem_file().unwrap().clone_contents();
+        assert_eq!(out.redo.per_worker.len(), workers, "one tally per worker");
+        assert_eq!(out.redo.per_worker.iter().sum::<u64>(), out.redo.applied);
         Outcome {
-            rows,
-            image,
-            scanned: report.records_scanned,
-            redone: report.records_redone,
-            undone: report.records_undone,
-            losers: report.loser_txns,
+            image: artifacts.fm_mem.unwrap().clone_contents(),
+            scanned: out.analysis.records_scanned,
+            applied: out.redo.applied,
+            losers: out.analysis.losers.iter().map(|l| l.id).collect(),
             page_reads: io.page_reads,
         }
     };
 
     let base = run(1);
-    assert!(base.redone > 0, "the workload left redo work");
+    assert!(base.applied > 0, "the workload left redo work");
     assert_eq!(base.losers.len(), 2, "both in-flight txns are losers");
     for workers in [2usize, 4, 16] {
         let o = run(workers);
-        assert_eq!(o.rows, base.rows, "row state diverged at {workers} workers");
         assert_eq!(
             o.image, base.image,
             "backing file diverged at {workers} workers"
         );
-        assert_eq!(
-            (o.scanned, o.redone, o.undone),
-            (base.scanned, base.redone, base.undone)
-        );
+        assert_eq!((o.scanned, o.applied), (base.scanned, base.applied));
         assert_eq!(o.losers, base.losers);
         assert_eq!(
             o.page_reads, base.page_reads,
             "restart page reads diverged at {workers} workers"
         );
     }
+
+    // The whole restart, as the engine runs it.
+    let artifacts = crash();
+    let io0 = artifacts.fm.io_stats().snapshot();
+    let db = Database::recover(artifacts).unwrap();
+    let io = db.mem_file().unwrap().io_stats().snapshot().delta(io0);
+    assert_eq!(io.vectored_read_ops, 0, "recover issues no vectored reads");
+    let report = db.last_recovery().expect("recover() leaves a report");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(report.redo_workers, cores as u64, "one worker per core");
+    assert_eq!(report.redone_per_worker.len(), cores);
+    assert_eq!(
+        (report.records_scanned, report.records_redone),
+        (base.scanned, base.applied)
+    );
+    assert_eq!(report.loser_txns, base.losers);
+    assert_eq!(report.records_undone, 60, "every doomed insert compensated");
+    let rows: BTreeMap<u64, Row> = db
+        .with_txn(|txn| db.scan_all(txn, "t"))
+        .unwrap()
+        .into_iter()
+        .map(|r| (r[0].as_u64().unwrap(), r))
+        .collect();
+    let expect: BTreeMap<u64, Row> = (0..400u64)
+        .filter(|i| i % 3 == 0 || i % 7 != 0)
+        .map(|i| {
+            let v = match i % 3 {
+                0 => format!("v1-{i}"),
+                _ => "v0".to_string(),
+            };
+            (i, vec![Value::U64(i), Value::Str(v)])
+        })
+        .collect();
+    assert_eq!(rows, expect, "committed work survives, losers are gone");
 }
 
 #[test]
