@@ -221,29 +221,7 @@ fn undo_losers_on_restored(
 
     let store = RestoreStore { fm };
     let sys = rewind_core::catalog::SysTrees::load(&store)?;
-    let resolver = |obj: ObjectId| -> Result<rewind_recovery::AccessKind> {
-        use rewind_core::catalog;
-        use rewind_core::TableKind;
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(rewind_recovery::AccessKind::Tree(sys.indexes));
-        }
-        if let Some(t) = catalog::read_table_by_id(&store, &sys, obj)? {
-            return Ok(match t.kind {
-                TableKind::Tree => rewind_recovery::AccessKind::Tree(t.tree()?),
-                TableKind::Heap => rewind_recovery::AccessKind::Heap(t.heap()?),
-            });
-        }
-        if let Some((_, idx)) = catalog::read_index_by_id(&store, &sys, obj)? {
-            return Ok(rewind_recovery::AccessKind::Tree(idx.tree()));
-        }
-        Err(Error::ObjectNotFound(obj))
-    };
+    let resolver = |obj| rewind_core::catalog::resolve_access(&store, &sys, obj);
 
     rewind_recovery::undo_sweep(
         analysis.losers.iter().map(|l| (l.last_lsn, l.id)),

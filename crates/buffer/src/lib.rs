@@ -49,25 +49,25 @@
 //! mapping) on mismatch. Pin counts are never reset: an in-flight accessor
 //! always unpins the frame it pinned.
 //!
-//! # Read guards and the unified `PageRead`
+//! # Read guards
 //!
 //! [`BufferPool::read_page`] returns a [`PageReadGuard`]: a pinned,
 //! shared-latched, revalidated view of one page that dereferences to
-//! [`Page`] and releases latch + pin on drop. `with_page` is now sugar over
-//! it. [`PageRead`] unifies the two ways a borrowed page reaches a reader
-//! in this system — a pool-frame latch ([`PageRead::Frame`]) or an
-//! immutable side-file image ([`PageRead::Image`], an `Arc` clone) — so
-//! snapshot read paths hand out borrowed pages with zero copies regardless
-//! of where the bytes live. The §5.3 step (b) primary read hands the
-//! preparer a `Frame` guard: the one 8 KiB copy on a cold as-of miss is the
-//! copy *into* the prepared image, nothing else.
+//! [`Page`] and releases latch + pin on drop. `with_page` is sugar over it.
+//! The §5.3 step (b) primary read of an as-of preparation borrows the frame
+//! through such a guard, so the one 8 KiB copy a cold as-of miss pays is
+//! the copy *into* the prepared image; the snapshot side then serves that
+//! immutable image (`rewind_pagestore::PageImage`) and never holds a pool
+//! latch.
 //!
 //! # Scan partitions (scan-resistant bulk reads)
 //!
-//! A cold stream larger than the pool (a bulk as-of preparation sweeping a
-//! whole table, ROADMAP item (h)) would march the clock over every frame
-//! and evict the live working set. [`BufferPool::scan_partition`] creates a
-//! pin-limited partition: misses taken through
+//! A cold stream larger than the pool (every multi-row as-of read, ROADMAP
+//! item (h)) would march the clock over every frame and evict the live
+//! working set. [`BufferPool::scan_partition`] creates a pin-limited
+//! partition — and is the one place a partition's size is decided: 0 means
+//! an eighth of the pool, floored at two frames per reader, capped at half
+//! the pool. Misses taken through
 //! [`BufferPool::read_page_staged_in`] reuse the partition's **own** frames
 //! ring-style once its bounded budget is reached, so a scan of any length
 //! dirties at most `budget` frames of the shared pool. Partition loads
@@ -108,7 +108,7 @@ pub mod salvage;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rewind_common::{CorruptionKind, Error, Lsn, PageId, Result, StripedCounters};
 use rewind_obs::{EventKind, Obs};
-use rewind_pagestore::{FileManager, Page, PageImage, WritebackPool};
+use rewind_pagestore::{FileManager, Page, WritebackPool};
 use rewind_wal::{DptEntry, LogManager};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -250,9 +250,9 @@ impl PoolStatsView {
 ///
 /// The damage bound assumes ring reuse can usually succeed: a miss whose
 /// ring entries are *all* transiently pinned falls back to the global
-/// clock. Callers sharing a partition across N concurrent readers should
-/// therefore budget at least two frames per reader (the snapshot layer's
-/// `default_scan_budget` enforces exactly that floor).
+/// clock. A partition shared across N concurrent readers therefore holds at
+/// least two frames per reader ([`BufferPool::scan_partition`] enforces
+/// exactly that floor).
 ///
 /// Shareable across the threads of one fan-out (`Sync`); the ring lock is
 /// taken only on misses, which pay an I/O anyway.
@@ -341,51 +341,6 @@ impl Drop for PageReadGuard<'_> {
         // while the latch is being released.
         drop(self.guard.take());
         self.pool.unpin(self.idx);
-    }
-}
-
-/// A borrowed page, wherever its bytes live: a latched pool frame or an
-/// immutable `Arc`-shared image. The unified currency of every read path —
-/// callers consume `&Page` through [`std::ops::Deref`] without knowing (or
-/// copying) the source. Warm snapshot reads are `Image`s (an `Arc` clone,
-/// zero page bytes moved); primary reads are `Frame`s (pin + shared latch,
-/// zero page bytes moved).
-pub enum PageRead<'a> {
-    /// A latched, pinned buffer-pool frame.
-    Frame(PageReadGuard<'a>),
-    /// An immutable shared page image (side file, prepared snapshot page).
-    Image(PageImage),
-}
-
-impl std::ops::Deref for PageRead<'_> {
-    type Target = Page;
-
-    #[inline]
-    fn deref(&self) -> &Page {
-        match self {
-            PageRead::Frame(g) => g,
-            PageRead::Image(img) => img,
-        }
-    }
-}
-
-impl<'a> From<PageReadGuard<'a>> for PageRead<'a> {
-    fn from(g: PageReadGuard<'a>) -> Self {
-        PageRead::Frame(g)
-    }
-}
-
-impl From<PageImage> for PageRead<'_> {
-    fn from(img: PageImage) -> Self {
-        PageRead::Image(img)
-    }
-}
-
-impl PageRead<'_> {
-    /// Whether this read holds a pool latch (as opposed to a free-standing
-    /// image). Latched reads should be dropped promptly.
-    pub fn is_latched(&self) -> bool {
-        matches!(self, PageRead::Frame(_))
     }
 }
 
@@ -891,7 +846,7 @@ impl BufferPool {
         }
         // Every entry was stale or transiently pinned: an *uncharged*
         // global fallback keeps the scan live. With the two-frames-per-
-        // reader floor the snapshot layer enforces, an all-pinned ring is
+        // reader floor `scan_partition` enforces, an all-pinned ring is
         // not a sustained state, so fallbacks stay rare.
         Ok(RingClaim::Fallback)
     }
@@ -1035,13 +990,18 @@ impl BufferPool {
         }
     }
 
-    /// Create a pin-limited [`ScanPartition`] over this pool. `budget` is
-    /// clamped to `[1, capacity/2]` — a partition may never monopolize the
-    /// pool it is supposed to protect.
-    pub fn scan_partition(&self, budget: usize) -> ScanPartition {
+    /// Create a pin-limited [`ScanPartition`] for `readers` concurrent
+    /// readers — the one budget rule. `budget` 0 means an eighth of the
+    /// pool. The size is then floored at two frames per reader: with fewer,
+    /// the readers' own transient pins could keep every ring entry pinned,
+    /// each miss would fall back to the global clock, and the bound would be
+    /// void. Last, it is capped at half the pool, which wins over the floor:
+    /// a partition may never monopolize the pool it is supposed to protect.
+    pub fn scan_partition(&self, budget: usize, readers: usize) -> ScanPartition {
         let cap = self.frames.len();
+        let budget = if budget == 0 { cap / 8 } else { budget };
         ScanPartition {
-            budget: budget.clamp(1, (cap / 2).max(1)),
+            budget: budget.max(2 * readers.max(1)).min(cap / 2),
             ring: Mutex::new(VecDeque::new()),
             in_flight: AtomicUsize::new(0),
         }
@@ -1521,20 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn page_read_unifies_frame_and_image() {
-        let (_fm, _log, pool) = setup(8);
-        format_on(&pool, PageId(5), Lsn(9));
-        let frame: PageRead<'_> = pool.read_page(PageId(5)).unwrap().into();
-        assert!(frame.is_latched());
-        assert_eq!(frame.page_lsn(), Lsn(9));
-        let image: PageRead<'_> = PageImage::new(frame.clone()).into();
-        drop(frame);
-        assert!(!image.is_latched());
-        assert_eq!(image.page_lsn(), Lsn(9));
-        assert_eq!(pool.pinned_frames(), 0);
-    }
-
-    #[test]
     fn scan_partition_bounds_cold_stream_damage() {
         let (_fm, _log, pool) = setup(32);
         // Establish a live working set filling most of the pool.
@@ -1547,7 +1493,7 @@ mod tests {
             pool.with_page(pid, |_| Ok(())).unwrap();
         }
         // Cold stream 4x the pool size through a 4-frame partition.
-        let part = pool.scan_partition(4);
+        let part = pool.scan_partition(4, 1);
         for pid in 100..=228u64 {
             let g = pool
                 .read_page_staged_in(PageId(pid), Some(&part), None)
@@ -1570,15 +1516,29 @@ mod tests {
 
     #[test]
     fn scan_partition_budget_is_clamped() {
-        let (_fm, _log, pool) = setup(8);
-        assert_eq!(pool.scan_partition(0).budget(), 1);
-        assert_eq!(pool.scan_partition(100).budget(), 4, "at most capacity/2");
+        // (pool frames, budget, readers, frames the partition may hold), in
+        // the order the rule applies: default, floor, cap.
+        for (cap, budget, readers, want) in [
+            (64, 0, 1, 8),    // 0 is an eighth of the pool
+            (64, 5, 1, 5),    // an explicit budget is kept
+            (64, 5, 4, 8),    // floored at two frames per reader
+            (64, 0, 8, 16),   // the floor applies to the default too
+            (64, 100, 1, 32), // capped at half the pool
+            (8, 2, 4, 4),     // on a tiny pool the cap wins over the floor
+        ] {
+            let (_fm, _log, pool) = setup(cap);
+            assert_eq!(
+                pool.scan_partition(budget, readers).budget(),
+                want,
+                "pool {cap}, budget {budget}, {readers} readers"
+            );
+        }
     }
 
     #[test]
     fn unpartitioned_path_unaffected_by_partition_existence() {
         let (_fm, _log, pool) = setup(8);
-        let _part = pool.scan_partition(2);
+        let _part = pool.scan_partition(2, 1);
         format_on(&pool, PageId(1), Lsn(1)); // miss
         pool.with_page(PageId(1), |_| Ok(())).unwrap(); // hit
         let s = pool.stats();

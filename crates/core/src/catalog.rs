@@ -17,6 +17,7 @@ use rewind_access::value::{decode_row, encode_row};
 use rewind_access::{BTree, Column, DataType, Heap, Schema, Value};
 use rewind_common::codec::{ByteReader, ByteWriter};
 use rewind_common::{Error, ObjectId, PageId, Result};
+use rewind_recovery::AccessKind;
 use std::ops::Bound;
 
 /// How a table stores its rows.
@@ -209,6 +210,13 @@ impl SysTrees {
     pub fn load<S: Store>(s: &S) -> Result<SysTrees> {
         Ok(Self::from_boot(&read_boot(s)?))
     }
+
+    /// The system tree whose object id is `obj`, if it is one of the three.
+    pub(crate) fn tree_of(&self, obj: ObjectId) -> Option<BTree> {
+        [self.tables, self.columns, self.indexes]
+            .into_iter()
+            .find(|t| t.object == obj)
+    }
 }
 
 /// Key bytes for a `sys_tables` row.
@@ -380,6 +388,27 @@ pub fn read_index_by_id<S: Store>(
         None => return Ok(None),
     };
     Ok(Some(parse_index_row(&bytes)?))
+}
+
+/// Resolve an object id to its access method through `s`'s catalog — the
+/// resolver every logical undo takes (rollback, restart, snapshot undo,
+/// restore). The three system trees answer from `sys` without a read;
+/// anything else is a table or an index row read fresh, since undo may be
+/// restoring the very catalog rows it needs.
+pub fn resolve_access<S: Store>(s: &S, sys: &SysTrees, obj: ObjectId) -> Result<AccessKind> {
+    if let Some(tree) = sys.tree_of(obj) {
+        return Ok(AccessKind::Tree(tree));
+    }
+    if let Some(t) = read_table_by_id(s, sys, obj)? {
+        return Ok(match t.kind {
+            TableKind::Tree => AccessKind::Tree(t.tree()?),
+            TableKind::Heap => AccessKind::Heap(t.heap()?),
+        });
+    }
+    match read_index_by_id(s, sys, obj)? {
+        Some((_, idx)) => Ok(AccessKind::Tree(idx.tree())),
+        None => Err(Error::ObjectNotFound(obj)),
+    }
 }
 
 /// List every user table (with indexes), sorted by object id.

@@ -28,16 +28,15 @@ use std::time::Duration;
 pub struct DbConfig {
     /// Buffer pool size in 8 KiB frames.
     pub buffer_pages: usize,
-    /// Frame budget for the scan partition that bulk as-of streams (table
-    /// scans, `prefetch_table`, `prepare_pages`) run in; 0 picks the
-    /// snapshot's default (pool/8). A bulk as-of stream larger than the
-    /// buffer pool disturbs at most this many of the pool's frames — the
-    /// live working set survives snapshot table scans. The effective
-    /// budget is floored at **two frames per prepare worker** (ring reuse
-    /// must be able to proceed past the fan-out's own transient pins) and
-    /// capped at half the pool, so a small budget combined with a wide
-    /// `with_prefetch_workers` fan-out is honoured as `2 × workers`, not
-    /// verbatim.
+    /// The size, in pool frames, of the scan partition every bulk as-of
+    /// stream runs in — each multi-row snapshot read (`scan_all`,
+    /// `scan_prefix`, `scan_between`, tree or heap), `prefetch_table` and a
+    /// repair's leaf prefetch; 0 (the default) is an eighth of the pool. A
+    /// bulk as-of stream larger than the buffer pool disturbs at most this
+    /// many of the pool's frames, so the live working set survives
+    /// snapshot table scans. It sizes the partition and never turns it off:
+    /// the pool floors it at two frames per prepare worker and caps it at
+    /// half the pool (`BufferPool::scan_partition`).
     pub asof_scan_budget: usize,
     /// Full-page-image interval N (paper §6.1); 0 disables FPIs.
     pub fpi_interval: u32,
@@ -909,33 +908,16 @@ impl Database {
 
     // ---- object resolution (rollback, recovery) --------------------------------
 
-    /// Resolve an object id to its access method, reading the catalog fresh
-    /// (rollback may be restoring the catalog rows it needs, so caches are
-    /// not trusted).
+    /// Resolve an object id to its access method ([`catalog::resolve_access`]
+    /// over the live store), reading the catalog fresh: rollback may be
+    /// restoring the catalog rows it needs, so caches are not trusted. A
+    /// system tree resolves before any transaction is begun.
     pub fn resolve_access_uncached(&self, obj: ObjectId) -> Result<AccessKind> {
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(AccessKind::Tree(self.sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(AccessKind::Tree(self.sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(AccessKind::Tree(self.sys.indexes));
+        if let Some(tree) = self.sys.tree_of(obj) {
+            return Ok(AccessKind::Tree(tree));
         }
         let txn = self.txns.begin();
-        let store = EngineStore::new(&self.parts, &txn);
-        let result = (|| {
-            if let Some(t) = catalog::read_table_by_id(&store, &self.sys, obj)? {
-                return Ok(match t.kind {
-                    TableKind::Tree => AccessKind::Tree(t.tree()?),
-                    TableKind::Heap => AccessKind::Heap(t.heap()?),
-                });
-            }
-            if let Some((_, idx)) = catalog::read_index_by_id(&store, &self.sys, obj)? {
-                return Ok(AccessKind::Tree(idx.tree()));
-            }
-            Err(Error::ObjectNotFound(obj))
-        })();
+        let result = catalog::resolve_access(&EngineStore::new(&self.parts, &txn), &self.sys, obj);
         self.txns.finish(txn.id);
         result
     }

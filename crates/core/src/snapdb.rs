@@ -15,6 +15,17 @@
 //! not among the rows the read found, so the keys found say nothing — until
 //! the background undo releases them, then retries.
 //!
+//! The kind of read decides how it reaches the primary's buffer pool, not a
+//! setting. Every multi-row read (`scan_all`, `scan_prefix`,
+//! `scan_between`; tree or heap) runs in one scan partition per operation:
+//! a full tree scan first prepares its leaves through the one prefetch
+//! ([`SnapshotDb::prefetch_table`]'s body) inside it, and the walk itself —
+//! internal pages, a bounded range, a heap chain — reads through a store
+//! carrying the same partition, so one operation disturbs at most one
+//! budget of the live pool. Point reads (`get`, `get_value_bytes`, `table`)
+//! and index lookups (`scan_index_prefix`, point reads of the base table)
+//! are the snapshot's working set and never partition.
+//!
 //! [`restore_table_from_snapshot`] implements the paper's §1 recovery
 //! workflow: read the dropped/damaged table's schema from the snapshot
 //! catalog, recreate it in the live database, and `INSERT … SELECT` the
@@ -29,7 +40,7 @@ use rewind_access::{Row, Value};
 use rewind_buffer::ScanPartition;
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
 use rewind_recovery::AccessKind;
-use rewind_snapshot::{AsOfSnapshot, SnapshotStats};
+use rewind_snapshot::AsOfSnapshot;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -40,12 +51,11 @@ pub struct SnapshotDb {
     snap: Arc<AsOfSnapshot>,
     sys: SysTrees,
     cache: Arc<RwLock<HashMap<String, Arc<TableInfo>>>>,
-    /// Worker threads used to prepare a table's leaf pages ahead of range
-    /// scans (1 = serial, the default).
+    /// Worker threads a full tree scan prepares its leaves on (1 = serial,
+    /// the default).
     prefetch_workers: usize,
-    /// Frame budget for the scan partition bulk preparations run in
-    /// (0 = the snapshot's default). Bulk as-of streams larger than the
-    /// primary's buffer pool disturb at most this many of its frames.
+    /// Pool frames each multi-row read's scan partition may hold (0 = an
+    /// eighth of the pool, sized by `BufferPool::scan_partition`).
     scan_budget: usize,
 }
 
@@ -62,58 +72,36 @@ impl SnapshotDb {
         })
     }
 
-    /// Return a handle whose range scans fan out page preparation across
-    /// `workers` threads (ROADMAP perf item (c)). With `workers <= 1` the
-    /// scan path is exactly the serial protocol.
+    /// Return a handle whose full tree scans prepare their leaves across
+    /// `workers` threads (ROADMAP perf item (c)).
     pub fn with_prefetch_workers(mut self, workers: usize) -> SnapshotDb {
         self.prefetch_workers = workers.max(1);
         self
     }
 
-    /// Return a handle whose bulk preparations run inside a scan partition
-    /// of `budget` pool frames (ROADMAP perf item (h); 0 restores the
-    /// default of [`AsOfSnapshot::default_scan_budget`]; the effective
-    /// budget is floored at two frames per prepare worker and capped at
-    /// half the pool).
+    /// Return a handle whose multi-row reads run in scan partitions of
+    /// `budget` pool frames (ROADMAP perf item (h); 0, the default, is an
+    /// eighth of the pool). The pool floors it at two frames per reader and
+    /// caps it at half the pool.
     pub fn with_scan_budget(mut self, budget: usize) -> SnapshotDb {
         self.scan_budget = budget;
         self
     }
 
-    /// One scan partition for one bulk operation: the configured budget
-    /// (or the snapshot default), floored at two frames per worker so ring
-    /// reuse never stalls on the fan-out's own transient pins. Everything a
-    /// bulk operation reads — leaf discovery, prefetch fan-out, straggler
-    /// scan reads — must share ONE partition, or each piece would claim
-    /// its own budget from the pool and the configured bound would be a
-    /// multiple of itself.
-    fn scan_partition_for(&self, workers: usize) -> ScanPartition {
-        let budget = if self.scan_budget > 0 {
-            self.scan_budget
-        } else {
-            self.snap.default_scan_budget(workers)
-        };
-        self.snap.scan_partition(budget.max(2 * workers.max(1)))
-    }
-
     /// Concurrently prepare every leaf page of `table` into the side file,
     /// returning the number of pages newly prepared. Internal pages are
     /// prepared serially by the structural walk that discovers the leaves;
-    /// the leaves themselves — the bulk of any real table — prepare in
-    /// parallel. All of it runs through one pin-limited scan partition, so
-    /// a table larger than the buffer pool cannot evict the live working
-    /// set. Subsequent reads of those pages are zero-copy side-file hits.
-    ///
-    /// With `workers <= 1` this is a no-op *unless* a scan budget was
-    /// explicitly configured ([`SnapshotDb::with_scan_budget`] /
-    /// `DbConfig::asof_scan_budget`): a configured budget is a promise
-    /// that bulk as-of streams stay inside it, so serial full-table scans
-    /// must take the partitioned path too, not just parallel prefetches.
+    /// the leaves themselves — the bulk of any real table — prepare on
+    /// `workers` threads. All of it runs through one pin-limited scan
+    /// partition, so a table larger than the buffer pool cannot evict the
+    /// live working set. Subsequent reads of those pages are zero-copy
+    /// side-file hits.
     pub fn prefetch_table(&self, table: &TableInfo, workers: usize) -> Result<u64> {
-        if table.kind != TableKind::Tree || (workers <= 1 && self.scan_budget == 0) {
+        if table.kind != TableKind::Tree {
             return Ok(0);
         }
-        self.prefetch_table_in(table, workers, &self.scan_partition_for(workers))
+        let part = self.snap.scan_partition(self.scan_budget, workers);
+        self.prefetch_table_in(table, workers, &part)
     }
 
     fn prefetch_table_in(
@@ -129,26 +117,22 @@ impl SnapshotDb {
         if leaves.len() < 2 {
             return Ok(0);
         }
-        Ok(self
-            .snap
-            .prepare_pages_in(&leaves, workers, part)?
-            .prepared())
+        Ok(self.snap.prepare_pages(&leaves, workers, part)?.prepared())
     }
 
     /// Concurrently prepare only the leaf pages that hold `keys`
     /// (already-encoded key bytes) — the point-read counterpart of
     /// [`SnapshotDb::prefetch_table`]. Each key's leaf is located by
     /// reading internal pages only, so preparation work stays proportional
-    /// to the keys actually touched, never to table size.
+    /// to the keys actually touched, never to table size. A fan-out device:
+    /// with `workers <= 1` the point reads themselves prepare their pages,
+    /// and this is a no-op.
     pub fn prefetch_leaves_for_keys(
         &self,
         table: &TableInfo,
         keys: &[&[u8]],
         workers: usize,
     ) -> Result<u64> {
-        // Point-read prefetches are the snapshot's working set, not a cold
-        // stream: a configured budget does not force them through the
-        // partition, so the serial path stays a no-op here.
         if table.kind != TableKind::Tree || workers <= 1 {
             return Ok(0);
         }
@@ -165,38 +149,16 @@ impl SnapshotDb {
         if leaves.len() < 2 {
             return Ok(0);
         }
-        let part = self.scan_partition_for(workers);
-        Ok(self
-            .snap
-            .prepare_pages_in(&leaves, workers, &part)?
-            .prepared())
+        let part = self.snap.scan_partition(self.scan_budget, workers);
+        Ok(self.snap.prepare_pages(&leaves, workers, &part)?.prepared())
     }
 
     /// Resolve an object id against a snapshot's own catalog (used by the
     /// background undo's resolver — no gating, since undo *is* the party
     /// the gates wait for).
-    pub(crate) fn resolve_on(snap: &Arc<AsOfSnapshot>, obj: ObjectId) -> Result<AccessKind> {
+    pub(crate) fn resolve_on(snap: &AsOfSnapshot, obj: ObjectId) -> Result<AccessKind> {
         let store = snap.store();
-        let sys = SysTrees::load(&store)?;
-        if obj == ObjectId::SYS_TABLES {
-            return Ok(AccessKind::Tree(sys.tables));
-        }
-        if obj == ObjectId::SYS_COLUMNS {
-            return Ok(AccessKind::Tree(sys.columns));
-        }
-        if obj == ObjectId::SYS_INDEXES {
-            return Ok(AccessKind::Tree(sys.indexes));
-        }
-        if let Some(t) = catalog::read_table_by_id(&store, &sys, obj)? {
-            return Ok(match t.kind {
-                TableKind::Tree => AccessKind::Tree(t.tree()?),
-                TableKind::Heap => AccessKind::Heap(t.heap()?),
-            });
-        }
-        if let Some((_, idx)) = catalog::read_index_by_id(&store, &sys, obj)? {
-            return Ok(AccessKind::Tree(idx.tree()));
-        }
-        Err(Error::ObjectNotFound(obj))
+        catalog::resolve_access(&store, &SysTrees::load(&store)?, obj)
     }
 
     /// The underlying snapshot.
@@ -223,9 +185,6 @@ impl SnapshotDb {
     pub fn stats(&self) -> rewind_snapshot::stats::SnapshotStatsView {
         self.snap.stats()
     }
-
-    /// Suppress unused-import warning helper (stats type is re-exported).
-    fn _stats_ty(_: &SnapshotStats) {}
 
     /// Pages currently cached in the side file.
     pub fn side_pages(&self) -> usize {
@@ -329,41 +288,38 @@ impl SnapshotDb {
         )
     }
 
+    /// The one multi-row read: one scan partition for the whole operation.
+    /// A full tree scan prepares its leaves ahead inside it — a bounded
+    /// scan does not, since its working set is its range and preparing
+    /// beyond it would break the touched-pages-only economy — and the walk
+    /// reads through a store carrying it. Gated on the object.
     fn scan_gated(
         &self,
         table: &TableInfo,
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
-        limit: usize,
     ) -> Result<Vec<Row>> {
-        // Fan preparation out only when the scan will visit the whole
-        // table anyway; a bounded scan's working set is its range, and
-        // preparing beyond it would break the touched-pages-only economy.
-        // A configured budget bounds *every* bulk tree stream, bounded
-        // ranges included — and the prefetch, the leaf discovery and the
-        // scan's own straggler reads all share ONE partition, so the total
-        // pool damage stays within a single budget.
-        let full_scan =
-            matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded)) && limit == usize::MAX;
-        let part = (self.scan_budget > 0 || (full_scan && self.prefetch_workers > 1))
-            .then(|| self.scan_partition_for(self.prefetch_workers));
-        if full_scan && table.kind == TableKind::Tree {
-            if let Some(p) = &part {
-                self.prefetch_table_in(table, self.prefetch_workers, p)?;
-            }
+        let full = matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
+        let part = self
+            .snap
+            .scan_partition(self.scan_budget, self.prefetch_workers);
+        if full && table.kind == TableKind::Tree {
+            self.prefetch_table_in(table, self.prefetch_workers, &part)?;
         }
-        let store = match &part {
-            Some(p) => self.snap.store_partitioned(p),
-            None => self.snap.store(),
-        };
-        let tree = table.tree()?;
+        let store = self.snap.store_partitioned(&part);
         self.gated(
             || {
                 let mut rows = Vec::new();
-                tree.scan(&store, lo, hi, |_, v| {
+                let mut push = |v: &[u8]| {
                     rows.push(decode_row(v)?);
-                    Ok(rows.len() < limit)
-                })?;
+                    Ok(true)
+                };
+                match table.kind {
+                    // A heap chain names each next page on the one before,
+                    // so it has nothing to prefetch and no key to bound.
+                    TableKind::Heap if full => table.heap()?.scan(&store, |_, v| push(v))?,
+                    _ => table.tree()?.scan(&store, lo, hi, |_, v| push(v))?,
+                }
                 Ok(rows)
             },
             |_| self.snap.gate_object(table.id),
@@ -378,12 +334,7 @@ impl SnapshotDb {
         }
         let lo = encode_key(&refs)?;
         let hi = prefix_upper_bound(&lo);
-        self.scan_gated(
-            table,
-            Bound::Included(&lo),
-            Bound::Excluded(&hi),
-            usize::MAX,
-        )
+        self.scan_gated(table, Bound::Included(&lo), Bound::Excluded(&hi))
     }
 
     /// Rows with `lo <= key <= hi` (values for a prefix of the key).
@@ -392,45 +343,12 @@ impl SnapshotDb {
         let hi_refs: Vec<&Value> = hi.iter().collect();
         let lo_b = encode_key(&lo_refs)?;
         let hi_b = prefix_upper_bound(&encode_key(&hi_refs)?);
-        self.scan_gated(
-            table,
-            Bound::Included(&lo_b),
-            Bound::Excluded(&hi_b),
-            usize::MAX,
-        )
+        self.scan_gated(table, Bound::Included(&lo_b), Bound::Excluded(&hi_b))
     }
 
     /// Every row of the table as of the snapshot time.
     pub fn scan_all(&self, table: &TableInfo) -> Result<Vec<Row>> {
-        match table.kind {
-            TableKind::Tree => {
-                self.scan_gated(table, Bound::Unbounded, Bound::Unbounded, usize::MAX)
-            }
-            TableKind::Heap => {
-                // Heap chains discover each page from the previous one, so
-                // there is nothing to prefetch — a configured scan budget
-                // instead routes the cold stream itself through a
-                // partition, keeping a heap larger than the pool from
-                // evicting the live working set.
-                let part = (self.scan_budget > 0).then(|| self.scan_partition_for(1));
-                let store = match &part {
-                    Some(p) => self.snap.store_partitioned(p),
-                    None => self.snap.store(),
-                };
-                let heap = table.heap()?;
-                self.gated(
-                    || {
-                        let mut rows = Vec::new();
-                        heap.scan(&store, |_, bytes| {
-                            rows.push(decode_row(bytes)?);
-                            Ok(true)
-                        })?;
-                        Ok(rows)
-                    },
-                    |_| self.snap.gate_object(table.id),
-                )
-            }
-        }
+        self.scan_gated(table, Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Row count as of the snapshot time.

@@ -5,9 +5,11 @@
 //! cargo run -p rewind-lint --release -- --json tidy-report.json
 //! cargo run -p rewind-lint --release -- --list    # lint catalog
 //! cargo run -p rewind-lint --release -- --loc     # non-test code lines per crate
+//! cargo run -p rewind-lint --release -- --dead-pub # pub fns no non-test code names
 //! cargo run -p rewind-lint --release -- --root /path/to/workspace
 //! ```
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -62,10 +64,61 @@ fn print_loc(files: &[FileCtx]) {
     println!("  {:12} {total:6}", "total");
 }
 
+/// Whether `ctx` is a non-test token stream for `--dead-pub`: every walked
+/// `src` file (library or tool), `examples/` and `bench/src` — never an
+/// integration test.
+fn is_reference(ctx: &FileCtx) -> bool {
+    ctx.kind != CrateKind::Test
+        || ctx.path.starts_with("bench/src/")
+        || ctx.path.split('/').any(|dir| dir == "examples")
+}
+
+/// `--dead-pub`: every `pub fn` of a library crate whose name occurs in no
+/// non-test token stream ([`is_reference`], above each file's test mask)
+/// other than as the name of a `fn` definition, as sorted
+/// `(path, line, name)`. Names in `use` lists do not count, so a re-export
+/// alone keeps nothing alive. By name, not by path: a dead `pub fn` that
+/// shares its name with a used one is not found.
+fn dead_pub(files: &[FileCtx]) -> Vec<(String, u32, String)> {
+    let mut used: HashSet<&str> = HashSet::new();
+    let mut defined: Vec<(String, u32, String)> = Vec::new();
+    for ctx in files.iter().filter(|c| is_reference(c)) {
+        let code: Vec<usize> = (0..ctx.tokens.len()).filter(|&i| ctx.is_code(i)).collect();
+        let mut in_use = false;
+        for (n, &i) in code.iter().enumerate() {
+            let text = ctx.text(i);
+            match text {
+                "use" => in_use = true,
+                ";" => in_use = false,
+                _ => {}
+            }
+            if in_use || ctx.tokens[i].kind != TokKind::Ident {
+                continue;
+            }
+            let before = |back: usize| n.checked_sub(back).map(|m| ctx.text(code[m]));
+            if before(1) != Some("fn") {
+                used.insert(text);
+                continue;
+            }
+            let mut back = 2;
+            while matches!(before(back), Some("const" | "async" | "unsafe")) {
+                back += 1;
+            }
+            if ctx.kind == CrateKind::Library && before(back) == Some("pub") {
+                defined.push((ctx.path.clone(), ctx.tokens[i].line, text.to_string()));
+            }
+        }
+    }
+    defined.retain(|(_, _, name)| !used.contains(name.as_str()));
+    defined.sort();
+    defined
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut loc = false;
+    let mut dead = false;
     let mut json_path: Option<Option<PathBuf>> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -76,6 +129,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--loc" => loc = true,
+            "--dead-pub" => dead = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -91,10 +145,11 @@ fn main() -> ExitCode {
                 println!(
                     "rewind-tidy: static enforcement of the ROADMAP invariants\n\
                      \n\
-                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list] [--loc]\n\
+                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list] [--loc] [--dead-pub]\n\
                      \n\
                      Exits 0 when the tree is clean, 1 on findings, 2 on usage/IO errors.\n\
                      `--loc` prints non-test code lines per crate instead (always exits 0).\n\
+                     `--dead-pub` lists library `pub fn`s no non-test code names (always exits 0).\n\
                      Escape hatch: `// tidy: allow(<lint>) -- <reason>` on or above the line."
                 );
                 return ExitCode::SUCCESS;
@@ -127,8 +182,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if loc {
-        print_loc(&files);
+    if loc || dead {
+        if loc {
+            print_loc(&files);
+        }
+        if dead {
+            let found = dead_pub(&files);
+            println!(
+                "dead-pub: {} library pub fn(s) named in no non-test code (src above the test mask, examples/, bench/src)",
+                found.len()
+            );
+            for (path, line, name) in &found {
+                println!("  {path}:{line} {name}");
+            }
+        }
         return ExitCode::SUCCESS;
     }
     let result = run(&files);
@@ -180,5 +247,57 @@ mod tests {
         let ctx = FileCtx::from_source("x.rs", "x", CrateKind::Library, src.to_string());
         // `use`, `fn f() {`, the string's two lines, `}`.
         assert_eq!(code_lines(&ctx), 5);
+    }
+
+    #[test]
+    fn dead_pub_lists_library_pub_fns_no_non_test_code_names() {
+        let file =
+            |path: &str, kind, src: &str| FileCtx::from_source(path, "x", kind, src.to_string());
+        let files = [
+            file(
+                "crates/x/src/lib.rs",
+                CrateKind::Library,
+                "pub fn called() {}\npub fn only_tested() {}\npub const fn only_reexported() {}\n\
+                 pub(crate) fn private() {}\npub fn in_example() {}\npub fn in_bench() {}\n\
+                 pub fn shadowed() {}\nfn other() { called(); }\n\
+                 // pub fn commented() {}\n\
+                 #[cfg(test)]\nmod tests { fn t() { super::only_tested(); } }\n",
+            ),
+            file(
+                "crates/x/src/re.rs",
+                CrateKind::Library,
+                "pub use crate::only_reexported;\nfn shadowed() {}\n",
+            ),
+            file(
+                "tests/it.rs",
+                CrateKind::Test,
+                "fn t() { only_tested(); }\n",
+            ),
+            file(
+                "examples/demo.rs",
+                CrateKind::Test,
+                "fn main() { in_example(); }\n",
+            ),
+            file(
+                "bench/src/main.rs",
+                CrateKind::Test,
+                "fn main() { in_bench(); }\n",
+            ),
+            file(
+                "crates/bench/src/lib.rs",
+                CrateKind::Tool,
+                "pub fn tool_only() {}\n",
+            ),
+        ];
+        let names: Vec<String> = dead_pub(&files).into_iter().map(|(_, _, n)| n).collect();
+        // Tool crates are readers, not candidates; a definition of the same
+        // name elsewhere is not a reference.
+        assert_eq!(names, ["only_tested", "only_reexported", "shadowed"]);
+        let first = (
+            "crates/x/src/lib.rs".to_string(),
+            2,
+            "only_tested".to_string(),
+        );
+        assert_eq!(dead_pub(&files)[0], first, "sorted by path, then line");
     }
 }

@@ -24,16 +24,15 @@
 //! page, which is the PR 4 split-consistency invariant carried down to the
 //! byte level.
 //!
-//! **No shard lock is ever held across an 8 KiB copy.** Borrowing `put`
-//! paths ([`SideFile::put`], [`SideFile::put_if_absent`]) clone the caller's
-//! page into a fresh image *before* taking the shard lock; owning paths
-//! ([`SideFile::put_image`], [`SideFile::put_if_absent_image`]) never copy
-//! at all. (The pre-image `SideFile` copied 8 KiB under the shard lock on
-//! both `get` and `put`, serializing every same-shard reader behind the
-//! memcpy.)
+//! **No shard lock is ever held across an 8 KiB copy.** The borrowing
+//! copy-on-write push ([`SideFile::put_if_absent`]) clones the caller's
+//! page into a fresh image *before* taking the shard lock; the owning path
+//! ([`SideFile::put_image`]) never copies at all. (The pre-image `SideFile`
+//! copied 8 KiB under the shard lock on both `get` and `put`, serializing
+//! every same-shard reader behind the memcpy.)
 
 use crate::image::PageImage;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::Page;
 use parking_lot::RwLock;
 use rewind_common::PageId;
 use std::collections::HashMap;
@@ -67,11 +66,6 @@ impl SideFile {
         &self.shards[rewind_common::shard_index(pid, SIDE_SHARDS)]
     }
 
-    /// Whether the side file holds a version of `pid`.
-    pub fn contains(&self, pid: PageId) -> bool {
-        self.shard(pid.0).read().contains_key(&pid.0)
-    }
-
     /// Fetch the stored version of `pid`, if any. An `Arc` clone: zero page
     /// bytes copied, shard lock held only for the probe.
     pub fn get(&self, pid: PageId) -> Option<PageImage> {
@@ -85,14 +79,6 @@ impl SideFile {
         self.shard(pid.0).write().insert(pid.0, image);
     }
 
-    /// Store (or overwrite) the version of `pid` from a borrowed page. The
-    /// 8 KiB copy into a fresh image happens *before* the shard lock is
-    /// taken.
-    pub fn put(&self, pid: PageId, page: &Page) {
-        let image = PageImage::new(page.clone());
-        self.put_image(pid, image);
-    }
-
     /// Store the version of `pid` only if none is present yet. Returns
     /// whether the page was stored. This is the copy-on-write primitive:
     /// only the *first* post-snapshot modification pushes the old image.
@@ -104,11 +90,7 @@ impl SideFile {
         if self.shard(pid.0).read().contains_key(&pid.0) {
             return false;
         }
-        self.put_if_absent_image(pid, PageImage::new(page.clone()))
-    }
-
-    /// [`SideFile::put_if_absent`] from an owned image (no copy at all).
-    pub fn put_if_absent_image(&self, pid: PageId, image: PageImage) -> bool {
+        let image = PageImage::new(page.clone());
         let mut shard = self.shard(pid.0).write();
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid.0) {
             e.insert(image);
@@ -126,11 +108,6 @@ impl SideFile {
     /// Whether the side file is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Total bytes held (the "size" of the sparse file).
-    pub fn bytes(&self) -> u64 {
-        (self.len() * PAGE_SIZE) as u64
     }
 
     /// Page ids currently stored (diagnostics, tests).
@@ -159,30 +136,29 @@ mod tests {
     use crate::page::PageType;
     use rewind_common::{Lsn, ObjectId};
 
+    fn image(pid: u64, lsn: u64) -> PageImage {
+        let mut p = Page::formatted(PageId(pid), ObjectId(2), PageType::Heap);
+        p.set_page_lsn(Lsn(lsn));
+        PageImage::new(p)
+    }
+
     #[test]
     fn put_get_contains() {
         let sf = SideFile::new();
         assert!(sf.is_empty());
-        assert!(!sf.contains(PageId(5)));
         assert!(sf.get(PageId(5)).is_none());
 
-        let mut p = Page::formatted(PageId(5), ObjectId(2), PageType::BTreeLeaf);
-        p.set_page_lsn(Lsn(44));
-        sf.put(PageId(5), &p);
-        assert!(sf.contains(PageId(5)));
+        sf.put_image(PageId(5), image(5, 44));
         let q = sf.get(PageId(5)).unwrap();
         assert_eq!(q.page_lsn(), Lsn(44));
         assert_eq!(sf.len(), 1);
-        assert_eq!(sf.bytes(), PAGE_SIZE as u64);
+        assert!(!sf.is_empty());
     }
 
     #[test]
     fn get_is_shared_not_copied() {
         let sf = SideFile::new();
-        sf.put_image(
-            PageId(4),
-            PageImage::new(Page::formatted(PageId(4), ObjectId(1), PageType::Heap)),
-        );
+        sf.put_image(PageId(4), image(4, 1));
         let a = sf.get(PageId(4)).unwrap();
         let b = sf.get(PageId(4)).unwrap();
         assert!(a.same_as(&b), "hits share one allocation");
@@ -191,14 +167,10 @@ mod tests {
     #[test]
     fn overwrite_preserves_in_flight_readers_epoch() {
         let sf = SideFile::new();
-        let mut v1 = Page::formatted(PageId(9), ObjectId(2), PageType::Heap);
-        v1.set_page_lsn(Lsn(10));
-        sf.put(PageId(9), &v1);
+        sf.put_image(PageId(9), image(9, 10));
         let held = sf.get(PageId(9)).unwrap();
         // undo fix-up overwrites the stored entry...
-        let mut v2 = v1.clone();
-        v2.set_page_lsn(Lsn(20));
-        sf.put_image(PageId(9), PageImage::new(v2));
+        sf.put_image(PageId(9), image(9, 20));
         // ...but the in-flight reader keeps the version it fetched
         assert_eq!(held.page_lsn(), Lsn(10));
         assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(20));
@@ -208,15 +180,11 @@ mod tests {
     #[test]
     fn cow_put_if_absent_keeps_first_version() {
         let sf = SideFile::new();
-        let mut v1 = Page::formatted(PageId(9), ObjectId(2), PageType::Heap);
-        v1.set_page_lsn(Lsn(10));
-        let mut v2 = v1.clone();
-        v2.set_page_lsn(Lsn(20));
-        assert!(sf.put_if_absent(PageId(9), &v1));
-        assert!(!sf.put_if_absent(PageId(9), &v2));
+        assert!(sf.put_if_absent(PageId(9), &image(9, 10)));
+        assert!(!sf.put_if_absent(PageId(9), &image(9, 20)));
         assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(10));
         // but an explicit put (undo fix-up path) does overwrite
-        sf.put(PageId(9), &v2);
+        sf.put_image(PageId(9), image(9, 20));
         assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(20));
     }
 
@@ -224,7 +192,7 @@ mod tests {
     fn page_ids_sorted() {
         let sf = SideFile::new();
         for pid in [7u64, 3, 5] {
-            sf.put(PageId(pid), &Page::zeroed());
+            sf.put_image(PageId(pid), image(pid, 1));
         }
         assert_eq!(sf.page_ids(), vec![PageId(3), PageId(5), PageId(7)]);
     }
@@ -233,12 +201,12 @@ mod tests {
     fn many_pages_spread_across_shards() {
         let sf = SideFile::new();
         for pid in 1..=200u64 {
-            sf.put(PageId(pid), &Page::zeroed());
+            sf.put_image(PageId(pid), image(pid, 1));
         }
         assert_eq!(sf.len(), 200);
         assert_eq!(sf.page_ids().len(), 200);
         for pid in 1..=200u64 {
-            assert!(sf.contains(PageId(pid)));
+            assert!(sf.get(PageId(pid)).is_some());
         }
     }
 }

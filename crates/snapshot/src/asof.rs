@@ -1,4 +1,13 @@
-//! As-of snapshot creation and recovery (paper §5.1–5.2).
+//! As-of snapshot creation and recovery (paper §5.1–5.2), and the one bulk
+//! preparation entry point.
+//!
+//! A snapshot prepares a page only when something reads it (§5.3). Many
+//! pages at once — a table prefetch, a repair's witness leaves — go through
+//! [`AsOfSnapshot::prepare_pages`], which fans the pages out over a bounded
+//! set of worker threads inside a caller-owned [`ScanPartition`], so one
+//! operation's discovery, fan-out and straggler reads share one frame
+//! budget. [`AsOfSnapshot::scan_partition`] hands the sizing to the pool's
+//! one budget rule; nothing in this crate computes a budget.
 
 use crate::stats::SnapshotStatsView;
 use crate::store::{SnapInner, SnapshotMutator, SnapshotStore};
@@ -212,9 +221,11 @@ impl AsOfSnapshot {
         }
     }
 
-    /// A store whose cold §5.3 step (b) reads run inside `part` — for bulk
-    /// streams that discover their pages as they read them (heap chains)
-    /// and therefore cannot go through [`AsOfSnapshot::prepare_pages`].
+    /// A store whose cold §5.3 step (b) reads run inside `part` — what a
+    /// multi-row read walks with, so the pages it did not prefetch through
+    /// [`AsOfSnapshot::prepare_pages`] (internal pages, a bounded range, a
+    /// heap chain that names each next page on the one before) stay inside
+    /// the same budget.
     pub fn store_partitioned<'a>(&'a self, part: &'a ScanPartition) -> SnapshotStore<'a> {
         SnapshotStore {
             inner: &self.inner,
@@ -223,10 +234,11 @@ impl AsOfSnapshot {
         }
     }
 
-    /// Create a pin-limited scan partition over the primary's pool (budget
-    /// floored at two frames so serial ring reuse can always proceed).
-    pub fn scan_partition(&self, budget: usize) -> ScanPartition {
-        self.inner.pool.scan_partition(budget.max(2))
+    /// A pin-limited scan partition over the primary's pool for `readers`
+    /// concurrent readers, sized by [`rewind_buffer::BufferPool::scan_partition`]
+    /// (`budget` 0 = an eighth of the pool).
+    pub fn scan_partition(&self, budget: usize, readers: usize) -> ScanPartition {
+        self.inner.pool.scan_partition(budget, readers)
     }
 
     fn mutator(&self) -> SnapshotMutator<'_> {
@@ -366,13 +378,13 @@ impl AsOfSnapshot {
 
     /// Prepare `pids` concurrently on a bounded pool of `workers` threads
     /// (ROADMAP perf item (c): concurrent `PreparePageAsOf` fan-out),
-    /// **scan-resistantly** (ROADMAP item (h)): the whole fan-out shares
-    /// one pin-limited [`rewind_buffer::ScanPartition`], so its cold §5.3
-    /// step (b) reads reuse a bounded ring of pool frames instead of
-    /// marching the clock over the live working set. The budget is
-    /// [`AsOfSnapshot::default_scan_budget`]; use
-    /// [`AsOfSnapshot::prepare_pages_in`] to bring a partition of another
-    /// size.
+    /// **scan-resistantly** (ROADMAP item (h)): the whole fan-out runs in
+    /// `part`, so its cold §5.3 step (b) reads reuse a bounded ring of pool
+    /// frames instead of marching the clock over the live working set. The
+    /// partition is the caller's so that one budget can cover a whole
+    /// operation — leaf discovery, this fan-out and the scan's own
+    /// straggler reads — instead of each piece claiming its own; size it
+    /// with [`AsOfSnapshot::scan_partition`] for `workers` readers.
     ///
     /// Distinct pages prepare fully in parallel — the §5.3 protocol already
     /// serializes only *same-page* first-preparations through the per-page
@@ -392,29 +404,7 @@ impl AsOfSnapshot {
     /// primaries: one `read_pages` device op per contiguous run per chunk.
     ///
     /// Returns per-worker aggregates.
-    pub fn prepare_pages(&self, pids: &[PageId], workers: usize) -> Result<PrefetchOutcome> {
-        let budget = self.default_scan_budget(workers);
-        let part = self.inner.pool.scan_partition(budget);
-        self.prepare_pages_in(pids, workers, &part)
-    }
-
-    /// The default frame budget for a bulk preparation: an eighth of the
-    /// pool, but at least two frames per worker and never more than half the
-    /// pool (a scan must not monopolize the cache it is guarding). With
-    /// fewer than two frames per worker, concurrent workers could keep every
-    /// ring entry transiently pinned, forcing ring reuse to fall back to
-    /// the global clock on each miss — which would quietly void the damage
-    /// bound the budget exists to provide.
-    pub fn default_scan_budget(&self, workers: usize) -> usize {
-        let cap = self.inner.pool.capacity();
-        (cap / 8).max(2 * workers.max(1)).clamp(1, (cap / 2).max(1))
-    }
-
-    /// [`AsOfSnapshot::prepare_pages`] inside a caller-owned partition, so
-    /// one bounded budget can cover a whole operation — leaf discovery,
-    /// prefetch fan-out and the scan's own straggler reads share a single
-    /// set of frames instead of each claiming their own.
-    pub fn prepare_pages_in(
+    pub fn prepare_pages(
         &self,
         pids: &[PageId],
         workers: usize,
@@ -425,11 +415,6 @@ impl AsOfSnapshot {
             return Ok(PrefetchOutcome::default());
         }
         let inner = &self.inner;
-        // Work is split by static interleave over *chunks* of the pool's
-        // I/O batch size: worker `w` prepares chunks `w, w+N, w+2N, …`. At
-        // batch size 1 this is exactly the historical per-page stride; at
-        // larger sizes a worker owns whole pid runs, so its step-(b) misses
-        // coalesce into vectored device reads (one `read_pages` per chunk).
         let chunk = inner.pool.io_batch_pages();
         let results: Vec<Result<PrefetchWorkerStats>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)

@@ -31,7 +31,7 @@
 //! `Arc`-shared allocation. A **warm hit copies nothing**: the side file
 //! hands back an `Arc` clone and the query closure borrows straight from
 //! it. A **cold miss copies exactly once**: step (b) borrows the primary
-//! frame through a [`rewind_buffer::PageRead`] guard (shared latch, no
+//! frame through a [`rewind_buffer::PageReadGuard`] (shared latch, no
 //! owned clone), and the single 8 KiB copy is the one *into* the private
 //! page that `PreparePageAsOf` rewinds — which is then frozen into the
 //! image the side file stores and every subsequent reader shares. Because
@@ -40,10 +40,12 @@
 //! pages up underneath it (epoch stability — the split-consistency
 //! invariant).
 //!
-//! Bulk preparation (`AsOfSnapshot::prepare_pages`, table prefetch) passes
-//! a [`rewind_buffer::ScanPartition`] down to step (b), so a cold as-of
-//! stream larger than the pool reuses its own bounded frame budget instead
-//! of evicting the live working set (ROADMAP item (h)).
+//! Every multi-row as-of read — its prefetch through
+//! `AsOfSnapshot::prepare_pages` and the walk of a [`SnapshotStore`] that
+//! carries the same partition — passes one [`rewind_buffer::ScanPartition`]
+//! down to step (b), so a cold as-of stream larger than the pool reuses its
+//! own bounded frame budget instead of evicting the live working set
+//! (ROADMAP item (h)). Point reads carry none.
 //!
 //! Concurrent first-preparations of the same page are serialized by
 //! **per-page gates in a pid-sharded table**. A gate entry lives only while
@@ -280,10 +282,10 @@ impl SnapInner {
 /// Read-only [`Store`] over a snapshot: what queries use.
 ///
 /// A store may carry a [`ScanPartition`]: §5.3 step (b) reads for pages it
-/// prepares then stay inside the partition's bounded frame budget. Bulk
-/// streams that cannot pre-discover their pages (heap chains, whose next
-/// pointer lives on the page being read) use this to stay scan-resistant —
-/// tree scans prefetch leaves through `prepare_pages` instead.
+/// prepares then stay inside the partition's bounded frame budget. Every
+/// multi-row read walks through such a store, so what its prefetch did not
+/// prepare (internal pages, a bounded range, a heap chain whose next
+/// pointer lives on the page being read) stays scan-resistant too.
 pub struct SnapshotStore<'a> {
     pub(crate) inner: &'a SnapInner,
     pub(crate) latches: &'a ObjectLatches,
@@ -291,21 +293,19 @@ pub struct SnapshotStore<'a> {
 }
 
 impl SnapshotStore<'_> {
-    /// Unified zero-copy read: the prepared immutable image of `pid` as a
-    /// [`rewind_buffer::PageRead`]. The snapshot side always serves the
-    /// `Image` variant — holding it costs no pool latch, so callers may keep
-    /// it as long as they like (epoch-stable even under background undo).
-    /// Cold preparations honour the store's scan partition, if any.
-    pub fn read_page(&self, pid: PageId) -> Result<rewind_buffer::PageRead<'static>> {
-        let (image, _) = self.inner.fetch_traced(pid, self.scan, None)?;
-        Ok(rewind_buffer::PageRead::Image(image))
+    /// Zero-copy read: the prepared immutable image of `pid`. Holding it
+    /// costs no pool latch, so callers may keep it as long as they like
+    /// (epoch-stable even under background undo). Cold preparations honour
+    /// the store's scan partition, if any.
+    pub fn read_page(&self, pid: PageId) -> Result<PageImage> {
+        Ok(self.inner.fetch_traced(pid, self.scan, None)?.0)
     }
 }
 
 impl Store for SnapshotStore<'_> {
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> Result<R>) -> Result<R> {
         // Borrow straight from the shared image: zero copies on warm hits.
-        let (image, _) = self.inner.fetch_traced(pid, self.scan, None)?;
+        let image = self.read_page(pid)?;
         f(&image)
     }
 

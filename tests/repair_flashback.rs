@@ -580,7 +580,11 @@ fn witness_prepare_fanout_splits_the_same_work() {
             .unwrap();
         assert!(leaves.len() >= 32, "only {} leaves", leaves.len());
         let before = witness.stats();
-        let outcome = witness.raw().prepare_pages(&leaves, workers).unwrap();
+        let part = witness.raw().scan_partition(0, workers);
+        let outcome = witness
+            .raw()
+            .prepare_pages(&leaves, workers, &part)
+            .unwrap();
         let after = witness.stats();
         assert_eq!(outcome.per_worker.len(), workers);
         assert!(outcome.per_worker.iter().all(|w| w.pages > 0));

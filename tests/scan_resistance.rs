@@ -138,7 +138,8 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
     assert!(pids.len() > POOL);
     db.parts().pool.drop_cache();
     let (io0, s0) = (db.data_io(), db.pool_stats());
-    let cold = snap.raw().prepare_pages(&pids, 1).unwrap();
+    let part = snap.raw().scan_partition(0, 1);
+    let cold = snap.raw().prepare_pages(&pids, 1, &part).unwrap();
     let (io, pool) = (db.data_io().delta(io0), db.pool_stats().delta(s0));
     let n = pids.len() as u64;
     assert_eq!((cold.prepared(), pool.misses, io.page_reads), (n, n, n));
@@ -146,18 +147,26 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
     db.drop_snapshot("cold").unwrap();
 }
 
-/// A *serial* cold `scan_all` must honour a configured scan budget too —
-/// `DbConfig::asof_scan_budget` is a promise about bulk as-of streams, not
-/// only about explicitly parallel prefetches. (Regression: the partition
-/// originally engaged only when `prefetch_workers > 1`, so the default
-/// serial scan path silently bypassed the budget.)
+/// A *serial* cold multi-row read must run in a scan partition at every
+/// `DbConfig::asof_scan_budget` — a configured one, and 0, the default,
+/// which is an eighth of the pool. (Regressions: the partition originally
+/// engaged only when `prefetch_workers > 1`, so the serial scan path
+/// silently bypassed a configured budget; and until every multi-row read
+/// partitioned, budget 0 meant no partition at all, so a default engine's
+/// serial scans evicted the hot set.)
 #[test]
 fn serial_scan_with_configured_budget_engages_partition() {
     const POOL: usize = 128;
-    const BUDGET: usize = 8;
+    // (DbConfig::asof_scan_budget, the partition it sizes)
+    for (configured, budget) in [(8, 8), (0, POOL / 8)] {
+        serial_scans_stay_within(POOL, configured, budget);
+    }
+}
+
+fn serial_scans_stay_within(pool: usize, configured: usize, budget: usize) {
     let db = Database::create(DbConfig {
-        buffer_pages: POOL,
-        asof_scan_budget: BUDGET,
+        buffer_pages: pool,
+        asof_scan_budget: configured,
         checkpoint_interval_bytes: 0,
         ..DbConfig::default()
     })
@@ -188,9 +197,10 @@ fn serial_scan_with_configured_budget_engages_partition() {
     };
     read_hot();
     read_hot();
+    let slack = 16; // discovery reads: big's internals + snapshot catalog
 
-    // A *bounded* range scan covering most of the (cold) table first: a
-    // configured budget must bound it even though it takes no prefetch.
+    // A *bounded* range scan covering most of the (cold) table first: it
+    // takes no prefetch, and the partition must bound it all the same.
     let snap = db.create_snapshot_asof("serial", t0).unwrap();
     snap.wait_undo_complete().unwrap();
     let big = snap.table("big").unwrap();
@@ -198,35 +208,31 @@ fn serial_scan_with_configured_budget_engages_partition() {
         .scan_between(&big, &[Value::U64(100)], &[Value::U64(15_000)])
         .unwrap();
     assert_eq!(rows.len(), 14_901);
-    assert!(snap.side_pages() > POOL, "range scan exceeded the pool");
+    assert!(snap.side_pages() > pool, "range scan exceeded the pool");
     let s = db.pool_stats();
     read_hot();
     let after = db.pool_stats().delta(s);
     assert!(
-        (after.misses as usize) <= BUDGET + 16,
-        "bounded budgeted range scan trashed the live working set: {} misses",
+        (after.misses as usize) <= budget + slack,
+        "bounded range scan at asof_scan_budget {configured} trashed the live working set: {} misses",
         after.misses
     );
 
-    // Plain scan_all — no explicit prefetch, default (serial) workers. The
-    // configured budget must still route the cold stream through the
-    // partition.
+    // Plain scan_all — no explicit prefetch, default (serial) workers.
     let rows = snap.scan_all(&big).unwrap();
     assert_eq!(rows.len(), 16_000);
-
     let s = db.pool_stats();
     read_hot();
     let after = db.pool_stats().delta(s);
-    let slack = 16;
     assert!(
-        (after.misses as usize) <= BUDGET + slack,
-        "serial budgeted scan trashed the live working set: {} misses",
+        (after.misses as usize) <= budget + slack,
+        "serial scan at asof_scan_budget {configured} trashed the live working set: {} misses",
         after.misses
     );
 
-    // Heap tables have no leaves to prefetch — the budget must bound their
-    // cold chain walk the same way (regression: only Tree tables were
-    // partitioned at first).
+    // Heap tables have no leaves to prefetch — the partition must bound
+    // their cold chain walk the same way (regression: only Tree tables
+    // were partitioned at first).
     read_hot();
     let heap = snap.table("bigheap").unwrap();
     let rows = snap.scan_all(&heap).unwrap();
@@ -235,8 +241,8 @@ fn serial_scan_with_configured_budget_engages_partition() {
     read_hot();
     let after = db.pool_stats().delta(s);
     assert!(
-        (after.misses as usize) <= BUDGET + slack,
-        "serial budgeted heap scan trashed the live working set: {} misses",
+        (after.misses as usize) <= budget + slack,
+        "serial heap scan at asof_scan_budget {configured} trashed the live working set: {} misses",
         after.misses
     );
     db.drop_snapshot("serial").unwrap();

@@ -161,14 +161,8 @@ fn warm_hits_share_one_image_allocation() {
     for pid in snap.raw().side_page_ids() {
         // Two reads of the same warm page return the same allocation, and
         // holding one keeps its epoch even if undo overwrites the entry.
-        let a = match store.read_page(pid).unwrap() {
-            rewind::buffer::PageRead::Image(img) => img,
-            rewind::buffer::PageRead::Frame(_) => panic!("warm snapshot read must be an image"),
-        };
-        let b = match store.read_page(pid).unwrap() {
-            rewind::buffer::PageRead::Image(img) => img,
-            rewind::buffer::PageRead::Frame(_) => panic!("warm snapshot read must be an image"),
-        };
+        let a = store.read_page(pid).unwrap();
+        let b = store.read_page(pid).unwrap();
         assert!(a.same_as(&b), "hits share one allocation");
     }
     db.drop_snapshot("share").unwrap();
