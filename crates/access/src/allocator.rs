@@ -23,7 +23,7 @@ use rewind_pagestore::alloc::{
     bit_index, find_free, get_state, is_map_page, map_page_for, region_base, PageState, REGION_SIZE,
 };
 use rewind_pagestore::PageType;
-use rewind_wal::LogPayload;
+use rewind_wal::LogPayloadView;
 
 /// Maximum number of allocation regions to search (bounds the database at
 /// `MAX_REGIONS * REGION_SIZE` pages ≈ 16 GiB with 8 KiB pages).
@@ -41,7 +41,7 @@ fn ensure_map<S: Store>(s: &S, r: u64, kind: ModKind) -> Result<PageId> {
     if !formatted {
         s.modify(
             map_pid,
-            LogPayload::Format {
+            LogPayloadView::Format {
                 object: ObjectId::NONE,
                 ty: PageType::AllocMap,
                 level: 0,
@@ -59,7 +59,7 @@ fn ensure_map<S: Store>(s: &S, r: u64, kind: ModKind) -> Result<PageId> {
             // boot page + the map itself
             s.modify(
                 map_pid,
-                LogPayload::AllocSet {
+                LogPayloadView::AllocSet {
                     index: 0,
                     old: 0,
                     new: perm,
@@ -68,7 +68,7 @@ fn ensure_map<S: Store>(s: &S, r: u64, kind: ModKind) -> Result<PageId> {
             )?;
             s.modify(
                 map_pid,
-                LogPayload::AllocSet {
+                LogPayloadView::AllocSet {
                     index: 1,
                     old: 0,
                     new: perm,
@@ -78,7 +78,7 @@ fn ensure_map<S: Store>(s: &S, r: u64, kind: ModKind) -> Result<PageId> {
         } else {
             s.modify(
                 map_pid,
-                LogPayload::AllocSet {
+                LogPayloadView::AllocSet {
                     index: 0,
                     old: 0,
                     new: perm,
@@ -118,7 +118,7 @@ pub fn allocate_page<S: Store>(
         // mark allocated (keeps / sets the ever bit)
         s.modify(
             map_pid,
-            LogPayload::AllocSet {
+            LogPayloadView::AllocSet {
                 index: idx as u32,
                 old: st.to_bits(),
                 new: PageState {
@@ -134,11 +134,17 @@ pub fn allocate_page<S: Store>(
             // carrying the previous content (paper §4.2-1, Fig. 2). Reading
             // the old content may cost an I/O — the accepted trade-off.
             let prev_image = s.with_page(pid, |p| Ok(Box::new(*p.image())))?;
-            s.modify(pid, LogPayload::Preformat { prev_image }, kind)?;
+            s.modify(
+                pid,
+                LogPayloadView::Preformat {
+                    prev_image: &prev_image,
+                },
+                kind,
+            )?;
         }
         s.modify(
             pid,
-            LogPayload::Format {
+            LogPayloadView::Format {
                 object,
                 ty,
                 level,
@@ -170,7 +176,7 @@ pub fn free_page<S: Store>(s: &S, pid: PageId, kind: ModKind) -> Result<()> {
     }
     s.modify(
         map_pid,
-        LogPayload::AllocSet {
+        LogPayloadView::AllocSet {
             index: idx as u32,
             old: st.to_bits(),
             new: PageState {
@@ -281,9 +287,9 @@ mod tests {
         // write something memorable, then free
         s.modify(
             a,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: b"old-life".to_vec(),
+                bytes: b"old-life",
             },
             ModKind::User,
         )

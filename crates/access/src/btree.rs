@@ -24,7 +24,7 @@ use crate::store::{ModKind, Store};
 use rewind_common::codec::{read_u16_at, read_u64_at};
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result};
 use rewind_pagestore::{Page, PageType};
-use rewind_wal::LogPayload;
+use rewind_wal::LogPayloadView;
 use std::ops::Bound;
 
 /// Largest key accepted by the tree.
@@ -271,10 +271,10 @@ impl BTree {
                             let old = s.with_page(cur, |p| Ok(p.record(slot)?.to_vec()))?;
                             s.modify(
                                 cur,
-                                LogPayload::UpdateRecord {
+                                LogPayloadView::UpdateRecord {
                                     slot: slot as u16,
-                                    old,
-                                    new: rec.clone(),
+                                    old: &old,
+                                    new: &rec,
                                 },
                                 kind,
                             )?;
@@ -282,9 +282,9 @@ impl BTree {
                         Err(slot) => {
                             s.modify(
                                 cur,
-                                LogPayload::InsertRecord {
+                                LogPayloadView::InsertRecord {
                                     slot: slot as u16,
-                                    bytes: rec.clone(),
+                                    bytes: &rec,
                                 },
                                 kind,
                             )?;
@@ -331,9 +331,9 @@ impl BTree {
             Some((slot, old)) => {
                 s.modify(
                     leaf,
-                    LogPayload::DeleteRecord {
+                    LogPayloadView::DeleteRecord {
                         slot: slot as u16,
-                        old,
+                        old: &old,
                     },
                     kind,
                 )?;
@@ -375,10 +375,10 @@ impl BTree {
             Some((slot, old, true)) => {
                 s.modify(
                     leaf,
-                    LogPayload::UpdateRecord {
+                    LogPayloadView::UpdateRecord {
                         slot: slot as u16,
-                        old,
-                        new: rec,
+                        old: &old,
+                        new: &rec,
                     },
                     ModKind::User,
                 )?;
@@ -387,9 +387,9 @@ impl BTree {
             Some((slot, old, false)) => {
                 s.modify(
                     leaf,
-                    LogPayload::DeleteRecord {
+                    LogPayloadView::DeleteRecord {
                         slot: slot as u16,
-                        old,
+                        old: &old,
                     },
                     ModKind::User,
                 )?;
@@ -578,9 +578,9 @@ impl BTree {
         for (i, rec) in right_records.iter().enumerate() {
             s.modify(
                 q,
-                LogPayload::InsertRecord {
+                LogPayloadView::InsertRecord {
                     slot: i as u16,
-                    bytes: rec.clone(),
+                    bytes: rec,
                 },
                 ModKind::Smo,
             )?;
@@ -590,9 +590,9 @@ impl BTree {
         for j in (idx..n).rev() {
             s.modify(
                 child,
-                LogPayload::DeleteRecord {
+                LogPayloadView::DeleteRecord {
                     slot: j as u16,
-                    old: records[j].clone(),
+                    old: &records[j],
                 },
                 ModKind::Smo,
             )?;
@@ -600,7 +600,7 @@ impl BTree {
         if ty == PageType::BTreeLeaf {
             s.modify(
                 child,
-                LogPayload::SetNextPage {
+                LogPayloadView::SetNextPage {
                     old: old_next,
                     new: q,
                 },
@@ -609,7 +609,7 @@ impl BTree {
             if old_next.is_valid() {
                 s.modify(
                     old_next,
-                    LogPayload::SetPrevPage { old: child, new: q },
+                    LogPayloadView::SetPrevPage { old: child, new: q },
                     ModKind::Smo,
                 )?;
             }
@@ -632,9 +632,9 @@ impl BTree {
         })?;
         s.modify(
             parent,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: pos as u16,
-                bytes: internal_record(&sep, q),
+                bytes: &internal_record(&sep, q),
             },
             ModKind::Smo,
         )?;
@@ -684,7 +684,7 @@ impl BTree {
         if ty == PageType::BTreeLeaf {
             s.modify(
                 left,
-                LogPayload::SetNextPage {
+                LogPayloadView::SetNextPage {
                     old: PageId::INVALID,
                     new: right,
                 },
@@ -694,9 +694,9 @@ impl BTree {
         for (i, rec) in left_records.iter().enumerate() {
             s.modify(
                 left,
-                LogPayload::InsertRecord {
+                LogPayloadView::InsertRecord {
                     slot: i as u16,
-                    bytes: rec.clone(),
+                    bytes: rec,
                 },
                 ModKind::Smo,
             )?;
@@ -704,36 +704,36 @@ impl BTree {
         for (i, rec) in right_records.iter().enumerate() {
             s.modify(
                 right,
-                LogPayload::InsertRecord {
+                LogPayloadView::InsertRecord {
                     slot: i as u16,
-                    bytes: rec.clone(),
+                    bytes: rec,
                 },
                 ModKind::Smo,
             )?;
         }
         s.modify(
             self.root,
-            LogPayload::Reformat {
+            LogPayloadView::Reformat {
                 object: self.object,
                 ty: PageType::BTreeInternal,
                 level: level + 1,
-                prev_image: image,
+                prev_image: &image,
             },
             ModKind::Smo,
         )?;
         s.modify(
             self.root,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: internal_record(&[], left),
+                bytes: &internal_record(&[], left),
             },
             ModKind::Smo,
         )?;
         s.modify(
             self.root,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: 1,
-                bytes: internal_record(&sep, right),
+                bytes: &internal_record(&sep, right),
             },
             ModKind::Smo,
         )?;

@@ -14,7 +14,7 @@
 use crate::store::{ModKind, Store};
 use rewind_common::{Error, ObjectId, PageId, Result};
 use rewind_pagestore::PageType;
-use rewind_wal::LogPayload;
+use rewind_wal::LogPayloadView;
 
 /// Row identifier: page + slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -92,15 +92,15 @@ impl Heap {
                     self.grow_tail(s, tail)?;
                     continue;
                 }
-                let payloads: Vec<LogPayload> = rest[..n]
+                let payloads: Vec<LogPayloadView<'_>> = rest[..n]
                     .iter()
                     .enumerate()
-                    .map(|(i, row)| LogPayload::InsertRecord {
+                    .map(|(i, row)| LogPayloadView::InsertRecord {
                         slot: base_slot + i as u16,
-                        bytes: row.to_vec(),
+                        bytes: row,
                     })
                     .collect();
-                s.modify_batch(tail, payloads, ModKind::User, rewind_wal::REC_FLAG_HEAP)?;
+                s.modify_batch(tail, &payloads, ModKind::User, rewind_wal::REC_FLAG_HEAP)?;
                 out.extend((0..n).map(|i| Rid {
                     page: tail,
                     slot: base_slot + i as u16,
@@ -140,10 +140,7 @@ impl Heap {
             if let Some(slot) = slot {
                 s.modify_flagged(
                     tail,
-                    LogPayload::InsertRecord {
-                        slot,
-                        bytes: row.to_vec(),
-                    },
+                    LogPayloadView::InsertRecord { slot, bytes: row },
                     ModKind::User,
                     rewind_wal::REC_FLAG_HEAP,
                 )?;
@@ -166,7 +163,7 @@ impl Heap {
         )?;
         s.modify(
             tail,
-            LogPayload::SetNextPage {
+            LogPayloadView::SetNextPage {
                 old: PageId::INVALID,
                 new: q,
             },
@@ -175,7 +172,7 @@ impl Heap {
         let old_tail_hint = s.with_page(self.first, |p| Ok(p.prev_page()))?;
         s.modify(
             self.first,
-            LogPayload::SetPrevPage {
+            LogPayloadView::SetPrevPage {
                 old: old_tail_hint,
                 new: q,
             },
@@ -220,10 +217,10 @@ impl Heap {
             let old = self.get_inner(s, rid)?.ok_or(Error::KeyNotFound)?;
             s.modify_flagged(
                 rid.page,
-                LogPayload::UpdateRecord {
+                LogPayloadView::UpdateRecord {
                     slot: rid.slot,
-                    old: old.clone(),
-                    new: Vec::new(),
+                    old: &old,
+                    new: &[],
                 },
                 kind,
                 rewind_wal::REC_FLAG_HEAP,
@@ -248,10 +245,10 @@ impl Heap {
         // are same-size in practice (fixed-ish rows). Surface the error.
         s.modify_flagged(
             rid.page,
-            LogPayload::UpdateRecord {
+            LogPayloadView::UpdateRecord {
                 slot: rid.slot,
-                old,
-                new: row.to_vec(),
+                old: &old,
+                new: row,
             },
             ModKind::User,
             rewind_wal::REC_FLAG_HEAP,

@@ -20,7 +20,7 @@
 
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result};
 use rewind_pagestore::{Page, PageType};
-use rewind_wal::LogPayload;
+use rewind_wal::LogPayloadView;
 
 /// How a modification relates to transactions and recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub trait Store {
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> Result<R>) -> Result<R>;
 
     /// Apply the logged modification `payload` to page `pid`.
-    fn modify(&self, pid: PageId, payload: LogPayload, kind: ModKind) -> Result<Lsn> {
+    fn modify(&self, pid: PageId, payload: LogPayloadView<'_>, kind: ModKind) -> Result<Lsn> {
         self.modify_flagged(pid, payload, kind, 0)
     }
 
@@ -62,7 +62,7 @@ pub trait Store {
     fn modify_flagged(
         &self,
         pid: PageId,
-        payload: LogPayload,
+        payload: LogPayloadView<'_>,
         kind: ModKind,
         extra_flags: u8,
     ) -> Result<Lsn>;
@@ -80,13 +80,13 @@ pub trait Store {
     fn modify_batch(
         &self,
         pid: PageId,
-        payloads: Vec<LogPayload>,
+        payloads: &[LogPayloadView<'_>],
         kind: ModKind,
         extra_flags: u8,
     ) -> Result<Vec<Lsn>> {
         payloads
-            .into_iter()
-            .map(|p| self.modify_flagged(pid, p, kind, extra_flags))
+            .iter()
+            .map(|p| self.modify_flagged(pid, *p, kind, extra_flags))
             .collect()
     }
 
@@ -168,7 +168,7 @@ impl Store for MemStore {
     fn modify_flagged(
         &self,
         pid: PageId,
-        payload: LogPayload,
+        payload: LogPayloadView<'_>,
         _kind: ModKind,
         _extra_flags: u8,
     ) -> Result<Lsn> {
@@ -262,9 +262,9 @@ mod tests {
             .unwrap();
         s.modify(
             pid,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: b"x".to_vec(),
+                bytes: b"x",
             },
             ModKind::User,
         )

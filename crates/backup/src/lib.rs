@@ -146,7 +146,7 @@ fn undo_losers_on_restored(
     use rewind_access::store::{ModKind, Store};
     use rewind_common::{ObjectId, PageId};
     use rewind_pagestore::PageType;
-    use rewind_wal::LogPayload;
+    use rewind_wal::LogPayloadView;
 
     /// A no-log store over the restored file (the restore copy is
     /// freestanding; compensations need no durability).
@@ -163,7 +163,7 @@ fn undo_losers_on_restored(
         fn modify_flagged(
             &self,
             pid: PageId,
-            payload: LogPayload,
+            payload: LogPayloadView<'_>,
             _kind: ModKind,
             _extra: u8,
         ) -> Result<Lsn> {

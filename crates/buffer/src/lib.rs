@@ -1294,7 +1294,7 @@ mod tests {
     use super::*;
     use rewind_common::{ObjectId, TxnId};
     use rewind_pagestore::{FileManager, MemFileManager, PageType};
-    use rewind_wal::{LogConfig, LogPayload, LogRecord};
+    use rewind_wal::{LogConfig, LogPayloadView, LogRecord};
 
     fn setup(cap: usize) -> (Arc<MemFileManager>, Arc<LogManager>, BufferPool) {
         let fm = Arc::new(MemFileManager::new());
@@ -1341,9 +1341,9 @@ mod tests {
             object: ObjectId(1),
             undo_next: Lsn::NULL,
             flags: 0,
-            payload: LogPayload::InsertRecord {
+            payload: LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: vec![1],
+                bytes: &[1],
             },
         });
         assert!(log.flushed_lsn() <= lsn);

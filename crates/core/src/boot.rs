@@ -10,7 +10,7 @@
 use rewind_access::store::{ModKind, Store};
 use rewind_common::{Error, Lsn, PageId, Result};
 use rewind_pagestore::PageType;
-use rewind_wal::LogPayload;
+use rewind_wal::LogPayloadView;
 
 /// Magic bytes identifying a rewind database.
 pub const MAGIC: &[u8; 8] = b"REWINDDB";
@@ -72,15 +72,15 @@ pub fn read_boot<S: Store>(s: &S) -> Result<BootInfo> {
     })
 }
 
-fn boot_write<S: Store>(s: &S, offset: usize, new: Vec<u8>) -> Result<Lsn> {
+fn boot_write<S: Store>(s: &S, offset: usize, new: &[u8]) -> Result<Lsn> {
     let old = s.with_page(PageId::BOOT, |p| {
         Ok(p.body()[offset..offset + new.len()].to_vec())
     })?;
     s.modify(
         PageId::BOOT,
-        LogPayload::BootWrite {
+        LogPayloadView::BootWrite {
             offset: offset as u16,
-            old,
+            old: &old,
             new,
         },
         ModKind::User,
@@ -92,7 +92,7 @@ fn boot_write<S: Store>(s: &S, offset: usize, new: Vec<u8>) -> Result<Lsn> {
 pub fn initialize_boot<S: Store>(s: &S, info: &BootInfo) -> Result<()> {
     s.modify(
         PageId::BOOT,
-        LogPayload::Format {
+        LogPayloadView::Format {
             object: rewind_common::ObjectId::NONE,
             ty: PageType::Boot,
             level: 0,
@@ -101,58 +101,34 @@ pub fn initialize_boot<S: Store>(s: &S, info: &BootInfo) -> Result<()> {
         },
         ModKind::User,
     )?;
-    boot_write(s, OFF_MAGIC, MAGIC.to_vec())?;
-    boot_write(s, OFF_VERSION, VERSION.to_le_bytes().to_vec())?;
-    boot_write(
-        s,
-        OFF_SYS_TABLES,
-        info.sys_tables_root.0.to_le_bytes().to_vec(),
-    )?;
-    boot_write(
-        s,
-        OFF_SYS_COLUMNS,
-        info.sys_columns_root.0.to_le_bytes().to_vec(),
-    )?;
-    boot_write(
-        s,
-        OFF_SYS_INDEXES,
-        info.sys_indexes_root.0.to_le_bytes().to_vec(),
-    )?;
-    boot_write(
-        s,
-        OFF_NEXT_OBJECT,
-        info.next_object_id.to_le_bytes().to_vec(),
-    )?;
-    boot_write(
-        s,
-        OFF_FPI_INTERVAL,
-        info.fpi_interval.to_le_bytes().to_vec(),
-    )?;
-    boot_write(
-        s,
-        OFF_RETENTION,
-        info.retention_micros.to_le_bytes().to_vec(),
-    )?;
+    boot_write(s, OFF_MAGIC, MAGIC)?;
+    boot_write(s, OFF_VERSION, &VERSION.to_le_bytes())?;
+    boot_write(s, OFF_SYS_TABLES, &info.sys_tables_root.0.to_le_bytes())?;
+    boot_write(s, OFF_SYS_COLUMNS, &info.sys_columns_root.0.to_le_bytes())?;
+    boot_write(s, OFF_SYS_INDEXES, &info.sys_indexes_root.0.to_le_bytes())?;
+    boot_write(s, OFF_NEXT_OBJECT, &info.next_object_id.to_le_bytes())?;
+    boot_write(s, OFF_FPI_INTERVAL, &info.fpi_interval.to_le_bytes())?;
+    boot_write(s, OFF_RETENTION, &info.retention_micros.to_le_bytes())?;
     Ok(())
 }
 
 /// Allocate the next object id (logged, transactional).
 pub fn allocate_object_id<S: Store>(s: &S) -> Result<u64> {
     let cur = read_boot(s)?.next_object_id;
-    boot_write(s, OFF_NEXT_OBJECT, (cur + 1).to_le_bytes().to_vec())?;
+    boot_write(s, OFF_NEXT_OBJECT, &(cur + 1).to_le_bytes())?;
     Ok(cur)
 }
 
 /// Durably set the retention period (the paper's
 /// `ALTER DATABASE ... SET UNDO_INTERVAL`, §4.3).
 pub fn set_retention<S: Store>(s: &S, micros: u64) -> Result<()> {
-    boot_write(s, OFF_RETENTION, micros.to_le_bytes().to_vec())?;
+    boot_write(s, OFF_RETENTION, &micros.to_le_bytes())?;
     Ok(())
 }
 
 /// Durably set the FPI interval (§6.1).
 pub fn set_fpi_interval<S: Store>(s: &S, n: u32) -> Result<()> {
-    boot_write(s, OFF_FPI_INTERVAL, n.to_le_bytes().to_vec())?;
+    boot_write(s, OFF_FPI_INTERVAL, &n.to_le_bytes())?;
     Ok(())
 }
 

@@ -17,7 +17,7 @@ use rewind_recovery::{
 };
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{LockKey, LockManager, LockMode, ObjectLatches, TxnManager, TxnShared, TxnState};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_wal::{LogConfig, LogManager, LogPayloadView, LogRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -320,7 +320,7 @@ impl Database {
                 object: ObjectId::NONE,
                 undo_next: Lsn::NULL,
                 flags: 0,
-                payload: LogPayload::Commit {
+                payload: LogPayloadView::Commit {
                     at: Timestamp::ZERO,
                 },
             };
@@ -559,7 +559,7 @@ impl Database {
                 object: ObjectId::NONE,
                 undo_next: Lsn::NULL,
                 flags: 0,
-                payload: LogPayload::Commit {
+                payload: LogPayloadView::Commit {
                     at: Timestamp::ZERO,
                 },
             };
@@ -618,11 +618,11 @@ impl Database {
             return Err(Error::TxnFinished(shared.id));
         }
         if shared.last_lsn().is_valid() {
-            self.append_marker(&shared, LogPayload::Abort);
+            self.append_marker(&shared, LogPayloadView::Abort);
             let store = EngineStore::new(&self.parts, &shared);
             let resolver = |obj: ObjectId| self.resolve_access_uncached(obj);
             rewind_recovery::rollback_chain(&store, &self.parts.log, shared.last_lsn(), &resolver)?;
-            let end = self.append_marker(&shared, LogPayload::End);
+            let end = self.append_marker(&shared, LogPayloadView::End);
             // Record-precise: force exactly through our End marker, not
             // whatever other transactions have appended since.
             self.parts.log.flush_to(end);
@@ -635,7 +635,7 @@ impl Database {
         Ok(())
     }
 
-    fn append_marker(&self, shared: &TxnShared, payload: LogPayload) -> Lsn {
+    fn append_marker(&self, shared: &TxnShared, payload: LogPayloadView<'_>) -> Lsn {
         let rec = LogRecord {
             lsn: Lsn::NULL,
             txn: shared.id,
@@ -890,11 +890,11 @@ impl Database {
         let root_image = store.with_page(tree.root, |p| Ok(Box::new(*p.image())))?;
         store.modify(
             tree.root,
-            LogPayload::Reformat {
+            LogPayloadView::Reformat {
                 object: info.id,
                 ty: PageType::BTreeLeaf,
                 level: 0,
-                prev_image: root_image,
+                prev_image: &root_image,
             },
             ModKind::User,
         )?;
@@ -1158,7 +1158,7 @@ impl Database {
         )?;
         // Close every fully-undone loser with ONE batched append: all the
         // End markers are framed under a single writer-mutex acquisition.
-        let mut ends: Vec<LogRecord> = finished
+        let mut ends: Vec<_> = finished
             .iter()
             .map(|sh| LogRecord {
                 lsn: Lsn::NULL,
@@ -1169,7 +1169,7 @@ impl Database {
                 object: ObjectId::NONE,
                 undo_next: Lsn::NULL,
                 flags: 0,
-                payload: LogPayload::End,
+                payload: LogPayloadView::End,
             })
             .collect();
         db.parts.log.append_batch(&mut ends);

@@ -5,6 +5,7 @@
 //! cargo run -p rewind-lint --release -- --json tidy-report.json
 //! cargo run -p rewind-lint --release -- --list    # lint catalog
 //! cargo run -p rewind-lint --release -- --loc     # non-test code lines per crate
+//! cargo run -p rewind-lint --release -- --loc --files # ... and per file
 //! cargo run -p rewind-lint --release -- --dead-pub # pub fns no non-test code names
 //! cargo run -p rewind-lint --release -- --root /path/to/workspace
 //! ```
@@ -40,10 +41,22 @@ fn code_lines(ctx: &FileCtx) -> usize {
     lines.len()
 }
 
+/// `--loc --files`: [`code_lines`] of every file `--loc` counts, largest
+/// first (ties by path).
+fn loc_per_file(files: &[FileCtx]) -> Vec<(&str, usize)> {
+    let mut out: Vec<(&str, usize)> = files
+        .iter()
+        .filter(|c| c.kind != CrateKind::Test)
+        .map(|c| (c.path.as_str(), code_lines(c)))
+        .collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    out
+}
+
 /// `--loc`: [`code_lines`] per crate and in total over everything the walker
 /// polices as shipped code (`crates/*/src` and the root `src/`; the lint
 /// tool, the shims, tests, examples and `bench/` are not in it).
-fn print_loc(files: &[FileCtx]) {
+fn print_loc(files: &[FileCtx], per_file: bool) {
     let mut per_crate: Vec<(&str, usize)> = Vec::new();
     for ctx in files.iter().filter(|c| c.kind != CrateKind::Test) {
         let n = code_lines(ctx);
@@ -62,6 +75,12 @@ fn print_loc(files: &[FileCtx]) {
     }
     let total: usize = per_crate.iter().map(|(_, n)| n).sum();
     println!("  {:12} {total:6}", "total");
+    if per_file {
+        println!("loc --files: the same count per file, largest first");
+        for (path, n) in loc_per_file(files) {
+            println!("  {n:6} {path}");
+        }
+    }
 }
 
 /// Whether `ctx` is a non-test token stream for `--dead-pub`: every walked
@@ -118,6 +137,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut loc = false;
+    let mut per_file = false;
     let mut dead = false;
     let mut json_path: Option<Option<PathBuf>> = None;
     while let Some(arg) = args.next() {
@@ -129,6 +149,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--loc" => loc = true,
+            "--files" => per_file = true,
             "--dead-pub" => dead = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -145,10 +166,11 @@ fn main() -> ExitCode {
                 println!(
                     "rewind-tidy: static enforcement of the ROADMAP invariants\n\
                      \n\
-                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list] [--loc] [--dead-pub]\n\
+                     usage: rewind-lint [--root DIR] [--json [FILE]] [--list] [--loc [--files]] [--dead-pub]\n\
                      \n\
                      Exits 0 when the tree is clean, 1 on findings, 2 on usage/IO errors.\n\
-                     `--loc` prints non-test code lines per crate instead (always exits 0).\n\
+                     `--loc` prints non-test code lines per crate instead (always exits 0);\n\
+                     `--files` adds the same count per file, largest first.\n\
                      `--dead-pub` lists library `pub fn`s no non-test code names (always exits 0).\n\
                      Escape hatch: `// tidy: allow(<lint>) -- <reason>` on or above the line."
                 );
@@ -184,7 +206,7 @@ fn main() -> ExitCode {
     };
     if loc || dead {
         if loc {
-            print_loc(&files);
+            print_loc(&files, per_file);
         }
         if dead {
             let found = dead_pub(&files);
@@ -247,6 +269,27 @@ mod tests {
         let ctx = FileCtx::from_source("x.rs", "x", CrateKind::Library, src.to_string());
         // `use`, `fn f() {`, the string's two lines, `}`.
         assert_eq!(code_lines(&ctx), 5);
+    }
+
+    #[test]
+    fn loc_per_file_counts_each_file_above_its_test_tail() {
+        let file =
+            |path: &str, kind, src: &str| FileCtx::from_source(path, "x", kind, src.to_string());
+        let files = [
+            file("crates/x/src/small.rs", CrateKind::Library, "fn a() {}\n"),
+            file(
+                "crates/x/src/big.rs",
+                CrateKind::Library,
+                "// doc\nfn a() {\n}\n\nfn b() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
+            ),
+            file("tests/it.rs", CrateKind::Test, "fn t() {}\n"),
+        ];
+        // `big.rs`: `fn a() {`, `}`, `fn b() {}`; the test tail and the
+        // integration test are not counted.
+        assert_eq!(
+            loc_per_file(&files),
+            [("crates/x/src/big.rs", 3), ("crates/x/src/small.rs", 1)]
+        );
     }
 
     #[test]

@@ -25,9 +25,10 @@
 use rewind_common::{Lsn, ObjectId, PageId, Result, TxnId};
 use rewind_txn::{LockKey, LockMode};
 use rewind_wal::{
-    DptEntry, LogManager, LogPayload, LogPayloadView, LogRecordHeader, PayloadKind, REC_FLAG_HEAP,
+    CheckpointBody, DptEntry, LogManager, LogPayloadView, LogRecordHeader, PayloadKind,
+    REC_FLAG_HEAP,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A transaction found in flight at the recovery bound.
 #[derive(Clone, Debug)]
@@ -110,15 +111,25 @@ fn locks_for(
 struct TxnInfo {
     first: Lsn,
     last: Lsn,
+    /// Locks to reacquire, in first-seen order, repeats included: most
+    /// transactions commit inside the window, so only losers are deduped,
+    /// once, by [`first_seen`].
     locks: Vec<(LockKey, LockMode)>,
 }
 
 impl TxnInfo {
     fn push_lock(&mut self, key: LockKey) {
-        if !self.locks.iter().any(|(k, _)| *k == key) {
-            self.locks.push((key, LockMode::X));
-        }
+        self.locks.push((key, LockMode::X));
     }
+}
+
+/// `locks` without its repeats, in first-seen order.
+fn first_seen(locks: Vec<(LockKey, LockMode)>) -> Vec<(LockKey, LockMode)> {
+    let mut seen = HashSet::with_capacity(locks.len());
+    locks
+        .into_iter()
+        .filter(|(key, _)| seen.insert(key.clone()))
+        .collect()
 }
 
 /// Record-at-a-time analysis state: seed from a checkpoint, feed every
@@ -168,8 +179,9 @@ impl AnalysisBuilder {
             records_scanned: 0,
         };
         if let Some(c) = &checkpoint {
-            let rec = log.get_record_deep(c.end_lsn)?.decode()?;
-            if let LogPayload::CheckpointEnd(body) = rec.payload {
+            let rec = log.get_record_deep(c.end_lsn)?;
+            if let (_, LogPayloadView::CheckpointEnd { tables, .. }) = rec.view()? {
+                let body = CheckpointBody::decode(tables)?;
                 for e in body.att {
                     // A fuzzy checkpoint captures its ATT after the begin
                     // marker, so it can list a transaction that has already
@@ -198,7 +210,7 @@ impl AnalysisBuilder {
                         TxnInfo {
                             first: e.first_lsn,
                             last: e.last_lsn,
-                            locks: Vec::new(),
+                            ..TxnInfo::default()
                         },
                     );
                 }
@@ -313,7 +325,7 @@ impl AnalysisBuilder {
                 id: TxnId(id),
                 first_lsn: info.first,
                 last_lsn: info.last,
-                locks: info.locks,
+                locks: first_seen(info.locks),
             })
             .collect();
         losers.sort_by_key(|l| l.id);
@@ -363,7 +375,8 @@ pub fn analyze(log: &LogManager, bound: Lsn) -> Result<AnalysisResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rewind_wal::{LogConfig, LogRecord};
+    use rewind_pagestore::PAGE_SIZE;
+    use rewind_wal::{LogConfig, LogPayload, LogRecord, Payload};
     use std::sync::Arc;
 
     fn row_bytes(key: &[u8]) -> Vec<u8> {
@@ -373,7 +386,7 @@ mod tests {
         v
     }
 
-    fn update(txn: TxnId, old: Vec<u8>, new: Vec<u8>) -> LogRecord {
+    fn update(txn: TxnId, old: Vec<u8>, new: Vec<u8>) -> LogRecord<Vec<u8>, Box<[u8; PAGE_SIZE]>> {
         LogRecord {
             lsn: Lsn::NULL,
             txn,
@@ -418,7 +431,7 @@ mod tests {
         );
     }
 
-    fn marker(txn: TxnId, prev_lsn: Lsn, payload: LogPayload) -> LogRecord {
+    fn marker<B, I>(txn: TxnId, prev_lsn: Lsn, payload: Payload<B, I>) -> LogRecord<B, I> {
         LogRecord {
             lsn: Lsn::NULL,
             txn,
@@ -442,7 +455,7 @@ mod tests {
     #[test]
     fn checkpoint_att_entry_at_its_commit_record_is_not_a_loser() {
         use rewind_common::Timestamp;
-        use rewind_wal::{CheckpointBody, TxnTableEntry};
+        use rewind_wal::TxnTableEntry;
 
         let log = Arc::new(LogManager::new(LogConfig::default()));
         let txn = TxnId(9);
@@ -453,7 +466,7 @@ mod tests {
         let commit = log.append(&marker(
             txn,
             second,
-            LogPayload::Commit {
+            LogPayloadView::Commit {
                 at: Timestamp::from_secs(1),
             },
         ));
@@ -461,21 +474,24 @@ mod tests {
         let begin_lsn = log.append(&marker(
             TxnId::NONE,
             Lsn::NULL,
-            LogPayload::CheckpointBegin { at },
+            LogPayloadView::CheckpointBegin { at },
         ));
         let end_lsn = log.append(&marker(
             TxnId::NONE,
             Lsn::NULL,
-            LogPayload::CheckpointEnd(CheckpointBody {
+            LogPayloadView::CheckpointEnd {
                 at,
                 begin_lsn,
-                att: vec![TxnTableEntry {
-                    txn,
-                    first_lsn: first,
-                    last_lsn: commit,
-                }],
-                dpt: Vec::new(),
-            }),
+                tables: &CheckpointBody {
+                    att: vec![TxnTableEntry {
+                        txn,
+                        first_lsn: first,
+                        last_lsn: commit,
+                    }],
+                    dpt: Vec::new(),
+                }
+                .encode(),
+            },
         ));
         // A later, genuinely in-flight transaction keeps the window busy.
         log.append(&update(TxnId(10), row_bytes(b"z"), row_bytes(b"z")));

@@ -10,9 +10,9 @@
 use rewind_buffer::BufferPool;
 use rewind_common::{Lsn, Result, SimClock, Timestamp, TxnId};
 use rewind_txn::TxnManager;
-use rewind_wal::{CheckpointBody, LogManager, LogPayload, LogRecord};
+use rewind_wal::{CheckpointBody, LogManager, LogPayloadView, LogRecord, Payload};
 
-fn marker(payload: LogPayload) -> LogRecord {
+fn marker<B, I>(payload: Payload<B, I>) -> LogRecord<B, I> {
     LogRecord {
         lsn: Lsn::NULL,
         txn: TxnId::NONE,
@@ -75,7 +75,7 @@ fn checkpoint_impl(
 ) -> Result<Lsn> {
     let obs = log.obs().clone();
     let started = obs.now_us();
-    let mut begin = marker(LogPayload::CheckpointBegin {
+    let mut begin = marker(LogPayloadView::CheckpointBegin {
         at: Timestamp::ZERO,
     });
     let begin_lsn = log.append_stamped(&mut begin, &|| clock.now()).start;
@@ -85,14 +85,16 @@ fn checkpoint_impl(
     } else {
         pool.flush_older_than(flush_before)?;
     }
-    let att = txns.active_table();
-    let dpt = pool.dirty_page_table();
-    let mut end = marker(LogPayload::CheckpointEnd(CheckpointBody {
+    let tables = CheckpointBody {
+        att: txns.active_table(),
+        dpt: pool.dirty_page_table(),
+    }
+    .encode();
+    let mut end = marker(LogPayloadView::CheckpointEnd {
         at: Timestamp::ZERO,
         begin_lsn,
-        att,
-        dpt,
-    }));
+        tables: &tables,
+    });
     let end = log.append_stamped(&mut end, &|| clock.now());
     log.flush_up_to(end.end);
     obs.record(
@@ -136,9 +138,10 @@ mod tests {
         assert_eq!(info.at, Timestamp::from_secs(42));
         assert!(log.flushed_lsn() > end);
 
-        let rec = log.get_record_ref(end).unwrap().decode().unwrap();
-        match rec.payload {
-            LogPayload::CheckpointEnd(body) => {
+        let rec = log.get_record_ref(end).unwrap();
+        match rec.view().unwrap().1 {
+            LogPayloadView::CheckpointEnd { tables, .. } => {
+                let body = CheckpointBody::decode(tables).unwrap();
                 assert_eq!(body.att.len(), 1);
                 assert_eq!(body.att[0].txn, t.id);
                 assert_eq!(body.att[0].last_lsn, Lsn(100));
@@ -168,9 +171,10 @@ mod tests {
         let end = take_checkpoint_incremental(&log, &txns, &pool, &clock, Lsn(500)).unwrap();
         // Page 3 (recLSN 100 < 500) was flushed; page 4 stays dirty and is
         // captured in the checkpoint's DPT, bounding redo to recLSN >= 500.
-        let rec = log.get_record_ref(end).unwrap().decode().unwrap();
-        match rec.payload {
-            LogPayload::CheckpointEnd(body) => {
+        let rec = log.get_record_ref(end).unwrap();
+        match rec.view().unwrap().1 {
+            LogPayloadView::CheckpointEnd { tables, .. } => {
+                let body = CheckpointBody::decode(tables).unwrap();
                 assert_eq!(body.dpt.len(), 1);
                 assert_eq!(body.dpt[0].page, rewind_common::PageId(4));
                 assert_eq!(body.dpt[0].rec_lsn, Lsn(900));

@@ -110,7 +110,7 @@ mod tests {
     use super::*;
     use rewind_common::{ObjectId, TxnId};
     use rewind_pagestore::PageType;
-    use rewind_wal::{LogConfig, LogPayload, LogRecord};
+    use rewind_wal::{LogConfig, LogRecord};
 
     /// A tiny harness that mimics the live modify path for one page:
     /// logs a record with correct chains, applies it.
@@ -136,7 +136,7 @@ mod tests {
                 history: Vec::new(),
             };
             sim.history.push((Lsn::NULL, sim.page.clone()));
-            sim.apply(LogPayload::Format {
+            sim.apply(LogPayloadView::Format {
                 object: ObjectId(1),
                 ty: PageType::BTreeLeaf,
                 level: 0,
@@ -146,7 +146,7 @@ mod tests {
             sim
         }
 
-        fn apply(&mut self, payload: LogPayload) -> Lsn {
+        fn apply(&mut self, payload: LogPayloadView<'_>) -> Lsn {
             let rec = LogRecord {
                 lsn: Lsn::NULL,
                 txn: TxnId(1),
@@ -156,7 +156,7 @@ mod tests {
                 object: ObjectId(1),
                 undo_next: Lsn::NULL,
                 flags: 0,
-                payload: payload.clone(),
+                payload,
             };
             let lsn = self.log.append(&rec);
             payload.redo(&mut self.page, self.pid, lsn).unwrap();
@@ -165,10 +165,7 @@ mod tests {
                 self.mods_since_fpi += 1;
                 if self.mods_since_fpi >= self.fpi_interval {
                     self.mods_since_fpi = 0;
-                    let fpi = LogPayload::FullPageImage {
-                        prev_fpi_lsn: self.page.last_fpi_lsn(),
-                        image: Box::new(*self.page.image()),
-                    };
+                    let image = Box::new(*self.page.image());
                     let rec = LogRecord {
                         lsn: Lsn::NULL,
                         txn: TxnId::NONE,
@@ -178,10 +175,13 @@ mod tests {
                         object: ObjectId(1),
                         undo_next: Lsn::NULL,
                         flags: 0,
-                        payload: fpi.clone(),
+                        payload: LogPayloadView::FullPageImage {
+                            prev_fpi_lsn: self.page.last_fpi_lsn(),
+                            image: &image,
+                        },
                     };
                     let lsn = self.log.append(&rec);
-                    fpi.redo(&mut self.page, self.pid, lsn).unwrap();
+                    rec.payload.redo(&mut self.page, self.pid, lsn).unwrap();
                     self.history.push((lsn, self.page.clone()));
                 }
             }
@@ -202,9 +202,9 @@ mod tests {
                 if n == 0 || (r < 5 && room) {
                     let bytes = format!("op{i}-{}", "x".repeat((rng() % 64) as usize));
                     let slot = (rng() as usize) % (n + 1);
-                    self.apply(LogPayload::InsertRecord {
+                    self.apply(LogPayloadView::InsertRecord {
                         slot: slot as u16,
-                        bytes: bytes.into_bytes(),
+                        bytes: bytes.as_bytes(),
                     });
                     n += 1;
                 } else if r < 8 && n > 0 {
@@ -212,17 +212,17 @@ mod tests {
                     let old = self.page.record(slot).unwrap().to_vec();
                     // never longer than the shortest possible record
                     let new = format!("u{:03}", i % 1000).into_bytes();
-                    self.apply(LogPayload::UpdateRecord {
+                    self.apply(LogPayloadView::UpdateRecord {
                         slot: slot as u16,
-                        old,
-                        new,
+                        old: &old,
+                        new: &new,
                     });
                 } else {
                     let slot = (rng() as usize) % n;
                     let old = self.page.record(slot).unwrap().to_vec();
-                    self.apply(LogPayload::DeleteRecord {
+                    self.apply(LogPayloadView::DeleteRecord {
                         slot: slot as u16,
-                        old,
+                        old: &old,
                     });
                     n -= 1;
                 }

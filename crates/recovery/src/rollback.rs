@@ -16,9 +16,7 @@
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap};
 use rewind_common::{Error, Lsn, ObjectId, Result, TxnId};
-use rewind_wal::{
-    LogManager, LogPayload, LogPayloadView, LogRecordHeader, RecordRef, REC_FLAG_SYSTEM,
-};
+use rewind_wal::{LogManager, LogPayloadView, LogRecordHeader, RecordRef, REC_FLAG_SYSTEM};
 use std::collections::BinaryHeap;
 
 /// How an object stores rows — resolved from the catalog during rollback.
@@ -32,8 +30,8 @@ pub enum AccessKind {
 
 /// Undo one record from its header and borrowed payload view, logging
 /// CLR(s). Returns `Ok(())` even when the logical target no longer exists
-/// (idempotent crash-resume). Payloads come straight from the log segment;
-/// bytes are copied only into the CLRs actually written.
+/// (idempotent crash-resume). Payloads come straight from the log segment,
+/// and the CLRs written borrow from them.
 ///
 /// Public so each [`undo_sweep`] caller can bind it to its own store.
 pub fn undo_record_view<S: Store>(
@@ -70,9 +68,9 @@ pub fn undo_record_view<S: Store>(
                 let current = s.with_page(header.page, |p| Ok(Box::new(*p.image())))?;
                 s.modify(
                     header.page,
-                    LogPayload::RestoreImage {
-                        old: current,
-                        new: Box::new(**prev_image),
+                    LogPayloadView::RestoreImage {
+                        old: &current,
+                        new: prev_image,
                     },
                     ModKind::Clr { undo_next },
                 )?;
@@ -103,10 +101,10 @@ pub fn undo_record_view<S: Store>(
                 let _ = h;
                 s.modify_flagged(
                     rid.page,
-                    LogPayload::UpdateRecord {
+                    LogPayloadView::UpdateRecord {
                         slot: rid.slot,
-                        old: bytes.to_vec(),
-                        new: vec![],
+                        old: bytes,
+                        new: &[],
                     },
                     ModKind::Clr { undo_next },
                     rewind_wal::REC_FLAG_HEAP,
@@ -128,10 +126,10 @@ pub fn undo_record_view<S: Store>(
                     s.with_page(header.page, |p| Ok(p.record(slot as usize)?.to_vec()))?;
                 s.modify_flagged(
                     header.page,
-                    LogPayload::UpdateRecord {
+                    LogPayloadView::UpdateRecord {
                         slot,
-                        old: new_now,
-                        new: old.to_vec(),
+                        old: &new_now,
+                        new: old,
                     },
                     ModKind::Clr { undo_next },
                     rewind_wal::REC_FLAG_HEAP,

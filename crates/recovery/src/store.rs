@@ -21,7 +21,7 @@ use rewind_buffer::BufferPool;
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result};
 use rewind_pagestore::{Page, PageType};
 use rewind_txn::{ObjectLatches, TxnShared};
-use rewind_wal::{LogManager, LogPayload, LogRecord, REC_FLAG_CLR, REC_FLAG_SYSTEM};
+use rewind_wal::{LogManager, LogPayloadView, LogRecord, REC_FLAG_CLR, REC_FLAG_SYSTEM};
 use std::sync::Arc;
 
 /// Receiver of copy-on-write pre-images (regular database snapshots).
@@ -101,9 +101,9 @@ fn mod_flags(kind: ModKind) -> (u8, Lsn) {
 /// The object a record is attributed to: Format/Reformat carry their own
 /// id (the page header's is stale or not yet written); everything else
 /// uses the page's.
-fn record_object(payload: &LogPayload, page: &Page) -> ObjectId {
+fn record_object(payload: &LogPayloadView<'_>, page: &Page) -> ObjectId {
     match payload {
-        LogPayload::Format { object, .. } | LogPayload::Reformat { object, .. } => *object,
+        LogPayloadView::Format { object, .. } | LogPayloadView::Reformat { object, .. } => *object,
         _ => page.object_id(),
     }
 }
@@ -128,10 +128,8 @@ fn emit_fpi(
     object: ObjectId,
 ) -> Result<()> {
     v.reset_fpi_counter();
-    let fpi = LogPayload::FullPageImage {
-        prev_fpi_lsn: v.page().last_fpi_lsn(),
-        image: Box::new(*v.page().image()),
-    };
+    // A copy: the record must not borrow the page it is about to redo onto.
+    let image = Box::new(*v.page().image());
     let fpi_rec = LogRecord {
         lsn: Lsn::NULL,
         txn: rewind_common::TxnId::NONE,
@@ -141,7 +139,10 @@ fn emit_fpi(
         object,
         undo_next: Lsn::NULL,
         flags: REC_FLAG_SYSTEM,
-        payload: fpi,
+        payload: LogPayloadView::FullPageImage {
+            prev_fpi_lsn: v.page().last_fpi_lsn(),
+            image: &image,
+        },
     };
     let fpi_lsn = parts.log.append(&fpi_rec);
     fpi_rec.payload.redo(v.page_mut(), pid, fpi_lsn)
@@ -155,7 +156,7 @@ impl Store for EngineStore<'_> {
     fn modify_flagged(
         &self,
         pid: PageId,
-        payload: LogPayload,
+        payload: LogPayloadView<'_>,
         kind: ModKind,
         extra_flags: u8,
     ) -> Result<Lsn> {
@@ -183,7 +184,7 @@ impl Store for EngineStore<'_> {
             v.mark_dirty(lsn);
 
             if parts.fpi_interval > 0
-                && !matches!(rec.payload, LogPayload::FullPageImage { .. })
+                && !matches!(rec.payload, LogPayloadView::FullPageImage { .. })
                 && v.bump_fpi_counter() >= parts.fpi_interval
             {
                 emit_fpi(parts, v, pid, object)?;
@@ -195,7 +196,7 @@ impl Store for EngineStore<'_> {
     fn modify_batch(
         &self,
         pid: PageId,
-        payloads: Vec<LogPayload>,
+        payloads: &[LogPayloadView<'_>],
         kind: ModKind,
         extra_flags: u8,
     ) -> Result<Vec<Lsn>> {
@@ -224,9 +225,9 @@ impl Store for EngineStore<'_> {
             push_cow(parts, pid, v.page());
             let (flags, undo_next) = mod_flags(kind);
             let n = payloads.len();
-            let mut recs: Vec<LogRecord> = payloads
-                .into_iter()
-                .map(|payload| LogRecord {
+            let mut recs: Vec<_> = payloads
+                .iter()
+                .map(|&payload| LogRecord {
                     lsn: Lsn::NULL,
                     txn: self.txn.id,
                     // The first record chains to the transaction's and the
@@ -305,7 +306,7 @@ impl Store for EngineStore<'_> {
             object: ObjectId::NONE,
             undo_next,
             flags: REC_FLAG_CLR | REC_FLAG_SYSTEM,
-            payload: LogPayload::End,
+            payload: LogPayloadView::End,
         };
         let lsn = self.parts.log.append(&rec);
         self.txn.record_logged(lsn);

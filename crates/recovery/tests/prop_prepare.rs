@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
 use rewind_pagestore::{Page, PageType};
 use rewind_recovery::prepare_page_as_of;
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_wal::{LogConfig, LogManager, LogPayloadView, LogRecord};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -52,7 +52,7 @@ impl Harness {
         h
     }
 
-    fn append_inner(&mut self, payload: LogPayload, record_history: bool) {
+    fn append_inner(&mut self, payload: LogPayloadView<'_>, record_history: bool) {
         let rec = LogRecord {
             lsn: Lsn::NULL,
             txn: TxnId(1),
@@ -71,26 +71,27 @@ impl Harness {
         }
         if record_history
             && self.fpi_interval > 0
-            && !matches!(rec.payload, LogPayload::FullPageImage { .. })
+            && !matches!(rec.payload, LogPayloadView::FullPageImage { .. })
         {
             self.mods += 1;
             if self.mods >= self.fpi_interval {
                 self.mods = 0;
-                let fpi = LogPayload::FullPageImage {
+                let image = Box::new(*self.page.image());
+                let fpi = LogPayloadView::FullPageImage {
                     prev_fpi_lsn: self.page.last_fpi_lsn(),
-                    image: Box::new(*self.page.image()),
+                    image: &image,
                 };
                 self.append_inner(fpi, true);
             }
         }
     }
 
-    fn append(&mut self, payload: LogPayload) {
+    fn append(&mut self, payload: LogPayloadView<'_>) {
         self.append_inner(payload, true);
     }
 
     fn format(&mut self) {
-        self.append(LogPayload::Format {
+        self.append(LogPayloadView::Format {
             object: ObjectId(1),
             ty: PageType::BTreeLeaf,
             level: 0,
@@ -107,10 +108,7 @@ impl Harness {
                     return;
                 }
                 let slot = (*slot as usize % (n + 1)) as u16;
-                self.append(LogPayload::InsertRecord {
-                    slot,
-                    bytes: bytes.clone(),
-                });
+                self.append(LogPayloadView::InsertRecord { slot, bytes });
             }
             Op::Delete(slot) => {
                 if n == 0 {
@@ -118,9 +116,9 @@ impl Harness {
                 }
                 let slot = *slot as usize % n;
                 let old = self.page.record(slot).unwrap().to_vec();
-                self.append(LogPayload::DeleteRecord {
+                self.append(LogPayloadView::DeleteRecord {
                     slot: slot as u16,
-                    old,
+                    old: &old,
                 });
             }
             Op::Update(slot, bytes) => {
@@ -132,10 +130,10 @@ impl Harness {
                 if bytes.len() > old.len() && bytes.len() - old.len() > self.page.free_space() {
                     return;
                 }
-                self.append(LogPayload::UpdateRecord {
+                self.append(LogPayloadView::UpdateRecord {
                     slot: slot as u16,
-                    old,
-                    new: bytes.clone(),
+                    old: &old,
+                    new: bytes,
                 });
             }
             Op::Recycle => {
@@ -148,7 +146,7 @@ impl Harness {
                 // could land there, so `PreparePageAsOf` semantics only need
                 // to hold on either side of the pair.
                 let prev = Box::new(*self.page.image());
-                self.append_inner(LogPayload::Preformat { prev_image: prev }, false);
+                self.append_inner(LogPayloadView::Preformat { prev_image: &prev }, false);
                 self.format();
             }
         }

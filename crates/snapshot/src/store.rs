@@ -63,7 +63,7 @@ use rewind_obs::{EventKind, Obs};
 use rewind_pagestore::{Page, PageImage, PageType, SideFile};
 use rewind_recovery::prepare_page_as_of;
 use rewind_txn::ObjectLatches;
-use rewind_wal::{LogManager, LogPayload};
+use rewind_wal::{LogManager, LogPayloadView};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -312,7 +312,7 @@ impl Store for SnapshotStore<'_> {
     fn modify_flagged(
         &self,
         _pid: PageId,
-        _payload: LogPayload,
+        _payload: LogPayloadView<'_>,
         _kind: ModKind,
         _extra: u8,
     ) -> Result<Lsn> {
@@ -375,7 +375,7 @@ impl Store for SnapshotMutator<'_> {
     fn modify_flagged(
         &self,
         pid: PageId,
-        payload: LogPayload,
+        payload: LogPayloadView<'_>,
         _kind: ModKind,
         _extra: u8,
     ) -> Result<Lsn> {

@@ -33,7 +33,8 @@ pub mod split;
 
 pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef};
 pub use record::{
-    CheckpointBody, DptEntry, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, PayloadKind,
-    RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP, REC_FLAG_SYSTEM,
+    CheckpointBody, DptEntry, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, Payload,
+    PayloadKind, RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP,
+    REC_FLAG_SYSTEM,
 };
 pub use split::{find_split_lsn, find_split_lsn_deep};

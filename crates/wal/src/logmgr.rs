@@ -69,9 +69,16 @@
 //!   drops it. New reads observe the new index and fail with
 //!   [`Error::LogTruncated`] as before.
 //! * **Zero-copy reads.** A [`RecordRef`] borrows the record's bytes in
-//!   place; [`LogRecord::decode_header`] and `LogPayloadView` decode the
-//!   fixed header / borrowed payload without allocating, so header-only
-//!   chain walks perform no per-record allocation.
+//!   place; [`RecordRef::header`] decodes the fixed header and
+//!   [`RecordRef::view`] the header plus a borrowed [`LogPayloadView`],
+//!   both without allocating. There is no owned decode: a record read back
+//!   is always a view of the segment bytes (see the `record` module docs
+//!   for the one payload type and its two instantiations), so chain walks
+//!   perform no per-record allocation.
+//! * **Appends borrow too.** [`LogManager::append`] and its batched and
+//!   stamped forms take a record over either payload instantiation and
+//!   encode it straight into the frame, so appending copies a payload's
+//!   bytes once, into the log.
 //! * **Sharded cache model.** The block→tick LRU model is sharded by block
 //!   so concurrent readers do not serialize on accounting; eviction picks
 //!   the global minimum tick, keeping hit/IO classification identical to
@@ -120,14 +127,15 @@
 //! always lands on a record boundary (or the tail) and never exceeds the
 //! tail, even under a racing `discard_unflushed`.
 
-use crate::record::{LogPayload, LogPayloadView, LogRecord, LogRecordHeader};
+use crate::record::{LogPayloadView, LogRecord, LogRecordHeader, Payload};
 use parking_lot::{Condvar, Mutex};
 use rewind_common::codec::{read_u32_at, read_u64_at};
 use rewind_common::{crc32c, Error, IoStats, Lsn, PageId, Result, Timestamp, TxnId};
 use rewind_obs::{EventKind, Obs, ObsConfig};
+use rewind_pagestore::page::PAGE_SIZE;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -503,11 +511,6 @@ impl RecordRef {
     pub fn view(&self) -> Result<(LogRecordHeader, LogPayloadView<'_>)> {
         LogRecord::decode_view(self.lsn, self.body())
     }
-
-    /// Materialize the full owned record (the only step that copies).
-    pub fn decode(&self) -> Result<LogRecord> {
-        LogRecord::decode(self.lsn, self.body())
-    }
 }
 
 /// The write-ahead log manager. Thread-safe; shared via `Arc`.
@@ -665,7 +668,11 @@ impl LogManager {
     /// caller publishes `inner.tail` to the atomic mirror when its batch is
     /// complete (so a multi-record batch becomes visible to readers
     /// atomically).
-    fn append_locked(&self, inner: &mut LogInner, rec: &LogRecord) -> Lsn {
+    fn append_locked<B, I>(&self, inner: &mut LogInner, rec: &LogRecord<B, I>) -> Lsn
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
         let lsn = Lsn(inner.tail);
         // Frame into the reusable scratch buffer: [u32 length][u32 crc][body].
         let mut scratch = std::mem::take(&mut inner.scratch);
@@ -688,16 +695,13 @@ impl LogManager {
         inner.tail += scratch.len() as u64;
         inner.scratch = scratch;
         // Index commit/checkpoint times for retention & split search.
-        match &rec.payload {
-            LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } => {
-                let at = *at;
-                inner.push_time(lsn, at);
-            }
-            LogPayload::CheckpointEnd(body) => {
+        match rec.payload {
+            Payload::Commit { at } | Payload::CheckpointBegin { at } => inner.push_time(lsn, at),
+            Payload::CheckpointEnd { at, begin_lsn, .. } => {
                 let info = CheckpointInfo {
                     end_lsn: lsn,
-                    begin_lsn: body.begin_lsn,
-                    at: body.at,
+                    begin_lsn,
+                    at,
                 };
                 Arc::make_mut(&mut inner.checkpoints).push(info);
                 // Mirror the entry into the alternating anchor slots: the
@@ -707,7 +711,6 @@ impl LogManager {
                 let seq = inner.anchor_seq;
                 inner.anchor_slots[(seq % 2) as usize] = Some(encode_anchor(seq, &info));
                 inner.anchor_seq = seq + 1;
-                let at = body.at;
                 inner.push_time(lsn, at);
             }
             _ => {}
@@ -717,7 +720,11 @@ impl LogManager {
 
     /// Append a record; assigns and returns its LSN. The record is in memory
     /// (not durable) until [`LogManager::flush_to`] covers it.
-    pub fn append(&self, rec: &LogRecord) -> Lsn {
+    pub fn append<B, I>(&self, rec: &LogRecord<B, I>) -> Lsn
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
         let mut inner = self.inner.lock();
         let lsn = self.append_locked(&mut inner, rec);
         self.tail.store(inner.tail, Ordering::Release);
@@ -738,7 +745,11 @@ impl LogManager {
     /// the same (valid) page. The first record of each transaction/page in
     /// the batch keeps its caller-provided linkage. Each record's assigned
     /// LSN is written back into `rec.lsn`.
-    pub fn append_batch(&self, recs: &mut [LogRecord]) -> Range<Lsn> {
+    pub fn append_batch<B, I>(&self, recs: &mut [LogRecord<B, I>]) -> Range<Lsn>
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
         let mut inner = self.inner.lock();
         let first = Lsn(inner.tail);
         // Batches are small; linear probes beat hashing here.
@@ -787,7 +798,15 @@ impl LogManager {
     /// a committer needs durable — pass it to [`LogManager::flush_up_to`]
     /// so the flush does not have to re-acquire the writer mutex just to
     /// re-measure the frame it appended.
-    pub fn append_stamped(&self, rec: &mut LogRecord, now: &dyn Fn() -> Timestamp) -> Range<Lsn> {
+    pub fn append_stamped<B, I>(
+        &self,
+        rec: &mut LogRecord<B, I>,
+        now: &dyn Fn() -> Timestamp,
+    ) -> Range<Lsn>
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
         let mut inner = self.inner.lock();
         let at = now().max(inner.last_stamp);
         rec.payload.set_stamp(at);
@@ -1468,10 +1487,18 @@ impl LogInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CheckpointBody, LogPayload};
+    use crate::record::PayloadKind;
     use rewind_common::{CorruptionKind, ObjectId, PageId, TxnId};
 
-    fn rec(txn: u64, payload: LogPayload) -> LogRecord {
+    type Rec = LogRecord<&'static [u8], &'static [u8; PAGE_SIZE]>;
+
+    /// A checkpoint's serialized empty ATT and DPT: two zero counts.
+    const EMPTY_TABLES: &[u8] = &[0; 8];
+
+    /// Row bytes for [`insert_rec`].
+    static FILL: [u8; 5000] = [7; 5000];
+
+    fn rec(txn: u64, payload: LogPayloadView<'static>) -> Rec {
         LogRecord {
             lsn: Lsn::NULL,
             txn: TxnId(txn),
@@ -1485,17 +1512,19 @@ mod tests {
         }
     }
 
-    /// The owned record at `lsn`, read the way chain walks read it.
-    fn get(log: &LogManager, lsn: Lsn) -> Result<LogRecord> {
-        log.get_record_ref(lsn)?.decode()
+    /// The record at `lsn`, read and decoded the way chain walks read it.
+    fn get(log: &LogManager, lsn: Lsn) -> Result<RecordRef> {
+        let r = log.get_record_ref(lsn)?;
+        r.view()?;
+        Ok(r)
     }
 
-    fn insert_rec(txn: u64, n: usize) -> LogRecord {
+    fn insert_rec(txn: u64, n: usize) -> Rec {
         rec(
             txn,
-            LogPayload::InsertRecord {
+            LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: vec![7u8; n],
+                bytes: &FILL[..n],
             },
         )
     }
@@ -1507,17 +1536,17 @@ mod tests {
         let b = log.append(&insert_rec(1, 20));
         let c = log.append(&rec(
             1,
-            LogPayload::Commit {
+            LogPayloadView::Commit {
                 at: Timestamp::from_secs(1),
             },
         ));
         assert!(a < b && b < c);
         assert_eq!(a, Lsn::FIRST);
         let back = get(&log, b).unwrap();
-        assert_eq!(back.lsn, b);
-        match back.payload {
-            LogPayload::InsertRecord { ref bytes, .. } => assert_eq!(bytes.len(), 20),
-            ref other => panic!("unexpected {other:?}"),
+        assert_eq!(back.lsn(), b);
+        match back.view().unwrap().1 {
+            LogPayloadView::InsertRecord { bytes, .. } => assert_eq!(bytes.len(), 20),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1528,12 +1557,16 @@ mod tests {
         for i in 0..300 {
             lsns.push(log.append(&insert_rec(i, 3000)));
         }
-        for &l in &lsns {
-            let owned = get(&log, l).unwrap();
+        for (i, &l) in lsns.iter().enumerate() {
+            let appended = insert_rec(i as u64, 3000);
             let r = log.get_record_ref(l).unwrap();
-            assert_eq!(r.header().unwrap(), owned.header());
-            let (_, view) = r.view().unwrap();
-            assert_eq!(view.to_owned_payload().unwrap(), owned.payload);
+            let (header, view) = r.view().unwrap();
+            assert_eq!(r.header().unwrap(), header);
+            assert_eq!(
+                (header.lsn, header.txn, header.kind),
+                (l, appended.txn, PayloadKind::InsertRecord)
+            );
+            assert_eq!(view, appended.payload);
         }
     }
 
@@ -1587,7 +1620,7 @@ mod tests {
             if i % 7 == 0 {
                 log.append(&rec(
                     i,
-                    LogPayload::Commit {
+                    LogPayloadView::Commit {
                         at: Timestamp::from_secs(i),
                     },
                 ));
@@ -1595,8 +1628,8 @@ mod tests {
         }
         let mut owned = Vec::new();
         log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
-            let r = r.decode()?;
-            owned.push((r.lsn, r.txn, r.payload.kind()));
+            let (h, v) = r.view()?;
+            owned.push((h.lsn, h.txn, v.kind()));
             Ok(true)
         })
         .unwrap();
@@ -1621,7 +1654,7 @@ mod tests {
         }
         for &l in &lsns {
             let r = get(&log, l).unwrap();
-            assert_eq!(r.lsn, l);
+            assert_eq!(r.lsn(), l);
         }
         assert!(log.total_bytes() > 2 * SEGMENT_BYTES);
     }
@@ -1634,7 +1667,7 @@ mod tests {
             let l = log.append(&insert_rec(i, 5000));
             log.append(&rec(
                 i,
-                LogPayload::Commit {
+                LogPayloadView::Commit {
                     at: Timestamp::from_secs(i),
                 },
             ));
@@ -1670,34 +1703,32 @@ mod tests {
         log.append(&insert_rec(1, 10));
         let b1 = log.append(&rec(
             0,
-            LogPayload::CheckpointBegin {
+            LogPayloadView::CheckpointBegin {
                 at: Timestamp::from_secs(5),
             },
         ));
         let e1 = log.append(&rec(
             0,
-            LogPayload::CheckpointEnd(CheckpointBody {
+            LogPayloadView::CheckpointEnd {
                 at: Timestamp::from_secs(5),
                 begin_lsn: b1,
-                att: vec![],
-                dpt: vec![],
-            }),
+                tables: EMPTY_TABLES,
+            },
         ));
         log.append(&insert_rec(1, 10));
         let b2 = log.append(&rec(
             0,
-            LogPayload::CheckpointBegin {
+            LogPayloadView::CheckpointBegin {
                 at: Timestamp::from_secs(9),
             },
         ));
         let e2 = log.append(&rec(
             0,
-            LogPayload::CheckpointEnd(CheckpointBody {
+            LogPayloadView::CheckpointEnd {
                 at: Timestamp::from_secs(9),
                 begin_lsn: b2,
-                att: vec![],
-                dpt: vec![],
-            }),
+                tables: EMPTY_TABLES,
+            },
         ));
         assert_eq!(log.checkpoints().len(), 2);
         assert_eq!(log.checkpoint_before(e2).unwrap().end_lsn, e2);
@@ -1803,14 +1834,14 @@ mod tests {
     fn append_batch_chains_and_writes_back_lsns() {
         let log = LogManager::new(LogConfig::default());
         let head = log.append(&insert_rec(7, 16));
-        let mut batch: Vec<LogRecord> = (0..5).map(|_| insert_rec(7, 32)).collect();
+        let mut batch: Vec<Rec> = (0..5).map(|_| insert_rec(7, 32)).collect();
         batch[0].prev_lsn = head;
         batch[0].prev_page_lsn = Lsn(42);
         let range = log.append_batch(&mut batch);
         assert_eq!(range.start, batch[0].lsn);
         assert_eq!(range.end, log.tail_lsn());
         for (i, rec) in batch.iter().enumerate() {
-            let back = get(&log, rec.lsn).unwrap();
+            let back = get(&log, rec.lsn).unwrap().header().unwrap();
             if i == 0 {
                 // The batch head keeps its caller-provided linkage…
                 assert_eq!(back.prev_lsn, head);
@@ -1825,7 +1856,7 @@ mod tests {
         // A batch of differently-keyed records is left unchained.
         let mut mixed = vec![insert_rec(1, 8), insert_rec(2, 8)];
         log.append_batch(&mut mixed);
-        let back = get(&log, mixed[1].lsn).unwrap();
+        let back = get(&log, mixed[1].lsn).unwrap().header().unwrap();
         assert_eq!(back.prev_lsn, Lsn::NULL);
     }
 
@@ -1834,7 +1865,7 @@ mod tests {
         let log = LogManager::new(LogConfig::default());
         let mut r1 = rec(
             1,
-            LogPayload::Commit {
+            LogPayloadView::Commit {
                 at: Timestamp::ZERO,
             },
         );
@@ -1843,18 +1874,18 @@ mod tests {
         // stamps stay monotone in LSN order.
         let mut r2 = rec(
             2,
-            LogPayload::Commit {
+            LogPayloadView::Commit {
                 at: Timestamp::ZERO,
             },
         );
         let range2 = log.append_stamped(&mut r2, &|| Timestamp::from_secs(5));
         assert_eq!(range2.end, log.tail_lsn());
-        match get(&log, range2.start).unwrap().payload {
-            LogPayload::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
-            ref other => panic!("unexpected {other:?}"),
+        match get(&log, range2.start).unwrap().view().unwrap().1 {
+            LogPayloadView::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
+            other => panic!("unexpected {other:?}"),
         }
         match r2.payload {
-            LogPayload::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
+            LogPayloadView::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
             ref other => panic!("unexpected {other:?}"),
         }
     }
@@ -1869,30 +1900,29 @@ mod tests {
         log.flush_to(log.tail_lsn());
         // Hold a zero-copy ref into early history, then truncate past it.
         let held = log.get_record_ref(lsns[10]).unwrap();
-        let expect = held.decode().unwrap();
+        let expect = held.body().to_vec();
         log.truncate_before(lsns[400]);
         assert!(log.truncation_point() > lsns[10]);
         // New reads fail; the held snapshot still decodes the same record.
         assert!(matches!(get(&log, lsns[10]), Err(Error::LogTruncated(_))));
-        assert_eq!(held.decode().unwrap(), expect);
-        assert_eq!(held.header().unwrap(), expect.header());
+        assert_eq!(held.body(), &expect[..]);
+        assert_eq!(held.view().unwrap().0.lsn, lsns[10]);
     }
 
     fn end_checkpoint(log: &LogManager, at_secs: u64) -> Lsn {
         let b = log.append(&rec(
             0,
-            LogPayload::CheckpointBegin {
+            LogPayloadView::CheckpointBegin {
                 at: Timestamp::from_secs(at_secs),
             },
         ));
         log.append(&rec(
             0,
-            LogPayload::CheckpointEnd(CheckpointBody {
+            LogPayloadView::CheckpointEnd {
                 at: Timestamp::from_secs(at_secs),
                 begin_lsn: b,
-                att: vec![],
-                dpt: vec![],
-            }),
+                tables: EMPTY_TABLES,
+            },
         ))
     }
 
@@ -1905,7 +1935,7 @@ mod tests {
         assert!(get(&log, b).is_ok());
         // Flip one bit in b's body; the frame CRC must catch it.
         assert!(log.corrupt_byte_at(b.0 + FRAME_HEADER as u64 + 3, 0x10));
-        let err = get(&log, b).unwrap_err();
+        let err = get(&log, b).err().expect("the flipped frame is rejected");
         assert_eq!(err.corruption_kind(), Some(CorruptionKind::LogBlock));
         assert!(err.to_string().contains("crc"), "{err}");
         assert!(log.io_stats().snapshot().corruptions_detected >= 1);
@@ -1969,7 +1999,7 @@ mod tests {
         assert_eq!(log.discard_corrupt_tail(), Some(lsns[50]));
         assert_eq!(log.tail_lsn(), lsns[50]);
         assert!(get(&log, lsns[49]).is_ok());
-        assert!(held.decode().is_ok(), "sealed bytes are never mutated");
+        assert!(held.view().is_ok(), "sealed bytes are never mutated");
     }
 
     #[test]
@@ -2062,7 +2092,7 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 3000)));
             if i % 4 == 3 {
                 let at = Timestamp::from_secs(i);
-                log.append(&rec(i, LogPayload::Commit { at }));
+                log.append(&rec(i, LogPayloadView::Commit { at }));
             }
         }
         assert!(log.load_sealed().segs.len() >= 2, "need sealed history");
@@ -2249,7 +2279,7 @@ mod tests {
                     log.get_record_ref(held.lsn()).is_err(),
                     "gone for new reads"
                 );
-                assert_eq!(held.decode().unwrap().lsn, lsns[at + 1], "kept for old");
+                assert_eq!(held.view().unwrap().0.lsn, lsns[at + 1], "kept for old");
                 assert_eq!(log.append(&insert_rec(7, 10)), cut, "appendable at the cut");
             }
         }

@@ -6,10 +6,26 @@
 //! undoable, which is the property the paper's page-oriented undo relies on
 //! (§4.1-B) — including CLRs and the delete half of structure modifications
 //! (§4.2).
+//!
+//! # One payload type, two instantiations
+//!
+//! The seventeen payload kinds are defined once, by [`Payload`], generic over
+//! where its byte payloads (`B`) and page images (`I`) live. `kind`,
+//! `precheck`, `redo`, `undo`, `compensation` and the encoder are written
+//! once for every instantiation, and [`LogPayloadView::decode`] is the one
+//! parser. The engine builds and reads only [`LogPayloadView`], which
+//! borrows: records are built from bytes the caller already holds, and a
+//! decoded record borrows straight from the log segment it was read from,
+//! so neither appending nor a chain walk copies a payload.
+//!
+//! [`LogPayload`], the owning instantiation, exists for callers outside the
+//! engine that build a record from values they own and append it; nothing
+//! in the engine names it.
 
 use rewind_common::codec::{ByteReader, ByteWriter};
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp, TxnId};
 use rewind_pagestore::page::{Page, PageType, PAGE_SIZE};
+use std::ops::Deref;
 
 /// Record flag: this record is a compensation log record written during
 /// rollback; `undo_next` points at the next record of the transaction to
@@ -47,28 +63,77 @@ pub struct DptEntry {
     pub rec_lsn: Lsn,
 }
 
-/// Body of a checkpoint-end record.
+/// The fuzzy-checkpoint tables of a checkpoint-end record: the one owned
+/// part of the format. [`Payload::CheckpointEnd`] carries them serialized
+/// (`tables`); [`CheckpointBody::encode`] writes that form and
+/// [`CheckpointBody::decode`] parses it.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct CheckpointBody {
-    /// Wall-clock time at which the checkpoint was taken.
-    pub at: Timestamp,
-    /// LSN of the matching checkpoint-begin record.
-    pub begin_lsn: Lsn,
     /// Active transactions at checkpoint time.
     pub att: Vec<TxnTableEntry>,
     /// Dirty pages at checkpoint time.
     pub dpt: Vec<DptEntry>,
 }
 
-/// The operation described by a log record.
+impl CheckpointBody {
+    /// Serialize the tables: a `u32` count and the entries of each.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(self.att.len() as u32);
+        for e in &self.att {
+            w.put_u64(e.txn.0);
+            w.put_u64(e.first_lsn.0);
+            w.put_u64(e.last_lsn.0);
+        }
+        w.put_u32(self.dpt.len() as u32);
+        for e in &self.dpt {
+            w.put_u64(e.page.0);
+            w.put_u64(e.rec_lsn.0);
+        }
+        w.into_bytes()
+    }
+
+    /// Parse the serialized tables of a checkpoint-end record.
+    pub fn decode(tables: &[u8]) -> Result<CheckpointBody> {
+        let mut r = ByteReader::new(tables);
+        let natt = r.get_u32()? as usize;
+        let mut att = Vec::with_capacity(natt.min(r.remaining() / 24));
+        for _ in 0..natt {
+            att.push(TxnTableEntry {
+                txn: TxnId(r.get_u64()?),
+                first_lsn: Lsn(r.get_u64()?),
+                last_lsn: Lsn(r.get_u64()?),
+            });
+        }
+        let ndpt = r.get_u32()? as usize;
+        let mut dpt = Vec::with_capacity(ndpt.min(r.remaining() / 16));
+        for _ in 0..ndpt {
+            dpt.push(DptEntry {
+                page: PageId(r.get_u64()?),
+                rec_lsn: Lsn(r.get_u64()?),
+            });
+        }
+        if !r.is_exhausted() {
+            return Err(Error::corruption(format!(
+                "{} trailing bytes after checkpoint body",
+                r.remaining()
+            )));
+        }
+        Ok(CheckpointBody { att, dpt })
+    }
+}
+
+/// The operation described by a log record: the one definition of the
+/// payload kinds, generic over byte storage `B` and page-image storage `I`
+/// (see the module docs for the two instantiations).
 ///
-/// Page-modifying payloads implement [`LogPayload::redo`] (apply forward,
-/// stamping the page LSN) and [`LogPayload::undo`] (apply the exact reverse
-/// to the page contents; LSN bookkeeping is the caller's job, see
-/// `PreparePageAsOf`). [`LogPayload::compensation`] produces the payload a
-/// CLR would carry to logically undo this record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LogPayload {
+/// Page-modifying payloads implement [`Payload::redo`] (apply forward,
+/// stamping the page LSN) and [`Payload::undo`] (apply the exact reverse to
+/// the page contents; LSN bookkeeping is the caller's job, see
+/// `PreparePageAsOf`). [`Payload::compensation`] produces the payload a CLR
+/// would carry to logically undo this record.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Payload<B, I> {
     /// Transaction committed at the given wall-clock time. SplitLSN search
     /// (§5.1) keys off these stamps.
     Commit {
@@ -100,7 +165,7 @@ pub enum LogPayload {
     /// chain both stays reachable and can be restored.
     Preformat {
         /// Full image of the page's previous incarnation.
-        prev_image: Box<[u8; PAGE_SIZE]>,
+        prev_image: I,
     },
     /// Reformat a page that had live content (e.g. the root during a root
     /// split, or table truncation), carrying the old image as undo info.
@@ -112,14 +177,14 @@ pub enum LogPayload {
         /// New B-Tree level.
         level: u16,
         /// Full previous image (undo information).
-        prev_image: Box<[u8; PAGE_SIZE]>,
+        prev_image: I,
     },
     /// Insert `bytes` as a new record at `slot`.
     InsertRecord {
         /// Target slot index.
         slot: u16,
         /// Record bytes.
-        bytes: Vec<u8>,
+        bytes: B,
     },
     /// Delete the record at `slot`. `old` is the undo information — present
     /// even when this delete is half of a structure-modification move
@@ -128,16 +193,16 @@ pub enum LogPayload {
         /// Target slot index.
         slot: u16,
         /// The deleted record bytes (undo information).
-        old: Vec<u8>,
+        old: B,
     },
     /// Replace the record at `slot` with `new`; `old` is the undo info.
     UpdateRecord {
         /// Target slot index.
         slot: u16,
         /// Previous record bytes (undo information).
-        old: Vec<u8>,
+        old: B,
         /// New record bytes.
-        new: Vec<u8>,
+        new: B,
     },
     /// Change the page's right-sibling pointer.
     SetNextPage {
@@ -168,9 +233,9 @@ pub enum LogPayload {
         /// Offset within the page body.
         offset: u16,
         /// Previous bytes (undo information).
-        old: Vec<u8>,
+        old: B,
         /// New bytes.
-        new: Vec<u8>,
+        new: B,
     },
     /// Periodic full page image (§6.1): lets `PreparePageAsOf` skip from the
     /// page header straight to the first image after the target LSN instead
@@ -181,7 +246,7 @@ pub enum LogPayload {
         prev_fpi_lsn: Lsn,
         /// The page image. Its `pageLSN`/`lastFpiLSN` header fields are
         /// patched to this record's LSN when applied.
-        image: Box<[u8; PAGE_SIZE]>,
+        image: I,
     },
     /// Replace the whole page image, carrying both directions as full
     /// images. Used only by compensation records that must undo a
@@ -190,9 +255,9 @@ pub enum LogPayload {
     /// undoable by `PreparePageAsOf`.
     RestoreImage {
         /// Image before this record (undo information).
-        old: Box<[u8; PAGE_SIZE]>,
+        old: I,
         /// Image after this record.
-        new: Box<[u8; PAGE_SIZE]>,
+        new: I,
     },
     /// Checkpoint begin marker, stamped with wall-clock time (used to narrow
     /// the SplitLSN search, §5.1).
@@ -200,123 +265,174 @@ pub enum LogPayload {
         /// Wall-clock time.
         at: Timestamp,
     },
-    /// Checkpoint end: the fuzzy-checkpoint tables.
-    CheckpointEnd(CheckpointBody),
+    /// Checkpoint end: the stamp, the matching begin record, and the
+    /// fuzzy-checkpoint tables.
+    CheckpointEnd {
+        /// Wall-clock time at which the checkpoint was taken.
+        at: Timestamp,
+        /// LSN of the matching checkpoint-begin record.
+        begin_lsn: Lsn,
+        /// The serialized ATT and DPT; [`CheckpointBody::decode`] parses
+        /// them.
+        tables: B,
+    },
 }
 
-impl LogPayload {
-    /// The payload's kind tag (also its serialized tag byte) — read off the
-    /// view, so the variant-to-kind table exists once.
+/// The borrowed payload: what the engine builds, appends and decodes. Byte
+/// payloads and page images borrow from the caller or from the log segment
+/// the record was read from.
+pub type LogPayloadView<'a> = Payload<&'a [u8], &'a [u8; PAGE_SIZE]>;
+
+/// The owning payload, for callers outside the engine that build a record
+/// from values they own and append it.
+pub type LogPayload = Payload<Vec<u8>, Box<[u8; PAGE_SIZE]>>;
+
+fn read_image_ref<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8; PAGE_SIZE]> {
+    let raw = r.get_raw(PAGE_SIZE)?;
+    raw.try_into()
+        .map_err(|_| Error::log_corruption(Lsn(0), "page image shorter than PAGE_SIZE"))
+}
+
+impl<'a> LogPayloadView<'a> {
+    /// Decode a payload from the payload portion of a record body
+    /// (everything after the fixed header). Borrows byte payloads and page
+    /// images from `bytes`; allocates nothing. The only parser of payload
+    /// bodies.
+    pub fn decode(bytes: &'a [u8]) -> Result<LogPayloadView<'a>> {
+        let mut r = ByteReader::new(bytes);
+        let view = match PayloadKind::from_tag(r.get_u8()?)? {
+            PayloadKind::Commit => Payload::Commit {
+                at: Timestamp::from_micros(r.get_u64()?),
+            },
+            PayloadKind::Abort => Payload::Abort,
+            PayloadKind::End => Payload::End,
+            PayloadKind::Format => Payload::Format {
+                object: ObjectId(r.get_u64()?),
+                ty: PageType::from_u16(r.get_u16()?)?,
+                level: r.get_u16()?,
+                next: PageId(r.get_u64()?),
+                prev: PageId(r.get_u64()?),
+            },
+            PayloadKind::Preformat => Payload::Preformat {
+                prev_image: read_image_ref(&mut r)?,
+            },
+            PayloadKind::Reformat => Payload::Reformat {
+                object: ObjectId(r.get_u64()?),
+                ty: PageType::from_u16(r.get_u16()?)?,
+                level: r.get_u16()?,
+                prev_image: read_image_ref(&mut r)?,
+            },
+            PayloadKind::InsertRecord => Payload::InsertRecord {
+                slot: r.get_u16()?,
+                bytes: r.get_bytes()?,
+            },
+            PayloadKind::DeleteRecord => Payload::DeleteRecord {
+                slot: r.get_u16()?,
+                old: r.get_bytes()?,
+            },
+            PayloadKind::UpdateRecord => Payload::UpdateRecord {
+                slot: r.get_u16()?,
+                old: r.get_bytes()?,
+                new: r.get_bytes()?,
+            },
+            PayloadKind::SetNextPage => Payload::SetNextPage {
+                old: PageId(r.get_u64()?),
+                new: PageId(r.get_u64()?),
+            },
+            PayloadKind::SetPrevPage => Payload::SetPrevPage {
+                old: PageId(r.get_u64()?),
+                new: PageId(r.get_u64()?),
+            },
+            PayloadKind::AllocSet => Payload::AllocSet {
+                index: r.get_u32()?,
+                old: r.get_u8()?,
+                new: r.get_u8()?,
+            },
+            PayloadKind::BootWrite => Payload::BootWrite {
+                offset: r.get_u16()?,
+                old: r.get_bytes()?,
+                new: r.get_bytes()?,
+            },
+            PayloadKind::FullPageImage => Payload::FullPageImage {
+                prev_fpi_lsn: Lsn(r.get_u64()?),
+                image: read_image_ref(&mut r)?,
+            },
+            PayloadKind::RestoreImage => Payload::RestoreImage {
+                old: read_image_ref(&mut r)?,
+                new: read_image_ref(&mut r)?,
+            },
+            PayloadKind::CheckpointBegin => Payload::CheckpointBegin {
+                at: Timestamp::from_micros(r.get_u64()?),
+            },
+            PayloadKind::CheckpointEnd => Payload::CheckpointEnd {
+                at: Timestamp::from_micros(r.get_u64()?),
+                begin_lsn: Lsn(r.get_u64()?),
+                // The tables stay serialized; consume everything.
+                tables: r.get_raw(r.remaining())?,
+            },
+        };
+        if !r.is_exhausted() {
+            return Err(Error::corruption(format!(
+                "{} trailing bytes after log payload",
+                r.remaining()
+            )));
+        }
+        Ok(view)
+    }
+}
+
+impl<B, I> Payload<B, I>
+where
+    B: Deref<Target = [u8]>,
+    I: Deref<Target = [u8; PAGE_SIZE]>,
+{
+    /// The payload's kind tag (also its serialized tag byte).
     pub fn kind(&self) -> PayloadKind {
-        self.as_view()
-            .map_or(PayloadKind::CheckpointEnd, |v| v.kind())
-    }
-
-    /// Whether this payload modifies a page (and therefore participates in
-    /// per-page chains).
-    pub fn is_page_op(&self) -> bool {
-        self.kind().is_page_op()
-    }
-
-    /// Overwrite the wall-clock stamp carried by commit/checkpoint payloads;
-    /// a no-op for every other kind. `LogManager::append_stamped` uses this
-    /// to assign the stamp *under the writer mutex*, so stamps are monotone
-    /// in LSN order — the invariant the SplitLSN binary search (§5.1) and
-    /// the checkpoint directory rely on.
-    pub fn set_stamp(&mut self, at: Timestamp) {
         match self {
-            LogPayload::Commit { at: a } | LogPayload::CheckpointBegin { at: a } => *a = at,
-            LogPayload::CheckpointEnd(body) => body.at = at,
-            _ => {}
+            Payload::Commit { .. } => PayloadKind::Commit,
+            Payload::Abort => PayloadKind::Abort,
+            Payload::End => PayloadKind::End,
+            Payload::Format { .. } => PayloadKind::Format,
+            Payload::Preformat { .. } => PayloadKind::Preformat,
+            Payload::Reformat { .. } => PayloadKind::Reformat,
+            Payload::InsertRecord { .. } => PayloadKind::InsertRecord,
+            Payload::DeleteRecord { .. } => PayloadKind::DeleteRecord,
+            Payload::UpdateRecord { .. } => PayloadKind::UpdateRecord,
+            Payload::SetNextPage { .. } => PayloadKind::SetNextPage,
+            Payload::SetPrevPage { .. } => PayloadKind::SetPrevPage,
+            Payload::AllocSet { .. } => PayloadKind::AllocSet,
+            Payload::BootWrite { .. } => PayloadKind::BootWrite,
+            Payload::FullPageImage { .. } => PayloadKind::FullPageImage,
+            Payload::RestoreImage { .. } => PayloadKind::RestoreImage,
+            Payload::CheckpointBegin { .. } => PayloadKind::CheckpointBegin,
+            Payload::CheckpointEnd { .. } => PayloadKind::CheckpointEnd,
         }
     }
 
-    /// Borrow this payload as a zero-copy view, or `None` for
-    /// [`LogPayload::CheckpointEnd`] (whose view form wraps raw bytes).
-    /// Views carry the single implementation of redo/undo/compensation.
-    pub fn as_view(&self) -> Option<LogPayloadView<'_>> {
-        Some(match self {
-            LogPayload::Commit { at } => LogPayloadView::Commit { at: *at },
-            LogPayload::Abort => LogPayloadView::Abort,
-            LogPayload::End => LogPayloadView::End,
-            LogPayload::Format {
-                object,
-                ty,
-                level,
-                next,
-                prev,
-            } => LogPayloadView::Format {
-                object: *object,
-                ty: *ty,
-                level: *level,
-                next: *next,
-                prev: *prev,
-            },
-            LogPayload::Preformat { prev_image } => LogPayloadView::Preformat { prev_image },
-            LogPayload::Reformat {
-                object,
-                ty,
-                level,
-                prev_image,
-            } => LogPayloadView::Reformat {
-                object: *object,
-                ty: *ty,
-                level: *level,
-                prev_image,
-            },
-            LogPayload::InsertRecord { slot, bytes } => {
-                LogPayloadView::InsertRecord { slot: *slot, bytes }
-            }
-            LogPayload::DeleteRecord { slot, old } => {
-                LogPayloadView::DeleteRecord { slot: *slot, old }
-            }
-            LogPayload::UpdateRecord { slot, old, new } => LogPayloadView::UpdateRecord {
-                slot: *slot,
-                old,
-                new,
-            },
-            LogPayload::SetNextPage { old, new } => LogPayloadView::SetNextPage {
-                old: *old,
-                new: *new,
-            },
-            LogPayload::SetPrevPage { old, new } => LogPayloadView::SetPrevPage {
-                old: *old,
-                new: *new,
-            },
-            LogPayload::AllocSet { index, old, new } => LogPayloadView::AllocSet {
-                index: *index,
-                old: *old,
-                new: *new,
-            },
-            LogPayload::BootWrite { offset, old, new } => LogPayloadView::BootWrite {
-                offset: *offset,
-                old,
-                new,
-            },
-            LogPayload::FullPageImage {
-                prev_fpi_lsn,
-                image,
-            } => LogPayloadView::FullPageImage {
-                prev_fpi_lsn: *prev_fpi_lsn,
-                image,
-            },
-            LogPayload::RestoreImage { old, new } => LogPayloadView::RestoreImage { old, new },
-            LogPayload::CheckpointBegin { at } => LogPayloadView::CheckpointBegin { at: *at },
-            LogPayload::CheckpointEnd(_) => return None,
-        })
+    /// The wall-clock stamp of a commit, checkpoint-begin or checkpoint-end
+    /// record: every kind the log's time index keys (`LogInner::push_time`),
+    /// so the SplitLSN search can read the stamp of whatever record the
+    /// index starts it on.
+    pub fn time_stamp(&self) -> Option<Timestamp> {
+        match self {
+            Payload::Commit { at }
+            | Payload::CheckpointBegin { at }
+            | Payload::CheckpointEnd { at, .. } => Some(*at),
+            _ => None,
+        }
     }
 
-    /// Apply the forward (redo) effect to `page` and stamp its pageLSN.
-    ///
-    /// Callers must have established that the record applies (ARIES redo
-    /// compares `page.page_lsn() < lsn`; normal forward processing always
-    /// applies).
-    pub fn redo(&self, page: &mut Page, page_id: PageId, lsn: Lsn) -> Result<()> {
-        match self.as_view() {
-            Some(v) => v.redo(page, page_id, lsn),
-            None => Err(Error::Internal(format!(
-                "redo of non-page payload {self:?}"
-            ))),
+    /// Overwrite the stamp [`Payload::time_stamp`] reads; a no-op for every
+    /// other kind. `LogManager::append_stamped` uses this to assign the
+    /// stamp *under the writer mutex*, so stamps are monotone in LSN order —
+    /// the invariant the SplitLSN binary search (§5.1) and the checkpoint
+    /// directory rely on.
+    pub fn set_stamp(&mut self, stamp: Timestamp) {
+        if let Payload::Commit { at }
+        | Payload::CheckpointBegin { at }
+        | Payload::CheckpointEnd { at, .. } = self
+        {
+            *at = stamp;
         }
     }
 
@@ -325,7 +441,7 @@ impl LogPayload {
     /// record so the log never contains a record whose apply failed.
     pub fn precheck(&self, page: &Page) -> Result<()> {
         match self {
-            LogPayload::InsertRecord { slot, bytes } => {
+            Payload::InsertRecord { slot, bytes } => {
                 let n = page.slot_count() as usize;
                 if *slot as usize > n {
                     return Err(Error::Internal(format!(
@@ -339,10 +455,10 @@ impl LogPayload {
                     });
                 }
             }
-            LogPayload::DeleteRecord { slot, .. } if *slot >= page.slot_count() => {
+            Payload::DeleteRecord { slot, .. } if *slot >= page.slot_count() => {
                 return Err(Error::Internal(format!("delete of missing slot {slot}")));
             }
-            LogPayload::UpdateRecord { slot, new, .. } => {
+            Payload::UpdateRecord { slot, new, .. } => {
                 if *slot >= page.slot_count() {
                     return Err(Error::Internal(format!("update of missing slot {slot}")));
                 }
@@ -354,12 +470,12 @@ impl LogPayload {
                     });
                 }
             }
-            LogPayload::AllocSet { index, .. }
+            Payload::AllocSet { index, .. }
                 if *index as usize >= rewind_pagestore::alloc::MAP_CAPACITY =>
             {
                 return Err(Error::Internal(format!("alloc index {index} out of range")));
             }
-            LogPayload::BootWrite { offset, new, .. }
+            Payload::BootWrite { offset, new, .. }
                 if *offset as usize + new.len() > page.body().len() =>
             {
                 return Err(Error::Internal("boot write out of range".into()));
@@ -369,32 +485,178 @@ impl LogPayload {
         Ok(())
     }
 
+    /// Apply the forward (redo) effect to `page` and stamp its pageLSN.
+    ///
+    /// Callers must have established that the record applies (ARIES redo
+    /// compares `page.page_lsn() < lsn`; normal forward processing always
+    /// applies).
+    pub fn redo(&self, page: &mut Page, page_id: PageId, lsn: Lsn) -> Result<()> {
+        match self {
+            Payload::Format {
+                object,
+                ty,
+                level,
+                next,
+                prev,
+            } => {
+                page.format(page_id, *object, *ty);
+                page.set_level(*level);
+                page.set_next_page(*next);
+                page.set_prev_page(*prev);
+            }
+            Payload::Preformat { .. } => {
+                // The preformat record *stores* the previous content; its
+                // forward effect is nil (the page is about to be formatted).
+            }
+            Payload::Reformat {
+                object, ty, level, ..
+            } => {
+                page.format(page_id, *object, *ty);
+                page.set_level(*level);
+            }
+            Payload::InsertRecord { slot, bytes } => {
+                page.insert_record(*slot as usize, bytes)?;
+            }
+            Payload::DeleteRecord { slot, .. } => {
+                page.remove_record(*slot as usize)?;
+            }
+            Payload::UpdateRecord { slot, new, .. } => {
+                page.replace_record(*slot as usize, new)?;
+            }
+            Payload::SetNextPage { new, .. } => page.set_next_page(*new),
+            Payload::SetPrevPage { new, .. } => page.set_prev_page(*new),
+            Payload::AllocSet { index, new, .. } => {
+                rewind_pagestore::alloc::set_state(
+                    page,
+                    *index as usize,
+                    rewind_pagestore::alloc::PageState::from_bits(*new),
+                )?;
+            }
+            Payload::BootWrite { offset, new, .. } => {
+                let off = *offset as usize;
+                page.body_mut()[off..off + new.len()].copy_from_slice(new);
+            }
+            Payload::FullPageImage { image, .. } => {
+                page.restore_image(image);
+                page.set_last_fpi_lsn(lsn);
+            }
+            Payload::RestoreImage { new, .. } => {
+                page.restore_image(new);
+            }
+            _ => {
+                return Err(Error::Internal(format!(
+                    "redo of non-page payload {:?}",
+                    self.kind()
+                )));
+            }
+        }
+        page.set_page_lsn(lsn);
+        Ok(())
+    }
+
     /// Apply the reverse effect to `page` contents.
     ///
     /// This is the physical-undo step of `PreparePageAsOf` (paper Fig. 3):
     /// the caller walks the per-page chain and manages the final pageLSN.
     pub fn undo(&self, page: &mut Page, page_id: PageId) -> Result<()> {
-        match self.as_view() {
-            Some(v) => v.undo(page, page_id),
-            None => Err(Error::Internal(format!(
-                "undo of non-page payload {self:?}"
-            ))),
+        match self {
+            Payload::Format { .. } => {
+                // Back to "unallocated": erase. If a previous incarnation
+                // existed, the preceding Preformat/Reformat image restores it
+                // as the chain walk continues.
+                page.format(page_id, ObjectId::NONE, PageType::Free);
+            }
+            Payload::Reformat { prev_image, .. } | Payload::Preformat { prev_image } => {
+                page.restore_image(prev_image);
+            }
+            Payload::InsertRecord { slot, .. } => {
+                page.remove_record(*slot as usize)?;
+            }
+            Payload::DeleteRecord { slot, old } => {
+                page.insert_record(*slot as usize, old)?;
+            }
+            Payload::UpdateRecord { slot, old, .. } => {
+                page.replace_record(*slot as usize, old)?;
+            }
+            Payload::SetNextPage { old, .. } => page.set_next_page(*old),
+            Payload::SetPrevPage { old, .. } => page.set_prev_page(*old),
+            Payload::AllocSet { index, old, .. } => {
+                rewind_pagestore::alloc::set_state(
+                    page,
+                    *index as usize,
+                    rewind_pagestore::alloc::PageState::from_bits(*old),
+                )?;
+            }
+            Payload::BootWrite { offset, old, .. } => {
+                let off = *offset as usize;
+                page.body_mut()[off..off + old.len()].copy_from_slice(old);
+            }
+            Payload::FullPageImage { prev_fpi_lsn, .. } => {
+                // Content was identical before and after; only the FPI-chain
+                // anchor moves back.
+                page.set_last_fpi_lsn(*prev_fpi_lsn);
+            }
+            Payload::RestoreImage { old, .. } => {
+                page.restore_image(old);
+            }
+            _ => {
+                return Err(Error::Internal(format!(
+                    "undo of non-page payload {:?}",
+                    self.kind()
+                )));
+            }
         }
+        Ok(())
     }
 
     /// The payload a compensation log record carries to logically undo this
-    /// record during rollback, or `None` if the record is not logically
-    /// undoable (txn markers, checkpoints, FPIs, preformats).
-    pub fn compensation(&self) -> Option<LogPayload> {
-        self.as_view()?.compensation()
+    /// record during rollback — this one's fields, swapped, borrowed from
+    /// `self` — or `None` if the record is not logically undoable (txn
+    /// markers, checkpoints, FPIs, (pre/re)formats).
+    pub fn compensation(&self) -> Option<LogPayloadView<'_>> {
+        Some(match self {
+            Payload::InsertRecord { slot, bytes } => Payload::DeleteRecord {
+                slot: *slot,
+                old: bytes,
+            },
+            Payload::DeleteRecord { slot, old } => Payload::InsertRecord {
+                slot: *slot,
+                bytes: old,
+            },
+            Payload::UpdateRecord { slot, old, new } => Payload::UpdateRecord {
+                slot: *slot,
+                old: new,
+                new: old,
+            },
+            Payload::SetNextPage { old, new } => Payload::SetNextPage {
+                old: *new,
+                new: *old,
+            },
+            Payload::SetPrevPage { old, new } => Payload::SetPrevPage {
+                old: *new,
+                new: *old,
+            },
+            Payload::AllocSet { index, old, new } => Payload::AllocSet {
+                index: *index,
+                old: *new,
+                new: *old,
+            },
+            Payload::BootWrite { offset, old, new } => Payload::BootWrite {
+                offset: *offset,
+                old: new,
+                new: old,
+            },
+            Payload::RestoreImage { old, new } => Payload::RestoreImage { old: new, new: old },
+            _ => return None,
+        })
     }
 
     fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u8(self.kind() as u8);
         match self {
-            LogPayload::Commit { at } => w.put_u64(at.as_micros()),
-            LogPayload::Abort | LogPayload::End => {}
-            LogPayload::Format {
+            Payload::Commit { at } | Payload::CheckpointBegin { at } => w.put_u64(at.as_micros()),
+            Payload::Abort | Payload::End => {}
+            Payload::Format {
                 object,
                 ty,
                 level,
@@ -407,8 +669,8 @@ impl LogPayload {
                 w.put_u64(next.0);
                 w.put_u64(prev.0);
             }
-            LogPayload::Preformat { prev_image } => w.put_raw(&prev_image[..]),
-            LogPayload::Reformat {
+            Payload::Preformat { prev_image } => w.put_raw(&prev_image[..]),
+            Payload::Reformat {
                 object,
                 ty,
                 level,
@@ -419,96 +681,51 @@ impl LogPayload {
                 w.put_u16(*level);
                 w.put_raw(&prev_image[..]);
             }
-            LogPayload::InsertRecord { slot, bytes } => {
+            Payload::InsertRecord { slot, bytes: b } | Payload::DeleteRecord { slot, old: b } => {
                 w.put_u16(*slot);
-                w.put_bytes(bytes);
+                w.put_bytes(b);
             }
-            LogPayload::DeleteRecord { slot, old } => {
-                w.put_u16(*slot);
-                w.put_bytes(old);
-            }
-            LogPayload::UpdateRecord { slot, old, new } => {
-                w.put_u16(*slot);
+            Payload::UpdateRecord { slot: at, old, new }
+            | Payload::BootWrite {
+                offset: at,
+                old,
+                new,
+            } => {
+                w.put_u16(*at);
                 w.put_bytes(old);
                 w.put_bytes(new);
             }
-            LogPayload::SetNextPage { old, new } | LogPayload::SetPrevPage { old, new } => {
+            Payload::SetNextPage { old, new } | Payload::SetPrevPage { old, new } => {
                 w.put_u64(old.0);
                 w.put_u64(new.0);
             }
-            LogPayload::AllocSet { index, old, new } => {
+            Payload::AllocSet { index, old, new } => {
                 w.put_u32(*index);
                 w.put_u8(*old);
                 w.put_u8(*new);
             }
-            LogPayload::BootWrite { offset, old, new } => {
-                w.put_u16(*offset);
-                w.put_bytes(old);
-                w.put_bytes(new);
-            }
-            LogPayload::FullPageImage {
+            Payload::FullPageImage {
                 prev_fpi_lsn,
                 image,
             } => {
                 w.put_u64(prev_fpi_lsn.0);
                 w.put_raw(&image[..]);
             }
-            LogPayload::RestoreImage { old, new } => {
+            Payload::RestoreImage { old, new } => {
                 w.put_raw(&old[..]);
                 w.put_raw(&new[..]);
             }
-            LogPayload::CheckpointBegin { at } => w.put_u64(at.as_micros()),
-            LogPayload::CheckpointEnd(body) => {
-                w.put_u64(body.at.as_micros());
-                w.put_u64(body.begin_lsn.0);
-                w.put_u32(body.att.len() as u32);
-                for e in &body.att {
-                    w.put_u64(e.txn.0);
-                    w.put_u64(e.first_lsn.0);
-                    w.put_u64(e.last_lsn.0);
-                }
-                w.put_u32(body.dpt.len() as u32);
-                for e in &body.dpt {
-                    w.put_u64(e.page.0);
-                    w.put_u64(e.rec_lsn.0);
-                }
+            Payload::CheckpointEnd {
+                at,
+                begin_lsn,
+                tables,
+            } => {
+                w.put_u64(at.as_micros());
+                w.put_u64(begin_lsn.0);
+                w.put_raw(tables);
             }
         }
     }
-}
-
-fn decode_checkpoint_body(r: &mut ByteReader<'_>) -> Result<CheckpointBody> {
-    let at = Timestamp::from_micros(r.get_u64()?);
-    let begin_lsn = Lsn(r.get_u64()?);
-    let natt = r.get_u32()? as usize;
-    let mut att = Vec::with_capacity(natt.min(r.remaining() / 24));
-    for _ in 0..natt {
-        att.push(TxnTableEntry {
-            txn: TxnId(r.get_u64()?),
-            first_lsn: Lsn(r.get_u64()?),
-            last_lsn: Lsn(r.get_u64()?),
-        });
-    }
-    let ndpt = r.get_u32()? as usize;
-    let mut dpt = Vec::with_capacity(ndpt.min(r.remaining() / 16));
-    for _ in 0..ndpt {
-        dpt.push(DptEntry {
-            page: PageId(r.get_u64()?),
-            rec_lsn: Lsn(r.get_u64()?),
-        });
-    }
-    Ok(CheckpointBody {
-        at,
-        begin_lsn,
-        att,
-        dpt,
-    })
-}
-
-fn read_image_ref<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8; PAGE_SIZE]> {
-    let raw = r.get_raw(PAGE_SIZE)?;
-    raw.try_into()
-        .map_err(|_| Error::log_corruption(Lsn(0), "page image shorter than PAGE_SIZE"))
 }
 
 /// The kind of operation a log record carries, decodable from the record's
@@ -517,39 +734,39 @@ fn read_image_ref<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8; PAGE_SIZE]> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum PayloadKind {
-    /// [`LogPayload::Commit`].
+    /// [`Payload::Commit`].
     Commit = 1,
-    /// [`LogPayload::Abort`].
+    /// [`Payload::Abort`].
     Abort = 2,
-    /// [`LogPayload::End`].
+    /// [`Payload::End`].
     End = 3,
-    /// [`LogPayload::Format`].
+    /// [`Payload::Format`].
     Format = 4,
-    /// [`LogPayload::Preformat`].
+    /// [`Payload::Preformat`].
     Preformat = 5,
-    /// [`LogPayload::Reformat`].
+    /// [`Payload::Reformat`].
     Reformat = 6,
-    /// [`LogPayload::InsertRecord`].
+    /// [`Payload::InsertRecord`].
     InsertRecord = 7,
-    /// [`LogPayload::DeleteRecord`].
+    /// [`Payload::DeleteRecord`].
     DeleteRecord = 8,
-    /// [`LogPayload::UpdateRecord`].
+    /// [`Payload::UpdateRecord`].
     UpdateRecord = 9,
-    /// [`LogPayload::SetNextPage`].
+    /// [`Payload::SetNextPage`].
     SetNextPage = 10,
-    /// [`LogPayload::SetPrevPage`].
+    /// [`Payload::SetPrevPage`].
     SetPrevPage = 11,
-    /// [`LogPayload::AllocSet`].
+    /// [`Payload::AllocSet`].
     AllocSet = 12,
-    /// [`LogPayload::BootWrite`].
+    /// [`Payload::BootWrite`].
     BootWrite = 13,
-    /// [`LogPayload::FullPageImage`].
+    /// [`Payload::FullPageImage`].
     FullPageImage = 14,
-    /// [`LogPayload::CheckpointBegin`].
+    /// [`Payload::CheckpointBegin`].
     CheckpointBegin = 15,
-    /// [`LogPayload::CheckpointEnd`].
+    /// [`Payload::CheckpointEnd`].
     CheckpointEnd = 16,
-    /// [`LogPayload::RestoreImage`].
+    /// [`Payload::RestoreImage`].
     RestoreImage = 17,
 }
 
@@ -596,512 +813,12 @@ impl PayloadKind {
     }
 }
 
-/// A borrowed, allocation-free decode of a log-record payload. The single
-/// implementation of redo/undo/compensation lives here; the owned
-/// [`LogPayload`] delegates through [`LogPayload::as_view`].
-///
-/// Byte payloads (`bytes`/`old`/`new`) and page images borrow straight from
-/// the log segment the record was read from, so a chain walk that undoes a
-/// record never copies its payload.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LogPayloadView<'a> {
-    /// See [`LogPayload::Commit`].
-    Commit {
-        /// Commit wall-clock time.
-        at: Timestamp,
-    },
-    /// See [`LogPayload::Abort`].
-    Abort,
-    /// See [`LogPayload::End`].
-    End,
-    /// See [`LogPayload::Format`].
-    Format {
-        /// Owning object.
-        object: ObjectId,
-        /// New page type.
-        ty: PageType,
-        /// B-Tree level.
-        level: u16,
-        /// Right sibling.
-        next: PageId,
-        /// Left sibling.
-        prev: PageId,
-    },
-    /// See [`LogPayload::Preformat`].
-    Preformat {
-        /// Borrowed image of the page's previous incarnation.
-        prev_image: &'a [u8; PAGE_SIZE],
-    },
-    /// See [`LogPayload::Reformat`].
-    Reformat {
-        /// Owning object after the reformat.
-        object: ObjectId,
-        /// New page type.
-        ty: PageType,
-        /// New B-Tree level.
-        level: u16,
-        /// Borrowed previous image (undo information).
-        prev_image: &'a [u8; PAGE_SIZE],
-    },
-    /// See [`LogPayload::InsertRecord`].
-    InsertRecord {
-        /// Target slot index.
-        slot: u16,
-        /// Borrowed record bytes.
-        bytes: &'a [u8],
-    },
-    /// See [`LogPayload::DeleteRecord`].
-    DeleteRecord {
-        /// Target slot index.
-        slot: u16,
-        /// Borrowed deleted-record bytes (undo information).
-        old: &'a [u8],
-    },
-    /// See [`LogPayload::UpdateRecord`].
-    UpdateRecord {
-        /// Target slot index.
-        slot: u16,
-        /// Borrowed previous bytes (undo information).
-        old: &'a [u8],
-        /// Borrowed new bytes.
-        new: &'a [u8],
-    },
-    /// See [`LogPayload::SetNextPage`].
-    SetNextPage {
-        /// Previous value.
-        old: PageId,
-        /// New value.
-        new: PageId,
-    },
-    /// See [`LogPayload::SetPrevPage`].
-    SetPrevPage {
-        /// Previous value.
-        old: PageId,
-        /// New value.
-        new: PageId,
-    },
-    /// See [`LogPayload::AllocSet`].
-    AllocSet {
-        /// Bit-pair index within the map page.
-        index: u32,
-        /// Previous packed state.
-        old: u8,
-        /// New packed state.
-        new: u8,
-    },
-    /// See [`LogPayload::BootWrite`].
-    BootWrite {
-        /// Offset within the page body.
-        offset: u16,
-        /// Borrowed previous bytes.
-        old: &'a [u8],
-        /// Borrowed new bytes.
-        new: &'a [u8],
-    },
-    /// See [`LogPayload::FullPageImage`].
-    FullPageImage {
-        /// Previous FPI for this page, or null.
-        prev_fpi_lsn: Lsn,
-        /// Borrowed page image.
-        image: &'a [u8; PAGE_SIZE],
-    },
-    /// See [`LogPayload::RestoreImage`].
-    RestoreImage {
-        /// Borrowed image before this record.
-        old: &'a [u8; PAGE_SIZE],
-        /// Borrowed image after this record.
-        new: &'a [u8; PAGE_SIZE],
-    },
-    /// See [`LogPayload::CheckpointBegin`].
-    CheckpointBegin {
-        /// Wall-clock time.
-        at: Timestamp,
-    },
-    /// See [`LogPayload::CheckpointEnd`]. The fuzzy-checkpoint tables stay
-    /// serialized; [`LogPayloadView::to_owned_payload`] parses them.
-    CheckpointEnd {
-        /// The serialized checkpoint body.
-        raw: &'a [u8],
-    },
-}
-
-impl<'a> LogPayloadView<'a> {
-    /// Decode a payload view from the payload portion of a record body
-    /// (everything after the fixed header). Borrows byte payloads and page
-    /// images from `bytes`; allocates nothing. The only parser of payload
-    /// bodies: the owned decode materializes from this view.
-    pub fn decode(bytes: &'a [u8]) -> Result<LogPayloadView<'a>> {
-        let mut r = ByteReader::new(bytes);
-        let view = match PayloadKind::from_tag(r.get_u8()?)? {
-            PayloadKind::Commit => LogPayloadView::Commit {
-                at: Timestamp::from_micros(r.get_u64()?),
-            },
-            PayloadKind::Abort => LogPayloadView::Abort,
-            PayloadKind::End => LogPayloadView::End,
-            PayloadKind::Format => LogPayloadView::Format {
-                object: ObjectId(r.get_u64()?),
-                ty: PageType::from_u16(r.get_u16()?)?,
-                level: r.get_u16()?,
-                next: PageId(r.get_u64()?),
-                prev: PageId(r.get_u64()?),
-            },
-            PayloadKind::Preformat => LogPayloadView::Preformat {
-                prev_image: read_image_ref(&mut r)?,
-            },
-            PayloadKind::Reformat => LogPayloadView::Reformat {
-                object: ObjectId(r.get_u64()?),
-                ty: PageType::from_u16(r.get_u16()?)?,
-                level: r.get_u16()?,
-                prev_image: read_image_ref(&mut r)?,
-            },
-            PayloadKind::InsertRecord => LogPayloadView::InsertRecord {
-                slot: r.get_u16()?,
-                bytes: r.get_bytes()?,
-            },
-            PayloadKind::DeleteRecord => LogPayloadView::DeleteRecord {
-                slot: r.get_u16()?,
-                old: r.get_bytes()?,
-            },
-            PayloadKind::UpdateRecord => LogPayloadView::UpdateRecord {
-                slot: r.get_u16()?,
-                old: r.get_bytes()?,
-                new: r.get_bytes()?,
-            },
-            PayloadKind::SetNextPage => LogPayloadView::SetNextPage {
-                old: PageId(r.get_u64()?),
-                new: PageId(r.get_u64()?),
-            },
-            PayloadKind::SetPrevPage => LogPayloadView::SetPrevPage {
-                old: PageId(r.get_u64()?),
-                new: PageId(r.get_u64()?),
-            },
-            PayloadKind::AllocSet => LogPayloadView::AllocSet {
-                index: r.get_u32()?,
-                old: r.get_u8()?,
-                new: r.get_u8()?,
-            },
-            PayloadKind::BootWrite => LogPayloadView::BootWrite {
-                offset: r.get_u16()?,
-                old: r.get_bytes()?,
-                new: r.get_bytes()?,
-            },
-            PayloadKind::FullPageImage => LogPayloadView::FullPageImage {
-                prev_fpi_lsn: Lsn(r.get_u64()?),
-                image: read_image_ref(&mut r)?,
-            },
-            PayloadKind::RestoreImage => LogPayloadView::RestoreImage {
-                old: read_image_ref(&mut r)?,
-                new: read_image_ref(&mut r)?,
-            },
-            PayloadKind::CheckpointBegin => LogPayloadView::CheckpointBegin {
-                at: Timestamp::from_micros(r.get_u64()?),
-            },
-            PayloadKind::CheckpointEnd => {
-                // Keep the tables serialized; consume everything.
-                let raw = r.get_raw(r.remaining())?;
-                LogPayloadView::CheckpointEnd { raw }
-            }
-        };
-        if !r.is_exhausted() {
-            return Err(Error::corruption(format!(
-                "{} trailing bytes after log payload",
-                r.remaining()
-            )));
-        }
-        Ok(view)
-    }
-
-    /// The payload's kind tag.
-    pub fn kind(&self) -> PayloadKind {
-        match self {
-            LogPayloadView::Commit { .. } => PayloadKind::Commit,
-            LogPayloadView::Abort => PayloadKind::Abort,
-            LogPayloadView::End => PayloadKind::End,
-            LogPayloadView::Format { .. } => PayloadKind::Format,
-            LogPayloadView::Preformat { .. } => PayloadKind::Preformat,
-            LogPayloadView::Reformat { .. } => PayloadKind::Reformat,
-            LogPayloadView::InsertRecord { .. } => PayloadKind::InsertRecord,
-            LogPayloadView::DeleteRecord { .. } => PayloadKind::DeleteRecord,
-            LogPayloadView::UpdateRecord { .. } => PayloadKind::UpdateRecord,
-            LogPayloadView::SetNextPage { .. } => PayloadKind::SetNextPage,
-            LogPayloadView::SetPrevPage { .. } => PayloadKind::SetPrevPage,
-            LogPayloadView::AllocSet { .. } => PayloadKind::AllocSet,
-            LogPayloadView::BootWrite { .. } => PayloadKind::BootWrite,
-            LogPayloadView::FullPageImage { .. } => PayloadKind::FullPageImage,
-            LogPayloadView::RestoreImage { .. } => PayloadKind::RestoreImage,
-            LogPayloadView::CheckpointBegin { .. } => PayloadKind::CheckpointBegin,
-            LogPayloadView::CheckpointEnd { .. } => PayloadKind::CheckpointEnd,
-        }
-    }
-
-    /// Whether this payload modifies a page.
-    pub fn is_page_op(&self) -> bool {
-        self.kind().is_page_op()
-    }
-
-    /// The wall-clock stamp of a commit, checkpoint-begin or checkpoint-end
-    /// record: every kind the log's time index keys (`LogInner::push_time`),
-    /// so the SplitLSN search can read the stamp of whatever record the
-    /// index starts it on.
-    pub fn time_stamp(&self) -> Option<Timestamp> {
-        match self {
-            LogPayloadView::Commit { at } | LogPayloadView::CheckpointBegin { at } => Some(*at),
-            // The stamp leads the serialized body.
-            LogPayloadView::CheckpointEnd { raw } => ByteReader::new(raw)
-                .get_u64()
-                .ok()
-                .map(Timestamp::from_micros),
-            _ => None,
-        }
-    }
-
-    /// Materialize an owned [`LogPayload`] (the only step that copies).
-    pub fn to_owned_payload(&self) -> Result<LogPayload> {
-        Ok(match *self {
-            LogPayloadView::Commit { at } => LogPayload::Commit { at },
-            LogPayloadView::Abort => LogPayload::Abort,
-            LogPayloadView::End => LogPayload::End,
-            LogPayloadView::Format {
-                object,
-                ty,
-                level,
-                next,
-                prev,
-            } => LogPayload::Format {
-                object,
-                ty,
-                level,
-                next,
-                prev,
-            },
-            LogPayloadView::Preformat { prev_image } => LogPayload::Preformat {
-                prev_image: Box::new(*prev_image),
-            },
-            LogPayloadView::Reformat {
-                object,
-                ty,
-                level,
-                prev_image,
-            } => LogPayload::Reformat {
-                object,
-                ty,
-                level,
-                prev_image: Box::new(*prev_image),
-            },
-            LogPayloadView::InsertRecord { slot, bytes } => LogPayload::InsertRecord {
-                slot,
-                bytes: bytes.to_vec(),
-            },
-            LogPayloadView::DeleteRecord { slot, old } => LogPayload::DeleteRecord {
-                slot,
-                old: old.to_vec(),
-            },
-            LogPayloadView::UpdateRecord { slot, old, new } => LogPayload::UpdateRecord {
-                slot,
-                old: old.to_vec(),
-                new: new.to_vec(),
-            },
-            LogPayloadView::SetNextPage { old, new } => LogPayload::SetNextPage { old, new },
-            LogPayloadView::SetPrevPage { old, new } => LogPayload::SetPrevPage { old, new },
-            LogPayloadView::AllocSet { index, old, new } => {
-                LogPayload::AllocSet { index, old, new }
-            }
-            LogPayloadView::BootWrite { offset, old, new } => LogPayload::BootWrite {
-                offset,
-                old: old.to_vec(),
-                new: new.to_vec(),
-            },
-            LogPayloadView::FullPageImage {
-                prev_fpi_lsn,
-                image,
-            } => LogPayload::FullPageImage {
-                prev_fpi_lsn,
-                image: Box::new(*image),
-            },
-            LogPayloadView::RestoreImage { old, new } => LogPayload::RestoreImage {
-                old: Box::new(*old),
-                new: Box::new(*new),
-            },
-            LogPayloadView::CheckpointBegin { at } => LogPayload::CheckpointBegin { at },
-            LogPayloadView::CheckpointEnd { raw } => {
-                let mut r = ByteReader::new(raw);
-                let body = decode_checkpoint_body(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(Error::corruption(format!(
-                        "{} trailing bytes after checkpoint body",
-                        r.remaining()
-                    )));
-                }
-                LogPayload::CheckpointEnd(body)
-            }
-        })
-    }
-
-    /// Apply the forward (redo) effect to `page` and stamp its pageLSN,
-    /// straight from the borrowed payload.
-    pub fn redo(&self, page: &mut Page, page_id: PageId, lsn: Lsn) -> Result<()> {
-        match *self {
-            LogPayloadView::Format {
-                object,
-                ty,
-                level,
-                next,
-                prev,
-            } => {
-                page.format(page_id, object, ty);
-                page.set_level(level);
-                page.set_next_page(next);
-                page.set_prev_page(prev);
-            }
-            LogPayloadView::Preformat { .. } => {
-                // The preformat record *stores* the previous content; its
-                // forward effect is nil (the page is about to be formatted).
-            }
-            LogPayloadView::Reformat {
-                object, ty, level, ..
-            } => {
-                page.format(page_id, object, ty);
-                page.set_level(level);
-            }
-            LogPayloadView::InsertRecord { slot, bytes } => {
-                page.insert_record(slot as usize, bytes)?;
-            }
-            LogPayloadView::DeleteRecord { slot, .. } => {
-                page.remove_record(slot as usize)?;
-            }
-            LogPayloadView::UpdateRecord { slot, new, .. } => {
-                page.replace_record(slot as usize, new)?;
-            }
-            LogPayloadView::SetNextPage { new, .. } => page.set_next_page(new),
-            LogPayloadView::SetPrevPage { new, .. } => page.set_prev_page(new),
-            LogPayloadView::AllocSet { index, new, .. } => {
-                rewind_pagestore::alloc::set_state(
-                    page,
-                    index as usize,
-                    rewind_pagestore::alloc::PageState::from_bits(new),
-                )?;
-            }
-            LogPayloadView::BootWrite { offset, new, .. } => {
-                let off = offset as usize;
-                page.body_mut()[off..off + new.len()].copy_from_slice(new);
-            }
-            LogPayloadView::FullPageImage { image, .. } => {
-                page.restore_image(image);
-                page.set_last_fpi_lsn(lsn);
-            }
-            LogPayloadView::RestoreImage { new, .. } => {
-                page.restore_image(new);
-            }
-            _ => {
-                return Err(Error::Internal(format!(
-                    "redo of non-page payload {self:?}"
-                )));
-            }
-        }
-        page.set_page_lsn(lsn);
-        Ok(())
-    }
-
-    /// Apply the reverse effect to `page` contents, straight from the
-    /// borrowed payload. See [`LogPayload::undo`].
-    pub fn undo(&self, page: &mut Page, page_id: PageId) -> Result<()> {
-        match *self {
-            LogPayloadView::Format { .. } => {
-                // Back to "unallocated": erase. If a previous incarnation
-                // existed, the preceding Preformat/Reformat image restores it
-                // as the chain walk continues.
-                page.format(page_id, ObjectId::NONE, PageType::Free);
-            }
-            LogPayloadView::Reformat { prev_image, .. } => {
-                page.restore_image(prev_image);
-            }
-            LogPayloadView::Preformat { prev_image } => {
-                page.restore_image(prev_image);
-            }
-            LogPayloadView::InsertRecord { slot, .. } => {
-                page.remove_record(slot as usize)?;
-            }
-            LogPayloadView::DeleteRecord { slot, old } => {
-                page.insert_record(slot as usize, old)?;
-            }
-            LogPayloadView::UpdateRecord { slot, old, .. } => {
-                page.replace_record(slot as usize, old)?;
-            }
-            LogPayloadView::SetNextPage { old, .. } => page.set_next_page(old),
-            LogPayloadView::SetPrevPage { old, .. } => page.set_prev_page(old),
-            LogPayloadView::AllocSet { index, old, .. } => {
-                rewind_pagestore::alloc::set_state(
-                    page,
-                    index as usize,
-                    rewind_pagestore::alloc::PageState::from_bits(old),
-                )?;
-            }
-            LogPayloadView::BootWrite { offset, old, .. } => {
-                let off = offset as usize;
-                page.body_mut()[off..off + old.len()].copy_from_slice(old);
-            }
-            LogPayloadView::FullPageImage { prev_fpi_lsn, .. } => {
-                // Content was identical before and after; only the FPI-chain
-                // anchor moves back.
-                page.set_last_fpi_lsn(prev_fpi_lsn);
-            }
-            LogPayloadView::RestoreImage { old, .. } => {
-                page.restore_image(old);
-            }
-            _ => {
-                return Err(Error::Internal(format!(
-                    "undo of non-page payload {self:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The owned payload a compensation log record carries to logically undo
-    /// this record, or `None` if it is not logically undoable.
-    pub fn compensation(&self) -> Option<LogPayload> {
-        match *self {
-            LogPayloadView::InsertRecord { slot, bytes } => Some(LogPayload::DeleteRecord {
-                slot,
-                old: bytes.to_vec(),
-            }),
-            LogPayloadView::DeleteRecord { slot, old } => Some(LogPayload::InsertRecord {
-                slot,
-                bytes: old.to_vec(),
-            }),
-            LogPayloadView::UpdateRecord { slot, old, new } => Some(LogPayload::UpdateRecord {
-                slot,
-                old: new.to_vec(),
-                new: old.to_vec(),
-            }),
-            LogPayloadView::SetNextPage { old, new } => {
-                Some(LogPayload::SetNextPage { old: new, new: old })
-            }
-            LogPayloadView::SetPrevPage { old, new } => {
-                Some(LogPayload::SetPrevPage { old: new, new: old })
-            }
-            LogPayloadView::AllocSet { index, old, new } => Some(LogPayload::AllocSet {
-                index,
-                old: new,
-                new: old,
-            }),
-            LogPayloadView::BootWrite { offset, old, new } => Some(LogPayload::BootWrite {
-                offset,
-                old: new.to_vec(),
-                new: old.to_vec(),
-            }),
-            LogPayloadView::RestoreImage { old, new } => Some(LogPayload::RestoreImage {
-                old: Box::new(*new),
-                new: Box::new(*old),
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// A complete log record: header plus payload.
+/// A complete log record: header plus payload, over the payload's storage
+/// parameters. The engine builds `LogRecord<&[u8], &[u8; PAGE_SIZE]>`
+/// (payload a [`LogPayloadView`]); reads decode to a [`LogRecordHeader`]
+/// plus a view instead of a record.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LogRecord {
+pub struct LogRecord<B, I> {
     /// The record's LSN (its byte offset in the log stream). Assigned at
     /// append time; not serialized.
     pub lsn: Lsn,
@@ -1122,7 +839,7 @@ pub struct LogRecord {
     /// Record flags ([`REC_FLAG_CLR`], [`REC_FLAG_SYSTEM`]).
     pub flags: RecordFlags,
     /// The operation.
-    pub payload: LogPayload,
+    pub payload: Payload<B, I>,
 }
 
 /// Size of the fixed record header in a serialized body: six `u64` link and
@@ -1172,42 +889,13 @@ impl LogRecordHeader {
     }
 }
 
-impl LogRecord {
-    /// Whether this record is a compensation log record.
-    pub fn is_clr(&self) -> bool {
-        self.flags & REC_FLAG_CLR != 0
-    }
-
-    /// Whether this record belongs to a system (structure-modification)
-    /// transaction.
-    pub fn is_system(&self) -> bool {
-        self.flags & REC_FLAG_SYSTEM != 0
-    }
-
-    /// This record's fixed-offset header fields.
-    pub fn header(&self) -> LogRecordHeader {
-        LogRecordHeader {
-            lsn: self.lsn,
-            txn: self.txn,
-            prev_lsn: self.prev_lsn,
-            page: self.page,
-            prev_page_lsn: self.prev_page_lsn,
-            object: self.object,
-            undo_next: self.undo_next,
-            flags: self.flags,
-            kind: self.payload.kind(),
-        }
-    }
-
+impl<B, I> LogRecord<B, I>
+where
+    B: Deref<Target = [u8]>,
+    I: Deref<Target = [u8; PAGE_SIZE]>,
+{
     /// Serialize the record body (everything but the LSN, which is implicit
-    /// in the record's position).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Serialize the record body by appending to `out`, allocating nothing
+    /// in the record's position) by appending to `out`, allocating nothing
     /// when `out` has capacity. The log manager's append path reuses one
     /// scratch buffer across appends through this.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -1222,7 +910,9 @@ impl LogRecord {
         self.payload.encode_into(&mut w);
         *out = w.into_bytes();
     }
+}
 
+impl<'a> LogRecord<&'a [u8], &'a [u8; PAGE_SIZE]> {
     /// Decode only the fixed header fields of a record body — no payload
     /// walk, no allocation. `lsn` is the offset the body was read from.
     pub fn decode_header(lsn: Lsn, bytes: &[u8]) -> Result<LogRecordHeader> {
@@ -1246,9 +936,9 @@ impl LogRecord {
         })
     }
 
-    /// Decode the header plus a borrowed payload view — the allocation-free
-    /// counterpart of [`LogRecord::decode`].
-    pub fn decode_view(lsn: Lsn, bytes: &[u8]) -> Result<(LogRecordHeader, LogPayloadView<'_>)> {
+    /// Decode the header plus a borrowed payload view — the one record
+    /// decode; nothing is copied.
+    pub fn decode_view(lsn: Lsn, bytes: &'a [u8]) -> Result<(LogRecordHeader, LogPayloadView<'a>)> {
         let header = Self::decode_header(lsn, bytes)?;
         let view = LogPayloadView::decode(&bytes[RECORD_HEADER_BYTES..]).map_err(|e| match e {
             Error::Corruption {
@@ -1266,176 +956,240 @@ impl LogRecord {
         })?;
         Ok((header, view))
     }
-
-    /// Deserialize a record body; `lsn` is the offset it was read from.
-    pub fn decode(lsn: Lsn, bytes: &[u8]) -> Result<LogRecord> {
-        let (header, view) = Self::decode_view(lsn, bytes)?;
-        Ok(LogRecord {
-            lsn,
-            txn: header.txn,
-            prev_lsn: header.prev_lsn,
-            page: header.page,
-            prev_page_lsn: header.prev_page_lsn,
-            object: header.object,
-            undo_next: header.undo_next,
-            flags: header.flags,
-            payload: view.to_owned_payload()?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn img(fill: u8) -> Box<[u8; PAGE_SIZE]> {
-        Box::new([fill; PAGE_SIZE])
+    static IMG: [[u8; PAGE_SIZE]; 5] = [
+        [3; PAGE_SIZE],
+        [7; PAGE_SIZE],
+        [9; PAGE_SIZE],
+        [1; PAGE_SIZE],
+        [2; PAGE_SIZE],
+    ];
+
+    fn body() -> CheckpointBody {
+        CheckpointBody {
+            att: vec![TxnTableEntry {
+                txn: TxnId(5),
+                first_lsn: Lsn(10),
+                last_lsn: Lsn(99),
+            }],
+            dpt: vec![DptEntry {
+                page: PageId(3),
+                rec_lsn: Lsn(40),
+            }],
+        }
     }
 
-    fn all_payloads() -> Vec<LogPayload> {
+    /// One payload of every kind, borrowing `imgs` and `tables`.
+    fn all_payloads<'a>(
+        imgs: &'a [[u8; PAGE_SIZE]; 5],
+        tables: &'a [u8],
+    ) -> Vec<LogPayloadView<'a>> {
         vec![
-            LogPayload::Commit {
+            Payload::Commit {
                 at: Timestamp::from_secs(9),
             },
-            LogPayload::Abort,
-            LogPayload::End,
-            LogPayload::Format {
+            Payload::Abort,
+            Payload::End,
+            Payload::Format {
                 object: ObjectId(4),
                 ty: PageType::BTreeLeaf,
                 level: 0,
                 next: PageId(9),
                 prev: PageId::INVALID,
             },
-            LogPayload::Preformat { prev_image: img(3) },
-            LogPayload::Reformat {
+            Payload::Preformat {
+                prev_image: &imgs[0],
+            },
+            Payload::Reformat {
                 object: ObjectId(4),
                 ty: PageType::BTreeInternal,
                 level: 1,
-                prev_image: img(7),
+                prev_image: &imgs[1],
             },
-            LogPayload::InsertRecord {
+            Payload::InsertRecord {
                 slot: 2,
-                bytes: b"rec".to_vec(),
+                bytes: b"rec",
             },
-            LogPayload::DeleteRecord {
+            Payload::DeleteRecord {
                 slot: 0,
-                old: b"gone".to_vec(),
+                old: b"gone",
             },
-            LogPayload::UpdateRecord {
+            Payload::UpdateRecord {
                 slot: 1,
-                old: b"a".to_vec(),
-                new: b"bb".to_vec(),
+                old: b"a",
+                new: b"bb",
             },
-            LogPayload::SetNextPage {
+            Payload::SetNextPage {
                 old: PageId(1),
                 new: PageId(2),
             },
-            LogPayload::SetPrevPage {
+            Payload::SetPrevPage {
                 old: PageId::INVALID,
                 new: PageId(3),
             },
-            LogPayload::AllocSet {
+            Payload::AllocSet {
                 index: 77,
                 old: 0b10,
                 new: 0b11,
             },
-            LogPayload::BootWrite {
+            Payload::BootWrite {
                 offset: 16,
-                old: vec![0; 8],
-                new: vec![1; 8],
+                old: &[0; 8],
+                new: &[1; 8],
             },
-            LogPayload::FullPageImage {
+            Payload::FullPageImage {
                 prev_fpi_lsn: Lsn(5),
-                image: img(9),
+                image: &imgs[2],
             },
-            LogPayload::RestoreImage {
-                old: img(1),
-                new: img(2),
+            Payload::RestoreImage {
+                old: &imgs[3],
+                new: &imgs[4],
             },
-            LogPayload::CheckpointBegin {
+            Payload::CheckpointBegin {
                 at: Timestamp::from_secs(1),
             },
-            LogPayload::CheckpointEnd(CheckpointBody {
+            Payload::CheckpointEnd {
                 at: Timestamp::from_secs(2),
                 begin_lsn: Lsn(8),
-                att: vec![TxnTableEntry {
-                    txn: TxnId(5),
-                    first_lsn: Lsn(10),
-                    last_lsn: Lsn(99),
-                }],
-                dpt: vec![DptEntry {
-                    page: PageId(3),
-                    rec_lsn: Lsn(40),
-                }],
-            }),
+                tables,
+            },
         ]
+    }
+
+    fn record<B, I>(page: PageId, payload: Payload<B, I>) -> LogRecord<B, I> {
+        LogRecord {
+            lsn: Lsn(64),
+            txn: TxnId(7),
+            prev_lsn: Lsn(32),
+            page,
+            prev_page_lsn: Lsn(16),
+            object: ObjectId(12),
+            undo_next: Lsn(8),
+            flags: REC_FLAG_CLR,
+            payload,
+        }
+    }
+
+    fn encode<B, I>(rec: &LogRecord<B, I>) -> Vec<u8>
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
+        let mut out = Vec::new();
+        rec.encode_into(&mut out);
+        out
     }
 
     #[test]
     fn serialization_roundtrip_every_payload() {
-        for payload in all_payloads() {
-            let rec = LogRecord {
-                lsn: Lsn(64),
-                txn: TxnId(7),
-                prev_lsn: Lsn(32),
-                page: PageId(5),
-                prev_page_lsn: Lsn(16),
-                object: ObjectId(12),
-                undo_next: Lsn(8),
-                flags: REC_FLAG_CLR,
-                payload: payload.clone(),
-            };
-            let bytes = rec.encode();
-            let back = LogRecord::decode(Lsn(64), &bytes).unwrap();
-            assert_eq!(back, rec, "payload {payload:?}");
+        let tables = body().encode();
+        let payloads = all_payloads(&IMG, &tables);
+        let mut tags: Vec<u8> = payloads.iter().map(|p| p.kind() as u8).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, (1..=17).collect::<Vec<u8>>(), "every kind once");
+        for payload in payloads {
+            let bytes = encode(&record(PageId(5), payload));
+            let (_, back) = LogRecord::decode_view(Lsn(64), &bytes).unwrap();
+            assert_eq!(back, payload);
+            // The bytes are the same however the payload is stored.
+            assert_eq!(encode(&record(PageId(5), back)), bytes);
         }
     }
 
     #[test]
+    fn checkpoint_tables_roundtrip_and_reject_trailing_bytes() {
+        let tables = body().encode();
+        assert_eq!(CheckpointBody::decode(&tables).unwrap(), body());
+        let mut long = tables.clone();
+        long.push(0);
+        assert!(CheckpointBody::decode(&long).is_err());
+        assert!(CheckpointBody::decode(&tables[..tables.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn owned_and_borrowed_payloads_encode_identically() {
+        let owned = record(
+            PageId(9),
+            LogPayload::UpdateRecord {
+                slot: 3,
+                old: vec![0xAB; 100],
+                new: vec![0xCD; 100],
+            },
+        );
+        let view = record(
+            PageId(9),
+            LogPayloadView::UpdateRecord {
+                slot: 3,
+                old: &[0xAB; 100],
+                new: &[0xCD; 100],
+            },
+        );
+        assert_eq!(encode(&owned), encode(&view));
+        let image = Box::new(IMG[0]);
+        let owned = LogPayload::RestoreImage {
+            old: image.clone(),
+            new: image,
+        };
+        let swapped = owned.compensation().unwrap();
+        assert_eq!(
+            swapped,
+            Payload::RestoreImage {
+                old: &IMG[0],
+                new: &IMG[0]
+            }
+        );
+    }
+
+    #[test]
     fn header_and_view_decode_agree_with_owned_for_every_payload() {
-        for payload in all_payloads() {
-            let rec = LogRecord {
-                lsn: Lsn(64),
-                txn: TxnId(7),
-                prev_lsn: Lsn(32),
-                page: PageId(5),
-                prev_page_lsn: Lsn(16),
-                object: ObjectId(12),
-                undo_next: Lsn(8),
-                flags: REC_FLAG_CLR,
-                payload: payload.clone(),
-            };
-            let bytes = rec.encode();
-            // header-only decode sees exactly the owned record's header
+        let tables = body().encode();
+        for payload in all_payloads(&IMG, &tables) {
+            let rec = record(PageId(5), payload);
+            let bytes = encode(&rec);
+            // header-only decode sees exactly the encoded record's header
             let header = LogRecord::decode_header(Lsn(64), &bytes).unwrap();
-            assert_eq!(header, rec.header(), "payload {payload:?}");
+            assert_eq!(
+                (header.lsn, header.txn, header.prev_lsn, header.page),
+                (rec.lsn, rec.txn, rec.prev_lsn, rec.page)
+            );
+            assert_eq!(
+                (
+                    header.prev_page_lsn,
+                    header.object,
+                    header.undo_next,
+                    header.flags
+                ),
+                (rec.prev_page_lsn, rec.object, rec.undo_next, rec.flags)
+            );
             assert_eq!(header.kind, payload.kind());
             assert!(header.is_clr());
-            // borrowed view materializes back to the identical owned payload
+            // the full decode agrees with the header-only one
             let (header2, view) = LogRecord::decode_view(Lsn(64), &bytes).unwrap();
             assert_eq!(header2, header);
-            assert_eq!(view.kind(), payload.kind());
-            assert_eq!(
-                view.to_owned_payload().unwrap(),
-                payload,
-                "payload {payload:?}"
-            );
-            // the owned payload's as_view matches the decoded view
-            if let Some(owned_view) = payload.as_view() {
-                assert_eq!(owned_view, view, "payload {payload:?}");
-            } else {
-                assert_eq!(payload.kind(), PayloadKind::CheckpointEnd);
+            assert_eq!(view, payload);
+            if let Payload::CheckpointEnd { tables, .. } = view {
+                assert_eq!(CheckpointBody::decode(tables).unwrap(), body());
             }
         }
+    }
+
+    fn row_page(pid: PageId) -> Page {
+        let mut base = Page::formatted(pid, ObjectId(4), PageType::BTreeLeaf);
+        base.insert_record(0, b"alpha").unwrap();
+        base.insert_record(1, b"omega").unwrap();
+        base.set_page_lsn(Lsn(100));
+        base
     }
 
     #[test]
     fn view_redo_undo_match_owned_for_row_ops() {
         let pid = PageId(5);
-        let mut base = Page::formatted(pid, ObjectId(4), PageType::BTreeLeaf);
-        base.insert_record(0, b"alpha").unwrap();
-        base.insert_record(1, b"omega").unwrap();
-        base.set_page_lsn(Lsn(100));
+        let base = row_page(pid);
         let cases = vec![
             LogPayload::InsertRecord {
                 slot: 1,
@@ -1452,20 +1206,9 @@ mod tests {
             },
         ];
         for payload in cases {
-            let bytes = LogRecord {
-                lsn: Lsn::NULL,
-                txn: TxnId(1),
-                prev_lsn: Lsn::NULL,
-                page: pid,
-                prev_page_lsn: Lsn(100),
-                object: ObjectId(4),
-                undo_next: Lsn::NULL,
-                flags: 0,
-                payload: payload.clone(),
-            }
-            .encode();
+            let bytes = encode(&record(pid, payload.clone()));
             let (_, view) = LogRecord::decode_view(Lsn(200), &bytes).unwrap();
-            // redo via the borrowed view == redo via the owned payload
+            // redo of the decoded view == redo of the owned payload
             let mut via_view = base.clone();
             let mut via_owned = base.clone();
             view.redo(&mut via_view, pid, Lsn(200)).unwrap();
@@ -1485,58 +1228,51 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_junk() {
-        let rec = LogRecord {
-            lsn: Lsn(8),
-            txn: TxnId(1),
-            prev_lsn: Lsn::NULL,
-            page: PageId(2),
-            prev_page_lsn: Lsn::NULL,
-            object: ObjectId(1),
-            undo_next: Lsn::NULL,
-            flags: 0,
-            payload: LogPayload::InsertRecord {
+        let bytes = encode(&record(
+            PageId(2),
+            LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: b"xy".to_vec(),
+                bytes: b"xy",
             },
-        };
-        let bytes = rec.encode();
-        assert!(LogRecord::decode(Lsn(8), &bytes[..bytes.len() - 1]).is_err());
+        ));
+        assert!(LogRecord::decode_view(Lsn(8), &bytes).is_ok());
+        assert!(LogRecord::decode_view(Lsn(8), &bytes[..bytes.len() - 1]).is_err());
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(LogRecord::decode(Lsn(8), &extended).is_err());
+        assert!(LogRecord::decode_view(Lsn(8), &extended).is_err());
         let mut junk = bytes;
         junk[49] = 200; // payload tag byte
-        assert!(LogRecord::decode(Lsn(8), &junk).is_err());
+        assert!(LogRecord::decode_view(Lsn(8), &junk).is_err());
+        // A checkpoint end too short for its stamp and begin LSN.
+        let mut short = encode(&record(PageId::INVALID, LogPayloadView::Abort));
+        short[RECORD_HEADER_BYTES] = PayloadKind::CheckpointEnd as u8;
+        short.extend_from_slice(&[0; 15]);
+        assert!(LogRecord::decode_view(Lsn(8), &short).is_err());
     }
 
     #[test]
     fn redo_then_undo_is_identity_for_row_ops() {
-        use rewind_pagestore::page::Page;
         let pid = PageId(5);
-        let mut base = Page::formatted(pid, ObjectId(4), PageType::BTreeLeaf);
-        base.insert_record(0, b"alpha").unwrap();
-        base.insert_record(1, b"omega").unwrap();
-        base.set_page_lsn(Lsn(100));
-
-        let cases = vec![
-            LogPayload::InsertRecord {
+        let base = row_page(pid);
+        let cases: Vec<LogPayloadView<'_>> = vec![
+            Payload::InsertRecord {
                 slot: 1,
-                bytes: b"middle".to_vec(),
+                bytes: b"middle",
             },
-            LogPayload::DeleteRecord {
+            Payload::DeleteRecord {
                 slot: 0,
-                old: b"alpha".to_vec(),
+                old: b"alpha",
             },
-            LogPayload::UpdateRecord {
+            Payload::UpdateRecord {
                 slot: 1,
-                old: b"omega".to_vec(),
-                new: b"OMEGA!".to_vec(),
+                old: b"omega",
+                new: b"OMEGA!",
             },
-            LogPayload::SetNextPage {
+            Payload::SetNextPage {
                 old: PageId::INVALID,
                 new: PageId(9),
             },
-            LogPayload::SetPrevPage {
+            Payload::SetPrevPage {
                 old: PageId::INVALID,
                 new: PageId(4),
             },
@@ -1562,9 +1298,9 @@ mod tests {
         let mut p = Page::formatted(pid, ObjectId(2), PageType::Heap);
         p.insert_record(0, b"row").unwrap();
         p.set_page_lsn(Lsn(50));
-        let payload = LogPayload::FullPageImage {
+        let payload = LogPayloadView::FullPageImage {
             prev_fpi_lsn: Lsn(20),
-            image: Box::new(*p.image()),
+            image: p.image(),
         };
 
         let mut q = Page::zeroed();
@@ -1589,10 +1325,10 @@ mod tests {
         old_page.insert_record(0, b"precious-old-data").unwrap();
         old_page.set_page_lsn(Lsn(40));
 
-        let pre = LogPayload::Preformat {
-            prev_image: Box::new(*old_page.image()),
+        let pre = LogPayloadView::Preformat {
+            prev_image: old_page.image(),
         };
-        let fmt = LogPayload::Format {
+        let fmt = LogPayloadView::Format {
             object: ObjectId(9),
             ty: PageType::Heap,
             level: 0,
@@ -1624,31 +1360,23 @@ mod tests {
         let pid = PageId(5);
         let mut base = Page::formatted(pid, ObjectId(4), PageType::BTreeLeaf);
         base.insert_record(0, b"row0").unwrap();
-        let cases = vec![
-            LogPayload::InsertRecord {
+        let cases: Vec<LogPayloadView<'_>> = vec![
+            Payload::InsertRecord {
                 slot: 1,
-                bytes: b"x".to_vec(),
+                bytes: b"x",
             },
-            LogPayload::DeleteRecord {
+            Payload::DeleteRecord {
                 slot: 0,
-                old: b"row0".to_vec(),
+                old: b"row0",
             },
-            LogPayload::UpdateRecord {
+            Payload::UpdateRecord {
                 slot: 0,
-                old: b"row0".to_vec(),
-                new: b"ROW0".to_vec(),
-            },
-            LogPayload::AllocSet {
-                index: 3,
-                old: 0,
-                new: 3,
+                old: b"row0",
+                new: b"ROW0",
             },
         ];
         for payload in cases {
             let comp = payload.compensation().expect("undoable");
-            if matches!(payload, LogPayload::AllocSet { .. }) {
-                continue; // needs a map page; inversion checked structurally below
-            }
             let mut p = base.clone();
             payload.redo(&mut p, pid, Lsn(10)).unwrap();
             comp.redo(&mut p, pid, Lsn(20)).unwrap();
@@ -1656,42 +1384,71 @@ mod tests {
             let b: Vec<_> = p.records().collect();
             assert_eq!(a, b, "compensation of {payload:?}");
         }
-        // structural inversion for AllocSet
-        match (LogPayload::AllocSet {
+        // structural inversion for the kinds that need a special page
+        let alloc = LogPayloadView::AllocSet {
             index: 3,
             old: 0,
             new: 3,
-        })
-        .compensation()
-        .unwrap()
-        {
-            LogPayload::AllocSet { index, old, new } => {
-                assert_eq!((index, old, new), (3, 3, 0));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(LogPayload::Commit {
-            at: Timestamp::ZERO
-        }
-        .compensation()
-        .is_none());
-        assert!(LogPayload::Preformat { prev_image: img(0) }
-            .compensation()
-            .is_none());
+        };
+        assert_eq!(
+            alloc.compensation(),
+            Some(Payload::AllocSet {
+                index: 3,
+                old: 3,
+                new: 0
+            })
+        );
+        let boot = LogPayloadView::BootWrite {
+            offset: 4,
+            old: b"ab",
+            new: b"cd",
+        };
+        assert_eq!(
+            boot.compensation(),
+            Some(LogPayloadView::BootWrite {
+                offset: 4,
+                old: b"cd",
+                new: b"ab"
+            })
+        );
+        let tables = body().encode();
+        let undoable: Vec<PayloadKind> = all_payloads(&IMG, &tables)
+            .iter()
+            .filter(|p| p.compensation().is_some())
+            .map(|p| p.kind())
+            .collect();
+        assert_eq!(
+            undoable,
+            [
+                PayloadKind::InsertRecord,
+                PayloadKind::DeleteRecord,
+                PayloadKind::UpdateRecord,
+                PayloadKind::SetNextPage,
+                PayloadKind::SetPrevPage,
+                PayloadKind::AllocSet,
+                PayloadKind::BootWrite,
+                PayloadKind::RestoreImage,
+            ]
+        );
     }
 
     #[test]
     fn page_op_classification() {
-        assert!(!LogPayload::Commit {
-            at: Timestamp::ZERO
+        let tables = body().encode();
+        let page_ops: Vec<PayloadKind> = all_payloads(&IMG, &tables)
+            .iter()
+            .map(|p| p.kind())
+            .filter(|k| k.is_page_op())
+            .collect();
+        assert_eq!(page_ops.len(), 12);
+        for kind in [
+            PayloadKind::Commit,
+            PayloadKind::Abort,
+            PayloadKind::End,
+            PayloadKind::CheckpointBegin,
+            PayloadKind::CheckpointEnd,
+        ] {
+            assert!(!kind.is_page_op(), "{kind:?}");
         }
-        .is_page_op());
-        assert!(!LogPayload::CheckpointEnd(CheckpointBody::default()).is_page_op());
-        assert!(LogPayload::InsertRecord {
-            slot: 0,
-            bytes: vec![]
-        }
-        .is_page_op());
-        assert!(LogPayload::Preformat { prev_image: img(0) }.is_page_op());
     }
 }

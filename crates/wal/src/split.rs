@@ -82,10 +82,13 @@ fn last_stamp_by(log: &LogManager, start: Lsn, t: Timestamp, deep: bool) -> Resu
 mod tests {
     use super::*;
     use crate::logmgr::LogConfig;
-    use crate::record::{CheckpointBody, LogPayload, LogRecord};
+    use crate::record::{LogPayloadView, LogRecord};
     use rewind_common::{ObjectId, PageId, TxnId};
+    use rewind_pagestore::page::PAGE_SIZE;
 
-    fn commit_rec(txn: u64, at: Timestamp) -> LogRecord {
+    type Rec = LogRecord<&'static [u8], &'static [u8; PAGE_SIZE]>;
+
+    fn commit_rec(txn: u64, at: Timestamp) -> Rec {
         LogRecord {
             lsn: Lsn::NULL,
             txn: TxnId(txn),
@@ -95,11 +98,11 @@ mod tests {
             object: ObjectId::NONE,
             undo_next: Lsn::NULL,
             flags: 0,
-            payload: LogPayload::Commit { at },
+            payload: LogPayloadView::Commit { at },
         }
     }
 
-    fn data_rec(txn: u64) -> LogRecord {
+    fn data_rec(txn: u64) -> Rec {
         LogRecord {
             lsn: Lsn::NULL,
             txn: TxnId(txn),
@@ -109,9 +112,9 @@ mod tests {
             object: ObjectId(1),
             undo_next: Lsn::NULL,
             flags: 0,
-            payload: LogPayload::InsertRecord {
+            payload: LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: vec![0; 32],
+                bytes: &[0; 32],
             },
         }
     }
@@ -136,21 +139,21 @@ mod tests {
         (log, commits)
     }
 
-    fn checkpoint_begin(at: Timestamp) -> LogRecord {
+    fn checkpoint_begin(at: Timestamp) -> Rec {
         LogRecord {
-            payload: LogPayload::CheckpointBegin { at },
+            payload: LogPayloadView::CheckpointBegin { at },
             ..commit_rec(0, at)
         }
     }
 
-    fn checkpoint_end(begin_lsn: Lsn, at: Timestamp) -> LogRecord {
+    fn checkpoint_end(begin_lsn: Lsn, at: Timestamp) -> Rec {
         LogRecord {
-            payload: LogPayload::CheckpointEnd(CheckpointBody {
+            payload: LogPayloadView::CheckpointEnd {
                 at,
                 begin_lsn,
-                att: vec![],
-                dpt: vec![],
-            }),
+                // An empty ATT and DPT: two zero counts.
+                tables: &[0; 8],
+            },
             ..commit_rec(0, at)
         }
     }
@@ -159,14 +162,9 @@ mod tests {
     fn oracle_split(log: &LogManager, t: Timestamp) -> Lsn {
         let mut split = Lsn::FIRST;
         log.scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
-            let rec = rec.decode()?;
-            let at = match &rec.payload {
-                LogPayload::Commit { at } | LogPayload::CheckpointBegin { at } => *at,
-                LogPayload::CheckpointEnd(body) => body.at,
-                _ => return Ok(true),
-            };
-            if at <= t {
-                split = rec.lsn;
+            let (header, view) = rec.view()?;
+            if view.time_stamp().is_some_and(|at| at <= t) {
+                split = header.lsn;
             }
             Ok(true)
         })
@@ -210,9 +208,9 @@ mod tests {
     fn split_search_started_on_a_checkpoint_end_finds_it() {
         let log = LogManager::new(LogConfig::default());
         let pad = LogRecord {
-            payload: LogPayload::InsertRecord {
+            payload: LogPayloadView::InsertRecord {
                 slot: 0,
-                bytes: vec![0; 4096],
+                bytes: &[0; 4096],
             },
             ..data_rec(1)
         };

@@ -3,10 +3,11 @@
 
 use rewind_common::{Error, Lsn, ObjectId, PageId, Timestamp, TxnId};
 use rewind_wal::{
-    find_split_lsn, find_split_lsn_deep, LogConfig, LogManager, LogPayload, LogRecord,
+    find_split_lsn, find_split_lsn_deep, LogConfig, LogManager, LogPayload, LogPayloadView,
+    LogRecord, Payload,
 };
 
-fn rec(txn: u64, payload: LogPayload) -> LogRecord {
+fn rec<B, I>(txn: u64, payload: Payload<B, I>) -> LogRecord<B, I> {
     LogRecord {
         lsn: Lsn::NULL,
         txn: TxnId(txn),
@@ -52,7 +53,8 @@ fn truncation_without_archive_discards_history() {
     assert!(log.truncation_point() > Lsn::FIRST);
     assert_eq!(log.archived_bytes(), 0);
     assert!(matches!(
-        log.get_record_ref(commits[10]).and_then(|r| r.decode()),
+        log.get_record_ref(commits[10])
+            .and_then(|r| r.view().map(|(h, _)| h)),
         Err(Error::LogTruncated(_))
     ));
     // deep reads cannot help: the bytes are gone
@@ -70,17 +72,18 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 
     // shallow (retention-bound) read still refuses
     assert!(matches!(
-        log.get_record_ref(commits[10]).and_then(|r| r.decode()),
+        log.get_record_ref(commits[10])
+            .and_then(|r| r.view().map(|(h, _)| h)),
         Err(Error::LogTruncated(_))
     ));
     // deep read succeeds
-    let r = log.get_record_deep(commits[10]).unwrap().decode().unwrap();
-    assert_eq!(r.lsn, commits[10]);
+    let r = log.get_record_deep(commits[10]).unwrap();
+    assert_eq!(r.view().unwrap().0.lsn, commits[10]);
 
     // deep scan crosses the archive/live boundary seamlessly
     let mut seen = 0u64;
     log.scan_refs(Lsn::FIRST, Lsn::MAX, true, |r| {
-        r.decode()?;
+        r.view()?;
         seen += 1;
         Ok(true)
     })
@@ -90,7 +93,7 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
     // shallow scan from the truncation point sees only the retained suffix
     let mut shallow = 0u64;
     log.scan_refs(trunc, Lsn::MAX, false, |r| {
-        r.decode()?;
+        r.view()?;
         shallow += 1;
         Ok(true)
     })
@@ -137,23 +140,27 @@ fn discard_unflushed_drops_only_the_volatile_tail() {
             bytes: vec![2; 100],
         },
     ));
-    assert!(log.get_record_ref(b).and_then(|r| r.decode()).is_ok());
+    assert!(log
+        .get_record_ref(b)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_ok());
     log.discard_unflushed();
     assert_eq!(
         log.tail_lsn(),
         flushed_tail,
         "tail rewinds to the flushed point"
     );
-    assert!(log.get_record_ref(a).and_then(|r| r.decode()).is_ok());
-    assert!(log.get_record_ref(b).and_then(|r| r.decode()).is_err());
+    assert!(log
+        .get_record_ref(a)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_ok());
+    assert!(log
+        .get_record_ref(b)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_err());
     // appends continue cleanly after the discard
     let c = log.append(&rec(2, LogPayload::Abort));
     assert_eq!(c, flushed_tail);
-    assert_eq!(
-        log.get_record_ref(c)
-            .and_then(|r| r.decode())
-            .unwrap()
-            .payload,
-        LogPayload::Abort
-    );
+    let r = log.get_record_ref(c).unwrap();
+    assert_eq!(r.view().unwrap().1, LogPayloadView::Abort);
 }

@@ -5,13 +5,14 @@
 //! survives, nothing after it does).
 
 use parking_lot::Mutex;
-use rewind_common::{Error, Lsn, ObjectId, PageId, Timestamp, TxnId};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp, TxnId};
+use rewind_pagestore::PAGE_SIZE;
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord, RecordRef};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-fn payload_rec(txn: u64, marker: u64, n: usize) -> LogRecord {
+fn payload_rec(txn: u64, marker: u64, n: usize) -> LogRecord<Vec<u8>, Box<[u8; PAGE_SIZE]>> {
     let mut bytes = marker.to_le_bytes().to_vec();
     bytes.resize(n, 0x5A);
     LogRecord {
@@ -27,10 +28,11 @@ fn payload_rec(txn: u64, marker: u64, n: usize) -> LogRecord {
     }
 }
 
-fn marker_of(rec: &LogRecord) -> u64 {
-    match &rec.payload {
-        LogPayload::InsertRecord { bytes, .. } => {
-            u64::from_le_bytes(bytes[..8].try_into().unwrap())
+/// Decode `rec` and return the marker [`payload_rec`] put in its bytes.
+fn marker_of(rec: &RecordRef) -> Result<u64> {
+    match rec.view()?.1 {
+        LogPayloadView::InsertRecord { bytes, .. } => {
+            Ok(u64::from_le_bytes(bytes[..8].try_into().unwrap()))
         }
         other => panic!("unexpected payload {other:?}"),
     }
@@ -117,7 +119,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                         // bounded scan from the pick (validates frame chaining)
                         let mut n = 0;
                         let res = log.scan_refs(lsn, Lsn::MAX, false, |rec| {
-                            assert!(rec.decode()?.lsn >= lsn, "scan went backwards");
+                            assert!(rec.view()?.0.lsn >= lsn, "scan went backwards");
                             n += 1;
                             Ok(n < 16)
                         });
@@ -129,10 +131,9 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                             Err(e) => panic!("scan failed: {e}"),
                         };
                     } else {
-                        match log.get_record_ref(lsn).and_then(|r| r.decode()) {
-                            Ok(rec) => {
-                                assert_eq!(rec.lsn, lsn);
-                                assert_eq!(marker_of(&rec), marker, "torn read at {lsn}");
+                        match log.get_record_ref(lsn).and_then(|r| marker_of(&r)) {
+                            Ok(got) => {
+                                assert_eq!(got, marker, "torn read at {lsn}");
                                 reads_ok.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(Error::LogTruncated(_)) => {
@@ -195,13 +196,12 @@ fn truncation_does_not_invalidate_inflight_readers() {
     for (lsn, marker, rec_ref) in &held {
         // fresh reads fail…
         assert!(matches!(
-            log.get_record_ref(*lsn).and_then(|r| r.decode()),
+            log.get_record_ref(*lsn).and_then(|r| marker_of(&r)),
             Err(Error::LogTruncated(_))
         ));
         // …the held snapshot still reads exactly the old record
-        let rec = rec_ref.decode().unwrap();
-        assert_eq!(rec.lsn, *lsn);
-        assert_eq!(marker_of(&rec), *marker);
+        assert_eq!(rec_ref.lsn(), *lsn);
+        assert_eq!(marker_of(rec_ref).unwrap(), *marker);
         let header = rec_ref.header().unwrap();
         assert_eq!(header.page, PageId(*marker));
     }
@@ -278,18 +278,18 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     let mut survivors = 0u64;
     for (&lsn, &marker) in &last_write {
         if lsn < crash_point.0 {
-            let rec = log
+            let got = log
                 .get_record_ref(Lsn(lsn))
-                .and_then(|r| r.decode())
+                .and_then(|r| marker_of(&r))
                 .unwrap_or_else(|e| panic!("flushed record at {lsn} lost: {e}"));
-            assert_eq!(marker_of(&rec), marker, "wrong record at {lsn}");
+            assert_eq!(got, marker, "wrong record at {lsn}");
             survivors += 1;
         }
     }
     assert!(survivors > 0, "some flushed records must survive");
     assert!(
         log.get_record_ref(crash_point)
-            .and_then(|r| r.decode())
+            .and_then(|r| marker_of(&r))
             .is_err(),
         "nothing readable at/after the crash point"
     );
@@ -298,9 +298,9 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     let mut last = Lsn::NULL;
     let end = log
         .scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
-            let rec = rec.decode()?;
-            assert!(rec.lsn > last);
-            last = rec.lsn;
+            let (header, _) = rec.view()?;
+            assert!(header.lsn > last);
+            last = header.lsn;
             Ok(true)
         })
         .unwrap();
@@ -322,21 +322,21 @@ fn discard_unflushed_boundary_is_exact_and_log_continues() {
 
     assert_eq!(log.tail_lsn(), flushed);
     assert_eq!(
-        marker_of(&log.get_record_ref(a).and_then(|r| r.decode()).unwrap()),
+        log.get_record_ref(a).and_then(|r| marker_of(&r)).unwrap(),
         1
     );
     assert_eq!(
-        marker_of(&log.get_record_ref(b).and_then(|r| r.decode()).unwrap()),
+        log.get_record_ref(b).and_then(|r| marker_of(&r)).unwrap(),
         2
     );
-    assert!(log.get_record_ref(c).and_then(|r| r.decode()).is_err());
-    assert!(log.get_record_ref(d).and_then(|r| r.decode()).is_err());
+    assert!(log.get_record_ref(c).and_then(|r| marker_of(&r)).is_err());
+    assert!(log.get_record_ref(d).and_then(|r| marker_of(&r)).is_err());
 
     // New appends continue exactly at the crash point.
     let e = log.append(&payload_rec(2, 5, 64));
     assert_eq!(e, flushed);
     assert_eq!(
-        marker_of(&log.get_record_ref(e).and_then(|r| r.decode()).unwrap()),
+        log.get_record_ref(e).and_then(|r| marker_of(&r)).unwrap(),
         5
     );
     log.flush_to(e);

@@ -4,8 +4,9 @@
 //! `discard_unflushed`), flush coalescing under concurrent committers, and
 //! the early-seal path for records larger than a segment.
 
-use rewind_common::{Lsn, ObjectId, PageId, TxnId};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogRecord};
+use rewind_common::{Lsn, ObjectId, PageId, Result, TxnId};
+use rewind_pagestore::PAGE_SIZE;
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord, RecordRef};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -13,13 +14,15 @@ use std::thread;
 /// One in-memory log segment (mirrors `logmgr::SEGMENT_BYTES`).
 const SEGMENT_BYTES: usize = 1 << 20;
 
-fn payload_rec(txn: u64, n: usize) -> LogRecord {
+type Rec = LogRecord<Vec<u8>, Box<[u8; PAGE_SIZE]>>;
+
+fn payload_rec(txn: u64, n: usize) -> Rec {
     marked_rec(txn, 0, n)
 }
 
 /// A record carrying a unique marker in its payload, so a test can tell
 /// whether the bytes at an LSN are still *its* record after crash chaos.
-fn marked_rec(txn: u64, marker: u64, n: usize) -> LogRecord {
+fn marked_rec(txn: u64, marker: u64, n: usize) -> Rec {
     let mut bytes = marker.to_le_bytes().to_vec();
     bytes.resize(n.max(8), 0x5A);
     LogRecord {
@@ -35,17 +38,18 @@ fn marked_rec(txn: u64, marker: u64, n: usize) -> LogRecord {
     }
 }
 
-fn marker_of(rec: &LogRecord) -> u64 {
-    match &rec.payload {
-        LogPayload::InsertRecord { bytes, .. } => {
-            u64::from_le_bytes(bytes[..8].try_into().unwrap())
+/// Decode `rec` and return the marker [`marked_rec`] put in its bytes.
+fn marker_of(rec: &RecordRef) -> Result<u64> {
+    match rec.view()?.1 {
+        LogPayloadView::InsertRecord { bytes, .. } => {
+            Ok(u64::from_le_bytes(bytes[..8].try_into().unwrap()))
         }
         other => panic!("unexpected payload {other:?}"),
     }
 }
 
 /// A record whose frame alone exceeds one segment.
-fn oversized_rec(txn: u64) -> LogRecord {
+fn oversized_rec(txn: u64) -> Rec {
     payload_rec(txn, 2 * SEGMENT_BYTES)
 }
 
@@ -62,7 +66,7 @@ fn oversized_record_reads_back_and_scans() {
     for &lsn in &[a, big, b, c] {
         assert_eq!(
             log.get_record_ref(lsn)
-                .and_then(|r| r.decode())
+                .and_then(|r| r.view().map(|(h, _)| h))
                 .unwrap()
                 .lsn,
             lsn
@@ -74,7 +78,7 @@ fn oversized_record_reads_back_and_scans() {
     // The scan walks straight across the oversized segment's boundaries.
     let mut seen = Vec::new();
     log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
-        seen.push(r.decode()?.lsn);
+        seen.push(r.view()?.0.lsn);
         Ok(true)
     })
     .unwrap();
@@ -102,10 +106,13 @@ fn truncation_drops_oversized_segments_whole() {
 
     // Truncating below the oversized record keeps it…
     log.truncate_before(big);
-    assert!(log.get_record_ref(early).and_then(|r| r.decode()).is_err());
+    assert!(log
+        .get_record_ref(early)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_err());
     assert_eq!(
         log.get_record_ref(big)
-            .and_then(|r| r.decode())
+            .and_then(|r| r.view().map(|(h, _)| h))
             .unwrap()
             .lsn,
         big
@@ -113,10 +120,13 @@ fn truncation_drops_oversized_segments_whole() {
 
     // …truncating past it drops the whole oversized segment at once.
     log.truncate_before(late);
-    assert!(log.get_record_ref(big).and_then(|r| r.decode()).is_err());
+    assert!(log
+        .get_record_ref(big)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_err());
     assert_eq!(
         log.get_record_ref(late)
-            .and_then(|r| r.decode())
+            .and_then(|r| r.view().map(|(h, _)| h))
             .unwrap()
             .lsn,
         late
@@ -140,11 +150,20 @@ fn discard_unflushed_handles_oversized_tail() {
     assert_eq!(log.tail_lsn(), crash_point);
     assert_eq!(log.flushed_lsn(), crash_point);
     assert_eq!(
-        log.get_record_ref(a).and_then(|r| r.decode()).unwrap().lsn,
+        log.get_record_ref(a)
+            .and_then(|r| r.view().map(|(h, _)| h))
+            .unwrap()
+            .lsn,
         a
     );
-    assert!(log.get_record_ref(big).and_then(|r| r.decode()).is_err());
-    assert!(log.get_record_ref(after).and_then(|r| r.decode()).is_err());
+    assert!(log
+        .get_record_ref(big)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_err());
+    assert!(log
+        .get_record_ref(after)
+        .and_then(|r| r.view().map(|(h, _)| h))
+        .is_err());
 
     // The log continues cleanly from the cut, including another oversized
     // record at the reused LSN.
@@ -155,7 +174,7 @@ fn discard_unflushed_handles_oversized_tail() {
     assert_eq!(log.flushed_lsn(), log.tail_lsn());
     assert_eq!(
         log.get_record_ref(big2)
-            .and_then(|r| r.decode())
+            .and_then(|r| r.view().map(|(h, _)| h))
             .unwrap()
             .txn,
         TxnId(2)
@@ -193,10 +212,9 @@ fn followers_never_wake_before_durable_even_racing_discard() {
                     // LSN are no longer ours (LSNs are reused by *later*
                     // appends with different markers).
                     if log.flushed_lsn().0 < lsn.0 + frame {
-                        if let Ok(now) = log.get_record_ref(lsn).and_then(|r| r.decode()) {
+                        if let Ok(now) = log.get_record_ref(lsn).and_then(|r| marker_of(&r)) {
                             assert_ne!(
-                                marker_of(&now),
-                                marker,
+                                now, marker,
                                 "woken non-durable: record still volatile at {lsn}"
                             );
                         }

@@ -1,17 +1,18 @@
 //! Proof that the header-only chain-walk path allocates nothing per record.
 //!
 //! The shared counting allocator (`rewind_common::testalloc`) wraps the
-//! system allocator and counts per thread, so the two proofs below can run
-//! on parallel test threads without counting each other's allocations.
-//! After warming the thread-local segment snapshot and the cache model, a
+//! system allocator and counts per thread, so the proofs below can run on
+//! parallel test threads without counting each other's allocations. After
+//! warming the thread-local segment snapshot and the cache model, a
 //! backward chain walk over sealed history (header, borrowed payload view
 //! and undo application against a page) must perform **zero** heap
-//! allocations.
+//! allocations, and so must building the compensation payloads rollback
+//! logs for decoded records.
 
 use rewind_common::testalloc::{thread_allocations as allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
-use rewind_pagestore::{Page, PageType};
-use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord};
+use rewind_pagestore::{Page, PageType, PAGE_SIZE};
+use rewind_wal::{LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord, PayloadKind};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -75,15 +76,12 @@ fn header_only_chain_walk_allocates_nothing() {
     scratch_page.set_page_lsn(walk_from);
     // The page record must match the state at walk_from for undo to apply;
     // reconstruct it by replaying from the log's own view of walk_from.
-    let rec = log
-        .get_record_ref(walk_from)
-        .and_then(|r| r.decode())
-        .unwrap();
-    match rec.payload {
-        LogPayload::UpdateRecord { ref new, .. } => {
+    let rec = log.get_record_ref(walk_from).unwrap();
+    match rec.view().unwrap().1 {
+        LogPayloadView::UpdateRecord { new, .. } => {
             scratch_page.update_record(0, new).unwrap();
         }
-        ref other => panic!("unexpected {other:?}"),
+        other => panic!("unexpected {other:?}"),
     }
     let warm_state = scratch_page.clone();
     assert_eq!(run_walk(&mut scratch_page), walk_records);
@@ -140,5 +138,91 @@ fn header_reads_after_warmup_allocate_nothing() {
         allocations() - before,
         0,
         "warm header reads must not allocate"
+    );
+}
+
+#[test]
+fn compensation_of_decoded_records_allocates_nothing() {
+    let log = LogManager::new(LogConfig::default());
+    let image = Box::new([6u8; PAGE_SIZE]);
+    let payloads = [
+        LogPayload::InsertRecord {
+            slot: 1,
+            bytes: b"inserted".to_vec(),
+        },
+        LogPayload::DeleteRecord {
+            slot: 2,
+            old: b"deleted".to_vec(),
+        },
+        LogPayload::UpdateRecord {
+            slot: 3,
+            old: b"before".to_vec(),
+            new: b"after".to_vec(),
+        },
+        LogPayload::BootWrite {
+            offset: 16,
+            old: vec![0; 8],
+            new: vec![1; 8],
+        },
+        LogPayload::RestoreImage {
+            old: image.clone(),
+            new: image,
+        },
+    ];
+    let record = |page: u64, payload| LogRecord {
+        lsn: Lsn::NULL,
+        txn: TxnId(1),
+        prev_lsn: Lsn::NULL,
+        page: PageId(page),
+        prev_page_lsn: Lsn::NULL,
+        object: ObjectId(1),
+        undo_next: Lsn::NULL,
+        flags: 0,
+        payload,
+    };
+    let lsns: Vec<Lsn> = payloads
+        .into_iter()
+        .map(|payload| log.append(&record(5, payload)))
+        .collect();
+    // More than a segment of padding, so the records above are read on the
+    // lock-free sealed path.
+    for _ in 0..200 {
+        log.append(&record(
+            6,
+            LogPayload::InsertRecord {
+                slot: 0,
+                bytes: vec![0; 8_000],
+            },
+        ));
+    }
+
+    // Read, decode and compensate each record; keep only the kinds.
+    let compensate = || {
+        let mut kinds = [None; 5];
+        for (kind, &lsn) in kinds.iter_mut().zip(&lsns) {
+            let rec = log.get_record_ref(lsn).unwrap();
+            let (_, view) = rec.view().unwrap();
+            *kind = view.compensation().map(|c| c.kind());
+        }
+        kinds
+    };
+    // Warm pass: the thread-local segment snapshot and the cache model.
+    compensate();
+    let before = allocations();
+    let kinds = compensate();
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "compensating decoded records must not allocate (got {allocated})"
+    );
+    assert_eq!(
+        kinds,
+        [
+            Some(PayloadKind::DeleteRecord),
+            Some(PayloadKind::InsertRecord),
+            Some(PayloadKind::UpdateRecord),
+            Some(PayloadKind::BootWrite),
+            Some(PayloadKind::RestoreImage),
+        ]
     );
 }
