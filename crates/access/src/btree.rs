@@ -15,7 +15,7 @@
 //! every split local to one parent/child pair. Each split is logged as a
 //! nested top action: all moves carry undo information — including the
 //! deletes from the old page, the paper's §4.2-3 extension — and a closing
-//! CLR makes rollback skip the completed split.
+//! `SmoEnd` CLR makes rollback skip the completed split.
 //!
 //! All *read* paths take any [`Store`], which is what makes the same code
 //! serve the live database and as-of snapshots (paper §5.3).

@@ -121,8 +121,8 @@ pub trait Store {
         f: impl FnOnce() -> Result<R>,
     ) -> Result<R>;
 
-    /// Close out a nested top action: log a CLR whose `undo_next` is
-    /// `undo_next`, so rollback jumps over the completed SMO. No-op on
+    /// Close out a nested top action: log an `SmoEnd` CLR whose `undo_next`
+    /// is `undo_next`, so rollback jumps over the completed SMO. No-op on
     /// stores that do not log.
     fn end_smo(&self, undo_next: Lsn) -> Result<()>;
 

@@ -96,7 +96,7 @@ impl Txn {
 
     /// LSN of the transaction's most recent log record.
     pub fn last_lsn(&self) -> Lsn {
-        self.shared.last_lsn()
+        self.shared.chain.last_lsn()
     }
 }
 
@@ -311,20 +311,15 @@ impl Database {
                     retention_micros: config.retention_micros,
                 },
             )?;
-            let mut commit = LogRecord {
-                lsn: Lsn::NULL,
-                txn: txn.id,
-                prev_lsn: txn.last_lsn(),
-                page: PageId::INVALID,
-                prev_page_lsn: Lsn::NULL,
-                object: ObjectId::NONE,
-                undo_next: Lsn::NULL,
-                flags: 0,
-                payload: LogPayloadView::Commit {
+            let mut commit = LogRecord::marker(
+                txn.id,
+                LogPayloadView::Commit {
                     at: Timestamp::ZERO,
                 },
-            };
-            let commit_range = parts.log.append_stamped(&mut commit, &|| clock.now());
+            );
+            let commit_range = parts
+                .log
+                .append_stamped(Some(&txn.chain), &mut commit, &|| clock.now());
             parts.log.flush_up_to(commit_range.end);
             txns.finish(txn.id);
             SysTrees {
@@ -546,30 +541,26 @@ impl Database {
         if shared.state() != TxnState::Active {
             return Err(Error::TxnFinished(shared.id));
         }
-        if shared.last_lsn().is_valid() {
+        let last_lsn = shared.chain.last_lsn();
+        if last_lsn.is_valid() {
             let obs = self.parts.log.obs();
             let commit_started = obs.now_us();
-            obs.record(EventKind::CommitBegin, shared.last_lsn().0, shared.id.0, 0);
-            let mut rec = LogRecord {
-                lsn: Lsn::NULL,
-                txn: shared.id,
-                prev_lsn: shared.last_lsn(),
-                page: PageId::INVALID,
-                prev_page_lsn: Lsn::NULL,
-                object: ObjectId::NONE,
-                undo_next: Lsn::NULL,
-                flags: 0,
-                payload: LogPayloadView::Commit {
+            obs.record(EventKind::CommitBegin, last_lsn.0, shared.id.0, 0);
+            let mut rec = LogRecord::marker(
+                shared.id,
+                LogPayloadView::Commit {
                     at: Timestamp::ZERO,
                 },
-            };
-            // The returned range's end is the commit record's exact frame
-            // end: flushing through it needs no second writer-mutex trip.
+            );
+            // The append closes the chain under the writer mutex, so no
+            // checkpoint can list this transaction once its commit is in the
+            // log. The returned range's end is the commit record's exact
+            // frame end: flushing through it needs no second writer-mutex
+            // trip.
             let range = self
                 .parts
                 .log
-                .append_stamped(&mut rec, &|| self.clock.now());
-            shared.record_logged(range.start);
+                .append_stamped(Some(&shared.chain), &mut rec, &|| self.clock.now());
             self.parts.log.flush_up_to(range.end);
             // The flush returned: this commit is durable. One histogram
             // sample per durable commit — the count-exactness invariant
@@ -617,11 +608,12 @@ impl Database {
         if shared.state() != TxnState::Active {
             return Err(Error::TxnFinished(shared.id));
         }
-        if shared.last_lsn().is_valid() {
+        if shared.chain.last_lsn().is_valid() {
             self.append_marker(&shared, LogPayloadView::Abort);
             let store = EngineStore::new(&self.parts, &shared);
             let resolver = |obj: ObjectId| self.resolve_access_uncached(obj);
-            rewind_recovery::rollback_chain(&store, &self.parts.log, shared.last_lsn(), &resolver)?;
+            let from = shared.chain.last_lsn();
+            rewind_recovery::rollback_chain(&store, &self.parts.log, from, &resolver)?;
             let end = self.append_marker(&shared, LogPayloadView::End);
             // Record-precise: force exactly through our End marker, not
             // whatever other transactions have appended since.
@@ -636,20 +628,10 @@ impl Database {
     }
 
     fn append_marker(&self, shared: &TxnShared, payload: LogPayloadView<'_>) -> Lsn {
-        let rec = LogRecord {
-            lsn: Lsn::NULL,
-            txn: shared.id,
-            prev_lsn: shared.last_lsn(),
-            page: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            object: ObjectId::NONE,
-            undo_next: Lsn::NULL,
-            flags: 0,
-            payload,
-        };
-        let lsn = self.parts.log.append(&rec);
-        shared.record_logged(lsn);
-        lsn
+        self.parts
+            .log
+            .append_batch(&shared.chain, &mut [LogRecord::marker(shared.id, payload)])
+            .start
     }
 
     /// Run `f` inside a fresh transaction, committing on success and rolling
@@ -1151,30 +1133,14 @@ impl Database {
                 let sh = &shared[&txn.0];
                 // Position the store's chain at this record so CLRs chain
                 // correctly even across restarts.
-                sh.set_last_lsn(header.lsn);
+                sh.chain.rewind_to(header.lsn);
                 undo_record_view(&EngineStore::new(&db.parts, sh), header, view, &resolver)
             },
             |txn| finished.push(shared[&txn.0].clone()),
         )?;
-        // Close every fully-undone loser with ONE batched append: all the
-        // End markers are framed under a single writer-mutex acquisition.
-        let mut ends: Vec<_> = finished
-            .iter()
-            .map(|sh| LogRecord {
-                lsn: Lsn::NULL,
-                txn: sh.id,
-                prev_lsn: sh.last_lsn(),
-                page: PageId::INVALID,
-                prev_page_lsn: Lsn::NULL,
-                object: ObjectId::NONE,
-                undo_next: Lsn::NULL,
-                flags: 0,
-                payload: LogPayloadView::End,
-            })
-            .collect();
-        db.parts.log.append_batch(&mut ends);
-        for (sh, rec) in finished.iter().zip(&ends) {
-            sh.record_logged(rec.lsn);
+        // Close every fully-undone loser.
+        for sh in &finished {
+            db.append_marker(sh, LogPayloadView::End);
             db.txns.finish(sh.id);
         }
         db.parts.log.flush_to(db.parts.log.tail_lsn());

@@ -20,6 +20,7 @@ pub mod lock_across_io;
 pub mod lock_order;
 pub mod no_panic;
 pub mod one_allocator;
+pub mod one_chain;
 pub mod unsafe_audit;
 
 use crate::lexer::TokKind;
@@ -61,6 +62,10 @@ pub const ALL: &[(&str, &str)] = &[
         "no `GlobalAlloc` impl outside crates/common — tests, benches and examples included; the shared per-thread counting allocator is the only one",
     ),
     (
+        "one-chain",
+        "outside crates/wal, library code never copies a `last_lsn` into a record's `prev_lsn` — transaction records append onto their `TxnChain`, which the log moves under its writer mutex",
+    ),
+    (
         "counter-drift",
         "every EventKind variant appears in from_u64 and name(); every ObsInner histogram is exposed by MetricSource for Obs",
     ),
@@ -76,6 +81,7 @@ pub fn run_file(ctx: &FileCtx, out: &mut Vec<Finding>) {
     lock_across_io::check(ctx, out);
     unsafe_audit::check(ctx, out);
     hygiene::check(ctx, out);
+    one_chain::check(ctx, out);
 }
 
 /// Run every cross-file lint.

@@ -117,6 +117,20 @@ fn one_allocator_exact_findings_everywhere_but_common() {
 }
 
 #[test]
+fn one_chain_flags_prev_lsn_copied_from_last_lsn_outside_the_log() {
+    let (findings, _) = lint_fixture("one_chain.rs");
+    assert_eq!(
+        lines_of(&findings, "one-chain"),
+        vec![8, 15, 18],
+        "{findings:#?}"
+    );
+    assert_eq!(findings.len(), 3, "only one-chain findings expected");
+    // The log itself moves the chain.
+    let (inside, _) = lint_as("one_chain.rs", "crates/wal/src/logmgr.rs", "wal");
+    assert_eq!(inside, vec![], "{inside:#?}");
+}
+
+#[test]
 fn the_workspace_has_exactly_one_global_allocator() {
     // The walk covers tests/, examples/, benches/ and bench/src, so a copy
     // pasted into any of them fails here (and in the CI tidy job).

@@ -26,7 +26,7 @@ use rewind_common::{Lsn, ObjectId, PageId, Result, TxnId};
 use rewind_txn::{LockKey, LockMode};
 use rewind_wal::{
     CheckpointBody, DptEntry, LogManager, LogPayloadView, LogRecordHeader, PayloadKind,
-    REC_FLAG_HEAP,
+    REC_FLAG_HEAP, REC_FLAG_SYSTEM,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -83,7 +83,8 @@ fn row_key(object: ObjectId, rec: &[u8]) -> LockKey {
 /// changed image, plus — for a key-changing update — the row key of the
 /// *new* image. Locking only the old key would leave the new key unlocked,
 /// so a pre-undo as-of query could observe the in-flight row under its new
-/// key.
+/// key. User row changes only: system (structure-modification) records
+/// move rows without owning them.
 fn locks_for(
     rec_flags: u8,
     object: ObjectId,
@@ -95,6 +96,9 @@ fn locks_for(
         LogPayloadView::UpdateRecord { old, new, .. } => (old, Some(new)),
         _ => return (None, None),
     };
+    if rec_flags & REC_FLAG_SYSTEM != 0 {
+        return (None, None);
+    }
     if rec_flags & REC_FLAG_HEAP != 0 {
         // Heap rows: coarsen to the table (insert-mostly heaps; cheap and
         // safe — one lock covers both images).
@@ -182,29 +186,11 @@ impl AnalysisBuilder {
             let rec = log.get_record_deep(c.end_lsn)?;
             if let (_, LogPayloadView::CheckpointEnd { tables, .. }) = rec.view()? {
                 let body = CheckpointBody::decode(tables)?;
+                // The ATT lists open chains only, and the log closes a
+                // chain in the writer-mutex hold that appends its Commit or
+                // End: no entry's transaction finished below the scan start.
                 for e in body.att {
-                    // A fuzzy checkpoint captures its ATT after the begin
-                    // marker, so it can list a transaction that has already
-                    // appended its Commit (or End) but not yet left the
-                    // transaction table. That record lies below the scan
-                    // start, so the scan would never see it and the
-                    // transaction would be undone as a loser. Its own last
-                    // record settles it (header-only read; an unreadable
-                    // record keeps the entry, the conservative choice). An
-                    // `End` carrying the CLR flag closes a structure
-                    // modification, not the transaction.
-                    let finished = log
-                        .get_record_deep(e.last_lsn)
-                        .and_then(|r| r.header())
-                        .is_ok_and(|h| match h.kind {
-                            PayloadKind::Commit => true,
-                            PayloadKind::End => !h.is_clr(),
-                            _ => false,
-                        });
                     b.max_txn = b.max_txn.max(e.txn);
-                    if finished {
-                        continue;
-                    }
                     b.att.insert(
                         e.txn.0,
                         TxnInfo {
@@ -254,16 +240,12 @@ impl AnalysisBuilder {
                         info.first = header.lsn;
                     }
                     info.last = header.lsn;
-                    // Lock reacquisition: user row changes only (system/SMO
-                    // records move rows without owning them).
-                    if header.flags & rewind_wal::REC_FLAG_SYSTEM == 0 {
-                        let (first, second) = locks_for(header.flags, header.object, view);
-                        if let Some(key) = first {
-                            info.push_lock(key);
-                        }
-                        if let Some(key) = second {
-                            info.push_lock(key);
-                        }
+                    let (first, second) = locks_for(header.flags, header.object, view);
+                    if let Some(key) = first {
+                        info.push_lock(key);
+                    }
+                    if let Some(key) = second {
+                        info.push_lock(key);
                     }
                 }
             }
@@ -300,10 +282,7 @@ impl AnalysisBuilder {
             let ids: Vec<u64> = att.keys().copied().collect();
             log.scan_refs(from, scan_start, true, |rec| {
                 let (header, view) = rec.view()?;
-                if header.txn.is_valid()
-                    && ids.contains(&header.txn.0)
-                    && header.flags & rewind_wal::REC_FLAG_SYSTEM == 0
-                {
+                if header.txn.is_valid() && ids.contains(&header.txn.0) {
                     let (first, second) = locks_for(header.flags, header.object, &view);
                     if let Some(info) = att.get_mut(&header.txn.0) {
                         if let Some(key) = first {
@@ -445,69 +424,113 @@ mod tests {
         }
     }
 
-    /// Regression (ROADMAP item 0(b) / G2): a fuzzy checkpoint captures its
-    /// ATT after the begin marker, so it can list a transaction whose
-    /// commit record is already in the log — below the scan start, where
-    /// analysis never sees it. Restart then tried to roll the committed
-    /// transaction back and died. The log is built by hand in exactly that
-    /// shape: updates, commit, checkpoint begin, and a checkpoint end whose
-    /// ATT lists the transaction at its commit LSN.
+    /// Regression (G5): the marker that closes a structure modification
+    /// does not end its transaction. A loser updates `a`, splits (two
+    /// system page ops and the `SmoEnd`), and — in the second case —
+    /// updates `b` after the split. Both times it must stay a loser from its
+    /// first update, holding every row lock it took. When the marker was an
+    /// `End` with the CLR and system flags, analysis dropped the loser at
+    /// it: with nothing after the split the loser vanished, and with `b`
+    /// after it the loser restarted at `b` without `a`'s lock.
     #[test]
-    fn checkpoint_att_entry_at_its_commit_record_is_not_a_loser() {
-        use rewind_common::Timestamp;
-        use rewind_wal::TxnTableEntry;
+    fn smo_end_keeps_the_loser_and_its_locks() {
+        use rewind_wal::{REC_FLAG_CLR, REC_FLAG_SYSTEM};
+
+        let lock = |k: &[u8]| (LockKey::row(ObjectId(501), k), LockMode::X);
+        for update_after in [false, true] {
+            let log = LogManager::new(LogConfig::default());
+            let txn = TxnId(7);
+            let first = log.append(&update(txn, row_bytes(b"a"), row_bytes(b"a")));
+            let mut prev = first;
+            for _ in 0..2 {
+                let mut op = update(txn, row_bytes(b"moved"), row_bytes(b"moved"));
+                op.prev_lsn = prev;
+                op.flags = REC_FLAG_SYSTEM;
+                prev = log.append(&op);
+            }
+            let mut smo_end = marker(txn, prev, LogPayloadView::SmoEnd);
+            smo_end.undo_next = first;
+            smo_end.flags = REC_FLAG_CLR | REC_FLAG_SYSTEM;
+            prev = log.append(&smo_end);
+            let mut locks = vec![lock(b"a")];
+            if update_after {
+                let mut b = update(txn, row_bytes(b"b"), row_bytes(b"b"));
+                b.prev_lsn = prev;
+                log.append(&b);
+                locks.push(lock(b"b"));
+            }
+
+            let analysis = analyze(&log, Lsn::MAX).unwrap();
+            let losers: Vec<(TxnId, Lsn)> = analysis
+                .losers
+                .iter()
+                .map(|l| (l.id, l.first_lsn))
+                .collect();
+            assert_eq!(
+                losers,
+                [(txn, first)],
+                "update after the split: {update_after}"
+            );
+            assert_eq!(
+                analysis.losers[0].locks, locks,
+                "update after the split: {update_after}"
+            );
+        }
+    }
+
+    /// Regression (G2): a fuzzy checkpoint captures its ATT after the begin
+    /// marker, so it can run after a transaction's commit is in the log but
+    /// before the transaction leaves the table. The commit lies below the
+    /// scan start, so analysis never sees it: had the ATT listed the
+    /// transaction, restart would undo it. The log closes the chain in the
+    /// append that writes the commit, so the checkpoint omits it.
+    #[test]
+    fn checkpoint_between_commit_and_finish_lists_no_committed_txn() {
+        use crate::checkpoint::take_checkpoint;
+        use rewind_buffer::BufferPool;
+        use rewind_common::{SimClock, Timestamp};
+        use rewind_pagestore::MemFileManager;
+        use rewind_txn::{TxnManager, TxnState};
 
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let txn = TxnId(9);
-        let first = log.append(&update(txn, row_bytes(b"k"), row_bytes(b"k")));
-        let mut second = update(txn, row_bytes(b"k"), row_bytes(b"k"));
-        second.prev_lsn = first;
-        let second = log.append(&second);
-        let commit = log.append(&marker(
-            txn,
-            second,
+        let pool = BufferPool::new(Arc::new(MemFileManager::new()), log.clone(), 8);
+        let txns = TxnManager::new();
+        let clock = SimClock::starting_at(Timestamp::from_secs(1));
+        let done = txns.begin();
+        let k = || update(done.id, row_bytes(b"k"), row_bytes(b"k"));
+        log.append_batch(&done.chain, &mut [k(), k()]);
+        let mut commit = marker(
+            done.id,
+            Lsn::NULL,
             LogPayloadView::Commit {
-                at: Timestamp::from_secs(1),
+                at: Timestamp::ZERO,
             },
-        ));
-        let at = Timestamp::from_secs(2);
-        let begin_lsn = log.append(&marker(
-            TxnId::NONE,
-            Lsn::NULL,
-            LogPayloadView::CheckpointBegin { at },
-        ));
-        let end_lsn = log.append(&marker(
-            TxnId::NONE,
-            Lsn::NULL,
-            LogPayloadView::CheckpointEnd {
-                at,
-                begin_lsn,
-                tables: &CheckpointBody {
-                    att: vec![TxnTableEntry {
-                        txn,
-                        first_lsn: first,
-                        last_lsn: commit,
-                    }],
-                    dpt: Vec::new(),
-                }
-                .encode(),
-            },
-        ));
-        // A later, genuinely in-flight transaction keeps the window busy.
-        log.append(&update(TxnId(10), row_bytes(b"z"), row_bytes(b"z")));
-        assert_eq!(log.checkpoint_before(Lsn::MAX).unwrap().end_lsn, end_lsn);
+        );
+        log.append_stamped(Some(&done.chain), &mut commit, &|| clock.now());
+        let open = txns.begin();
+        let z = update(open.id, row_bytes(b"z"), row_bytes(b"z"));
+        log.append_batch(&open.chain, &mut [z]);
+        // The window: the commit is in the log, the transaction still in
+        // the table.
+        assert_eq!(done.state(), TxnState::Active);
+        assert!(txns.is_active(done.id));
 
+        let end_lsn = take_checkpoint(&log, &txns, &pool, &clock).unwrap();
+        let rec = log.get_record_ref(end_lsn).unwrap();
+        let LogPayloadView::CheckpointEnd { tables, .. } = rec.view().unwrap().1 else {
+            panic!("not a checkpoint end at {end_lsn:?}");
+        };
+        let att: Vec<TxnId> = CheckpointBody::decode(tables)
+            .unwrap()
+            .att
+            .iter()
+            .map(|e| e.txn)
+            .collect();
+        assert_eq!(att, [open.id], "the captured ATT lists open chains only");
         for bound in [Lsn::MAX, end_lsn] {
             let analysis = analyze(&log, bound).unwrap();
-            assert_eq!(analysis.scan_start, begin_lsn, "seeded from the checkpoint");
-            assert!(
-                analysis.losers.iter().all(|l| l.id != txn),
-                "committed txn listed as a loser at bound {bound:?}: {:?}",
-                analysis.losers
-            );
-            assert!(analysis.max_txn_id >= txn, "id floor still covers it");
+            let losers: Vec<TxnId> = analysis.losers.iter().map(|l| l.id).collect();
+            assert_eq!(losers, [open.id], "losers at bound {bound:?}");
         }
-        assert_eq!(analyze(&log, Lsn::MAX).unwrap().losers.len(), 1);
-        assert!(analyze(&log, end_lsn).unwrap().losers.is_empty());
     }
 }

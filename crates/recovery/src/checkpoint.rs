@@ -2,29 +2,16 @@
 //!
 //! Checkpoints bound crash-recovery work and — because their records carry a
 //! wall-clock stamp — anchor the SplitLSN search (§5.1) and the retention
-//! arithmetic (§4.3). A checkpoint logs a begin marker, captures the
-//! active-transaction table and the dirty-page table, logs the end record
-//! and forces the log. Pages are *not* flushed (that is snapshot creation's
-//! job, §5.1, via `BufferPool::flush_all`).
+//! arithmetic (§4.3). A checkpoint logs a begin marker, flushes dirty pages
+//! (all of them, or — the background cadence's incremental form — those
+//! first dirtied before a bound), captures the active-transaction table
+//! (open chains only, see `TxnManager::active_table`) and the dirty-page
+//! table, logs the end record and forces the log.
 
 use rewind_buffer::BufferPool;
 use rewind_common::{Lsn, Result, SimClock, Timestamp, TxnId};
 use rewind_txn::TxnManager;
-use rewind_wal::{CheckpointBody, LogManager, LogPayloadView, LogRecord, Payload};
-
-fn marker<B, I>(payload: Payload<B, I>) -> LogRecord<B, I> {
-    LogRecord {
-        lsn: Lsn::NULL,
-        txn: TxnId::NONE,
-        prev_lsn: Lsn::NULL,
-        page: rewind_common::PageId::INVALID,
-        prev_page_lsn: Lsn::NULL,
-        object: rewind_common::ObjectId::NONE,
-        undo_next: Lsn::NULL,
-        flags: 0,
-        payload,
-    }
-}
+use rewind_wal::{CheckpointBody, LogManager, LogPayloadView, LogRecord};
 
 /// Take a checkpoint, reading `clock` for the marker stamps; returns the
 /// end record's LSN.
@@ -75,10 +62,13 @@ fn checkpoint_impl(
 ) -> Result<Lsn> {
     let obs = log.obs().clone();
     let started = obs.now_us();
-    let mut begin = marker(LogPayloadView::CheckpointBegin {
-        at: Timestamp::ZERO,
-    });
-    let begin_lsn = log.append_stamped(&mut begin, &|| clock.now()).start;
+    let mut begin = LogRecord::marker(
+        TxnId::NONE,
+        LogPayloadView::CheckpointBegin {
+            at: Timestamp::ZERO,
+        },
+    );
+    let begin_lsn = log.append_stamped(None, &mut begin, &|| clock.now()).start;
     obs.record(rewind_obs::EventKind::CheckpointBegin, begin_lsn.0, 0, 0);
     if flush_before == Lsn::MAX {
         pool.flush_all()?;
@@ -90,12 +80,15 @@ fn checkpoint_impl(
         dpt: pool.dirty_page_table(),
     }
     .encode();
-    let mut end = marker(LogPayloadView::CheckpointEnd {
-        at: Timestamp::ZERO,
-        begin_lsn,
-        tables: &tables,
-    });
-    let end = log.append_stamped(&mut end, &|| clock.now());
+    let mut end = LogRecord::marker(
+        TxnId::NONE,
+        LogPayloadView::CheckpointEnd {
+            at: Timestamp::ZERO,
+            begin_lsn,
+            tables: &tables,
+        },
+    );
+    let end = log.append_stamped(None, &mut end, &|| clock.now());
     log.flush_up_to(end.end);
     obs.record(
         rewind_obs::EventKind::CheckpointEnd,
@@ -121,7 +114,8 @@ mod tests {
         let pool = BufferPool::new(fm, log.clone(), 8);
         let txns = TxnManager::new();
         let t = txns.begin();
-        t.record_logged(Lsn(100));
+        let abort = LogRecord::marker(t.id, LogPayloadView::Abort);
+        let logged = log.append_batch(&t.chain, &mut [abort]).start;
 
         // dirty a page
         pool.with_page_mut(rewind_common::PageId(3), |v| {
@@ -144,7 +138,7 @@ mod tests {
                 let body = CheckpointBody::decode(tables).unwrap();
                 assert_eq!(body.att.len(), 1);
                 assert_eq!(body.att[0].txn, t.id);
-                assert_eq!(body.att[0].last_lsn, Lsn(100));
+                assert_eq!(body.att[0].last_lsn, logged);
                 // the checkpoint flushed the dirty page
                 assert!(body.dpt.is_empty());
             }

@@ -167,10 +167,10 @@ impl Store for EngineStore<'_> {
             push_cow(parts, pid, v.page());
             let (flags, undo_next) = mod_flags(kind);
             let object = record_object(&payload, v.page());
-            let rec = LogRecord {
+            let mut rec = LogRecord {
                 lsn: Lsn::NULL,
                 txn: self.txn.id,
-                prev_lsn: self.txn.last_lsn(),
+                prev_lsn: Lsn::NULL,
                 page: pid,
                 prev_page_lsn: v.page().page_lsn(),
                 object,
@@ -178,8 +178,10 @@ impl Store for EngineStore<'_> {
                 flags: flags | extra_flags,
                 payload,
             };
-            let lsn = parts.log.append(&rec);
-            self.txn.record_logged(lsn);
+            let lsn = parts
+                .log
+                .append_batch(&self.txn.chain, std::slice::from_mut(&mut rec))
+                .start;
             rec.payload.redo(v.page_mut(), pid, lsn)?;
             v.mark_dirty(lsn);
 
@@ -230,10 +232,10 @@ impl Store for EngineStore<'_> {
                 .map(|&payload| LogRecord {
                     lsn: Lsn::NULL,
                     txn: self.txn.id,
-                    // The first record chains to the transaction's and the
-                    // page's current heads; `append_batch` rewires the rest
-                    // through the batch.
-                    prev_lsn: self.txn.last_lsn(),
+                    // `append_batch` chains every record onto the
+                    // transaction; the first chains to the page's current
+                    // head and the rest through the batch.
+                    prev_lsn: Lsn::NULL,
                     page: pid,
                     prev_page_lsn: v.page().page_lsn(),
                     object: record_object(&payload, v.page()),
@@ -243,10 +245,9 @@ impl Store for EngineStore<'_> {
                 })
                 .collect();
             // ONE writer-mutex acquisition for the whole batch.
-            parts.log.append_batch(&mut recs);
+            parts.log.append_batch(&self.txn.chain, &mut recs);
             let mut lsns = Vec::with_capacity(n);
             for rec in &recs {
-                self.txn.record_logged(rec.lsn);
                 rec.payload.redo(v.page_mut(), pid, rec.lsn)?;
                 lsns.push(rec.lsn);
             }
@@ -298,23 +299,16 @@ impl Store for EngineStore<'_> {
 
     fn end_smo(&self, undo_next: Lsn) -> Result<()> {
         let rec = LogRecord {
-            lsn: Lsn::NULL,
-            txn: self.txn.id,
-            prev_lsn: self.txn.last_lsn(),
-            page: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            object: ObjectId::NONE,
             undo_next,
             flags: REC_FLAG_CLR | REC_FLAG_SYSTEM,
-            payload: LogPayloadView::End,
+            ..LogRecord::marker(self.txn.id, LogPayloadView::SmoEnd)
         };
-        let lsn = self.parts.log.append(&rec);
-        self.txn.record_logged(lsn);
+        self.parts.log.append_batch(&self.txn.chain, &mut [rec]);
         Ok(())
     }
 
     fn txn_last_lsn(&self) -> Lsn {
-        self.txn.last_lsn()
+        self.txn.chain.last_lsn()
     }
 
     fn writable(&self) -> bool {
@@ -330,6 +324,6 @@ impl EngineStore<'_> {
         &self,
         resolver: &dyn Fn(ObjectId) -> Result<rollback::AccessKind>,
     ) -> Result<u64> {
-        rollback::rollback_chain(self, &self.parts.log, self.txn.last_lsn(), resolver)
+        rollback::rollback_chain(self, &self.parts.log, self.txn.chain.last_lsn(), resolver)
     }
 }

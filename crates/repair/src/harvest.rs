@@ -127,11 +127,11 @@ fn key_of<'a>(view: &LogPayloadView<'a>) -> Option<&'a [u8]> {
 
 fn is_row_write(header: &LogRecordHeader) -> bool {
     header.txn.is_valid()
-        && !header.is_system()
         && matches!(
             header.kind,
             PayloadKind::InsertRecord | PayloadKind::DeleteRecord | PayloadKind::UpdateRecord
         )
+        && !header.is_system()
 }
 
 /// Run the harvest pass over the retained log.
@@ -162,7 +162,7 @@ pub fn harvest(log: &LogManager, target: &RepairTarget) -> Result<Harvest> {
             return Ok(true);
         }
         match header.kind {
-            PayloadKind::Commit if !header.is_system() => {
+            PayloadKind::Commit => {
                 let at = view.time_stamp().ok_or_else(|| {
                     Error::corruption(format!("commit at {} without stamp", header.lsn))
                 })?;
@@ -182,11 +182,11 @@ pub fn harvest(log: &LogManager, target: &RepairTarget) -> Result<Harvest> {
                     buf.writes,
                 ));
             }
-            PayloadKind::End if !header.is_system() => {
+            PayloadKind::End => {
                 // End without a preceding commit: the txn rolled back; its
-                // net effect is nil either way (writes + CLRs cancel). A
-                // *system* End (an SMO closing mid-transaction) does NOT
-                // terminate the user transaction and falls through below.
+                // net effect is nil either way (writes + CLRs cancel). An
+                // `SmoEnd` closes a structure modification, not the
+                // transaction, and falls through below.
                 pending.remove(&header.txn.0);
             }
             _ => {
@@ -314,7 +314,6 @@ pub fn refresh_conflicts(log: &LogManager, harvest: &mut Harvest) -> Result<()> 
     let mut commits: Vec<(TxnId, Lsn, Timestamp, Lsn)> = Vec::new();
     let new_end = log.scan_views(harvest.scan_end, Lsn::MAX, |header, view| {
         if header.kind == PayloadKind::Commit
-            && !header.is_system()
             && header.txn.is_valid()
             && !targets.contains(&header.txn)
         {

@@ -2,7 +2,7 @@
 
 use parking_lot::Mutex;
 use rewind_common::{Lsn, TxnId};
-use rewind_wal::TxnTableEntry;
+use rewind_wal::{TxnChain, TxnTableEntry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -19,12 +19,13 @@ pub enum TxnState {
     Aborted = 2,
 }
 
-/// Shared per-transaction state, updated lock-free on every logged record.
+/// Shared per-transaction state.
 pub struct TxnShared {
     /// The transaction id.
     pub id: TxnId,
-    first_lsn: AtomicU64,
-    last_lsn: AtomicU64,
+    /// The transaction's log chain. Only the log's transaction-record
+    /// appends move it.
+    pub chain: TxnChain,
     state: AtomicU8,
 }
 
@@ -32,33 +33,9 @@ impl TxnShared {
     fn new(id: TxnId) -> Self {
         TxnShared {
             id,
-            first_lsn: AtomicU64::new(0),
-            last_lsn: AtomicU64::new(0),
+            chain: TxnChain::default(),
             state: AtomicU8::new(TxnState::Active as u8),
         }
-    }
-
-    /// Record that this transaction logged a record at `lsn`.
-    pub fn record_logged(&self, lsn: Lsn) {
-        let _ = self
-            .first_lsn
-            .compare_exchange(0, lsn.0, Ordering::AcqRel, Ordering::Relaxed);
-        self.last_lsn.store(lsn.0, Ordering::Release);
-    }
-
-    /// LSN of the first record, or null if the txn never logged.
-    pub fn first_lsn(&self) -> Lsn {
-        Lsn(self.first_lsn.load(Ordering::Acquire))
-    }
-
-    /// LSN of the latest record, or null.
-    pub fn last_lsn(&self) -> Lsn {
-        Lsn(self.last_lsn.load(Ordering::Acquire))
-    }
-
-    /// Force the last-LSN pointer (rollback walks it backwards via CLRs).
-    pub fn set_last_lsn(&self, lsn: Lsn) {
-        self.last_lsn.store(lsn.0, Ordering::Release);
     }
 
     /// Current lifecycle state.
@@ -104,11 +81,12 @@ impl TxnManager {
         self.active.lock().remove(&id.0);
     }
 
-    /// Register a transaction with a pre-existing id (crash restart rebuilds
-    /// loser transactions found in the log).
+    /// Register a transaction with a pre-existing id, its chain's head at
+    /// `last_lsn` (crash restart rebuilds loser transactions found in the
+    /// log).
     pub fn adopt(&self, id: TxnId, last_lsn: Lsn) -> Arc<TxnShared> {
         let shared = Arc::new(TxnShared::new(id));
-        shared.set_last_lsn(last_lsn);
+        shared.chain.rewind_to(last_lsn);
         self.active.lock().insert(id.0, shared.clone());
         self.bump_next_id(id);
         shared
@@ -124,16 +102,22 @@ impl TxnManager {
         self.active.lock().len()
     }
 
-    /// Snapshot the active-transaction table for a checkpoint record.
+    /// Snapshot the active-transaction table for a checkpoint record: open
+    /// chains only. A transaction whose `Commit` or `End` is in the log is
+    /// over, even before it leaves the table, and the log closes its chain
+    /// in the same writer-mutex hold that appends that record — so a
+    /// table captured after a checkpoint's begin marker never lists a
+    /// transaction whose `Commit` or `End` precedes the marker.
     pub fn active_table(&self) -> Vec<TxnTableEntry> {
         let mut v: Vec<TxnTableEntry> = self
             .active
             .lock()
             .values()
+            .filter(|t| !t.chain.is_closed())
             .map(|t| TxnTableEntry {
                 txn: t.id,
-                first_lsn: t.first_lsn(),
-                last_lsn: t.last_lsn(),
+                first_lsn: t.chain.first_lsn(),
+                last_lsn: t.chain.last_lsn(),
             })
             .collect();
         v.sort_by_key(|e| e.txn);
@@ -146,7 +130,7 @@ impl TxnManager {
         self.active
             .lock()
             .values()
-            .map(|t| t.first_lsn())
+            .map(|t| t.chain.first_lsn())
             .filter(|l| l.is_valid())
             .min()
     }
@@ -167,6 +151,7 @@ impl Default for TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rewind_wal::{LogConfig, LogManager, LogPayloadView, LogRecord};
 
     #[test]
     fn begin_finish_lifecycle() {
@@ -181,32 +166,52 @@ mod tests {
         assert_eq!(tm.active_count(), 1);
     }
 
+    /// Append `payload` onto `t`'s chain; returns its LSN.
+    fn log(log: &LogManager, t: &TxnShared, payload: LogPayloadView<'static>) -> Lsn {
+        log.append_batch(&t.chain, &mut [LogRecord::marker(t.id, payload)])
+            .start
+    }
+
     #[test]
     fn lsn_tracking() {
+        let wal = LogManager::new(LogConfig::default());
         let tm = TxnManager::new();
         let t = tm.begin();
-        assert_eq!(t.first_lsn(), Lsn::NULL);
-        t.record_logged(Lsn(100));
-        t.record_logged(Lsn(200));
-        assert_eq!(t.first_lsn(), Lsn(100), "first LSN sticks");
-        assert_eq!(t.last_lsn(), Lsn(200));
-        t.set_last_lsn(Lsn(150));
-        assert_eq!(t.last_lsn(), Lsn(150));
+        assert_eq!(t.chain.first_lsn(), Lsn::NULL);
+        let first = log(&wal, &t, LogPayloadView::Abort);
+        let second = log(&wal, &t, LogPayloadView::Abort);
+        assert_eq!(t.chain.first_lsn(), first, "first LSN sticks");
+        assert_eq!(t.chain.last_lsn(), second);
+        let back = wal.get_record_ref(second).unwrap().header().unwrap();
+        assert_eq!(back.prev_lsn, first, "the append chained the record");
+        t.chain.rewind_to(first);
+        assert_eq!(t.chain.last_lsn(), first);
+        assert!(!t.chain.is_closed());
+        let end = log(&wal, &t, LogPayloadView::End);
+        assert_eq!((t.chain.last_lsn(), t.chain.is_closed()), (end, true));
     }
 
     #[test]
     fn att_snapshot_sorted_and_complete() {
+        let wal = LogManager::new(LogConfig::default());
         let tm = TxnManager::new();
         let a = tm.begin();
         let b = tm.begin();
-        a.record_logged(Lsn(500));
-        b.record_logged(Lsn(300));
+        let b_first = log(&wal, &b, LogPayloadView::Abort);
+        let a_first = log(&wal, &a, LogPayloadView::Abort);
         let att = tm.active_table();
         assert_eq!(att.len(), 2);
         assert!(att[0].txn < att[1].txn);
-        assert_eq!(tm.oldest_active_first_lsn(), Some(Lsn(300)));
+        assert_eq!(tm.oldest_active_first_lsn(), Some(b_first));
+        // A closed chain leaves the ATT before its transaction leaves the
+        // table.
+        log(&wal, &b, LogPayloadView::End);
+        assert_eq!(
+            tm.active_table().iter().map(|e| e.txn).collect::<Vec<_>>(),
+            [a.id]
+        );
         tm.finish(b.id);
-        assert_eq!(tm.oldest_active_first_lsn(), Some(Lsn(500)));
+        assert_eq!(tm.oldest_active_first_lsn(), Some(a_first));
         tm.finish(a.id);
         assert_eq!(tm.oldest_active_first_lsn(), None);
     }

@@ -25,13 +25,14 @@
 //! ([`LogManager::append_batch`]), clock stamping under the writer mutex
 //! ([`LogManager::append_stamped`]) and a leader/follower flush coalescer
 //! with record-boundary-precise accounting (see the [`logmgr`] module docs
-//! for the commit-path diagram).
+//! for the commit-path diagram). Both append a transaction's records onto
+//! its [`TxnChain`], which the log alone moves.
 
 pub mod logmgr;
 pub mod record;
 pub mod split;
 
-pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef};
+pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef, TxnChain};
 pub use record::{
     CheckpointBody, DptEntry, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, Payload,
     PayloadKind, RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP,

@@ -100,11 +100,19 @@
 //!                    order)                + notify_all
 //! ```
 //!
+//! * **The log owns each transaction's chain.** A transaction record is
+//!   appended onto its [`TxnChain`] ([`LogManager::append_batch`], or
+//!   [`LogManager::append_stamped`] for a commit): under the writer mutex
+//!   the record's `prev_lsn` is read from the chain and its LSN published
+//!   back (a `Commit` or `End` closes the chain). Checkpoint markers are
+//!   stamped with no chain; [`LogManager::append`] takes the other
+//!   chain-less records: full page images and hand-built logs.
 //! * **Batched framing.** [`LogManager::append_batch`] frames a whole slice
-//!   of records into the scratch buffer under a single writer-mutex
-//!   acquisition, rewiring intra-batch `prev_lsn`/`prev_page_lsn` chains and
-//!   writing each record's assigned LSN back into the slice. The batch
-//!   becomes visible to readers atomically (one tail publication).
+//!   of one transaction's records into the scratch buffer under a single
+//!   writer-mutex acquisition, chaining them through the transaction's
+//!   chain and intra-batch `prev_page_lsn` links and writing each record's
+//!   assigned LSN back into the slice. The batch becomes visible to
+//!   readers atomically (one tail publication).
 //! * **Stamping under the sequencer.** [`LogManager::append_stamped`] reads
 //!   the wall clock *inside* the writer mutex and clamps it against the last
 //!   stamp issued, so commit and checkpoint timestamps are monotone in LSN
@@ -130,13 +138,13 @@
 use crate::record::{LogPayloadView, LogRecord, LogRecordHeader, Payload};
 use parking_lot::{Condvar, Mutex};
 use rewind_common::codec::{read_u32_at, read_u64_at};
-use rewind_common::{crc32c, Error, IoStats, Lsn, PageId, Result, Timestamp, TxnId};
+use rewind_common::{crc32c, Error, IoStats, Lsn, Result, Timestamp};
 use rewind_obs::{EventKind, Obs, ObsConfig};
 use rewind_pagestore::page::PAGE_SIZE;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Size of one in-memory log segment.
@@ -205,6 +213,59 @@ pub struct CheckpointInfo {
     pub begin_lsn: Lsn,
     /// Wall-clock time of the checkpoint.
     pub at: Timestamp,
+}
+
+/// One transaction's chain as the log knows it: the LSNs of its first and
+/// latest records, and whether its `Commit` or `End` has closed it.
+///
+/// Only the log's transaction-record appends ([`LogManager::append_batch`],
+/// [`LogManager::append_stamped`]) extend a chain, under the writer mutex:
+/// they read a record's `prev_lsn` from the chain and publish the record's
+/// LSN (closing the chain on `Commit`/`End`) before the mutex is released.
+/// So whoever appends after a record, a checkpoint's begin marker included,
+/// sees the chain with that record on it — the transaction table a
+/// checkpoint captures agrees with the log at the point of capture.
+#[derive(Debug, Default)]
+pub struct TxnChain {
+    first: AtomicU64,
+    last: AtomicU64,
+    closed: AtomicBool,
+}
+
+impl TxnChain {
+    /// LSN of the chain's first record, or null if it has none.
+    pub fn first_lsn(&self) -> Lsn {
+        Lsn(self.first.load(Ordering::Acquire))
+    }
+
+    /// LSN of the chain's latest record, or null: the next record's
+    /// `prev_lsn`.
+    pub fn last_lsn(&self) -> Lsn {
+        Lsn(self.last.load(Ordering::Acquire))
+    }
+
+    /// Whether the chain's `Commit` or `End` is in the log.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Point the chain's head at `lsn`, so the next record chains to it.
+    /// Restart adopts each loser at its last record and positions it at
+    /// every record its undo sweep compensates.
+    pub fn rewind_to(&self, lsn: Lsn) {
+        self.last.store(lsn.0, Ordering::Release);
+    }
+
+    /// Put the record at `lsn` on the chain. Writer mutex held.
+    fn extend(&self, lsn: Lsn, closes: bool) {
+        let _ = self
+            .first
+            .compare_exchange(0, lsn.0, Ordering::AcqRel, Ordering::Relaxed);
+        self.last.store(lsn.0, Ordering::Release);
+        if closes {
+            self.closed.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// One sealed (immutable) log segment.
@@ -718,8 +779,36 @@ impl LogManager {
         lsn
     }
 
-    /// Append a record; assigns and returns its LSN. The record is in memory
-    /// (not durable) until [`LogManager::flush_to`] covers it.
+    /// Frame one record onto `chain` (if any): its `prev_lsn` is the
+    /// chain's head, and the chain holds its LSN (closed, if it is a
+    /// `Commit` or `End`) before the writer mutex is released. The assigned
+    /// LSN is written back into `rec.lsn`.
+    fn append_chained<B, I>(
+        &self,
+        inner: &mut LogInner,
+        chain: Option<&TxnChain>,
+        rec: &mut LogRecord<B, I>,
+    ) -> Lsn
+    where
+        B: Deref<Target = [u8]>,
+        I: Deref<Target = [u8; PAGE_SIZE]>,
+    {
+        if let Some(chain) = chain {
+            rec.prev_lsn = chain.last_lsn();
+        }
+        rec.lsn = self.append_locked(inner, rec);
+        if let Some(chain) = chain {
+            let closes = matches!(rec.payload, Payload::Commit { .. } | Payload::End);
+            chain.extend(rec.lsn, closes);
+        }
+        rec.lsn
+    }
+
+    /// Append a record that belongs to no transaction's chain — a full page
+    /// image or a hand-built record; assigns and returns its LSN. The
+    /// engine's transaction records go through [`LogManager::append_batch`]
+    /// or [`LogManager::append_stamped`], which chain them. The record is in
+    /// memory (not durable) until [`LogManager::flush_to`] covers it.
     pub fn append<B, I>(&self, rec: &LogRecord<B, I>) -> Lsn
     where
         B: Deref<Target = [u8]>,
@@ -731,68 +820,52 @@ impl LogManager {
         lsn
     }
 
-    /// Append a slice of records under ONE writer-mutex acquisition,
-    /// returning the LSN range they occupy (`start` of the first record to
-    /// one past the last). This is the batched half of group commit: a
-    /// transaction's records are framed together instead of paying one mutex
-    /// round-trip each, and the whole batch becomes visible to readers
-    /// atomically.
+    /// Append one transaction's records — one or many — onto its `chain`
+    /// under ONE writer-mutex acquisition, returning the LSN range they
+    /// occupy (`start` of the first record to one past the last). This is
+    /// the batched half of group commit: a transaction's records are framed
+    /// together instead of paying one mutex round-trip each, and the whole
+    /// batch becomes visible to readers atomically.
     ///
-    /// Chains are rewired *inside* the batch, because callers cannot know
-    /// intermediate LSNs up front: a record's `prev_lsn` is pointed at the
-    /// nearest preceding batch record of the same (valid) transaction, and
-    /// its `prev_page_lsn` at the nearest preceding batch record touching
-    /// the same (valid) page. The first record of each transaction/page in
-    /// the batch keeps its caller-provided linkage. Each record's assigned
-    /// LSN is written back into `rec.lsn`.
-    pub fn append_batch<B, I>(&self, recs: &mut [LogRecord<B, I>]) -> Range<Lsn>
+    /// Each record's `prev_lsn` is the chain's head as it stands when the
+    /// record is framed, so the batch chains through itself; the caller's
+    /// value is overwritten. A record's `prev_page_lsn` is pointed at the
+    /// nearest preceding batch record touching the same (valid) page; the
+    /// first record of each page keeps its caller-provided linkage. Each
+    /// record's assigned LSN is written back into `rec.lsn`.
+    pub fn append_batch<B, I>(&self, chain: &TxnChain, recs: &mut [LogRecord<B, I>]) -> Range<Lsn>
     where
         B: Deref<Target = [u8]>,
         I: Deref<Target = [u8; PAGE_SIZE]>,
     {
         let mut inner = self.inner.lock();
         let first = Lsn(inner.tail);
-        // Batches are small; linear probes beat hashing here.
-        let mut txn_last: Vec<(TxnId, Lsn)> = Vec::new();
-        let mut page_last: Vec<(PageId, Lsn)> = Vec::new();
-        for rec in recs.iter_mut() {
-            if rec.txn.is_valid() {
-                if let Some(&(_, last)) = txn_last.iter().find(|(t, _)| *t == rec.txn) {
-                    rec.prev_lsn = last;
-                }
-            }
+        for i in 0..recs.len() {
+            // Batches are small: the nearest earlier record on the same page
+            // is a short backward probe over the records already framed.
+            let (framed, rest) = recs.split_at_mut(i);
+            let rec = &mut rest[0];
             if rec.page.is_valid() {
-                if let Some(&(_, last)) = page_last.iter().find(|(p, _)| *p == rec.page) {
-                    rec.prev_page_lsn = last;
+                if let Some(prev) = framed.iter().rev().find(|r| r.page == rec.page) {
+                    rec.prev_page_lsn = prev.lsn;
                 }
             }
-            let lsn = self.append_locked(&mut inner, rec);
-            rec.lsn = lsn;
-            if rec.txn.is_valid() {
-                match txn_last.iter_mut().find(|(t, _)| *t == rec.txn) {
-                    Some(e) => e.1 = lsn,
-                    None => txn_last.push((rec.txn, lsn)),
-                }
-            }
-            if rec.page.is_valid() {
-                match page_last.iter_mut().find(|(p, _)| *p == rec.page) {
-                    Some(e) => e.1 = lsn,
-                    None => page_last.push((rec.page, lsn)),
-                }
-            }
+            self.append_chained(&mut inner, Some(chain), rec);
         }
         let end = Lsn(inner.tail);
         self.tail.store(inner.tail, Ordering::Release);
         first..end
     }
 
-    /// Append a commit/checkpoint record, reading its wall-clock stamp from
-    /// `now` *inside* the writer mutex. Folding the stamp into the append's
-    /// mutex acquisition is what makes stamps monotone in LSN order without
-    /// a second lock around the commit path: the stamp is additionally
+    /// Append a commit (onto its transaction's `chain`) or a checkpoint
+    /// marker (`chain` = `None`), reading its wall-clock stamp from `now`
+    /// *inside* the writer mutex. Folding the stamp into the append's mutex
+    /// acquisition is what makes stamps monotone in LSN order without a
+    /// second lock around the commit path: the stamp is additionally
     /// clamped against the last stamp issued, so even a non-monotone clock
     /// (or two clocks racing) cannot produce an out-of-order stamp. The
-    /// stamped record is written back through `rec`.
+    /// stamped record is written back through `rec`; a commit closes its
+    /// chain before the mutex is released.
     ///
     /// Returns `record LSN .. frame end`. The end is the exact byte target
     /// a committer needs durable — pass it to [`LogManager::flush_up_to`]
@@ -800,6 +873,7 @@ impl LogManager {
     /// re-measure the frame it appended.
     pub fn append_stamped<B, I>(
         &self,
+        chain: Option<&TxnChain>,
         rec: &mut LogRecord<B, I>,
         now: &dyn Fn() -> Timestamp,
     ) -> Range<Lsn>
@@ -810,8 +884,7 @@ impl LogManager {
         let mut inner = self.inner.lock();
         let at = now().max(inner.last_stamp);
         rec.payload.set_stamp(at);
-        let lsn = self.append_locked(&mut inner, rec);
-        rec.lsn = lsn;
+        let lsn = self.append_chained(&mut inner, chain, rec);
         let end = Lsn(inner.tail);
         self.tail.store(inner.tail, Ordering::Release);
         lsn..end
@@ -1833,43 +1906,52 @@ mod tests {
     #[test]
     fn append_batch_chains_and_writes_back_lsns() {
         let log = LogManager::new(LogConfig::default());
-        let head = log.append(&insert_rec(7, 16));
+        let chain = TxnChain::default();
+        let head = log.append_batch(&chain, &mut [insert_rec(7, 16)]).start;
         let mut batch: Vec<Rec> = (0..5).map(|_| insert_rec(7, 32)).collect();
-        batch[0].prev_lsn = head;
+        // The chain, not the caller, decides `prev_lsn`.
+        batch[0].prev_lsn = Lsn(99);
         batch[0].prev_page_lsn = Lsn(42);
-        let range = log.append_batch(&mut batch);
+        let range = log.append_batch(&chain, &mut batch);
         assert_eq!(range.start, batch[0].lsn);
         assert_eq!(range.end, log.tail_lsn());
         for (i, rec) in batch.iter().enumerate() {
             let back = get(&log, rec.lsn).unwrap().header().unwrap();
             if i == 0 {
-                // The batch head keeps its caller-provided linkage…
+                // The batch head chains to the transaction's head and keeps
+                // its caller-provided page linkage…
                 assert_eq!(back.prev_lsn, head);
                 assert_eq!(back.prev_page_lsn, Lsn(42));
             } else {
-                // …and the rest are rewired through the batch, both the
+                // …and the rest chain through the batch, both the
                 // per-transaction and the per-page chain.
                 assert_eq!(back.prev_lsn, batch[i - 1].lsn);
                 assert_eq!(back.prev_page_lsn, batch[i - 1].lsn);
             }
         }
-        // A batch of differently-keyed records is left unchained.
-        let mut mixed = vec![insert_rec(1, 8), insert_rec(2, 8)];
-        log.append_batch(&mut mixed);
-        let back = get(&log, mixed[1].lsn).unwrap().header().unwrap();
+        assert_eq!((chain.first_lsn(), chain.last_lsn()), (head, batch[4].lsn));
+        // Another transaction's records start their own chain; its `End`
+        // closes it and leaves the first chain open.
+        let other = TxnChain::default();
+        let end = log
+            .append_batch(&other, &mut [rec(8, LogPayloadView::End)])
+            .start;
+        let back = get(&log, end).unwrap().header().unwrap();
         assert_eq!(back.prev_lsn, Lsn::NULL);
+        assert!(other.is_closed() && !chain.is_closed());
     }
 
     #[test]
     fn append_stamped_clamps_a_backward_clock() {
         let log = LogManager::new(LogConfig::default());
+        let (c1, c2) = (TxnChain::default(), TxnChain::default());
         let mut r1 = rec(
             1,
             LogPayloadView::Commit {
                 at: Timestamp::ZERO,
             },
         );
-        log.append_stamped(&mut r1, &|| Timestamp::from_secs(10));
+        log.append_stamped(Some(&c1), &mut r1, &|| Timestamp::from_secs(10));
         // A clock reading behind the last stamp is clamped forward, so
         // stamps stay monotone in LSN order.
         let mut r2 = rec(
@@ -1878,8 +1960,12 @@ mod tests {
                 at: Timestamp::ZERO,
             },
         );
-        let range2 = log.append_stamped(&mut r2, &|| Timestamp::from_secs(5));
+        let range2 = log.append_stamped(Some(&c2), &mut r2, &|| Timestamp::from_secs(5));
         assert_eq!(range2.end, log.tail_lsn());
+        assert!(
+            c1.is_closed() && c2.is_closed(),
+            "a commit closes its chain"
+        );
         match get(&log, range2.start).unwrap().view().unwrap().1 {
             LogPayloadView::Commit { at } => assert_eq!(at, Timestamp::from_secs(10)),
             other => panic!("unexpected {other:?}"),

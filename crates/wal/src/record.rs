@@ -9,7 +9,7 @@
 //!
 //! # One payload type, two instantiations
 //!
-//! The seventeen payload kinds are defined once, by [`Payload`], generic over
+//! The eighteen payload kinds are defined once, by [`Payload`], generic over
 //! where its byte payloads (`B`) and page images (`I`) live. `kind`,
 //! `precheck`, `redo`, `undo`, `compensation` and the encoder are written
 //! once for every instantiation, and [`LogPayloadView::decode`] is the one
@@ -142,7 +142,9 @@ pub enum Payload<B, I> {
     },
     /// Transaction rollback has begun.
     Abort,
-    /// Transaction is fully finished (rolled back or post-commit cleanup).
+    /// Transaction is fully finished (rolled back, or undone by restart).
+    /// Closes the transaction's chain: every reader takes `End` to mean the
+    /// transaction is over.
     End,
     /// (Re)format a page as a fresh, empty page of `ty` for `object`.
     /// Marks the beginning of a per-page chain (Fig. 1). Undoing it erases
@@ -259,6 +261,12 @@ pub enum Payload<B, I> {
         /// Image after this record.
         new: I,
     },
+    /// Closes a structure modification inside a transaction (ARIES'
+    /// nested-top-action dummy CLR, §4.2-3). Logged with
+    /// `REC_FLAG_CLR | REC_FLAG_SYSTEM` and `undo_next` pointing at the
+    /// transaction's last record before the modification, so undo jumps
+    /// over the completed split. The transaction goes on.
+    SmoEnd,
     /// Checkpoint begin marker, stamped with wall-clock time (used to narrow
     /// the SplitLSN search, §5.1).
     CheckpointBegin {
@@ -306,6 +314,7 @@ impl<'a> LogPayloadView<'a> {
             },
             PayloadKind::Abort => Payload::Abort,
             PayloadKind::End => Payload::End,
+            PayloadKind::SmoEnd => Payload::SmoEnd,
             PayloadKind::Format => Payload::Format {
                 object: ObjectId(r.get_u64()?),
                 ty: PageType::from_u16(r.get_u16()?)?,
@@ -406,6 +415,7 @@ where
             Payload::RestoreImage { .. } => PayloadKind::RestoreImage,
             Payload::CheckpointBegin { .. } => PayloadKind::CheckpointBegin,
             Payload::CheckpointEnd { .. } => PayloadKind::CheckpointEnd,
+            Payload::SmoEnd => PayloadKind::SmoEnd,
         }
     }
 
@@ -655,7 +665,7 @@ where
         w.put_u8(self.kind() as u8);
         match self {
             Payload::Commit { at } | Payload::CheckpointBegin { at } => w.put_u64(at.as_micros()),
-            Payload::Abort | Payload::End => {}
+            Payload::Abort | Payload::End | Payload::SmoEnd => {}
             Payload::Format {
                 object,
                 ty,
@@ -768,6 +778,8 @@ pub enum PayloadKind {
     CheckpointEnd = 16,
     /// [`Payload::RestoreImage`].
     RestoreImage = 17,
+    /// [`Payload::SmoEnd`].
+    SmoEnd = 18,
 }
 
 impl PayloadKind {
@@ -791,6 +803,7 @@ impl PayloadKind {
             15 => PayloadKind::CheckpointBegin,
             16 => PayloadKind::CheckpointEnd,
             17 => PayloadKind::RestoreImage,
+            18 => PayloadKind::SmoEnd,
             other => {
                 return Err(Error::corruption(format!(
                     "unknown log payload tag {other}"
@@ -807,6 +820,7 @@ impl PayloadKind {
             PayloadKind::Commit
                 | PayloadKind::Abort
                 | PayloadKind::End
+                | PayloadKind::SmoEnd
                 | PayloadKind::CheckpointBegin
                 | PayloadKind::CheckpointEnd
         )
@@ -886,6 +900,25 @@ impl LogRecordHeader {
     /// Whether the payload modifies a page.
     pub fn is_page_op(&self) -> bool {
         self.kind.is_page_op()
+    }
+}
+
+impl<B, I> LogRecord<B, I> {
+    /// A record of `txn` that touches no page — a commit, abort, end or
+    /// checkpoint marker — with every link null: a chained append sets
+    /// `prev_lsn` (see `LogManager::append_batch`).
+    pub fn marker(txn: TxnId, payload: Payload<B, I>) -> LogRecord<B, I> {
+        LogRecord {
+            lsn: Lsn::NULL,
+            txn,
+            prev_lsn: Lsn::NULL,
+            page: PageId::INVALID,
+            prev_page_lsn: Lsn::NULL,
+            object: ObjectId::NONE,
+            undo_next: Lsn::NULL,
+            flags: 0,
+            payload,
+        }
     }
 }
 
@@ -995,6 +1028,7 @@ mod tests {
             },
             Payload::Abort,
             Payload::End,
+            Payload::SmoEnd,
             Payload::Format {
                 object: ObjectId(4),
                 ty: PageType::BTreeLeaf,
@@ -1091,7 +1125,7 @@ mod tests {
         let payloads = all_payloads(&IMG, &tables);
         let mut tags: Vec<u8> = payloads.iter().map(|p| p.kind() as u8).collect();
         tags.sort_unstable();
-        assert_eq!(tags, (1..=17).collect::<Vec<u8>>(), "every kind once");
+        assert_eq!(tags, (1..=18).collect::<Vec<u8>>(), "every kind once");
         for payload in payloads {
             let bytes = encode(&record(PageId(5), payload));
             let (_, back) = LogRecord::decode_view(Lsn(64), &bytes).unwrap();
@@ -1445,6 +1479,7 @@ mod tests {
             PayloadKind::Commit,
             PayloadKind::Abort,
             PayloadKind::End,
+            PayloadKind::SmoEnd,
             PayloadKind::CheckpointBegin,
             PayloadKind::CheckpointEnd,
         ] {

@@ -568,3 +568,134 @@ fn no_background_write_lands_after_simulate_crash() {
     assert_eq!(got, model);
     db.check_consistency().unwrap();
 }
+
+/// Two committers on disjoint key ranges race the background checkpoint
+/// daemon (a checkpoint every 32 KiB of log), then the process crashes
+/// after a seeded number of commits. Every daemon checkpoint captures its
+/// transaction table while commits are landing, so a table that listed a
+/// transaction whose commit was already in the log would make restart undo
+/// an acknowledged commit. After each restart:
+/// - every acknowledged commit's rows are present;
+/// - every transaction is all-or-nothing — a commit whose acknowledgement
+///   the crash swallowed may land either way, a transaction that never
+///   committed must not land at all;
+/// - the database is consistent.
+#[test]
+fn daemon_checkpoints_racing_two_committers_lose_no_commit() {
+    const COMMITTERS: u64 = 2;
+    /// Key range of one committer: disjoint from the other's.
+    const RANGE: u64 = 1 << 32;
+
+    /// How a committer's transaction ended before the crash.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Fate {
+        Acknowledged,
+        CommitUnacknowledged,
+        NeverCommitted,
+    }
+
+    for seed in [
+        0x0DA3_0001_u64,
+        0x0DA3_0002,
+        0x0DA3_0003,
+        0x0DA3_0004,
+        0x0DA3_0005,
+    ] {
+        let db = Database::create(DbConfig {
+            buffer_pages: 256,
+            checkpoint_interval_bytes: 32 << 10,
+            ..DbConfig::default()
+        })
+        .unwrap();
+        db.with_txn(|txn| db.create_table(txn, "t", schema()).map(|_| ()))
+            .unwrap();
+        let crash_after = SmallRng::seed_from_u64(seed).gen_range(150..400u64);
+        let commits = std::sync::atomic::AtomicU64::new(0);
+        // Per committer: (tag, first key, rows, fate) of every transaction.
+        let txns: Vec<Vec<(String, u64, u64, Fate)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..COMMITTERS)
+                .map(|c| {
+                    let (db, commits) = (&db, &commits);
+                    s.spawn(move || {
+                        let mut rng = SmallRng::seed_from_u64(seed ^ (c + 1));
+                        let mut done = Vec::new();
+                        let mut next_key = c * RANGE;
+                        loop {
+                            let last = commits.load(Ordering::Acquire) >= crash_after;
+                            let tag = format!("{c}:{}", done.len());
+                            let rows = rng.gen_range(1..6u64);
+                            let txn = db.begin();
+                            for k in next_key..next_key + rows {
+                                let pad = "x".repeat(rng.gen_range(20..120));
+                                let row = [Value::U64(k), Value::Str(format!("{tag}:{pad}"))];
+                                db.insert(&txn, "t", &row).unwrap();
+                            }
+                            let fate = if !last {
+                                db.commit(txn).unwrap();
+                                commits.fetch_add(1, Ordering::AcqRel);
+                                Fate::Acknowledged
+                            } else if rng.gen_bool(0.5) {
+                                // The crash swallows the acknowledgement.
+                                db.commit(txn).unwrap();
+                                Fate::CommitUnacknowledged
+                            } else {
+                                std::mem::forget(txn);
+                                Fate::NeverCommitted
+                            };
+                            done.push((tag, next_key, rows, fate));
+                            next_key += rows;
+                            if last {
+                                return done;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        db.quiesce_checkpoints();
+        assert!(
+            db.take_background_errors().is_empty(),
+            "seed {seed:#x}: a daemon checkpoint failed"
+        );
+        // The bootstrap checkpoint, then at least one the daemon took: the
+        // log grew past the interval, so some commit kicked it, and
+        // `quiesce_checkpoints` waited for that kick.
+        let checkpoints = db.log().checkpoints().len();
+        assert!(
+            checkpoints >= 2,
+            "seed {seed:#x}: {checkpoints} checkpoints"
+        );
+        let db = Database::recover(db.simulate_crash()).unwrap();
+
+        let rows = db.with_txn(|txn| db.scan_all(txn, "t")).unwrap();
+        let mut landed: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for r in &rows {
+            let v = r[1].as_str().unwrap();
+            let tag = v[..v.rfind(':').unwrap()].to_string();
+            landed.entry(tag).or_default().push(r[0].as_u64().unwrap());
+        }
+        for (tag, first, n, fate) in txns.iter().flatten() {
+            let keys = landed.remove(tag).unwrap_or_default();
+            let all: Vec<u64> = (*first..first + n).collect();
+            match fate {
+                Fate::Acknowledged => assert_eq!(keys, all, "seed {seed:#x}: txn {tag} lost"),
+                Fate::CommitUnacknowledged => assert!(
+                    keys.is_empty() || keys == all,
+                    "seed {seed:#x}: txn {tag} landed in part: {keys:?}"
+                ),
+                Fate::NeverCommitted => {
+                    assert!(
+                        keys.is_empty(),
+                        "seed {seed:#x}: uncommitted txn {tag} landed"
+                    )
+                }
+            }
+        }
+        assert!(
+            landed.is_empty(),
+            "seed {seed:#x}: rows of no transaction: {landed:?}"
+        );
+        db.check_consistency().unwrap();
+    }
+}

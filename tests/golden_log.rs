@@ -2,19 +2,20 @@
 //!
 //! A fixed, single-threaded script on a simulated clock writes a log; the
 //! test pins an FNV-1a 64 hash of every retained log byte (each frame's
-//! length prefix, CRC and body, from the truncation point to the tail) and
-//! the number of records of each payload kind. A change to the record
-//! encoder, the frame format, or the sequence of records the engine logs for
-//! the same work moves one of the constants.
+//! length prefix, CRC and body, from the truncation point to the tail), the
+//! number of those bytes, and the number of records of each payload kind.
+//! A change to the record encoder, the frame format, or the sequence of
+//! records the engine logs for the same work moves one of the constants.
 //!
-//! The script reaches all seventeen payload kinds through the public API,
+//! The script reaches all eighteen payload kinds through the public API,
 //! among them:
 //! - `Reformat` (`truncate_table`) and `RestoreImage` (rolling that truncate
 //!   back);
 //! - `Preformat` (a dropped table's pages reallocated to a new one);
 //! - `BootWrite` (`set_undo_interval`);
 //! - `FullPageImage` (`fpi_interval > 0`);
-//! - `SetNextPage` / `SetPrevPage` (leaf splits);
+//! - `SetNextPage` / `SetPrevPage` (leaf splits), each split closed by an
+//!   `SmoEnd`;
 //! - `CheckpointBegin` / `CheckpointEnd` (one manual checkpoint, taken with
 //!   one transaction active so the ATT is not empty).
 //!
@@ -31,12 +32,14 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// FNV-1a 64 of every retained log byte.
-const GOLDEN_FNV: u64 = 6_897_233_297_396_948_458;
-/// Records per payload kind, in tag order (`PayloadKind as u8` 1..=17).
-const GOLDEN_COUNTS: [(PayloadKind, u64); 17] = [
+const GOLDEN_FNV: u64 = 18_225_305_645_905_926_254;
+/// Number of retained log bytes.
+const GOLDEN_BYTES: u64 = 2_472_449;
+/// Records per payload kind, in tag order (`PayloadKind as u8` 1..=18).
+const GOLDEN_COUNTS: [(PayloadKind, u64); 18] = [
     (PayloadKind::Commit, 17),
     (PayloadKind::Abort, 2),
-    (PayloadKind::End, 19),
+    (PayloadKind::End, 2),
     (PayloadKind::Format, 29),
     (PayloadKind::Preformat, 7),
     (PayloadKind::Reformat, 5),
@@ -51,6 +54,7 @@ const GOLDEN_COUNTS: [(PayloadKind, u64); 17] = [
     (PayloadKind::CheckpointBegin, 2),
     (PayloadKind::CheckpointEnd, 2),
     (PayloadKind::RestoreImage, 1),
+    (PayloadKind::SmoEnd, 17),
 ];
 
 struct Fnv(u64);
@@ -208,6 +212,7 @@ fn golden_log_bytes_and_kind_counts() {
     })
     .unwrap();
     assert_eq!(cursor, to, "the scan reached the tail");
+    assert_eq!(to.bytes_since(from), GOLDEN_BYTES, "retained log bytes");
     let counts: Vec<(PayloadKind, u64)> = GOLDEN_COUNTS
         .iter()
         .map(|&(kind, _)| (kind, counts.get(&(kind as u8)).copied().unwrap_or(0)))
