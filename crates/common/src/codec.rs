@@ -183,7 +183,7 @@ impl<'a> ByteReader<'a> {
 /// `try_into().unwrap()`): the subslice is exactly `N` long, so
 /// `copy_from_slice` cannot mismatch; out-of-range offsets trip the slice
 /// bounds check, which is the caller's contract everywhere this is used
-/// (frame and anchor readers length-check before decoding).
+/// (frame readers length-check before decoding).
 #[inline]
 pub fn array_at<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
     let mut a = [0u8; N];

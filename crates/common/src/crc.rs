@@ -1,12 +1,12 @@
 //! CRC-32C (Castagnoli) for media integrity checks.
 //!
-//! Every durable artifact in the engine — log record frames, page images,
-//! checkpoint anchor slots — is covered by this checksum so that a bit flip
-//! or torn write is *detected* at read time instead of silently decoding
-//! into garbage. CRC-32C is the polynomial used by iSCSI, ext4 and InnoDB's
-//! redo log (`crc32c`, reflected polynomial `0x82F63B78`); we implement it
-//! here as a table-driven software routine so the shims-only build stays
-//! dependency-free.
+//! Every durable artifact in the engine — log record frames (checkpoint
+//! records among them) and page images — is covered by this checksum so
+//! that a bit flip or torn write is *detected* at read time instead of
+//! silently decoding into garbage. CRC-32C is the polynomial used by
+//! iSCSI, ext4 and InnoDB's redo log (`crc32c`, reflected polynomial
+//! `0x82F63B78`); we implement it here as a table-driven software routine
+//! so the shims-only build stays dependency-free.
 
 /// Reflected CRC-32C polynomial (Castagnoli).
 const POLY: u32 = 0x82F6_3B78;

@@ -11,10 +11,10 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// The kind drives the recovery policy: a [`CorruptionKind::LogBlock`] past
 /// the durable point truncates the log tail (same semantics as discarding
-/// unflushed records); a [`CorruptionKind::PageChecksum`] or
+/// unflushed records) — a damaged checkpoint record included, after which
+/// the previous checkpoint governs; a [`CorruptionKind::PageChecksum`] or
 /// [`CorruptionKind::TornPage`] triggers page salvage from the per-page log
-/// chain; a [`CorruptionKind::CheckpointAnchor`] falls back to the older of
-/// the two anchor slots.
+/// chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
     /// A log record frame failed its CRC-32C, or its length prefix was
@@ -27,8 +27,6 @@ pub enum CorruptionKind {
     /// header pageLSN — the classic torn 8 KiB write (only part of the page
     /// reached the media).
     TornPage,
-    /// A checkpoint anchor slot failed its CRC-32C.
-    CheckpointAnchor,
     /// A logical/structural invariant was violated (bad slot directory,
     /// impossible record shape, catalog inconsistency) — the bytes may be
     /// intact but their meaning is not.
@@ -41,7 +39,6 @@ impl fmt::Display for CorruptionKind {
             CorruptionKind::LogBlock => "log-block",
             CorruptionKind::PageChecksum => "page-checksum",
             CorruptionKind::TornPage => "torn-page",
-            CorruptionKind::CheckpointAnchor => "checkpoint-anchor",
             CorruptionKind::Structure => "structure",
         };
         f.write_str(s)

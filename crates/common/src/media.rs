@@ -197,7 +197,7 @@ impl IoStats {
     }
 
     /// Record one detected media corruption (bad log frame CRC, page
-    /// checksum/torn mismatch, bad checkpoint anchor) — counted at detection
+    /// checksum/torn mismatch) — counted at detection
     /// time, whether or not it was subsequently repaired or routed around.
     #[inline]
     pub fn add_corruption_detected(&self) {

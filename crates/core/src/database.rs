@@ -1112,7 +1112,11 @@ impl Database {
         );
 
         let db = Self::assemble_from_parts(parts, fm_mem, clock, config, false)?;
-        db.txns.bump_next_id(analysis.max_txn_id);
+        // Analysis sees only the ids after the newest checkpoint's begin;
+        // older committed ids are still in the retained log, so the floor
+        // is the log's high-water mark as well.
+        db.txns
+            .bump_next_id(analysis.max_txn_id.max(db.parts.log.max_txn_id()));
 
         // Undo losers in a single merged descending-LSN sweep (CLRs logged
         // per transaction).

@@ -19,8 +19,8 @@ use rewind_wal::{CheckpointBody, LogManager, LogPayloadView, LogRecord};
 /// Both markers are stamped through `LogManager::append_stamped` — i.e.
 /// under the same sequencer (the log writer mutex) as commit records — so a
 /// checkpoint begun while commits race can never push a timestamp older
-/// than the last indexed commit into the time index or the checkpoint
-/// directory, which would break the binary-search invariant SplitLSN and
+/// than the last stamped commit into the log or the checkpoint directory,
+/// which would break the binary-search invariant SplitLSN and
 /// `checkpoint_before_time` rely on.
 ///
 /// Dirty pages are flushed (like SQL Server's recovery-interval

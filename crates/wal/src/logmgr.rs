@@ -21,7 +21,7 @@
 //!   bad one with the same `cut_at` [`LogManager::discard_unflushed`] cuts
 //!   at the flush point with: whole later segments evaporate, the damaged
 //!   segment is *replaced* by a shorter copy (sealed bytes are never
-//!   mutated in place), and the time/checkpoint indexes are trimmed to the
+//!   mutated in place), and the checkpoint directory is trimmed to the
 //!   cut. A torn or bit-flipped device tail therefore recovers the longest
 //!   clean record prefix.
 //! * **Mid-retention corruption at read time** — random reads and scans
@@ -29,12 +29,19 @@
 //!   fails, repair skips the region, queries abort) — the log itself never
 //!   guesses around damage inside the retained window.
 //!
-//! The checkpoint directory is additionally mirrored into two alternating
-//! checksummed **anchor slots** (InnoDB-style), written on every
-//! checkpoint-end append. Crash simulation rebuilds the directory from the
-//! newest valid anchor, so a corrupt latest anchor degrades to the older
-//! one (a longer analysis scan, same answer) rather than losing the
-//! directory.
+//! # The checkpoint directory is a function of the retained log
+//!
+//! The log's own `CheckpointEnd` records are its only time index (§5.1
+//! narrows the SplitLSN search "using checkpoint log records which store
+//! wall-clock time"). The directory lists them, one entry per record, and
+//! is trimmed only by the log's two cuts: `cut_at` (a crash or damage)
+//! drops the entries at or past the cut, and [`LogManager::truncate_before`]
+//! drops those whose begin marker it truncated away (none, when
+//! archiving). So after any sequence of appends, flushes, cuts and
+//! truncations the directory equals a from-scratch scan of the
+//! `CheckpointEnd` records in the retained (and archived) log, and a crash
+//! loses none of it. A damaged `CheckpointEnd` frame is an ordinary damaged
+//! frame: the log is cut there, and the previous checkpoint governs.
 //!
 //! Random record reads (`get_record_ref`) are how `PreparePageAsOf` walks
 //! per-page chains. Each read is classified as a *log cache hit* or a *log
@@ -117,9 +124,9 @@
 //!   the wall clock *inside* the writer mutex and clamps it against the last
 //!   stamp issued, so commit and checkpoint timestamps are monotone in LSN
 //!   order — the binary-search invariant of SplitLSN (§5.1) and the
-//!   checkpoint directory. `push_time` additionally clamps (and
-//!   `debug_assert`s) so a non-monotone stamp from a raw `append` can never
-//!   corrupt the sparse time index.
+//!   checkpoint directory. `append_locked` additionally clamps (and
+//!   `debug_assert`s) the stamp it remembers, so a non-monotone stamp from a
+//!   raw `append` can never pull a later stamp backward.
 //! * **Coalesced flushing.** [`LogManager::flush_to`] is record-boundary
 //!   precise: it makes durable exactly through the end of the record at the
 //!   requested LSN and charges `log_bytes_written` for those bytes only —
@@ -137,8 +144,8 @@
 
 use crate::record::{LogPayloadView, LogRecord, LogRecordHeader, Payload};
 use parking_lot::{Condvar, Mutex};
-use rewind_common::codec::{read_u32_at, read_u64_at};
-use rewind_common::{crc32c, Error, IoStats, Lsn, Result, Timestamp};
+use rewind_common::codec::read_u32_at;
+use rewind_common::{crc32c, Error, IoStats, Lsn, Result, Timestamp, TxnId};
 use rewind_obs::{EventKind, Obs, ObsConfig};
 use rewind_pagestore::page::PAGE_SIZE;
 use std::cell::RefCell;
@@ -156,9 +163,6 @@ const FRAME_HEADER: usize = 8;
 /// attempt consumes one injected fault token; a real device failing this
 /// many consecutive write barriers is dead, not transient.
 const MAX_FLUSH_RETRIES: u32 = 8;
-/// Encoded size of one checkpoint anchor slot:
-/// `[u64 seq][u64 end_lsn][u64 begin_lsn][u64 at_micros][u32 CRC-32C]`.
-const ANCHOR_SLOT_BYTES: usize = 36;
 /// Cache-model block size: one "log page" worth of records.
 const CACHE_BLOCK_BYTES: u64 = 64 * 1024;
 /// Shards of the cache model's block map.
@@ -399,52 +403,17 @@ struct LogInner {
     /// Reusable frame-encoding buffer: appends serialize into this and then
     /// copy once into the active segment (no per-append allocation).
     scratch: Vec<u8>,
-    /// Checkpoint directory, ascending by LSN. Shared out to readers as a
-    /// cheap `Arc` clone; copy-on-write on the rare mutation.
+    /// Checkpoint directory: one entry per `CheckpointEnd` record in the
+    /// retained log, ascending by LSN. Written only by `append_locked`,
+    /// `cut_at` and `truncate_before`. Shared out to readers as a cheap
+    /// `Arc` clone; copy-on-write on the rare mutation.
     checkpoints: Arc<Vec<CheckpointInfo>>,
-    /// Sparse time index: (lsn, wall clock) sampled at commits/checkpoints,
-    /// ascending. Supports retention decisions and split search narrowing.
-    time_index: Vec<(Lsn, Timestamp)>,
-    /// Highest commit/checkpoint stamp seen so far; `append_stamped` and
-    /// `push_time` clamp against it so stamps stay monotone in LSN order.
+    /// Highest commit/checkpoint stamp seen so far; `append_stamped`
+    /// clamps against it so stamps stay monotone in LSN order.
     last_stamp: Timestamp,
-    /// Two alternating checksummed checkpoint anchor slots (the durable
-    /// image of the directory's newest entries): slot `seq % 2` is
-    /// overwritten on each checkpoint-end append, so the previous anchor is
-    /// always intact while the newer one is being written. `None` = never
-    /// written.
-    anchor_slots: [Option<[u8; ANCHOR_SLOT_BYTES]>; 2],
-    /// Sequence number of the next anchor write (selects the slot).
-    anchor_seq: u64,
-}
-
-/// Encode one checkpoint anchor slot:
-/// `[u64 seq][u64 end_lsn][u64 begin_lsn][u64 at_micros][u32 CRC-32C]`.
-fn encode_anchor(seq: u64, info: &CheckpointInfo) -> [u8; ANCHOR_SLOT_BYTES] {
-    let mut slot = [0u8; ANCHOR_SLOT_BYTES];
-    slot[0..8].copy_from_slice(&seq.to_le_bytes());
-    slot[8..16].copy_from_slice(&info.end_lsn.0.to_le_bytes());
-    slot[16..24].copy_from_slice(&info.begin_lsn.0.to_le_bytes());
-    slot[24..32].copy_from_slice(&info.at.as_micros().to_le_bytes());
-    let crc = crc32c(&slot[..32]);
-    slot[32..36].copy_from_slice(&crc.to_le_bytes());
-    slot
-}
-
-/// Decode and CRC-validate one anchor slot. `None` if the slot's checksum
-/// does not match its contents (a torn or bit-flipped anchor write).
-fn decode_anchor(slot: &[u8; ANCHOR_SLOT_BYTES]) -> Option<(u64, CheckpointInfo)> {
-    let stored = read_u32_at(slot, 32);
-    if crc32c(&slot[..32]) != stored {
-        return None;
-    }
-    let seq = read_u64_at(slot, 0);
-    let info = CheckpointInfo {
-        end_lsn: Lsn(read_u64_at(slot, 8)),
-        begin_lsn: Lsn(read_u64_at(slot, 16)),
-        at: Timestamp::from_micros(read_u64_at(slot, 24)),
-    };
-    Some((seq, info))
+    /// Highest transaction id ever framed. A cut may leave it above the
+    /// surviving maximum, which only skips ids.
+    max_txn: TxnId,
 }
 
 /// Flush requests coalesced behind a single leader (group commit).
@@ -613,10 +582,8 @@ impl LogManager {
                 tail: Lsn::FIRST.0,
                 scratch: Vec::new(),
                 checkpoints: Arc::new(Vec::new()),
-                time_index: Vec::new(),
                 last_stamp: Timestamp::ZERO,
-                anchor_slots: [None, None],
-                anchor_seq: 0,
+                max_txn: TxnId::NONE,
             }),
             published: Mutex::new(Arc::new(SealedIndex {
                 version: 1,
@@ -755,26 +722,26 @@ impl LogManager {
         inner.active.extend_from_slice(&scratch);
         inner.tail += scratch.len() as u64;
         inner.scratch = scratch;
-        // Index commit/checkpoint times for retention & split search.
-        match rec.payload {
-            Payload::Commit { at } | Payload::CheckpointBegin { at } => inner.push_time(lsn, at),
-            Payload::CheckpointEnd { at, begin_lsn, .. } => {
-                let info = CheckpointInfo {
-                    end_lsn: lsn,
-                    begin_lsn,
-                    at,
-                };
-                Arc::make_mut(&mut inner.checkpoints).push(info);
-                // Mirror the entry into the alternating anchor slots: the
-                // durable half of the directory. Writing slot `seq % 2`
-                // leaves the previous anchor untouched, so a torn anchor
-                // write can never destroy both.
-                let seq = inner.anchor_seq;
-                inner.anchor_slots[(seq % 2) as usize] = Some(encode_anchor(seq, &info));
-                inner.anchor_seq = seq + 1;
-                inner.push_time(lsn, at);
-            }
-            _ => {}
+        inner.max_txn = inner.max_txn.max(rec.txn);
+        if let Some(at) = rec.payload.time_stamp() {
+            // Stamps must be monotone in LSN order — the binary-search
+            // invariant of SplitLSN (§5.1) and `checkpoint_before_time`.
+            // `append_stamped` guarantees it at the source; flag anything
+            // that arrives out of order through a raw `append` in debug
+            // builds, and never let it pull the remembered stamp backward.
+            debug_assert!(
+                at >= inner.last_stamp,
+                "non-monotone commit/checkpoint stamp at {lsn}: {at:?} < {:?}",
+                inner.last_stamp
+            );
+            inner.last_stamp = inner.last_stamp.max(at);
+        }
+        if let Payload::CheckpointEnd { at, begin_lsn, .. } = rec.payload {
+            Arc::make_mut(&mut inner.checkpoints).push(CheckpointInfo {
+                end_lsn: lsn,
+                begin_lsn,
+                at,
+            });
         }
         lsn
     }
@@ -1215,20 +1182,26 @@ impl LogManager {
         (idx > 0).then(|| dir[idx - 1])
     }
 
-    /// Earliest wall-clock time still covered by the retained log, if known.
+    /// Earliest wall-clock time still covered by the retained log: the stamp
+    /// of the first stamped record at or after the truncation point, if any.
+    /// Retention cuts land on a `CheckpointBegin`, so the read usually stops
+    /// at the first record.
     pub fn earliest_retained_time(&self) -> Option<Timestamp> {
-        let trunc = self.load_sealed().trunc;
-        let inner = self.inner.lock();
-        let idx = inner.time_index.partition_point(|(l, _)| l.0 < trunc);
-        inner.time_index.get(idx).map(|&(_, t)| t)
+        let mut first = None;
+        self.scan_refs(self.truncation_point(), Lsn::MAX, false, |rec| {
+            first = rec.view()?.1.time_stamp();
+            Ok(first.is_none())
+        })
+        .ok()?;
+        first
     }
 
-    /// Best-known LSN at or before wall-clock time `t` from the sparse time
-    /// index (starting point for the split search).
-    pub fn time_index_floor(&self, t: Timestamp) -> Option<(Lsn, Timestamp)> {
-        let inner = self.inner.lock();
-        let idx = inner.time_index.partition_point(|&(_, ts)| ts <= t);
-        (idx > 0).then(|| inner.time_index[idx - 1])
+    /// Highest transaction id the log has ever framed. Restart floors the
+    /// id allocator at it: analysis sees only the ids after the newest
+    /// checkpoint's begin, and ids of committed transactions older than
+    /// that are still in the retained log.
+    pub fn max_txn_id(&self) -> TxnId {
+        self.inner.lock().max_txn
     }
 
     /// Drop whole segments that lie entirely before `lsn` (moving them to
@@ -1290,7 +1263,6 @@ impl LogManager {
             // a new index): cue other threads to drop stale snapshots.
             LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
         }
-        inner.time_index.retain(|(l, _)| l.0 >= trunc);
         if !archive_cfg {
             let dir = Arc::make_mut(&mut inner.checkpoints);
             dir.retain(|c| c.begin_lsn.0 >= trunc);
@@ -1331,9 +1303,9 @@ impl LogManager {
     /// a log loses its end. Whole later segments evaporate; the segment the
     /// cut falls inside is *replaced* by a shorter copy — sealed bytes are
     /// never mutated in place, so a reader holding a [`RecordRef`] past the
-    /// cut still decodes it. The tail, the published index, the time index,
-    /// the read cache and the flush queue all follow. Writer mutex held;
-    /// returns the new tail.
+    /// cut still decodes it. The tail, the published index, the checkpoint
+    /// directory, the read cache and the flush queue all follow. Writer
+    /// mutex held; returns the new tail.
     fn cut_at(&self, inner: &mut LogInner, cut: u64) -> u64 {
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
@@ -1361,7 +1333,7 @@ impl LogManager {
             segs,
             archive: old.archive.clone(),
         });
-        inner.time_index.retain(|(l, _)| l.0 < tail);
+        Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
         self.cache.clear();
         // Outstanding flush requests above the new tail point at bytes that
         // no longer exist: clamp them (so a stale high-water mark can never
@@ -1382,30 +1354,7 @@ impl LogManager {
     /// Everything at or below `flushed_lsn` survives; nothing after it does.
     pub fn discard_unflushed(&self) {
         let mut inner = self.inner.lock();
-        let tail = self.cut_at(&mut inner, self.flushed.load(Ordering::Acquire));
-        let trunc = self.published.lock().trunc;
-        // The in-memory checkpoint directory is volatile: what survives a
-        // crash is the pair of checksummed anchor slots. Rebuild the
-        // directory from the valid anchors (ascending by sequence), dropping
-        // entries whose records did not survive the discarded tail. A
-        // corrupt newest anchor therefore degrades to the older one —
-        // analysis scans from an earlier checkpoint, same answer — and two
-        // corrupt anchors degrade to a full scan from the truncation point.
-        let mut anchors: Vec<(u64, CheckpointInfo)> = Vec::new();
-        for bytes in inner.anchor_slots.iter().flatten() {
-            match decode_anchor(bytes) {
-                Some(entry) => anchors.push(entry),
-                None => self.stats.add_corruption_detected(),
-            }
-        }
-        anchors.sort_by_key(|&(seq, _)| seq);
-        inner.checkpoints = Arc::new(
-            anchors
-                .into_iter()
-                .map(|(_, info)| info)
-                .filter(|c| c.end_lsn.0 < tail && c.begin_lsn.0 >= trunc)
-                .collect(),
-        );
+        self.cut_at(&mut inner, self.flushed.load(Ordering::Acquire));
     }
 
     /// Forward-verify every retained frame (length sanity + CRC-32C) and
@@ -1415,9 +1364,8 @@ impl LogManager {
     ///
     /// The cut is [`LogManager::discard_unflushed`]'s, applied at the damage
     /// point; what is this path's own is that the flushed LSN is pulled back
-    /// with it and the checkpoint directory keeps its surviving entries.
-    /// Everything before the first bad frame — the longest clean durable
-    /// prefix — stays readable.
+    /// with it. Everything before the first bad frame — the longest clean
+    /// durable prefix — stays readable.
     pub fn discard_corrupt_tail(&self) -> Option<Lsn> {
         /// Offset of the first frame in `data` that does not parse, whose
         /// first byte sits at stream offset `base`. `data` begins on a frame
@@ -1445,7 +1393,6 @@ impl LogManager {
         // The damaged bytes were "durable" on the failed media; the clean
         // prefix is the new durability horizon.
         self.flushed.fetch_min(tail, Ordering::AcqRel);
-        Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
         Some(Lsn(cut))
     }
 
@@ -1492,27 +1439,6 @@ impl LogManager {
         false
     }
 
-    /// Fault injection: flip a byte inside checkpoint anchor slot
-    /// `slot % 2`, so its CRC no longer validates. Returns `false` if the
-    /// slot was never written.
-    pub fn corrupt_anchor_slot(&self, slot: usize) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.anchor_slots[slot % 2].as_mut() {
-            Some(bytes) => {
-                bytes[8] ^= 0x40;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The anchor slot holding the *newest* checkpoint anchor, if any
-    /// anchor has been written (the other slot holds the previous one).
-    pub fn newest_anchor_slot(&self) -> Option<usize> {
-        let inner = self.inner.lock();
-        (inner.anchor_seq > 0).then(|| ((inner.anchor_seq - 1) % 2) as usize)
-    }
-
     /// Total bytes currently retained.
     pub fn retained_bytes(&self) -> u64 {
         self.tail.load(Ordering::Acquire) - self.load_sealed().trunc
@@ -1529,31 +1455,6 @@ impl Drop for LogManager {
         // Cue every thread to flush its cached indexes (lazily, on its next
         // log read) so this log's sealed segments are not pinned in TLS.
         LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
-    }
-}
-
-impl LogInner {
-    fn push_time(&mut self, lsn: Lsn, at: Timestamp) {
-        // Stamps must be monotone in LSN order — the binary-search invariant
-        // of SplitLSN (§5.1) and `checkpoint_before_time`. `append_stamped`
-        // guarantees it at the source; clamp (and loudly flag in debug
-        // builds) anything that arrives out of order through a raw `append`
-        // so one bad stamp cannot corrupt the index.
-        debug_assert!(
-            at >= self.last_stamp,
-            "non-monotone commit/checkpoint stamp at {lsn}: {at:?} < {:?}",
-            self.last_stamp
-        );
-        let at = at.max(self.last_stamp);
-        self.last_stamp = at;
-        // keep the index sparse: one entry per 64 KiB of log
-        if self
-            .time_index
-            .last()
-            .is_none_or(|&(l, _)| lsn.0 - l.0 >= 64 * 1024)
-        {
-            self.time_index.push((lsn, at));
-        }
     }
 }
 
@@ -2089,41 +1990,6 @@ mod tests {
     }
 
     #[test]
-    fn anchor_fallback_uses_older_slot_when_newest_corrupt() {
-        let log = LogManager::new(LogConfig::default());
-        log.append(&insert_rec(1, 10));
-        let e1 = end_checkpoint(&log, 5);
-        log.append(&insert_rec(1, 10));
-        let e2 = end_checkpoint(&log, 9);
-        log.append(&insert_rec(1, 10));
-        log.flush_to(log.tail_lsn());
-        // Crash with both anchors intact: both checkpoints survive.
-        log.discard_unflushed();
-        let cps = log.checkpoints();
-        assert_eq!(
-            cps.iter().map(|c| c.end_lsn).collect::<Vec<_>>(),
-            vec![e1, e2]
-        );
-        // Corrupt the newest anchor: recovery degrades to the older one.
-        let newest = log.newest_anchor_slot().unwrap();
-        assert!(log.corrupt_anchor_slot(newest));
-        let before = log.io_stats().snapshot().corruptions_detected;
-        log.discard_unflushed();
-        let cps = log.checkpoints();
-        assert_eq!(
-            cps.iter().map(|c| c.end_lsn).collect::<Vec<_>>(),
-            vec![e1],
-            "older anchor must carry recovery"
-        );
-        assert_eq!(log.io_stats().snapshot().corruptions_detected, before + 1);
-        // Corrupt the other slot too: the directory degrades to empty
-        // (analysis falls back to a scan from the truncation point).
-        assert!(log.corrupt_anchor_slot(1 - newest));
-        log.discard_unflushed();
-        assert!(log.checkpoints().is_empty());
-    }
-
-    #[test]
     fn flush_retries_transient_faults_and_counts_them() {
         let log = LogManager::new(LogConfig::default());
         let a = log.append(&insert_rec(1, 100));
@@ -2168,9 +2034,9 @@ mod tests {
         assert!(log.io_stats().snapshot().io_retries > 0, "faults consumed");
     }
 
-    /// A log of `n` 3 000-byte inserts, a commit stamp after every fourth:
-    /// several sealed segments, an active tail and a populated time index.
-    /// Nothing flushed.
+    /// A log of `n` 3 000-byte inserts, a commit stamp after every fourth
+    /// and a checkpoint after inserts 420, 450 and 480: several sealed
+    /// segments and an active tail. Nothing flushed.
     fn long_log(n: u64) -> (LogManager, Vec<Lsn>) {
         let log = LogManager::new(LogConfig::default());
         let mut lsns = Vec::new();
@@ -2179,6 +2045,9 @@ mod tests {
             if i % 4 == 3 {
                 let at = Timestamp::from_secs(i);
                 log.append(&rec(i, LogPayloadView::Commit { at }));
+            }
+            if [420, 450, 480].contains(&i) {
+                end_checkpoint(&log, i);
             }
         }
         assert!(log.load_sealed().segs.len() >= 2, "need sealed history");
@@ -2288,11 +2157,11 @@ mod tests {
         }
     }
 
-    /// Satellite 2(b): the crash cut and the damage cut are one `cut_at`.
-    /// The same log cut at the same byte by `discard_unflushed` and by
-    /// `discard_corrupt_tail` — inside a sealed segment, and inside the
-    /// active tail — ends in the same state, and a reader holding a
-    /// `RecordRef` past the cut still decodes it.
+    /// The crash cut and the damage cut are one `cut_at`. The same log cut
+    /// at the same byte by `discard_unflushed` and by `discard_corrupt_tail`
+    /// — inside a sealed segment, and inside the active tail — ends in the
+    /// same state, the three checkpoints before the cut included, and a
+    /// reader holding a `RecordRef` past the cut still decodes it.
     #[test]
     fn crash_cut_and_damage_cut_leave_the_same_log() {
         type SegBytes = Vec<(u64, Vec<u8>)>;
@@ -2305,7 +2174,7 @@ mod tests {
             active: Vec<u8>,
             tail: Lsn,
             flushed: Lsn,
-            time_index: Vec<(Lsn, Timestamp)>,
+            checkpoints: Vec<CheckpointInfo>,
             earliest: Option<Timestamp>,
             flush_requested: u64,
         }
@@ -2324,7 +2193,7 @@ mod tests {
                 active: inner.active.clone(),
                 tail: log.tail_lsn(),
                 flushed: log.flushed_lsn(),
-                time_index: inner.time_index.clone(),
+                checkpoints: inner.checkpoints.to_vec(),
                 earliest: {
                     drop(inner);
                     log.earliest_retained_time()
@@ -2358,7 +2227,7 @@ mod tests {
             let (a, b) = (state(&crashed), state(&damaged));
             assert_eq!(a, b, "cut at record {at}");
             assert_eq!((a.tail, a.flushed), (cut, cut));
-            assert!(a.time_index.iter().all(|(l, _)| *l < cut));
+            assert_eq!(a.checkpoints.len(), 3, "cut at record {at}");
             assert!(a.earliest.is_some());
             for (log, held) in [(&crashed, &held_crashed), (&damaged, &held_damaged)] {
                 assert!(
@@ -2367,6 +2236,102 @@ mod tests {
                 );
                 assert_eq!(held.view().unwrap().0.lsn, lsns[at + 1], "kept for old");
                 assert_eq!(log.append(&insert_rec(7, 10)), cut, "appendable at the cut");
+            }
+        }
+    }
+
+    /// The checkpoint directory is a function of the retained log: after
+    /// any seeded sequence of appends, checkpoints, flushes, crash cuts,
+    /// damage cuts and truncations it equals a from-scratch scan of the
+    /// `CheckpointEnd` records the log still holds — the archive included,
+    /// when archiving.
+    #[test]
+    fn checkpoint_directory_equals_a_scan_of_the_log() {
+        fn scanned(log: &LogManager) -> Vec<CheckpointInfo> {
+            let from = log.earliest_available_lsn();
+            let mut dir = Vec::new();
+            log.scan_refs(from, Lsn::MAX, true, |r| {
+                if let (h, LogPayloadView::CheckpointEnd { at, begin_lsn, .. }) = r.view()? {
+                    if begin_lsn >= from {
+                        dir.push(CheckpointInfo {
+                            end_lsn: h.lsn,
+                            begin_lsn,
+                            at,
+                        });
+                    }
+                }
+                Ok(true)
+            })
+            .unwrap();
+            dir
+        }
+
+        for archive_on_truncate in [false, true] {
+            for seed in [0x9E37_79B9_u64, 0x85EB_CA6B] {
+                let log = LogManager::new(LogConfig {
+                    archive_on_truncate,
+                    ..LogConfig::default()
+                });
+                let mut state = seed;
+                let mut next = |n: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % n
+                };
+                // Every record start still in the log, for flush and
+                // truncation targets that land on frame boundaries.
+                let mut lsns = vec![log.append(&insert_rec(0, 10))];
+                let (mut secs, mut cuts, mut truncations) = (0, 0, 0);
+                for step in 0..300 {
+                    match next(32) {
+                        0..=13 => {
+                            for _ in 0..=next(8) {
+                                lsns.push(log.append(&insert_rec(step, 4000)));
+                            }
+                            continue;
+                        }
+                        14..=18 => {
+                            secs += 1;
+                            let at = Timestamp::from_secs(secs);
+                            lsns.push(end_checkpoint(&log, secs));
+                            lsns.push(log.append(&rec(step, LogPayloadView::Commit { at })));
+                        }
+                        19..=22 => log.flush_to(log.tail_lsn()),
+                        23..=24 => log.flush_to(lsns[next(lsns.len() as u64) as usize]),
+                        25 => {
+                            log.discard_unflushed();
+                            cuts += 1;
+                        }
+                        26 => {
+                            // Damage one of the newest records.
+                            let back = next(lsns.len().min(16) as u64) as usize;
+                            let victim = lsns[lsns.len() - 1 - back];
+                            if log.corrupt_byte_at(victim.0 + FRAME_HEADER as u64 + 1, 0x10) {
+                                assert_eq!(log.discard_corrupt_tail(), Some(victim));
+                                cuts += 1;
+                            }
+                        }
+                        _ => {
+                            let at = lsns[next(lsns.len() as u64) as usize];
+                            if log.truncate_before(at) > Lsn::FIRST {
+                                truncations += 1;
+                            }
+                        }
+                    }
+                    let tail = log.tail_lsn();
+                    lsns.retain(|l| *l < tail);
+                    if lsns.is_empty() {
+                        lsns.push(log.append(&insert_rec(step, 10)));
+                    }
+                    assert_eq!(
+                        *log.checkpoints(),
+                        scanned(&log),
+                        "archive {archive_on_truncate}, seed {seed:#x}, step {step}"
+                    );
+                }
+                assert!(log.checkpoints().len() >= 2, "seed {seed:#x}");
+                assert!(cuts > 0 && truncations > 0, "seed {seed:#x}");
             }
         }
     }

@@ -420,9 +420,8 @@ where
     }
 
     /// The wall-clock stamp of a commit, checkpoint-begin or checkpoint-end
-    /// record: every kind the log's time index keys (`LogInner::push_time`),
-    /// so the SplitLSN search can read the stamp of whatever record the
-    /// index starts it on.
+    /// record: every kind the SplitLSN search (§5.1) reads a time from, and
+    /// whose stamp the log keeps monotone in LSN order.
     pub fn time_stamp(&self) -> Option<Timestamp> {
         match self {
             Payload::Commit { at }

@@ -18,12 +18,11 @@ use rewind_common::{Error, Lsn, Result, Timestamp};
 ///
 /// Returns [`Error::RetentionExceeded`] when `t` precedes the retained log.
 pub fn find_split_lsn(log: &LogManager, t: Timestamp) -> Result<Lsn> {
-    // Narrow the scan region using the checkpoint directory / time index.
+    // Narrow the scan region by the checkpoint directory: the log's own
+    // checkpoint records, which store wall-clock time.
     let start = log
         .checkpoint_before_time(t)
-        .map(|c| c.begin_lsn)
-        .or_else(|| log.time_index_floor(t).map(|(l, _)| l))
-        .unwrap_or(log.truncation_point());
+        .map_or(log.truncation_point(), |c| c.begin_lsn);
 
     if start < log.truncation_point() {
         return Err(retention_err(log, t));
@@ -198,12 +197,12 @@ mod tests {
         }
     }
 
-    /// Regression: the sparse time index also keys `CheckpointEnd` records.
-    /// A search started on one (no checkpoint directory to start from, as
-    /// after a crash) whose stamp is the requested time used to skip it —
+    /// Regression: a search whose stamp is the requested time and whose
+    /// last stamped record by then is a `CheckpointEnd` used to skip it —
     /// `time_stamp()` answered for commits and checkpoint-begins only — stop
     /// at the next, later commit with nothing found, and report a retained
-    /// time as out of retention.
+    /// time as out of retention. The checkpoint stays in the directory
+    /// across a crash that two later checkpoints precede.
     #[test]
     fn split_search_started_on_a_checkpoint_end_finds_it() {
         let log = LogManager::new(LogConfig::default());
@@ -214,7 +213,6 @@ mod tests {
             },
             ..data_rec(1)
         };
-        // More than one 64 KiB index interval of log, then a checkpoint.
         log.append(&commit_rec(1, Timestamp::from_secs(1)));
         for _ in 0..20 {
             log.append(&pad);
@@ -226,10 +224,6 @@ mod tests {
         let t = Timestamp::from_secs(3);
         let end = log.append(&checkpoint_end(begin, t));
         log.append(&commit_rec(2, Timestamp::from_secs(4)));
-        assert_eq!(log.time_index_floor(t), Some((end, t)));
-        // A crash keeps only the two newest checkpoints in the directory
-        // (ROADMAP G1); two later ones push this one out, so the search has
-        // the time index alone to start from.
         for secs in [5, 6] {
             let at = Timestamp::from_secs(secs);
             let begin = log.append(&checkpoint_begin(at));
@@ -237,7 +231,7 @@ mod tests {
         }
         log.flush_to(log.tail_lsn());
         log.discard_unflushed();
-        assert!(log.checkpoint_before_time(t).is_none());
+        assert_eq!(log.checkpoint_before_time(t).map(|c| c.end_lsn), Some(end));
 
         assert_eq!(find_split_lsn(&log, t), Ok(end));
     }

@@ -341,7 +341,7 @@ fn discard_unflushed_boundary_is_exact_and_log_continues() {
     );
     log.flush_to(e);
 
-    // A commit record makes the time index usable again after the cut.
+    // A stamped record appends after the cut too.
     log.append(&LogRecord {
         payload: LogPayload::Commit {
             at: Timestamp::from_secs(9),

@@ -1,6 +1,6 @@
 //! Media-corruption torture: every fault class the hardening defends
 //! against — log bit-flips, page bit rot, torn page writes, lost tail
-//! sectors, corrupt checkpoint anchors, transient EIO — driven by the
+//! sectors, a damaged checkpoint record, transient EIO — driven by the
 //! deterministic seeded [`FaultInjector`], asserting that recovery yields
 //! *exactly* the committed durable prefix (or a typed corruption error when
 //! the log chain itself is damaged), that as-of snapshots and flashback
@@ -303,11 +303,12 @@ fn flashback_works_after_salvage() {
     db.check_consistency().unwrap();
 }
 
-/// Fault class: corrupt checkpoint anchors. A bad newest anchor falls back
-/// to the older slot; two bad anchors degrade to a full scan. Either way
-/// recovery returns every durable commit.
+/// Fault class: a damaged checkpoint record. A flipped byte inside the
+/// newest `CheckpointEnd` frame is an ordinary damaged frame: restart cuts
+/// the log there, the previous checkpoint governs, and every commit durable
+/// before the cut is back — none after it.
 #[test]
-fn anchor_corruption_falls_back_and_recovers_fully() {
+fn damaged_checkpoint_record_cuts_the_log_and_the_previous_checkpoint_governs() {
     let mut rng = SmallRng::seed_from_u64(SEEDS[1]);
     let mut db = Database::create(DbConfig {
         checkpoint_interval_bytes: 0,
@@ -319,36 +320,31 @@ fn anchor_corruption_falls_back_and_recovers_fully() {
     let mut model = BTreeMap::new();
     commit_batch(&db, &mut rng, &mut model, 0);
     db.checkpoint().unwrap();
+    let previous = db.log().checkpoint_before(Lsn::MAX).unwrap();
     commit_batch(&db, &mut rng, &mut model, 1);
-    db.checkpoint().unwrap();
+    let durable_before_cut = model.clone();
+    let damaged = db.checkpoint().unwrap();
     commit_batch(&db, &mut rng, &mut model, 2);
+    assert_ne!(model, durable_before_cut, "work after the cut is lost");
     db.log().flush_to(db.log().tail_lsn());
 
-    // Newest anchor corrupt: the older one carries recovery.
-    let newest = db.log().newest_anchor_slot().unwrap();
-    assert!(db.log().corrupt_anchor_slot(newest));
+    assert!(db.log().corrupt_byte_at(damaged.0 + FRAME_HEADER + 1, 0x40));
     db = Database::recover(db.simulate_crash()).unwrap();
-    // Both discard passes (crash + restart) see the same bad slot.
-    assert_eq!(db.log_io().corruptions_detected, 2);
-    assert_eq!(scan_map(&db), model, "older anchor recovers everything");
-    db.check_consistency().unwrap();
 
-    // Both anchors corrupt: analysis degrades to a scan, same answer.
-    // Two fresh checkpoints first, so both slots hold valid anchors (the
-    // slot corruption is an XOR — re-corrupting phase 1's slot would undo
-    // it) and some committed work follows the newest one.
-    db.checkpoint().unwrap();
-    db.checkpoint().unwrap();
-    commit_batch(&db, &mut rng, &mut model, 3);
-    db.log().flush_to(db.log().tail_lsn());
-    assert!(db.log().corrupt_anchor_slot(0));
-    assert!(db.log().corrupt_anchor_slot(1));
-    let before = db.log_io().corruptions_detected;
-    db = Database::recover(db.simulate_crash()).unwrap();
-    // Both bad slots detected on both discard passes (crash + restart);
-    // the post-recovery checkpoint then lays down a fresh valid anchor.
-    assert_eq!(db.log_io().corruptions_detected - before, 4);
-    assert_eq!(scan_map(&db), model, "scan fallback recovers everything");
+    // Restart's own checkpoint is the first record appended at the cut;
+    // below it, the previous checkpoint is the newest.
+    let restart = *db.log().checkpoints().last().unwrap();
+    assert_eq!(restart.begin_lsn, damaged, "the log is cut at the frame");
+    assert_eq!(
+        db.log().checkpoint_before(Lsn(damaged.0 - 1)),
+        Some(previous)
+    );
+    assert_eq!(scan_map(&db), durable_before_cut);
+    assert_eq!(
+        db.log_io().corruptions_detected,
+        1,
+        "detected once, at the cut"
+    );
     db.check_consistency().unwrap();
 }
 

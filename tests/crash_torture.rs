@@ -5,10 +5,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rewind::{Column, DataType, Database, DbConfig, Row, Schema, Value};
+use rewind::common::{Lsn, TxnId};
+use rewind::wal::CheckpointInfo;
+use rewind::{Column, DataType, Database, DbConfig, Row, Schema, SimClock, Timestamp, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn schema() -> Schema {
     Schema::new(
@@ -106,7 +109,6 @@ fn crash_recover_repeatedly_matches_model() {
 #[test]
 fn restart_is_bit_identical_across_worker_counts() {
     use rewind::buffer::{BufferPool, PoolIoConfig};
-    use rewind::common::{Lsn, TxnId};
     use rewind::pagestore::{FileManager, PAGE_SIZE};
     use rewind::recovery::pipelined_restart;
     use rewind::CrashArtifacts;
@@ -424,8 +426,6 @@ fn snapshot_works_on_recovered_database() {
 /// media — is detected and cleanly truncated to the last valid frame.
 #[test]
 fn shortened_segment_truncates_to_last_valid_frame() {
-    use rewind::common::Lsn;
-
     let mut rng = SmallRng::seed_from_u64(0xF4A3);
     let mut db = Database::create(DbConfig {
         // No checkpoints: restart rebuilds purely from the log, so the
@@ -517,7 +517,6 @@ fn shortened_segment_truncates_to_last_valid_frame() {
 /// a restart recovers from are frozen the moment the call returns.
 #[test]
 fn no_background_write_lands_after_simulate_crash() {
-    use rewind::common::{SimClock, Timestamp};
     use rewind::pagestore::{FileManager, MemFileManager};
 
     let fm = Arc::new(MemFileManager::new());
@@ -698,4 +697,157 @@ fn daemon_checkpoints_racing_two_committers_lose_no_commit() {
         );
         db.check_consistency().unwrap();
     }
+}
+
+/// Retention period of [`four_checkpoints_then_crash`]'s database.
+const RETENTION_SECS: u64 = 60;
+
+/// What `checkpoint_before(end_lsn)` and `checkpoint_before_time(at)`
+/// answer for each checkpoint of `dir`.
+fn directory_answers(db: &Database, dir: &[CheckpointInfo]) -> Vec<Option<CheckpointInfo>> {
+    dir.iter()
+        .flat_map(|c| {
+            [
+                db.log().checkpoint_before(c.end_lsn),
+                db.log().checkpoint_before_time(c.at),
+            ]
+        })
+        .collect()
+}
+
+/// A database on a simulated clock with a retention period, four
+/// checkpoints with committed work and clock ticks between them (about
+/// 600 KiB of log each, so retention has whole segments to cut), more work
+/// after the fourth, then a crash and a restart. Returns the restarted
+/// database, the four checkpoints, and the whole directory before the
+/// crash with its [`directory_answers`].
+fn four_checkpoints_then_crash() -> (
+    Database,
+    Vec<CheckpointInfo>,
+    Vec<CheckpointInfo>,
+    Vec<Option<CheckpointInfo>>,
+) {
+    let db = Database::create_with_clock(
+        DbConfig {
+            checkpoint_interval_bytes: 0,
+            ..DbConfig::default()
+        },
+        SimClock::starting_at(Timestamp::from_secs(1_000)),
+    )
+    .unwrap();
+    db.with_txn(|txn| db.create_table(txn, "t", schema()))
+        .unwrap();
+    db.set_undo_interval(Duration::from_secs(RETENTION_SECS))
+        .unwrap();
+    let work = |round: u64| {
+        for batch in 0..10 {
+            db.with_txn(|txn| {
+                for id in 0..20u64 {
+                    let v = format!("{round}:{batch}:{}", "x".repeat(1_500));
+                    let row = [Value::U64(id), Value::Str(v)];
+                    if round == 0 && batch == 0 {
+                        db.insert(txn, "t", &row)?;
+                    } else {
+                        db.update(txn, "t", &row)?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+            db.clock().advance_secs(1);
+        }
+    };
+    let mut taken = Vec::new();
+    for round in 0..4 {
+        work(round);
+        db.clock().advance_secs(10);
+        db.checkpoint().unwrap();
+        taken.push(db.log().checkpoint_before(Lsn::MAX).unwrap());
+    }
+    work(4);
+    let pre_crash = db.log().checkpoints().to_vec();
+    let answers = directory_answers(&db, &pre_crash);
+    let db = Database::recover(db.simulate_crash()).unwrap();
+    (db, taken, pre_crash, answers)
+}
+
+/// ROADMAP G1: a crash loses no checkpoint. For every checkpoint taken
+/// before the crash, `checkpoint_before(end_lsn)` and
+/// `checkpoint_before_time(at)` answer the same after the restart.
+#[test]
+fn checkpoint_answers_survive_a_crash() {
+    let (db, taken, pre_crash, before) = four_checkpoints_then_crash();
+    assert!(pre_crash.ends_with(&taken));
+    assert_eq!(directory_answers(&db, &pre_crash), before);
+}
+
+/// ROADMAP H(b): after a crash, an as-of snapshot between the first and
+/// second checkpoints analyses from the first one's begin marker, not from
+/// the truncation point.
+#[test]
+fn snapshot_after_a_crash_analyses_from_the_nearest_checkpoint() {
+    let (db, taken, _, _) = four_checkpoints_then_crash();
+    let t = taken[0].at.plus_micros(500_000);
+    assert!(t < taken[1].at);
+    let snap = db.create_snapshot_asof("between", t).unwrap();
+    assert_eq!(snap.raw().min_needed_lsn(), taken[0].begin_lsn);
+    snap.wait_undo_complete().unwrap();
+    db.drop_snapshot("between").unwrap();
+}
+
+/// After a crash, retention cuts the log again: once the clock passes the
+/// period, `enforce_retention` truncates to the newest checkpoint begun
+/// before it — at segment granularity, so to the start of the segment that
+/// holds its begin marker.
+#[test]
+fn retention_cuts_after_a_crash() {
+    /// The log's segment size: truncation drops whole segments.
+    const SEGMENT_BYTES: u64 = 1 << 20;
+    let (db, taken, _, _) = four_checkpoints_then_crash();
+    assert_eq!(db.log().truncation_point(), Lsn::FIRST);
+    // The period's floor falls between the second and third checkpoints,
+    // so the cut needs more of the directory than its two newest entries.
+    let floor = taken[1].at.plus_micros(5_000_000);
+    assert!(floor < taken[2].at);
+    db.clock()
+        .advance_to(floor.plus_micros(RETENTION_SECS * 1_000_000));
+    db.enforce_retention();
+    let (trunc, begin) = (db.log().truncation_point(), taken[1].begin_lsn);
+    assert!(
+        trunc > Lsn::FIRST && trunc <= begin && begin.0 - trunc.0 < SEGMENT_BYTES,
+        "truncated to {trunc}, newest checkpoint older than the period begins at {begin}"
+    );
+}
+
+/// ROADMAP G7: restart does not hand out a transaction id that the
+/// retained log already holds. Committed transactions, then a checkpoint
+/// with an empty transaction table, so restart's analysis sees none of
+/// their ids; the next id still exceeds every id in the log.
+#[test]
+fn restart_never_reuses_a_transaction_id() {
+    let db = Database::create(DbConfig {
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.with_txn(|txn| db.create_table(txn, "t", schema()))
+        .unwrap();
+    for i in 0..5u64 {
+        db.with_txn(|txn| db.insert(txn, "t", &[Value::U64(i), Value::str("v")]))
+            .unwrap();
+    }
+    db.checkpoint().unwrap();
+    let db = Database::recover(db.simulate_crash()).unwrap();
+    let mut logged = TxnId::NONE;
+    db.log()
+        .scan_views(db.log().truncation_point(), Lsn::MAX, |h, _| {
+            logged = logged.max(h.txn);
+            Ok(true)
+        })
+        .unwrap();
+    let next = db.with_txn(|txn| Ok(txn.id())).unwrap();
+    assert!(
+        next > logged,
+        "restart handed out {next:?}; the log holds up to {logged:?}"
+    );
 }
