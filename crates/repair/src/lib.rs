@@ -9,8 +9,9 @@
 //!
 //! The pipeline:
 //!
-//! 1. **Log harvest** ([`harvest`]): one forward pass over the retained
-//!    log with the zero-copy header/payload-view decode path collects the
+//! 1. **Log harvest** ([`harvest`]): a forward pass from the segment where
+//!    the targets begin (found from the log's segment summaries), plus one
+//!    backward chain walk for every chain that began below it, collects the
 //!    target transactions' record chains, the `(table, key)` set they
 //!    touched, and every later committed writer of those keys.
 //! 2. **As-of witness**: an [`AsOfSnapshot`]-backed `SnapshotDb` is

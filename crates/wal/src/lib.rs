@@ -32,7 +32,7 @@ pub mod logmgr;
 pub mod record;
 pub mod split;
 
-pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef, TxnChain};
+pub use logmgr::{CheckpointInfo, LogConfig, LogManager, RecordRef, SegmentSummary, TxnChain};
 pub use record::{
     CheckpointBody, DptEntry, LogPayload, LogPayloadView, LogRecord, LogRecordHeader, Payload,
     PayloadKind, RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP,

@@ -43,6 +43,20 @@
 //! loses none of it. A damaged `CheckpointEnd` frame is an ordinary damaged
 //! frame: the log is cut there, and the previous checkpoint governs.
 //!
+//! # Segment summaries are a function of the retained log too
+//!
+//! Each segment carries a [`SegmentSummary`]: the highest transaction id
+//! and the highest commit/checkpoint stamp framed in it. `append_locked`
+//! folds every record into the active segment's summary under the writer
+//! mutex, sealing freezes it beside the bytes, `cut_at` recomputes it for
+//! the one segment it shortens, and `truncate_before` and the archive carry
+//! it with its segment. So each summary equals a recomputation over its
+//! segment's bytes. Summaries live in memory only; the log format does not
+//! change. [`LogManager::first_segment_where`] reads them to find the first
+//! segment that can hold what a walk looks for: flashback's harvest starts
+//! at the segment of its target's first record, not at the truncation
+//! point.
+//!
 //! Random record reads (`get_record_ref`) are how `PreparePageAsOf` walks
 //! per-page chains. Each read is classified as a *log cache hit* or a *log
 //! I/O* through a simple cache model (hot tail + LRU of recently touched
@@ -272,11 +286,47 @@ impl TxnChain {
     }
 }
 
+/// One log segment's self-description, equal to [`SegmentSummary::of`] over
+/// the segment's bytes (see the module docs for how it is kept so).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SegmentSummary {
+    /// Highest transaction id framed in the segment.
+    pub max_txn: TxnId,
+    /// Highest commit/checkpoint stamp in the segment.
+    pub max_stamp: Timestamp,
+}
+
+impl SegmentSummary {
+    fn fold(&mut self, txn: TxnId, stamp: Option<Timestamp>) {
+        self.max_txn = self.max_txn.max(txn);
+        if let Some(at) = stamp {
+            self.max_stamp = self.max_stamp.max(at);
+        }
+    }
+
+    /// Recompute the summary of a segment's bytes, which begin on a frame
+    /// boundary. Stops at the first frame that does not parse or decode.
+    fn of(data: &[u8]) -> SegmentSummary {
+        let mut summary = SegmentSummary::default();
+        let mut off = 0;
+        while let Ok(body) = parse_frame(data, off) {
+            let Ok((header, view)) = LogRecord::decode_view(Lsn(off as u64), &data[body.clone()])
+            else {
+                break;
+            };
+            summary.fold(header.txn, view.time_stamp());
+            off = body.end;
+        }
+        summary
+    }
+}
+
 /// One sealed (immutable) log segment.
 #[derive(Clone)]
 struct SealedSeg {
     start: u64,
     data: Arc<[u8]>,
+    summary: SegmentSummary,
 }
 
 impl SealedSeg {
@@ -396,6 +446,8 @@ static LOG_RETIRE_EPOCH: AtomicU64 = AtomicU64::new(0);
 struct LogInner {
     /// Bytes of the active (still growing) segment.
     active: Vec<u8>,
+    /// Summary of `active`.
+    active_summary: SegmentSummary,
     /// Offset of `active[0]` in the log stream.
     active_start: u64,
     /// Next byte offset to be written.
@@ -578,6 +630,7 @@ impl LogManager {
             id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
             inner: Mutex::new(LogInner {
                 active: Vec::new(),
+                active_summary: SegmentSummary::default(),
                 active_start: Lsn::FIRST.0,
                 tail: Lsn::FIRST.0,
                 scratch: Vec::new(),
@@ -678,11 +731,16 @@ impl LogManager {
             return;
         }
         let data: Arc<[u8]> = Arc::from(std::mem::take(&mut inner.active).into_boxed_slice());
+        let summary = std::mem::take(&mut inner.active_summary);
         let start = inner.active_start;
         inner.active_start = start + data.len() as u64;
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
-        segs.push(SealedSeg { start, data });
+        segs.push(SealedSeg {
+            start,
+            data,
+            summary,
+        });
         self.publish(SealedIndex {
             version: old.version + 1,
             trunc: old.trunc,
@@ -723,7 +781,9 @@ impl LogManager {
         inner.tail += scratch.len() as u64;
         inner.scratch = scratch;
         inner.max_txn = inner.max_txn.max(rec.txn);
-        if let Some(at) = rec.payload.time_stamp() {
+        let stamp = rec.payload.time_stamp();
+        inner.active_summary.fold(rec.txn, stamp);
+        if let Some(at) = stamp {
             // Stamps must be monotone in LSN order — the binary-search
             // invariant of SplitLSN (§5.1) and `checkpoint_before_time`.
             // `append_stamped` guarantees it at the source; flag anything
@@ -1204,6 +1264,23 @@ impl LogManager {
         self.inner.lock().max_txn
     }
 
+    /// Start of the first retained segment whose summary `holds`: the
+    /// earliest place a record the predicate looks for can be. The active
+    /// tail counts as a segment; the tail LSN when no segment holds. A
+    /// segment's maxima only grow as it fills, so a predicate monotone in
+    /// them (`max_txn >= t`, `max_stamp >= t`) never skips a segment that
+    /// holds a matching record. Flashback's harvest starts here.
+    pub fn first_segment_where(&self, holds: impl Fn(&SegmentSummary) -> bool) -> Lsn {
+        let inner = self.inner.lock();
+        let index = self.published.lock().clone();
+        let sealed = index.segs.iter().find(|s| holds(&s.summary));
+        Lsn(match sealed {
+            Some(seg) => seg.start,
+            None if !inner.active.is_empty() && holds(&inner.active_summary) => inner.active_start,
+            None => inner.tail,
+        })
+    }
+
     /// Drop whole segments that lie entirely before `lsn` (moving them to
     /// the archive when archiving is enabled). Returns the new truncation
     /// point. Never truncates past the flushed LSN.
@@ -1239,10 +1316,12 @@ impl LogManager {
             if end <= limit {
                 let data: Arc<[u8]> =
                     Arc::from(std::mem::take(&mut inner.active).into_boxed_slice());
+                let summary = std::mem::take(&mut inner.active_summary);
                 if archive_cfg {
                     archive.push(SealedSeg {
                         start: inner.active_start,
                         data,
+                        summary,
                     });
                 }
                 inner.active_start = end;
@@ -1314,11 +1393,13 @@ impl LogManager {
             let keep = (cut - last.start) as usize;
             if keep < last.data.len() {
                 last.data = Arc::from(&last.data[..keep]);
+                last.summary = SegmentSummary::of(&last.data);
             }
         }
         let keep = cut.saturating_sub(inner.active_start) as usize;
         if keep < inner.active.len() {
             inner.active.truncate(keep);
+            inner.active_summary = SegmentSummary::of(&inner.active);
         }
         let tail = cut.max(old.trunc);
         inner.tail = tail;
@@ -2266,6 +2347,34 @@ mod tests {
             dir
         }
 
+        // Every archived, sealed and active segment: its summary, and the
+        // same two maxima folded from a deep scan of its LSN range.
+        fn summaries(log: &LogManager) -> Vec<(u64, SegmentSummary, SegmentSummary)> {
+            let inner = log.inner.lock();
+            let index = log.published.lock().clone();
+            let active = SealedSeg {
+                start: inner.active_start,
+                data: Arc::from(&inner.active[..]),
+                summary: inner.active_summary,
+            };
+            drop(inner);
+            let segs = index.archive.iter().chain(&index.segs).chain([&active]);
+            segs.map(|seg| {
+                let mut scanned = SegmentSummary::default();
+                log.scan_refs(Lsn(seg.start), Lsn(seg.end()), true, |r| {
+                    let (h, view) = r.view()?;
+                    scanned.max_txn = scanned.max_txn.max(h.txn);
+                    if let Some(at) = view.time_stamp() {
+                        scanned.max_stamp = scanned.max_stamp.max(at);
+                    }
+                    Ok(true)
+                })
+                .unwrap();
+                (seg.start, seg.summary, scanned)
+            })
+            .collect()
+        }
+
         for archive_on_truncate in [false, true] {
             for seed in [0x9E37_79B9_u64, 0x85EB_CA6B] {
                 let log = LogManager::new(LogConfig {
@@ -2329,6 +2438,13 @@ mod tests {
                         scanned(&log),
                         "archive {archive_on_truncate}, seed {seed:#x}, step {step}"
                     );
+                    for (start, kept, scanned) in summaries(&log) {
+                        assert_eq!(
+                            kept, scanned,
+                            "segment at {start}: archive {archive_on_truncate}, \
+                             seed {seed:#x}, step {step}"
+                        );
+                    }
                 }
                 assert!(log.checkpoints().len() >= 2, "seed {seed:#x}");
                 assert!(cuts > 0 && truncations > 0, "seed {seed:#x}");

@@ -609,3 +609,131 @@ fn witness_prepare_fanout_splits_the_same_work() {
     assert!(serial.2 >= ROWS, "the batch put undo work on every leaf");
     assert_eq!(fan_out(4), serial);
 }
+
+/// A table of padded rows, for log volume that touches no repaired key.
+fn fill_table(db: &Database) {
+    db.with_txn(|txn| {
+        db.create_table(
+            txn,
+            "fill",
+            Schema::new(
+                vec![
+                    Column::new("id", DataType::U64),
+                    Column::new("pad", DataType::Str),
+                ],
+                &["id"],
+            )?,
+        )
+    })
+    .unwrap();
+}
+
+/// Commit padded rows into `fill`, one per transaction, until the log has
+/// grown by `bytes`.
+fn fill(db: &Database, bytes: u64) {
+    let pad = "p".repeat(2_000);
+    let from = db.log().tail_lsn().0;
+    let mut id = from; // unique across calls: the log only grows
+    while db.log().tail_lsn().0 - from < bytes {
+        db.with_txn(|txn| db.insert(txn, "fill", &[Value::U64(id), Value::str(&pad)]))
+            .unwrap();
+        id += 1;
+    }
+}
+
+#[test]
+fn a_writer_that_began_below_the_scan_start_is_still_a_conflict() {
+    // Y writes key 1; more than a log segment (1 MiB) of other commits
+    // follows; X begins and writes key 2; Y commits; X writes key 1 and
+    // commits. X's harvest starts at X's segment, above Y's write. Y
+    // committed after the split, so the witness rolls Y back: only the
+    // backward walk that completes Y's chain reports key 1 as conflicted,
+    // and without it Skip would restore key 1 over Y's committed write.
+    let db = mk_db();
+    small_table(&db);
+    fill_table(&db);
+    let y = db.begin();
+    let y_id = y.id();
+    db.update(&y, "t", &[Value::U64(1), Value::str("y")])
+        .unwrap();
+    let below = db.log().tail_lsn();
+    fill(&db, (1 << 20) + (1 << 18));
+    let x = db.begin();
+    let x_id = x.id();
+    db.update(&x, "t", &[Value::U64(2), Value::str("x")])
+        .unwrap();
+    db.commit(y).unwrap();
+    db.update(&x, "t", &[Value::U64(1), Value::str("y+x")])
+        .unwrap();
+    db.commit(x).unwrap();
+    db.clock().advance_secs(5);
+
+    let target = RepairTarget::Txns(BTreeSet::from([x_id]));
+    assert!(
+        db.log().first_segment_where(|s| s.max_txn >= x_id) > below,
+        "the harvest starts above Y's write"
+    );
+    let harvest = harvest_log(db.log(), &target).unwrap();
+    let by: Vec<_> = harvest.conflicts.values().map(|c| c.txn).collect();
+    assert_eq!(by, vec![y_id], "key 1 is conflicted by Y");
+
+    let report = flashback(
+        &db,
+        &target,
+        &RepairConfig {
+            policy: ConflictPolicy::Skip,
+            prefetch_workers: 1,
+        },
+    )
+    .unwrap();
+    assert_eq!(report.applied, 1, "key 2 reverts");
+    assert_eq!(report.skipped_conflicts.len(), 1);
+    assert_eq!(report.skipped_conflicts[0].entry.key, vec![Value::U64(1)]);
+    assert_eq!(get_t(&db, 2).unwrap()[1], Value::str("v2"));
+    assert_eq!(
+        get_t(&db, 1).unwrap()[1],
+        Value::str("y+x"),
+        "Y's committed write survives"
+    );
+}
+
+#[test]
+fn harvest_reads_from_the_targets_segment_not_the_truncation_point() {
+    // Count gate: harvesting the newest of many committed transactions
+    // reads the log from the segment the target begins in, so the bytes
+    // scanned are at most (tail - split) plus one segment, however much
+    // older log is retained. No checkpoint daemon: nothing else scans.
+    let clock = SimClock::starting_at(Timestamp::from_secs(1_000));
+    let config = DbConfig {
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    };
+    let db = Database::create_with_clock(config, clock).unwrap();
+    small_table(&db);
+    fill_table(&db);
+    fill(&db, 4 << 20);
+    let bad = {
+        let txn = db.begin();
+        db.update(&txn, "t", &[Value::U64(3), Value::str("bad")])
+            .unwrap();
+        let id = txn.id();
+        db.commit(txn).unwrap();
+        id
+    };
+    fill(&db, 64 << 10);
+
+    let log = db.log();
+    let before = log.io_stats().snapshot();
+    let harvest = harvest_log(log, &RepairTarget::Txns(BTreeSet::from([bad]))).unwrap();
+    let scanned = log.io_stats().snapshot().delta(before).log_bytes_scanned;
+    let bound = (log.tail_lsn().0 - harvest.split_lsn.0) + (1 << 20);
+    assert!(
+        scanned <= bound,
+        "harvest scanned {scanned} B; bound {bound} B"
+    );
+    assert!(
+        log.retained_bytes() > bound,
+        "a whole-log scan ({} B) would break the bound",
+        log.retained_bytes()
+    );
+}
