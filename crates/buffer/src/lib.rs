@@ -273,12 +273,6 @@ impl ScanPartition {
         self.budget
     }
 
-    /// Frames the partition currently holds: recorded ring entries plus
-    /// reuses in flight (≤ budget at rest; diagnostics).
-    pub fn frames_held(&self) -> usize {
-        self.ring.lock().len() + self.in_flight.load(Ordering::Relaxed)
-    }
-
     /// A popped-for-reuse frame was abandoned (racer adopted, read fault):
     /// its budget slot frees up.
     fn end_reuse(&self) {
@@ -482,11 +476,6 @@ impl BufferPool {
     /// Number of frames.
     pub fn capacity(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Number of page-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The underlying media.
@@ -1295,6 +1284,21 @@ mod tests {
     use rewind_common::{ObjectId, TxnId};
     use rewind_pagestore::{FileManager, MemFileManager, PageType};
     use rewind_wal::{LogConfig, LogPayloadView, LogRecord};
+
+    impl ScanPartition {
+        /// Frames the partition currently holds: recorded ring entries plus
+        /// reuses in flight (≤ budget at rest; diagnostics).
+        fn frames_held(&self) -> usize {
+            self.ring.lock().len() + self.in_flight.load(Ordering::Relaxed)
+        }
+    }
+
+    impl BufferPool {
+        /// Number of page-table shards.
+        fn shard_count(&self) -> usize {
+            self.shards.len()
+        }
+    }
 
     fn setup(cap: usize) -> (Arc<MemFileManager>, Arc<LogManager>, BufferPool) {
         let fm = Arc::new(MemFileManager::new());

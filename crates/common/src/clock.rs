@@ -41,12 +41,6 @@ impl Timestamp {
         Timestamp(s * 1_000_000)
     }
 
-    /// Construct from whole minutes.
-    #[inline]
-    pub const fn from_mins(m: u64) -> Self {
-        Timestamp(m * 60_000_000)
-    }
-
     /// Raw microseconds since time zero.
     #[inline]
     pub const fn as_micros(self) -> u64 {
@@ -143,6 +137,13 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timestamp {
+        /// Construct from whole minutes.
+        const fn from_mins(m: u64) -> Self {
+            Timestamp(m * 60_000_000)
+        }
+    }
 
     #[test]
     fn clock_advances_monotonically() {

@@ -118,8 +118,8 @@ const IO_COUNTERS: usize = 13;
 /// manager and everything that wants to observe it.
 ///
 /// Internally the counters are a [`StripedCounters`]: each thread increments
-/// its own cache-padded stripe, so the hot `fetch_add`s on the lock-free log
-/// read path no longer contend on a single line. [`IoStats::snapshot`] sums
+/// its own cache-padded stripe, so the hot `fetch_add`s on the log read path
+/// no longer contend on a single line. [`IoStats::snapshot`] sums
 /// the stripes, so every recorded event appears in the aggregate exactly
 /// once — the totals the paper's Figs. 5–11 are computed from are
 /// bit-identical to the previous single-atomic accounting.

@@ -1,7 +1,7 @@
 //! Generic striped monotonic counters.
 //!
-//! Several hot paths in the engine (the lock-free log read path, the buffer
-//! pool's hit path) bump counters on every access. A single shared atomic
+//! Several hot paths in the engine (the log read path, the buffer pool's
+//! hit path) bump counters on every access. A single shared atomic
 //! would bounce its cache line between every core touching it, so the
 //! counters are *striped*: [`COUNTER_STRIPES`] cache-line-isolated copies,
 //! each thread incrementing only its own stripe (a fixed round-robin

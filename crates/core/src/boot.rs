@@ -126,16 +126,16 @@ pub fn set_retention<S: Store>(s: &S, micros: u64) -> Result<()> {
     Ok(())
 }
 
-/// Durably set the FPI interval (§6.1).
-pub fn set_fpi_interval<S: Store>(s: &S, n: u32) -> Result<()> {
-    boot_write(s, OFF_FPI_INTERVAL, &n.to_le_bytes())?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rewind_access::store::MemStore;
+
+    /// Durably set the FPI interval (§6.1).
+    fn set_fpi_interval<S: Store>(s: &S, n: u32) -> Result<()> {
+        boot_write(s, OFF_FPI_INTERVAL, &n.to_le_bytes())?;
+        Ok(())
+    }
 
     #[test]
     fn initialize_read_roundtrip() {

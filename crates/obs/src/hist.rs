@@ -195,27 +195,29 @@ impl HistogramSnapshot {
                 .collect(),
         }
     }
-
-    /// Combine two snapshots (e.g. the same latency measured by two
-    /// engines) into one distribution.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            max: self.max.max(other.max),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(other.buckets.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HistogramSnapshot {
+        /// Combine two snapshots (e.g. the same latency measured by two
+        /// engines) into one distribution.
+        fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
+            HistogramSnapshot {
+                count: self.count + other.count,
+                sum: self.sum + other.sum,
+                max: self.max.max(other.max),
+                buckets: self
+                    .buckets
+                    .iter()
+                    .zip(other.buckets.iter())
+                    .map(|(a, b)| a + b)
+                    .collect(),
+            }
+        }
+    }
 
     #[test]
     fn bucket_index_is_exact_below_sub_buckets() {

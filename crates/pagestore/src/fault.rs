@@ -20,8 +20,6 @@
 //!   [`FaultInjector::arm_eio_writes`]) — the next *n* random page reads or
 //!   writes fail with [`Error::Io`]; the device "recovers" once the tokens
 //!   are spent, so bounded retry in the layers above succeeds.
-//! * **precise damage** ([`FaultInjector::corrupt_at_rest`]) — XOR a chosen
-//!   byte of a stored image, for tests that need full control.
 //!
 //! All randomized choices (which bit, which sector boundary) come from a
 //! seeded xorshift generator, so a run is a pure function of its seed — the
@@ -112,21 +110,6 @@ impl FaultInjector {
         let byte = HEADER_SIZE + rng.below(body);
         let bit = rng.below(8);
         img[byte] ^= 1 << bit;
-        self.inner.store_raw(pid, img);
-        true
-    }
-
-    /// XOR byte `offset` of `pid`'s stored image with `xor` — precise,
-    /// caller-controlled damage. Returns `false` if the page was never
-    /// written or `offset` is out of range.
-    pub fn corrupt_at_rest(&self, pid: PageId, offset: usize, xor: u8) -> bool {
-        if offset >= PAGE_SIZE || xor == 0 {
-            return false;
-        }
-        let Some(mut img) = self.inner.raw_image(pid) else {
-            return false;
-        };
-        img[offset] ^= xor;
         self.inner.store_raw(pid, img);
         true
     }
@@ -325,6 +308,23 @@ mod tests {
     use super::*;
     use crate::page::PageType;
     use rewind_common::{CorruptionKind, Lsn, ObjectId};
+
+    impl FaultInjector {
+        /// XOR byte `offset` of `pid`'s stored image with `xor` — precise,
+        /// caller-controlled damage. Returns `false` if the page was never
+        /// written or `offset` is out of range.
+        fn corrupt_at_rest(&self, pid: PageId, offset: usize, xor: u8) -> bool {
+            if offset >= PAGE_SIZE || xor == 0 {
+                return false;
+            }
+            let Some(mut img) = self.inner.raw_image(pid) else {
+                return false;
+            };
+            img[offset] ^= xor;
+            self.inner.store_raw(pid, img);
+            true
+        }
+    }
 
     fn sample_page(pid: PageId) -> Page {
         let mut p = Page::formatted(pid, ObjectId(7), PageType::Heap);

@@ -291,12 +291,6 @@ impl Page {
         read_u16_at(&self.buf[..], OFF_FLAGS)
     }
 
-    /// Set page flags.
-    #[inline]
-    pub fn set_flags(&mut self, f: u16) {
-        write_u16_at(&mut self.buf[..], OFF_FLAGS, f);
-    }
-
     // ---- checksums & torn-write trailer ------------------------------------
 
     /// Compute the page checksum: CRC-32C over the image with the checksum
@@ -562,6 +556,13 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Page {
+        /// Set page flags.
+        fn set_flags(&mut self, f: u16) {
+            write_u16_at(&mut self.buf[..], OFF_FLAGS, f);
+        }
+    }
 
     fn page() -> Page {
         Page::formatted(PageId(9), ObjectId(5), PageType::BTreeLeaf)

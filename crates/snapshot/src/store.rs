@@ -48,12 +48,13 @@
 //! (ROADMAP item (h)). Point reads carry none.
 //!
 //! Concurrent first-preparations of the same page are serialized by
-//! **per-page gates in a pid-sharded table**. A gate entry lives only while
-//! a preparation is in flight: the preparer removes it once the page is in
+//! **per-page gates in one table**. A gate entry lives only while a
+//! preparation is in flight: the preparer removes it once the page is in
 //! the side file (or on error), so the gate table is bounded by the number
-//! of concurrently-preparing pages — it no longer grows with every page a
-//! snapshot ever touched (the pre-shard global `preparing` map leaked one
-//! entry per page for the snapshot's lifetime).
+//! of concurrently-preparing pages, not by every page a snapshot ever
+//! touched. The table's lock is held for one map operation at a time, and
+//! a preparation does tens of log reads, so one lock does not serialize
+//! preparers.
 
 use parking_lot::Mutex;
 use rewind_access::store::{ModKind, Store};
@@ -70,32 +71,18 @@ use std::sync::Arc;
 
 use crate::stats::SnapshotStats;
 
-/// Number of prepare-gate shards (power of two).
-const GATE_SHARDS: usize = 16;
-
-/// Per-page first-preparation gates, sharded by pid hash. Entries exist
-/// only while a preparation is in flight (leak-free by construction).
+/// Per-page first-preparation gates, one table under one lock, held for
+/// one map operation per page preparation. Entries exist only while a
+/// preparation is in flight (leak-free by construction).
+#[derive(Default)]
 struct PrepareGates {
-    shards: Vec<Mutex<HashMap<u64, Arc<Mutex<()>>>>>,
+    table: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
 }
 
 impl PrepareGates {
-    fn new() -> Self {
-        PrepareGates {
-            shards: (0..GATE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, pid: u64) -> &Mutex<HashMap<u64, Arc<Mutex<()>>>> {
-        &self.shards[rewind_common::shard_index(pid, GATE_SHARDS)]
-    }
-
     /// Get (or create) the gate for `pid`.
     fn enter(&self, pid: u64) -> Arc<Mutex<()>> {
-        self.shard(pid).lock().entry(pid).or_default().clone()
+        self.table.lock().entry(pid).or_default().clone()
     }
 
     /// Remove `pid`'s gate if it is still the one this caller entered
@@ -103,8 +90,8 @@ impl PrepareGates {
     fn leave(&self, pid: u64, gate: &Arc<Mutex<()>>) {
         // tidy: lock-order(snapshot_page_gate < snapshot_gate_table) -- the
         // per-page gate stays held while its table entry is retired; `enter`
-        // never takes a gate under the table shard lock.
-        let mut map = self.shard(pid).lock();
+        // never takes a gate under the table lock.
+        let mut map = self.table.lock();
         if map.get(&pid).is_some_and(|cur| Arc::ptr_eq(cur, gate)) {
             map.remove(&pid);
         }
@@ -115,7 +102,7 @@ impl PrepareGates {
     /// re-enter through the table, or it would run concurrently with a
     /// later entrant's fresh gate.
     fn is_current(&self, pid: u64, gate: &Arc<Mutex<()>>) -> bool {
-        self.shard(pid)
+        self.table
             .lock()
             .get(&pid)
             .is_some_and(|cur| Arc::ptr_eq(cur, gate))
@@ -123,7 +110,7 @@ impl PrepareGates {
 
     /// Gate entries currently live (bounded by in-flight preparations).
     fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.table.lock().len()
     }
 }
 
@@ -150,7 +137,7 @@ impl SnapInner {
             log,
             split,
             side: SideFile::new(),
-            preparing: PrepareGates::new(),
+            preparing: PrepareGates::default(),
             stats: SnapshotStats::default(),
             phantom_next: AtomicU64::new(phantom_base),
         }

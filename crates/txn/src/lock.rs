@@ -299,14 +299,6 @@ impl LockManager {
         self.cv.notify_all();
     }
 
-    /// The strongest mode `txn` holds on `key`, if any.
-    pub fn held_mode(&self, txn: TxnId, key: &LockKey) -> Option<LockMode> {
-        let st = self.state.lock();
-        st.entries
-            .get(key)
-            .and_then(|e| e.granted.get(&txn).copied())
-    }
-
     /// Whether *any* transaction holds a lock on `key` incompatible with
     /// `mode` (non-blocking probe; used by snapshot row gates).
     pub fn would_block(&self, key: &LockKey, mode: LockMode) -> bool {
@@ -365,11 +357,6 @@ impl LockManager {
             waited = true;
         }
     }
-
-    /// Total number of lock entries (diagnostics).
-    pub fn entry_count(&self) -> usize {
-        self.state.lock().entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -377,6 +364,21 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
+
+    impl LockManager {
+        /// The strongest mode `txn` holds on `key`, if any.
+        fn held_mode(&self, txn: TxnId, key: &LockKey) -> Option<LockMode> {
+            let st = self.state.lock();
+            st.entries
+                .get(key)
+                .and_then(|e| e.granted.get(&txn).copied())
+        }
+
+        /// Total number of lock entries (diagnostics).
+        fn entry_count(&self) -> usize {
+            self.state.lock().entries.len()
+        }
+    }
 
     fn lm() -> Arc<LockManager> {
         Arc::new(LockManager::new(Duration::from_secs(5)))

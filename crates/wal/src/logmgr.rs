@@ -73,22 +73,23 @@
 //!   it is *sealed*: its bytes move into an `Arc<[u8]>` that is never
 //!   mutated again. Only the single active tail segment is ever written,
 //!   and only under the writer mutex.
-//! * **Epoch-style publication.** The set of sealed segments (plus the
+//! * **One published index.** The set of sealed segments (plus the
 //!   truncation point and the archive) lives in an immutable
 //!   [`SealedIndex`] behind an `Arc`. Writers publish a new index on every
-//!   seal/truncate/discard and bump a version counter; readers keep a
-//!   thread-local cache of the latest index per log and revalidate with one
-//!   atomic load. The hot read path therefore takes **no lock at all** —
-//!   the four read entry points (`get_record_ref`, `get_record_deep`,
-//!   `scan_refs`, `scan_views`) resolve entirely against the snapshot; only
-//!   reads that land in the active tail segment fall back to the writer
-//!   mutex.
+//!   seal/truncate/cut and bump a version counter. A read clones the
+//!   current `Arc` out under its own small mutex — never the writer mutex —
+//!   and resolves against it: the four read entry points (`get_record_ref`,
+//!   `get_record_deep`, `scan_refs`, `scan_views`) decode sealed bytes with
+//!   no lock held; only reads that land in the active tail segment take the
+//!   writer mutex. A scan holds the index it loaded and re-loads it only
+//!   when the version counter has moved (one atomic load per record), so a
+//!   seal, cut or truncation is seen at the very next record. No reader
+//!   keeps an index past its read.
 //! * **Snapshot isolation for readers.** A reader holding a [`RecordRef`]
-//!   (or a thread-local index) keeps the underlying `Arc<[u8]>` alive, so
-//!   `truncate_before`/`discard_unflushed` can never invalidate an
-//!   in-flight read — the segment memory is reclaimed when the last reader
-//!   drops it. New reads observe the new index and fail with
-//!   [`Error::LogTruncated`] as before.
+//!   keeps the underlying `Arc<[u8]>` alive, so `truncate_before` and
+//!   `discard_unflushed` can never invalidate an in-flight read — the
+//!   segment memory is reclaimed when the last reader drops it. New reads
+//!   observe the new index and fail with [`Error::LogTruncated`].
 //! * **Zero-copy reads.** A [`RecordRef`] borrows the record's bytes in
 //!   place; [`RecordRef::header`] decodes the fixed header and
 //!   [`RecordRef::view`] the header plus a borrowed [`LogPayloadView`],
@@ -100,10 +101,11 @@
 //!   stamped forms take a record over either payload instantiation and
 //!   encode it straight into the frame, so appending copies a payload's
 //!   bytes once, into the log.
-//! * **Sharded cache model.** The block→tick LRU model is sharded by block
-//!   so concurrent readers do not serialize on accounting; eviction picks
-//!   the global minimum tick, keeping hit/IO classification identical to
-//!   the previous single-map model for any serial read sequence.
+//! * **One cache model.** The block→tick LRU model is one map under one
+//!   mutex: a miss inserts its block and evicts the least recently used
+//!   ones until the map holds `cache_blocks`, all under that lock, so the
+//!   model never holds more than it is sized for, however many readers
+//!   classify at once.
 //!
 //! # Concurrency: the group-commit write path
 //!
@@ -162,10 +164,9 @@ use rewind_common::codec::read_u32_at;
 use rewind_common::{crc32c, Error, IoStats, Lsn, Result, Timestamp, TxnId};
 use rewind_obs::{EventKind, Obs, ObsConfig};
 use rewind_pagestore::page::PAGE_SIZE;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Size of one in-memory log segment.
@@ -179,10 +180,6 @@ const FRAME_HEADER: usize = 8;
 const MAX_FLUSH_RETRIES: u32 = 8;
 /// Cache-model block size: one "log page" worth of records.
 const CACHE_BLOCK_BYTES: u64 = 64 * 1024;
-/// Shards of the cache model's block map.
-const CACHE_SHARDS: usize = 8;
-/// Thread-local sealed-index cache entries kept per thread.
-const TLS_CACHE_SLOTS: usize = 8;
 
 /// Tuning knobs for the log manager.
 #[derive(Clone, Debug)]
@@ -413,34 +410,6 @@ impl SealedIndex {
     }
 }
 
-/// Per-thread cache of published indexes, plus the [`LOG_RETIRE_EPOCH`] value
-/// it was last validated against.
-struct TlsIndexCache {
-    retire_epoch: u64,
-    entries: Vec<(u64, Arc<SealedIndex>)>,
-}
-
-thread_local! {
-    /// Per-thread cache of the latest published [`SealedIndex`] per log
-    /// manager (keyed by [`LogManager::id`]), revalidated against the log's
-    /// version counter with a single atomic load. Bounded LRU so threads
-    /// touching many logs do not grow without limit, and flushed whenever
-    /// any log retires segment memory (see [`LOG_RETIRE_EPOCH`]) so dead
-    /// logs and truncated segments are not pinned by idle threads.
-    static TLS_INDEXES: RefCell<TlsIndexCache> =
-        const { RefCell::new(TlsIndexCache { retire_epoch: 0, entries: Vec::new() }) };
-}
-
-static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Bumped whenever log memory is retired: a [`LogManager`] drops, or a
-/// live log truncates/discards segments away. Threads compare it against
-/// their cached value on the next read and clear their whole index cache
-/// on mismatch — cheap (retirement is rare; a cleared entry is one `Arc`
-/// clone to refetch) and it stops idle threads' thread-local snapshots from
-/// pinning dead logs or truncated segments indefinitely.
-static LOG_RETIRE_EPOCH: AtomicU64 = AtomicU64::new(0);
-
 /// Writer-side state: the active tail segment and the append-path
 /// bookkeeping. Everything here is touched only under the writer mutex.
 struct LogInner {
@@ -478,75 +447,36 @@ struct FlushQueue {
     leader_active: bool,
 }
 
-/// The sharded cache model: block id → last-use tick. Sharding keeps
-/// concurrent readers from serializing on accounting; eviction picks the
-/// globally least-recently-used block, so for any serial sequence of reads
-/// the hit/IO classification is identical to a single LRU map.
+/// The cache model: block id → last-use tick, one least-recently-used map.
+#[derive(Default)]
 struct ReadCache {
-    shards: Vec<Mutex<HashMap<u64, u64>>>,
+    blocks: Mutex<HashMap<u64, u64>>,
     tick: AtomicU64,
-    len: AtomicUsize,
 }
 
 impl ReadCache {
-    fn new() -> ReadCache {
-        ReadCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            tick: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Classify a random read at `off` as hit or I/O and update the model.
+    /// Classify a random read at `off` as hit or I/O and update the model:
+    /// a miss inserts its block and evicts the least recently used blocks
+    /// (a linear scan; the cache is small and this path is already "an
+    /// I/O") until at most `cache_blocks` remain.
     fn classify(&self, off: u64, tail: u64, config: &LogConfig, stats: &IoStats) {
         if tail.saturating_sub(off) <= config.hot_tail_bytes {
             stats.add_log_cache_hit();
             return;
         }
-        let block = off / CACHE_BLOCK_BYTES;
+        let mut blocks = self.blocks.lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let shard = &self.shards[(block as usize) % CACHE_SHARDS];
-        {
-            let mut map = shard.lock();
-            if let Some(t) = map.get_mut(&block) {
-                *t = tick;
-                stats.add_log_cache_hit();
-                return;
-            }
-            map.insert(block, tick);
+        if blocks.insert(off / CACHE_BLOCK_BYTES, tick).is_some() {
+            stats.add_log_cache_hit();
+            return;
         }
         stats.add_log_read_io();
-        if self.len.fetch_add(1, Ordering::Relaxed) + 1 > config.cache_blocks {
-            self.evict_lru();
+        while blocks.len() > config.cache_blocks {
+            let Some((&lru, _)) = blocks.iter().min_by_key(|(_, &t)| t) else {
+                break;
+            };
+            blocks.remove(&lru);
         }
-    }
-
-    /// Evict the globally least-recently-used block (linear scan; the cache
-    /// is small and this path is already "an I/O").
-    fn evict_lru(&self) {
-        let mut victim: Option<(usize, u64, u64)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let map = shard.lock();
-            if let Some((&block, &tick)) = map.iter().min_by_key(|(_, &t)| t) {
-                if victim.is_none_or(|(_, _, vt)| tick < vt) {
-                    victim = Some((i, block, tick));
-                }
-            }
-        }
-        if let Some((i, block, _)) = victim {
-            if self.shards[i].lock().remove(&block).is_some() {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        self.len.store(0, Ordering::Relaxed);
     }
 }
 
@@ -597,11 +527,8 @@ impl RecordRef {
 
 /// The write-ahead log manager. Thread-safe; shared via `Arc`.
 pub struct LogManager {
-    /// Process-unique id, keying the thread-local index cache.
-    id: u64,
     inner: Mutex<LogInner>,
-    /// The latest published sealed index. Readers clone the `Arc` out only
-    /// when their thread-local copy's version is stale.
+    /// The latest published sealed index; a read clones the `Arc` out.
     published: Mutex<Arc<SealedIndex>>,
     /// Version of the latest published index (monotonic).
     version: AtomicU64,
@@ -619,7 +546,7 @@ pub struct LogManager {
     config: LogConfig,
     /// Fault injection: number of upcoming physical flush attempts that
     /// fail transiently (each attempt consumes one token). The leader's
-    /// bounded retry loop absorbs them; see [`LogManager::set_flush_faults`].
+    /// bounded retry loop absorbs them. Armed only by the unit tests.
     flush_faults: AtomicU64,
 }
 
@@ -627,7 +554,6 @@ impl LogManager {
     /// A fresh, empty log.
     pub fn new(config: LogConfig) -> Self {
         LogManager {
-            id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
             inner: Mutex::new(LogInner {
                 active: Vec::new(),
                 active_summary: SegmentSummary::default(),
@@ -653,21 +579,12 @@ impl LogManager {
                 leader_active: false,
             }),
             flush_cv: Condvar::new(),
-            cache: ReadCache::new(),
+            cache: ReadCache::default(),
             stats: Arc::new(IoStats::new()),
             obs: Arc::new(Obs::new(&config.obs)),
             config,
             flush_faults: AtomicU64::new(0),
         }
-    }
-
-    /// Fault injection: make the next `n` physical flush attempts fail
-    /// transiently (a device EIO that clears on retry). The leader retries
-    /// with bounded backoff — followers stay parked until the retry
-    /// actually succeeds, never waking on a failed attempt — and each retry
-    /// is counted in [`IoStats::add_io_retry`].
-    pub fn set_flush_faults(&self, n: u64) {
-        self.flush_faults.store(n, Ordering::Release);
     }
 
     /// The shared I/O counters for this log.
@@ -682,39 +599,9 @@ impl LogManager {
         &self.obs
     }
 
-    /// The current sealed index: one atomic version check against the
-    /// thread-local copy; falls back to cloning the published `Arc` (the
-    /// only locked step, taken once per publication, not per read).
+    /// The current sealed index.
     fn load_sealed(&self) -> Arc<SealedIndex> {
-        let version = self.version.load(Ordering::Acquire);
-        let retire_epoch = LOG_RETIRE_EPOCH.load(Ordering::Acquire);
-        TLS_INDEXES.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            if cache.retire_epoch != retire_epoch {
-                // Some log manager dropped since this thread last read:
-                // release every cached index so dead segments are freed.
-                cache.entries.clear();
-                cache.retire_epoch = retire_epoch;
-            }
-            let entries = &mut cache.entries;
-            let pos = match entries.iter().position(|(id, _)| *id == self.id) {
-                Some(pos) => {
-                    if entries[pos].1.version < version {
-                        entries[pos].1 = self.published.lock().clone();
-                    }
-                    pos
-                }
-                None => {
-                    let fresh = self.published.lock().clone();
-                    if entries.len() >= TLS_CACHE_SLOTS {
-                        entries.remove(0);
-                    }
-                    entries.push((self.id, fresh));
-                    entries.len() - 1
-                }
-            };
-            entries[pos].1.clone()
-        })
+        self.published.lock().clone()
     }
 
     /// Publish a new sealed index. Callers hold the writer mutex, so
@@ -1091,45 +978,41 @@ impl LogManager {
         }
     }
 
-    /// Resolve a record's bytes without touching the cache model. Lock-free
-    /// for any record in a sealed segment (or the archive, with `deep`);
-    /// only tail-segment reads take the writer mutex, and those copy the
-    /// frame out so the mutex is never held across decoding. Takes the
-    /// index the caller already loaded, so a read pays one load.
-    fn read_ref_in(&self, mut index: Arc<SealedIndex>, lsn: Lsn, deep: bool) -> Result<RecordRef> {
-        loop {
-            if lsn.0 < index.trunc {
-                if deep {
-                    if let Some(seg) = SealedIndex::lookup(&index.archive, lsn.0) {
-                        return self.ref_in_segment(seg, lsn);
-                    }
+    /// Resolve a record's bytes without touching the cache model. A record
+    /// in a sealed segment (or the archive, with `deep`) is read with no
+    /// lock held; only tail-segment reads take the writer mutex, and those
+    /// copy the frame out so the mutex is never held across decoding. Takes
+    /// the index the caller already loaded, so a read pays one load.
+    fn read_ref_in(&self, index: &SealedIndex, lsn: Lsn, deep: bool) -> Result<RecordRef> {
+        if lsn.0 < index.trunc {
+            if deep {
+                if let Some(seg) = SealedIndex::lookup(&index.archive, lsn.0) {
+                    return self.ref_in_segment(seg, lsn);
                 }
-                return Err(Error::LogTruncated(lsn));
             }
-            if lsn.0 < index.sealed_end {
-                let seg = SealedIndex::lookup(&index.segs, lsn.0).ok_or_else(|| {
-                    Error::corruption(format!("log offset {} out of range", lsn.0))
-                })?;
-                return self.ref_in_segment(seg, lsn);
-            }
-            // Tail range: read under the writer mutex, copying the frame out.
-            let inner = self.inner.lock();
-            if inner.active_start > lsn.0 {
-                // The segment sealed between snapshot load and lock
-                // acquisition; the published version moved, retry.
-                drop(inner);
-                index = self.load_sealed();
-                continue;
-            }
-            let body = self.read_frame(&inner.active, lsn.0 - inner.active_start, lsn)?;
-            let data: Arc<[u8]> = Arc::from(&inner.active[body]);
-            return Ok(RecordRef {
-                len: data.len(),
-                data,
-                off: 0,
-                lsn,
-            });
+            return Err(Error::LogTruncated(lsn));
         }
+        if lsn.0 < index.sealed_end {
+            let seg = SealedIndex::lookup(&index.segs, lsn.0)
+                .ok_or_else(|| Error::corruption(format!("log offset {} out of range", lsn.0)))?;
+            return self.ref_in_segment(seg, lsn);
+        }
+        // Tail range: read under the writer mutex, copying the frame out.
+        let inner = self.inner.lock();
+        if inner.active_start > lsn.0 {
+            // The segment sealed between the index load and the lock: read
+            // it from the index that sealing published.
+            drop(inner);
+            return self.read_ref_in(&self.load_sealed(), lsn, deep);
+        }
+        let body = self.read_frame(&inner.active, lsn.0 - inner.active_start, lsn)?;
+        let data: Arc<[u8]> = Arc::from(&inner.active[body]);
+        Ok(RecordRef {
+            len: data.len(),
+            data,
+            off: 0,
+            lsn,
+        })
     }
 
     fn ref_in_segment(&self, seg: &SealedSeg, lsn: Lsn) -> Result<RecordRef> {
@@ -1169,7 +1052,7 @@ impl LogManager {
             &self.config,
             &self.stats,
         );
-        self.read_ref_in(index, lsn, false)
+        self.read_ref_in(&index, lsn, false)
     }
 
     /// Iterate records in `[from, to)` in order, handing `f` each one as a
@@ -1179,7 +1062,8 @@ impl LogManager {
     /// last record visited. `deep` reads archived history below the
     /// truncation point too (restore, analysis); without it such a start is
     /// [`Error::LogTruncated`]. Sequential bytes are accounted as
-    /// `log_bytes_scanned`. Lock-free over sealed history.
+    /// `log_bytes_scanned`. Holds the index it loaded while the log's
+    /// version stands still, so it takes no lock over sealed history.
     pub fn scan_refs(
         &self,
         from: Lsn,
@@ -1188,15 +1072,18 @@ impl LogManager {
         mut f: impl FnMut(&RecordRef) -> Result<bool>,
     ) -> Result<Lsn> {
         let mut cur = from;
+        let mut index = self.load_sealed();
         loop {
-            let index = self.load_sealed();
+            if index.version != self.version.load(Ordering::Acquire) {
+                index = self.load_sealed();
+            }
             if !deep && cur.0 < index.trunc {
                 return Err(Error::LogTruncated(cur));
             }
             if cur.0 >= self.tail.load(Ordering::Acquire) || cur >= to {
                 return Ok(cur);
             }
-            let rec_ref = self.read_ref_in(index, cur, deep)?;
+            let rec_ref = self.read_ref_in(&index, cur, deep)?;
             let frame = rec_ref.frame_len();
             self.stats.add_log_bytes_scanned(frame);
             cur = Lsn(cur.0 + frame);
@@ -1338,9 +1225,6 @@ impl LogManager {
                 segs,
                 archive,
             });
-            // Segment memory was retired (freed, or moved to the archive of
-            // a new index): cue other threads to drop stale snapshots.
-            LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
         }
         if !archive_cfg {
             let dir = Arc::make_mut(&mut inner.checkpoints);
@@ -1371,10 +1255,10 @@ impl LogManager {
     /// Read a record as a zero-copy [`RecordRef`], falling back to the
     /// archive for truncated history. Point-in-time restore and checkpoint
     /// seeding use this — the as-of machinery stays retention-bound on
-    /// purpose. Lock-free like [`LogManager::get_record_ref`], without cache
+    /// purpose. Reads like [`LogManager::get_record_ref`], without cache
     /// accounting.
     pub fn get_record_deep(&self, lsn: Lsn) -> Result<RecordRef> {
-        self.read_ref_in(self.load_sealed(), lsn, true)
+        self.read_ref_in(&self.load_sealed(), lsn, true)
     }
 
     /// Cut the log at byte offset `cut` (a frame boundary): nothing at or
@@ -1415,7 +1299,7 @@ impl LogManager {
             archive: old.archive.clone(),
         });
         Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
-        self.cache.clear();
+        self.cache.blocks.lock().clear();
         // Outstanding flush requests above the new tail point at bytes that
         // no longer exist: clamp them (so a stale high-water mark can never
         // cause a later over-flush) and wake every parked follower to
@@ -1425,8 +1309,6 @@ impl LogManager {
             queue.requested = queue.requested.min(tail);
             self.flush_cv.notify_all();
         }
-        // Discarded tail segments are retired memory too.
-        LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
         tail
     }
 
@@ -1513,7 +1395,6 @@ impl LogManager {
                     segs,
                     archive: old.archive.clone(),
                 });
-                LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
                 return true;
             }
         }
@@ -1531,19 +1412,22 @@ impl LogManager {
     }
 }
 
-impl Drop for LogManager {
-    fn drop(&mut self) {
-        // Cue every thread to flush its cached indexes (lazily, on its next
-        // log read) so this log's sealed segments are not pinned in TLS.
-        LOG_RETIRE_EPOCH.fetch_add(1, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::PayloadKind;
     use rewind_common::{CorruptionKind, ObjectId, PageId, TxnId};
+
+    impl LogManager {
+        /// Fault injection: make the next `n` physical flush attempts fail
+        /// transiently (a device EIO that clears on retry). The leader retries
+        /// with bounded backoff — followers stay parked until the retry
+        /// actually succeeds, never waking on a failed attempt — and each retry
+        /// is counted in [`IoStats::add_io_retry`].
+        fn set_flush_faults(&self, n: u64) {
+            self.flush_faults.store(n, Ordering::Release);
+        }
+    }
 
     type Rec = LogRecord<&'static [u8], &'static [u8; PAGE_SIZE]>;
 
@@ -1831,6 +1715,33 @@ mod tests {
         assert!(s4.log_read_ios >= s3.log_read_ios + 2);
     }
 
+    /// Concurrent misses never leave the model holding more blocks than it
+    /// is sized for: four threads of cold reads over 64 blocks, 4 blocks.
+    #[test]
+    fn cache_model_never_holds_more_than_its_blocks() {
+        let config = LogConfig {
+            hot_tail_bytes: 0,
+            cache_blocks: 4,
+            ..LogConfig::default()
+        };
+        let (cache, stats) = (ReadCache::default(), IoStats::new());
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (cache, stats, config) = (&cache, &stats, &config);
+                s.spawn(move || {
+                    for i in 0..200_000u64 {
+                        let block = (i * 7 + t * 13) % 64;
+                        cache.classify(block * CACHE_BLOCK_BYTES, u64::MAX, config, stats);
+                    }
+                });
+            }
+        });
+        let held = cache.blocks.lock().len();
+        assert!(held <= 4, "the model holds {held} blocks, sized for 4");
+        let s = stats.snapshot();
+        assert_eq!(s.log_cache_hits + s.log_read_ios, 800_000);
+    }
+
     #[test]
     fn get_past_tail_is_error() {
         let log = LogManager::new(LogConfig::default());
@@ -1975,6 +1886,26 @@ mod tests {
         assert!(matches!(get(&log, lsns[10]), Err(Error::LogTruncated(_))));
         assert_eq!(held.body(), &expect[..]);
         assert_eq!(held.view().unwrap().0.lsn, lsns[10]);
+    }
+
+    /// No reader keeps an index past its read: once the last `RecordRef`
+    /// into a segment drops and truncation retires the segment, its bytes
+    /// are freed, with no further read on the thread.
+    #[test]
+    fn a_truncated_segment_is_freed_when_its_last_reader_drops() {
+        let log = LogManager::new(LogConfig::default());
+        let mut lsns = Vec::new();
+        for i in 0..600 {
+            lsns.push(log.append(&insert_rec(i, 5000)));
+        }
+        log.flush_to(log.tail_lsn());
+        let first_end = log.load_sealed().segs[0].end();
+        assert!(lsns[10].0 < first_end, "read in the first sealed segment");
+        let held = log.get_record_ref(lsns[10]).unwrap();
+        let bytes = Arc::downgrade(&held.data);
+        drop(held);
+        assert!(log.truncate_before(lsns[400]).0 >= first_end);
+        assert!(bytes.upgrade().is_none(), "the truncated segment is pinned");
     }
 
     fn end_checkpoint(log: &LogManager, at_secs: u64) -> Lsn {

@@ -1,4 +1,4 @@
-//! Concurrency tests for the lock-free log read path: random readers and
+//! Concurrency tests for the log read path: random readers and
 //! scanners racing an appender and a truncator, snapshot isolation of
 //! in-flight readers across truncation, and `discard_unflushed` racing
 //! `append` (crash-point semantics: everything at or below the flushed LSN

@@ -3,11 +3,10 @@
 //! The shared counting allocator (`rewind_common::testalloc`) wraps the
 //! system allocator and counts per thread, so the proofs below can run on
 //! parallel test threads without counting each other's allocations. After
-//! warming the thread-local segment snapshot and the cache model, a
-//! backward chain walk over sealed history (header, borrowed payload view
-//! and undo application against a page) must perform **zero** heap
-//! allocations, and so must building the compensation payloads rollback
-//! logs for decoded records.
+//! warming the cache model, a backward chain walk over sealed history
+//! (header, borrowed payload view and undo application against a page) must
+//! perform **zero** heap allocations, and so must building the compensation
+//! payloads rollback logs for decoded records.
 
 use rewind_common::testalloc::{thread_allocations as allocations, CountingAllocator};
 use rewind_common::{Lsn, ObjectId, PageId, TxnId};
@@ -25,7 +24,7 @@ fn header_only_chain_walk_allocates_nothing() {
     page.insert_record(0, b"seed-row").unwrap();
 
     // Build one page's chain: enough updates to seal several segments so
-    // the walk below runs on the lock-free sealed path.
+    // the walk below reads sealed segments.
     let mut lsns = Vec::new();
     for i in 0..4_000u32 {
         let payload = LogPayload::UpdateRecord {
@@ -70,8 +69,8 @@ fn header_only_chain_walk_allocates_nothing() {
         undone
     };
 
-    // Warm pass: populates the thread-local segment snapshot and the cache
-    // model's block map (both one-time costs, exactly like a real cache).
+    // Warm pass: populates the cache model's block map (a one-time cost,
+    // exactly like a real cache).
     let mut scratch_page = page.clone();
     scratch_page.set_page_lsn(walk_from);
     // The page record must match the state at walk_from for undo to apply;
@@ -184,8 +183,8 @@ fn compensation_of_decoded_records_allocates_nothing() {
         .into_iter()
         .map(|payload| log.append(&record(5, payload)))
         .collect();
-    // More than a segment of padding, so the records above are read on the
-    // lock-free sealed path.
+    // More than a segment of padding, so the records above are read from a
+    // sealed segment.
     for _ in 0..200 {
         log.append(&record(
             6,
@@ -206,7 +205,7 @@ fn compensation_of_decoded_records_allocates_nothing() {
         }
         kinds
     };
-    // Warm pass: the thread-local segment snapshot and the cache model.
+    // Warm pass: the cache model.
     compensate();
     let before = allocations();
     let kinds = compensate();
