@@ -43,7 +43,7 @@ pub fn salvage_page(log: &LogManager, pid: PageId, cause: &Error) -> Result<Page
     // reached any on-media page image (WAL rule), and after a crash it is
     // discarded anyway.
     let mut tip = Lsn::NULL;
-    log.scan_views(log.earliest_available_lsn(), log.flushed_lsn(), |h, _| {
+    log.scan_views(log.truncation_point(), log.flushed_lsn(), |h, _| {
         if h.page == pid && h.kind.is_page_op() {
             tip = h.lsn;
         }

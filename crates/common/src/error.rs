@@ -9,10 +9,11 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// What kind of media damage a [`Error::Corruption`] describes.
 ///
-/// The kind drives the recovery policy: a [`CorruptionKind::LogBlock`] past
-/// the durable point truncates the log tail (same semantics as discarding
+/// The kind drives the recovery policy: a [`CorruptionKind::LogBlock`] that
+/// restart reads truncates the log there (same semantics as discarding
 /// unflushed records) — a damaged checkpoint record included, after which
-/// the previous checkpoint governs; a [`CorruptionKind::PageChecksum`] or
+/// the previous checkpoint governs — while one below restart's start stays
+/// for a later reader to meet; a [`CorruptionKind::PageChecksum`] or
 /// [`CorruptionKind::TornPage`] triggers page salvage from the per-page log
 /// chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1078,12 +1078,6 @@ impl Database {
             config,
         } = artifacts;
         log.discard_unflushed();
-        // Media hardening: a CRC-bad frame in the surviving log is treated
-        // as end-of-log at the damage point — the same semantics a real
-        // restart applies to a half-written tail. Everything before the
-        // first bad frame recovers normally; nothing after it can be
-        // trusted (frame lengths chain, so one bad frame unmoors the rest).
-        log.discard_corrupt_tail();
         // Repeat history before touching any structure (the boot page itself
         // may only exist in the log). Analysis and redo run as ONE pipelined
         // forward scan, with redo hash-partitioned by page across one worker
@@ -1092,12 +1086,24 @@ impl Database {
         let parts = Self::make_parts(fm, log, &config);
         let obs = parts.log.obs().clone();
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Media hardening: a damaged frame the pass reads ends the log there
+        // — the same semantics a real restart applies to a half-written
+        // tail, since frame lengths chain and one bad frame unmoors the
+        // rest. The cut drops every checkpoint at or past it, so the pass
+        // runs again over the shorter log, on a pool that forgets what the
+        // failed pass redid. Damage below where restart starts reading is
+        // never met, and stays in the log.
         let RestartOutcome {
             analysis,
             redo,
             analysis_us,
             redo_us,
-        } = pipelined_restart(&parts.log, &parts.pool, Lsn::MAX, workers)?;
+        } = loop {
+            match pipelined_restart(&parts.log, &parts.pool, workers) {
+                Err(e) if parts.log.cut_at_damage(&e) => parts.pool.drop_cache(),
+                outcome => break outcome?,
+            }
+        };
         obs.record(
             EventKind::RecoveryAnalysis,
             analysis.redo_start.0,

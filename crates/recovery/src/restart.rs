@@ -132,7 +132,6 @@ fn redo_worker(pool: &BufferPool, obs: &Obs, batches: Receiver<Vec<RecordRef>>) 
 fn scan_and_dispatch(
     log: &LogManager,
     builder: &mut AnalysisBuilder,
-    bound: Lsn,
     mut dispatch: impl FnMut(&RecordRef, PageId) -> Result<bool>,
 ) -> Result<()> {
     let scan_start = builder.scan_start();
@@ -159,7 +158,7 @@ fn scan_and_dispatch(
     }
     // Combined scan: every record feeds analysis; page-ops that qualify
     // against the first-sighting recLSN are dispatched immediately.
-    log.scan_refs(scan_start, bound.scan_end(), true, |rec| {
+    log.scan_refs(scan_start, Lsn::MAX, true, |rec| {
         let (header, view) = rec.view()?;
         if let Some(rec_lsn) = builder.observe(&header, &view) {
             if header.lsn >= rec_lsn {
@@ -171,9 +170,14 @@ fn scan_and_dispatch(
     Ok(())
 }
 
-/// Run restart's analysis and redo as one pipelined pass over
-/// `[checkpoint, bound]`, with redo partitioned across `workers` threads
-/// (at least 1), so the scan always overlaps apply.
+/// Run restart's analysis and redo as one pipelined pass from the newest
+/// checkpoint to the end of the log, with redo partitioned across
+/// `workers` threads (at least 1), so the scan always overlaps apply.
+///
+/// The pass reads `[restart's start, tail)` and nothing else, where the
+/// start is the lowest of the checkpoint's begin, its DPT's lowest recLSN
+/// and the oldest loser's first record. A damaged frame in that window is
+/// the typed `LogBlock` error the read returned, for the caller to cut at.
 ///
 /// Returns the completed [`AnalysisResult`] (the undo phase's input) and
 /// the redo statistics. Accounting — total applied count, per-page apply
@@ -182,12 +186,11 @@ fn scan_and_dispatch(
 pub fn pipelined_restart(
     log: &LogManager,
     pool: &BufferPool,
-    bound: Lsn,
     workers: usize,
 ) -> Result<RestartOutcome> {
     let workers = workers.max(1);
     let started = rewind_obs::monotonic_us();
-    let mut builder = AnalysisBuilder::seed(log, bound)?;
+    let mut builder = AnalysisBuilder::seed(log, Lsn::MAX)?;
     let obs = log.obs().clone();
 
     let redo = std::thread::scope(|s| -> Result<PartitionedRedo> {
@@ -202,7 +205,7 @@ pub fn pipelined_restart(
         let mut bufs: Vec<Vec<RecordRef>> = (0..workers)
             .map(|_| Vec::with_capacity(REDO_BATCH))
             .collect();
-        let scan_res = scan_and_dispatch(log, &mut builder, bound, |rec, page| {
+        let scan_res = scan_and_dispatch(log, &mut builder, |rec, page| {
             let w = partition_of(page, workers);
             bufs[w].push(rec.clone());
             if bufs[w].len() == REDO_BATCH {
@@ -223,23 +226,19 @@ pub fn pipelined_restart(
             }
         }
         drop(txs);
-        let mut per_worker = Vec::with_capacity(workers);
+        // The scan's error comes first: a damaged frame it met is the error
+        // restart cuts the log at, whatever a worker reports.
         let mut first_err = scan_res.err();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(applied)) => per_worker.push(applied),
-                Ok(Err(e)) => {
-                    per_worker.push(0);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Err(_) => {
-                    per_worker.push(0);
-                    first_err = Some(Error::Internal("redo worker panicked".into()));
-                }
-            }
-        }
+        let per_worker: Vec<u64> = handles
+            .into_iter()
+            .map(|h| {
+                let panicked = || Err(Error::Internal("redo worker panicked".into()));
+                h.join().unwrap_or_else(|_| panicked()).unwrap_or_else(|e| {
+                    first_err.get_or_insert(e);
+                    0
+                })
+            })
+            .collect();
         match first_err {
             Some(e) => Err(e),
             None => Ok(PartitionedRedo {
@@ -250,7 +249,7 @@ pub fn pipelined_restart(
     })?;
     let redo_us = rewind_obs::monotonic_us().saturating_sub(started);
 
-    let analysis = builder.finish(log, bound)?;
+    let analysis = builder.finish(log, Lsn::MAX)?;
     let analysis_us = rewind_obs::monotonic_us().saturating_sub(started);
     Ok(RestartOutcome {
         analysis,
@@ -258,27 +257,4 @@ pub fn pipelined_restart(
         analysis_us,
         redo_us,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rewind_pagestore::MemFileManager;
-    use rewind_wal::LogConfig;
-    use std::sync::Arc;
-
-    /// `bound` values adjacent to `Lsn::MAX` used to compute `bound.0 + 1`,
-    /// which overflows (wrapping the scan end to `Lsn::NULL` and silently
-    /// redoing nothing). The saturating scan end must keep these bounds
-    /// meaning "to the end of the log".
-    #[test]
-    fn redo_bound_adjacent_to_max_does_not_overflow() {
-        let fm = Arc::new(MemFileManager::new());
-        let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::new(fm, log.clone(), 8);
-        for bound in [Lsn::MAX, Lsn(u64::MAX - 1)] {
-            let out = pipelined_restart(&log, &pool, bound, 1).unwrap();
-            assert_eq!(out.redo.applied, 0);
-        }
-    }
 }

@@ -476,7 +476,7 @@ mod tests {
     }
 
     /// How a step cut the log: `discard_unflushed` after a crash, or
-    /// `discard_corrupt_tail` after damage.
+    /// `cut_at_damage` after a read met damage.
     #[derive(Clone, Copy, PartialEq)]
     enum Cut {
         None,
@@ -629,7 +629,8 @@ mod tests {
             let victim = self.lsns[at];
             self.log.flush_to(self.log.tail_lsn());
             assert!(self.log.corrupt_byte_at(victim.0 + 9, 0x10));
-            assert_eq!(self.log.discard_corrupt_tail(), Some(victim));
+            let err = self.log.get_record_deep(victim).err().expect("damaged");
+            assert!(self.log.cut_at_damage(&err));
             self.after_cut();
         }
 

@@ -11,19 +11,23 @@
 //! (inside the same scratch-buffer pass that writes the length prefix) and
 //! verified on every read by the one function that reads a frame back,
 //! [`parse_frame`] — sealed-segment reads, tail reads under the writer
-//! mutex, `flush_to`'s frame-end lookup and the restart-time tail check all
+//! mutex, `flush_to`'s frame-end lookup and the restart-time damage cut all
 //! go through it. A mismatch surfaces as a typed [`Error::Corruption`] with
 //! [`CorruptionKind::LogBlock`] and the frame's LSN, never as a garbage
 //! decode. Two degraded-mode policies follow:
 //!
-//! * **Tail corruption at restart** — [`LogManager::discard_corrupt_tail`]
-//!   forward-verifies every retained frame and cuts the log at the first
-//!   bad one with the same `cut_at` [`LogManager::discard_unflushed`] cuts
-//!   at the flush point with: whole later segments evaporate, the damaged
-//!   segment is *replaced* by a shorter copy (sealed bytes are never
-//!   mutated in place), and the checkpoint directory is trimmed to the
-//!   cut. A torn or bit-flipped device tail therefore recovers the longest
-//!   clean record prefix.
+//! * **Damage that restart reads** — restart reads the log from its start
+//!   (the newest checkpoint's begin, its DPT's lowest recLSN or the oldest
+//!   loser's first record, whichever is lowest) to the tail, and no other
+//!   byte. When that read meets a damaged frame, it hands the error to
+//!   [`LogManager::cut_at_damage`], which re-parses that one frame and cuts
+//!   the log there with the same `cut_at` [`LogManager::discard_unflushed`]
+//!   cuts at the flush point with: whole later segments evaporate, the
+//!   damaged segment is *replaced* by a shorter copy (sealed bytes are
+//!   never mutated in place), and the checkpoint directory is trimmed to
+//!   the cut. Restart then runs again over the shorter log. A torn or
+//!   bit-flipped device tail therefore recovers the longest clean record
+//!   prefix, and damage below restart's start stays in the log.
 //! * **Mid-retention corruption at read time** — random reads and scans
 //!   return the typed error to the caller, which decides (page salvage
 //!   fails, repair skips the region, queries abort) — the log itself never
@@ -40,8 +44,9 @@
 //! archiving). So after any sequence of appends, flushes, cuts and
 //! truncations the directory equals a from-scratch scan of the
 //! `CheckpointEnd` records in the retained (and archived) log, and a crash
-//! loses none of it. A damaged `CheckpointEnd` frame is an ordinary damaged
-//! frame: the log is cut there, and the previous checkpoint governs.
+//! loses none of it. A damaged `CheckpointEnd` frame that restart reads is
+//! an ordinary damaged frame: the log is cut there, and the previous
+//! checkpoint governs.
 //!
 //! # Segment summaries are a function of the retained log too
 //!
@@ -161,7 +166,7 @@
 use crate::record::{LogPayloadView, LogRecord, LogRecordHeader, Payload};
 use parking_lot::{Condvar, Mutex};
 use rewind_common::codec::read_u32_at;
-use rewind_common::{crc32c, Error, IoStats, Lsn, Result, Timestamp, TxnId};
+use rewind_common::{crc32c, CorruptionKind, Error, IoStats, Lsn, Result, Timestamp, TxnId};
 use rewind_obs::{EventKind, Obs, ObsConfig};
 use rewind_pagestore::page::PAGE_SIZE;
 use std::collections::HashMap;
@@ -1266,10 +1271,10 @@ impl LogManager {
     /// a log loses its end. Whole later segments evaporate; the segment the
     /// cut falls inside is *replaced* by a shorter copy — sealed bytes are
     /// never mutated in place, so a reader holding a [`RecordRef`] past the
-    /// cut still decodes it. The tail, the published index, the checkpoint
-    /// directory, the read cache and the flush queue all follow. Writer
-    /// mutex held; returns the new tail.
-    fn cut_at(&self, inner: &mut LogInner, cut: u64) -> u64 {
+    /// cut still decodes it. The tail, the flushed LSN, the published index,
+    /// the checkpoint directory, the read cache and the flush queue all
+    /// follow. Writer mutex held.
+    fn cut_at(&self, inner: &mut LogInner, cut: u64) {
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
         segs.retain(|s| s.start < cut);
@@ -1291,6 +1296,9 @@ impl LogManager {
             inner.active_start = tail;
         }
         self.tail.store(tail, Ordering::Release);
+        // Bytes past the cut are gone, durable or not (a damage cut lands
+        // below the flushed LSN): the clean prefix is the durable horizon.
+        self.flushed.fetch_min(tail, Ordering::AcqRel);
         self.publish(SealedIndex {
             version: old.version + 1,
             trunc: old.trunc,
@@ -1309,7 +1317,6 @@ impl LogManager {
             queue.requested = queue.requested.min(tail);
             self.flush_cv.notify_all();
         }
-        tail
     }
 
     /// Discard everything after the flushed LSN — what a crash does to the
@@ -1320,43 +1327,44 @@ impl LogManager {
         self.cut_at(&mut inner, self.flushed.load(Ordering::Acquire));
     }
 
-    /// Forward-verify every retained frame (length sanity + CRC-32C) and
-    /// cut the log at the first damaged one, treating it as end-of-log —
-    /// the restart-time half of the media-hardening contract. Returns the
-    /// cut LSN when damage was found, `None` for a clean log.
+    /// Cut the log at the frame a read failed on, if that frame is damaged:
+    /// the restart-time half of the media-hardening contract. `err` is what
+    /// the read returned; only a [`CorruptionKind::LogBlock`] error naming a
+    /// frame in the retained log qualifies, and only that one frame is
+    /// parsed again. When it does not parse, the log is cut there with
+    /// [`LogManager::discard_unflushed`]'s cut, the flushed LSN is pulled
+    /// back with it, and `true` is returned: everything before the frame —
+    /// the clean prefix up to the damage — stays readable. A frame that
+    /// parses (the error was not damage), or one outside the retained log,
+    /// is left alone and `false` is returned.
     ///
-    /// The cut is [`LogManager::discard_unflushed`]'s, applied at the damage
-    /// point; what is this path's own is that the flushed LSN is pulled back
-    /// with it. Everything before the first bad frame — the longest clean
-    /// durable prefix — stays readable.
-    pub fn discard_corrupt_tail(&self) -> Option<Lsn> {
-        /// Offset of the first frame in `data` that does not parse, whose
-        /// first byte sits at stream offset `base`. `data` begins on a frame
-        /// boundary (segments always do).
-        fn first_bad_frame(base: u64, data: &[u8]) -> Option<u64> {
-            let mut off = 0;
-            while off < data.len() {
-                match parse_frame(data, off) {
-                    Ok(body) => off = body.end,
-                    Err(_) => return Some(base + off as u64),
-                }
-            }
-            None
-        }
-
+    /// A torn or overrunning frame is counted in `corruptions_detected`
+    /// here; a CRC mismatch was already counted by the read that met it, so
+    /// each cut counts exactly one.
+    pub fn cut_at_damage(&self, err: &Error) -> bool {
+        let &Error::Corruption {
+            kind: CorruptionKind::LogBlock,
+            lsn: Some(Lsn(at)),
+            ..
+        } = err
+        else {
+            return false;
+        };
         let mut inner = self.inner.lock();
-        let old = self.published.lock().clone();
-        let cut = old
-            .segs
-            .iter()
-            .find_map(|seg| first_bad_frame(seg.start, &seg.data))
-            .or_else(|| first_bad_frame(inner.active_start, &inner.active))?;
-        self.stats.add_corruption_detected();
-        let tail = self.cut_at(&mut inner, cut);
-        // The damaged bytes were "durable" on the failed media; the clean
-        // prefix is the new durability horizon.
-        self.flushed.fetch_min(tail, Ordering::AcqRel);
-        Some(Lsn(cut))
+        let index = self.published.lock().clone();
+        let parsed = match SealedIndex::lookup(&index.segs, at) {
+            Some(seg) => parse_frame(&seg.data, (at - seg.start) as usize),
+            None if (inner.active_start..inner.tail).contains(&at) => {
+                parse_frame(&inner.active, (at - inner.active_start) as usize)
+            }
+            None => return false,
+        };
+        let Err(fault) = parsed else { return false };
+        if !matches!(fault, FrameFault::Crc { .. }) {
+            self.stats.add_corruption_detected();
+        }
+        self.cut_at(&mut inner, at);
+        true
     }
 
     /// Fault injection: XOR one byte of the retained log at stream offset
@@ -1416,7 +1424,7 @@ impl LogManager {
 mod tests {
     use super::*;
     use crate::record::PayloadKind;
-    use rewind_common::{CorruptionKind, ObjectId, PageId, TxnId};
+    use rewind_common::{ObjectId, PageId, TxnId};
 
     impl LogManager {
         /// Fault injection: make the next `n` physical flush attempts fail
@@ -1946,17 +1954,25 @@ mod tests {
     }
 
     #[test]
-    fn discard_corrupt_tail_cuts_at_first_bad_frame() {
+    fn cut_at_damage_cuts_at_the_damaged_frame() {
         let log = LogManager::new(LogConfig::default());
         let mut lsns = Vec::new();
         for i in 0..20 {
             lsns.push(log.append(&insert_rec(i, 200)));
         }
         log.flush_to(log.tail_lsn());
-        assert_eq!(log.discard_corrupt_tail(), None, "clean log: no cut");
         // Damage record 12's body: the durable prefix is records 0..12.
         assert!(log.corrupt_byte_at(lsns[12].0 + FRAME_HEADER as u64 + 1, 0x80));
-        assert_eq!(log.discard_corrupt_tail(), Some(lsns[12]));
+        let err = get(&log, lsns[12]).err().expect("the damaged frame fails");
+        let tail = log.tail_lsn();
+        // An intact frame, an error that names no frame, and a frame
+        // outside the log are not damage: no cut.
+        let intact = Error::log_corruption(lsns[11], "not damage");
+        assert!(!log.cut_at_damage(&intact), "a frame that parses");
+        assert!(!log.cut_at_damage(&Error::log_corruption(Lsn(0), "decode")));
+        assert!(!log.cut_at_damage(&Error::LogTruncated(lsns[12])));
+        assert_eq!(log.tail_lsn(), tail, "no cut yet");
+        assert!(log.cut_at_damage(&err));
         assert_eq!(log.tail_lsn(), lsns[12]);
         assert_eq!(log.flushed_lsn(), lsns[12], "durable horizon pulled back");
         for &l in &lsns[..12] {
@@ -1974,12 +1990,12 @@ mod tests {
         assert_eq!(next, lsns[12]);
         log.flush_to(log.tail_lsn());
         assert!(get(&log, next).is_ok());
-        // Idempotent: the repaired log is clean again.
-        assert_eq!(log.discard_corrupt_tail(), None);
+        // The same error names a clean frame now: no second cut.
+        assert!(!log.cut_at_damage(&err));
     }
 
     #[test]
-    fn discard_corrupt_tail_cuts_inside_sealed_segment() {
+    fn cut_at_damage_cuts_inside_sealed_segment() {
         let log = LogManager::new(LogConfig::default());
         let mut lsns = Vec::new();
         // Large records force several sealed segments.
@@ -1995,7 +2011,8 @@ mod tests {
         // Live readers holding the old index keep the clean bytes.
         let held = log.get_record_ref(lsns[50]).unwrap();
         assert!(log.corrupt_byte_at(lsns[50].0 + FRAME_HEADER as u64, 0x01));
-        assert_eq!(log.discard_corrupt_tail(), Some(lsns[50]));
+        let err = get(&log, lsns[50]).err().expect("the damaged frame fails");
+        assert!(log.cut_at_damage(&err));
         assert_eq!(log.tail_lsn(), lsns[50]);
         assert!(get(&log, lsns[49]).is_ok());
         assert!(held.view().is_ok(), "sealed bytes are never mutated");
@@ -2078,13 +2095,13 @@ mod tests {
         CrcFlip,
     }
 
-    /// Satellite 2(a): one fault table through the one parser from all four
-    /// callers — random read, scan, `flush_target`, the restart-time tail
-    /// check — in a sealed segment and in the active tail. Every fault is
-    /// the typed `LogBlock` error; what it *counts* as is pinned per caller
-    /// (these are the numbers of the four parsers this one replaced): a
-    /// reader counts a CRC mismatch and nothing else, `flush_target` counts
-    /// one only over sealed bytes, the tail check counts one per cut.
+    /// One fault table through the one parser from all four callers —
+    /// random read, scan, `flush_target`, and restart's scan followed by
+    /// the damage cut — in a sealed segment and in the active tail. Every
+    /// fault is the typed `LogBlock` error; what it *counts* as is pinned
+    /// per caller: a reader counts a CRC mismatch and nothing else,
+    /// `flush_target` counts one only over sealed bytes, and a scan that
+    /// meets the frame followed by the cut counts one in total.
     #[test]
     fn frame_faults_read_the_same_through_every_caller() {
         use Damage::*;
@@ -2159,18 +2176,21 @@ mod tests {
                 );
 
                 let d0 = detected();
-                assert_eq!(log.discard_corrupt_tail(), Some(victim), "{case}");
-                assert_eq!(detected() - d0, 1, "{case}: one per cut");
+                let restart = || log.scan_refs(lsns[38], Lsn::MAX, false, |_| Ok(true));
+                let err = restart().expect_err(&case);
+                assert!(log.cut_at_damage(&err), "{case}");
+                assert_eq!(detected() - d0, 1, "{case}: scan, then cut: one in total");
                 assert_eq!(log.tail_lsn(), victim, "{case}");
                 assert_eq!(log.flushed_lsn(), victim, "{case}");
-                assert_eq!(log.discard_corrupt_tail(), None, "{case}: clean again");
+                assert_eq!(restart().expect(&case), victim, "{case}: clean again");
+                assert!(!log.cut_at_damage(&err), "{case}: nothing left to cut");
                 assert_eq!(detected() - d0, 1, "{case}");
             }
         }
     }
 
     /// The crash cut and the damage cut are one `cut_at`. The same log cut
-    /// at the same byte by `discard_unflushed` and by `discard_corrupt_tail`
+    /// at the same byte by `discard_unflushed` and by `cut_at_damage`
     /// — inside a sealed segment, and inside the active tail — ends in the
     /// same state, the three checkpoints before the cut included, and a
     /// reader holding a `RecordRef` past the cut still decodes it.
@@ -2234,7 +2254,8 @@ mod tests {
             let (damaged, _, held_damaged) = build();
             damaged.flush_to(damaged.tail_lsn());
             assert!(damaged.corrupt_byte_at(cut.0 + FRAME_HEADER as u64 + 1, 0x20));
-            assert_eq!(damaged.discard_corrupt_tail(), Some(cut));
+            let err = get(&damaged, cut).err().expect("the damaged frame fails");
+            assert!(damaged.cut_at_damage(&err));
 
             let (a, b) = (state(&crashed), state(&damaged));
             assert_eq!(a, b, "cut at record {at}");
@@ -2348,7 +2369,9 @@ mod tests {
                             let back = next(lsns.len().min(16) as u64) as usize;
                             let victim = lsns[lsns.len() - 1 - back];
                             if log.corrupt_byte_at(victim.0 + FRAME_HEADER as u64 + 1, 0x10) {
-                                assert_eq!(log.discard_corrupt_tail(), Some(victim));
+                                let err = get(&log, victim).err().expect("damaged");
+                                assert!(log.cut_at_damage(&err));
+                                assert_eq!(log.tail_lsn(), victim);
                                 cuts += 1;
                             }
                         }

@@ -1,20 +1,23 @@
 //! Media-corruption torture: every fault class the hardening defends
-//! against — log bit-flips, page bit rot, torn page writes, lost tail
-//! sectors, a damaged checkpoint record, transient EIO — driven by the
-//! deterministic seeded [`FaultInjector`], asserting that recovery yields
-//! *exactly* the committed durable prefix (or a typed corruption error when
-//! the log chain itself is damaged), that as-of snapshots and flashback
-//! still work after pages were salvaged, and that the salvage/corruption/
-//! retry counters in `IoStats` are deterministic.
+//! against — log bit-flips above and below where restart starts reading,
+//! page bit rot, torn page writes, lost tail sectors, a damaged checkpoint
+//! record, transient EIO — driven by the deterministic seeded
+//! [`FaultInjector`], asserting that recovery yields *exactly* the
+//! committed durable prefix up to the first damaged frame restart reads (or
+//! a typed corruption error when the log chain itself is damaged), that
+//! damage below restart's start keeps every commit, that as-of snapshots
+//! and flashback still work after pages were salvaged, and that the
+//! salvage/corruption/retry counters in `IoStats` are deterministic.
 //!
 //! CI runs this suite as a hard gate (counters exact, no panics); the three
 //! fixed seeds keep every randomized choice reproducible.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rewind::common::{Error, Lsn, PageId};
+use rewind::common::{CorruptionKind, Error, Lsn, PageId};
 use rewind::pagestore::{FaultInjector, FileManager};
 use rewind::repair::{flashback, ConflictPolicy, RepairConfig, RepairTarget};
+use rewind::wal::LogConfig;
 use rewind::{Column, DataType, Database, DbConfig, Row, Schema, SimClock, Timestamp, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -348,6 +351,148 @@ fn damaged_checkpoint_record_cuts_the_log_and_the_previous_checkpoint_governs() 
     db.check_consistency().unwrap();
 }
 
+/// Damage below where restart starts reading stays in the log. With no
+/// transaction in flight and nothing dirty at the newest checkpoint,
+/// restart reads from that checkpoint's begin, so a flipped bit in the
+/// previous checkpoint's begin marker is never met: every commit comes
+/// back, nothing is counted, and the log keeps its LSNs, so a commit after
+/// the restart survives the next crash. A reader that does cross the
+/// damage — an as-of snapshot split below the newest checkpoint — fails
+/// typed at the frame.
+#[test]
+fn damage_below_the_restart_start_stays_in_the_log() {
+    let mut db = Database::create(DbConfig {
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.with_txn(|txn| db.create_table(txn, "t", schema()))
+        .unwrap();
+    let insert = |db: &Database, id: u64| {
+        db.with_txn(|txn| db.insert(txn, "t", &[Value::U64(id), Value::str("v")]))
+            .unwrap();
+    };
+    let mut begins = Vec::new();
+    for round in 0..3u64 {
+        for id in round * 100..(round + 1) * 100 {
+            insert(&db, id);
+        }
+        if round < 2 {
+            db.checkpoint().unwrap();
+            begins.push(db.log().checkpoint_before(Lsn::MAX).unwrap().begin_lsn);
+        }
+    }
+    db.log().flush_to(db.log().tail_lsn());
+    let damaged = begins[0];
+    assert!(db.log().corrupt_byte_at(damaged.0 + FRAME_HEADER + 1, 0x40));
+
+    db = Database::recover(db.simulate_crash()).unwrap();
+    assert_eq!(scan_map(&db).len(), 300, "every durable commit is back");
+    assert_eq!(
+        db.log_io().corruptions_detected,
+        0,
+        "restart never reads below its start"
+    );
+    db.check_consistency().unwrap();
+
+    insert(&db, 300);
+    db = Database::recover(db.simulate_crash()).unwrap();
+    assert_eq!(
+        scan_map(&db).len(),
+        301,
+        "the commit after restart survives the next crash"
+    );
+
+    let split = Lsn(begins[1].0 - 1);
+    let err = db
+        .create_snapshot_at_lsn("below", Timestamp::from_secs(1_000), split)
+        .err()
+        .expect("the snapshot's analysis crosses the damage");
+    assert!(
+        matches!(
+            err,
+            Error::Corruption {
+                kind: CorruptionKind::LogBlock,
+                lsn: Some(at),
+                ..
+            } if at == damaged
+        ),
+        "{err}"
+    );
+    assert_eq!(db.log_io().corruptions_detected, 1);
+}
+
+/// Restart runs again after a cut. The damaged frame lies below the newest
+/// checkpoint, after the first record of a transaction in flight at it, so
+/// only the supplemental lock scan reads it — after the first pass has
+/// redone the whole log. The frame is a commit whose pages reached the
+/// media before it was written, so nothing on the media lies past the cut.
+/// Restart cuts there, forgets what it redid, and runs again with the older
+/// checkpoint governing: both transactions the cut left open are undone,
+/// and exactly the commits before the cut are back.
+#[test]
+fn damage_met_by_the_lock_scan_cuts_and_restart_runs_again() {
+    let mut rng = SmallRng::seed_from_u64(SEEDS[2]);
+    let mut db = Database::create(DbConfig {
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.with_txn(|txn| db.create_table(txn, "t", schema()))
+        .unwrap();
+    let mut model = BTreeMap::new();
+    commit_batch(&db, &mut rng, &mut model, 0);
+    db.checkpoint().unwrap();
+    let older = db.log().checkpoint_before(Lsn::MAX).unwrap();
+    let durable_before_cut = model.clone();
+
+    let loser = db.begin();
+    db.insert(&loser, "t", &[Value::U64(1_000), Value::str("loser")])
+        .unwrap();
+    let cut_away = db.begin();
+    let cut_away_id = cut_away.id();
+    db.insert(&cut_away, "t", &[Value::U64(1_001), Value::str("cut away")])
+        .unwrap();
+    db.parts().pool.flush_all().unwrap();
+    let damaged = db.log().tail_lsn();
+    db.commit(cut_away).unwrap();
+    db.checkpoint().unwrap();
+    commit_batch(&db, &mut rng, &mut model, 1);
+    db.log().flush_to(db.log().tail_lsn());
+    let loser_id = loser.id();
+    std::mem::forget(loser);
+
+    assert!(db.log().corrupt_byte_at(damaged.0 + FRAME_HEADER + 1, 0x40));
+    db = Database::recover(db.simulate_crash()).unwrap();
+
+    assert_eq!(
+        db.log().checkpoint_before(Lsn(damaged.0 - 1)),
+        Some(older),
+        "the older checkpoint governs"
+    );
+    let newer: Vec<_> = db
+        .log()
+        .checkpoints()
+        .iter()
+        .filter(|c| c.end_lsn > older.end_lsn)
+        .map(|c| c.begin_lsn)
+        .collect();
+    assert_eq!(newer.len(), 1, "the checkpoint past the cut is gone");
+    assert!(
+        newer[0] > damaged,
+        "restart's own checkpoint follows its undo"
+    );
+    let report = db.last_recovery().unwrap();
+    assert_eq!(report.loser_txns, [loser_id, cut_away_id]);
+    assert_eq!(scan_map(&db), durable_before_cut);
+    assert_eq!(
+        db.log_io().corruptions_detected,
+        1,
+        "detected once, at the cut"
+    );
+    db.check_consistency().unwrap();
+}
+
 /// Fault class: transient EIO. Bounded retry absorbs short outages with
 /// exact retry accounting; a persistent outage surfaces as a typed,
 /// retryable I/O error — never a panic, never wrong rows.
@@ -423,6 +568,69 @@ fn salvage_fails_typed_when_log_chain_damaged() {
         "failure names the salvage limit: {err}"
     );
     assert_eq!(db.data_io().page_salvages, 0, "no fabricated salvage");
+}
+
+/// Page salvage reads the retained log only. With archiving on, truncated
+/// history moves to the archive, and the salvage scan still starts at the
+/// truncation point: a page born after the cut rebuilds from its whole
+/// chain instead of failing on the archive's first record.
+#[test]
+fn salvage_after_an_archiving_truncation_reads_the_retained_log() {
+    let fi = Arc::new(FaultInjector::new(SEEDS[1]));
+    let db = Database::create_on(
+        fi.clone(),
+        DbConfig {
+            checkpoint_interval_bytes: 0,
+            log: LogConfig {
+                archive_on_truncate: true,
+                ..LogConfig::default()
+            },
+            ..DbConfig::default()
+        },
+        SimClock::starting_at(Timestamp::from_secs(1_000)),
+    )
+    .unwrap();
+    db.with_txn(|txn| db.create_table(txn, "t", schema()))
+        .unwrap();
+    let mut rng = SmallRng::seed_from_u64(SEEDS[1]);
+    commit_batch(&db, &mut rng, &mut BTreeMap::new(), 0);
+    db.checkpoint().unwrap();
+    let cut = db.log().truncate_before(db.log().tail_lsn());
+    assert!(cut > Lsn::FIRST && db.log().archived_bytes() > 0);
+
+    db.with_txn(|txn| {
+        db.create_table(txn, "u", schema())?;
+        for id in 0..50u64 {
+            db.insert(txn, "u", &[Value::U64(id), Value::str("after the cut")])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.checkpoint().unwrap();
+    db.parts().pool.drop_cache();
+    // Damage every page born after the cut: its whole chain is retained.
+    let mut born = BTreeSet::new();
+    db.log()
+        .scan_views(cut, Lsn::MAX, |h, _| {
+            if h.kind.is_page_op() && !h.prev_page_lsn.is_valid() {
+                born.insert(h.page);
+            }
+            Ok(true)
+        })
+        .unwrap();
+    let mut damaged = 0;
+    for &pid in &born {
+        if fi.inner().raw_image(pid).is_some() {
+            assert!(fi.flip_bit(pid));
+            damaged += 1;
+        }
+    }
+    assert!(damaged > 0, "pages born after the cut reached the media");
+
+    let rows = db.with_txn(|txn| db.scan_all(txn, "u")).unwrap();
+    assert_eq!(rows.len(), 50);
+    assert!(db.data_io().page_salvages > 0, "salvage ran");
+    db.check_consistency().unwrap();
 }
 
 /// Media errors hit by *background* maintenance (the checkpoint daemon

@@ -181,7 +181,7 @@ fn restart_is_bit_identical_across_worker_counts() {
             0,
             PoolIoConfig::batched(16, 2),
         );
-        let out = pipelined_restart(&artifacts.log, &pool, Lsn::MAX, workers).unwrap();
+        let out = pipelined_restart(&artifacts.log, &pool, workers).unwrap();
         pool.flush_all().unwrap();
         let io = artifacts.fm.io_stats().snapshot().delta(io0);
         assert_eq!(
