@@ -785,40 +785,12 @@ impl BTree {
         Ok(out)
     }
 
-    /// The leaf page that would hold `key`, discovered by reading
-    /// **internal pages only** — the leaf itself is never fetched. Returns
-    /// `None` when the root is itself a leaf (nothing unread to name).
-    /// The snapshot layer uses this to fan point-read preparation out over
-    /// exactly the touched leaves.
-    pub fn leaf_for_key_unread<S: Store>(&self, s: &S, key: &[u8]) -> Result<Option<PageId>> {
-        let mut cur = self.root;
-        loop {
-            let step = s.with_page(cur, |p| match p.try_page_type()? {
-                PageType::BTreeInternal => {
-                    let (_, child) = internal_search(p, key)?;
-                    Ok(Some((child, p.level() == 1)))
-                }
-                PageType::BTreeLeaf => Ok(None),
-                other => Err(Error::corruption(format!(
-                    "page {:?}: unexpected type {other:?} in tree {:?}",
-                    p.page_id(),
-                    self.object
-                ))),
-            })?;
-            match step {
-                Some((child, is_leaf)) if is_leaf => return Ok(Some(child)),
-                Some((child, _)) => cur = child,
-                None => return Ok(None),
-            }
-        }
-    }
-
     /// Page ids of every leaf, discovered by reading **internal pages
     /// only** — the leaves themselves are listed from their parents' child
-    /// pointers and never fetched. Against a snapshot store this is what
-    /// makes concurrent prepare fan-out worthwhile: the (few) internal
-    /// pages are prepared serially by this walk, and the (many) leaves are
-    /// left for the snapshot layer's parallel preparation.
+    /// pointers and never fetched. Against a snapshot store this walk
+    /// prepares the (few) internal pages, and leaves the (many) leaves to
+    /// one batched preparation that vector-reads their primary pages
+    /// (`AsOfSnapshot::prepare_pages`).
     pub fn unread_leaf_pages<S: Store>(&self, s: &S) -> Result<Vec<PageId>> {
         let mut leaves = Vec::new();
         let mut internals = vec![self.root];

@@ -66,18 +66,17 @@
 //! item (h)) would march the clock over every frame and evict the live
 //! working set. [`BufferPool::scan_partition`] creates a pin-limited
 //! partition — and is the one place a partition's size is decided: 0 means
-//! an eighth of the pool, floored at two frames per reader, capped at half
-//! the pool. Misses taken through
-//! [`BufferPool::read_page_staged_in`] reuse the partition's **own** frames
-//! ring-style once its bounded budget is reached, so a scan of any length
-//! dirties at most `budget` frames of the shared pool. Partition loads
-//! publish their frames with the reference bit clear, making them the
-//! clock's preferred victims if the live side needs memory — the scan
-//! yields, never the working set. *Hits* are untouched: a scan read of a
-//! resident page pins it exactly like any other reader, and the default
-//! (non-partitioned) path is byte-for-byte the same algorithm as before —
-//! the serial hit/IO/eviction oracle in `tests/prop_pool.rs` proves its
-//! accounting stays bit-exact.
+//! an eighth of the pool, floored at two frames, capped at half the pool.
+//! Misses taken through [`BufferPool::read_page_staged_in`] reuse the
+//! partition's **own** frames ring-style once its bounded budget is
+//! reached, so a scan of any length dirties at most `budget` frames of the
+//! shared pool. Partition loads publish their frames with the reference
+//! bit clear, making them the clock's preferred victims if the live side
+//! needs memory — the scan yields, never the working set. *Hits* are
+//! untouched: a scan read of a resident page pins it exactly like any other
+//! reader, and the default (non-partitioned) path is byte-for-byte the same
+//! algorithm as before — the serial hit/IO/eviction oracle in
+//! `tests/prop_pool.rs` proves its accounting stays bit-exact.
 //!
 //! # Media hardening: salvage and bounded retry
 //!
@@ -110,6 +109,7 @@ use rewind_common::{CorruptionKind, Error, Lsn, PageId, Result, StripedCounters}
 use rewind_obs::{EventKind, Obs};
 use rewind_pagestore::{FileManager, Page, WritebackPool};
 use rewind_wal::{DptEntry, LogManager};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -250,21 +250,22 @@ impl PoolStatsView {
 ///
 /// The damage bound assumes ring reuse can usually succeed: a miss whose
 /// ring entries are *all* transiently pinned falls back to the global
-/// clock. A partition shared across N concurrent readers therefore holds at
-/// least two frames per reader ([`BufferPool::scan_partition`] enforces
-/// exactly that floor).
+/// clock. Other readers of the same pages (live traffic, another snapshot)
+/// pin ring frames transiently, so a partition holds at least two frames
+/// ([`BufferPool::scan_partition`] enforces that floor).
 ///
-/// Shareable across the threads of one fan-out (`Sync`); the ring lock is
-/// taken only on misses, which pay an I/O anyway.
+/// One partition belongs to one operation on one thread: its ring is a
+/// `RefCell`, so the type is not `Sync` and cannot be shared across
+/// threads.
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<rewind_buffer::ScanPartition>();
+/// ```
 pub struct ScanPartition {
     budget: usize,
     /// (frame index, pid loaded into it) in load order, oldest first.
-    ring: Mutex<VecDeque<(usize, u64)>>,
-    /// Ring frames popped for reuse whose reload has not been recorded yet.
-    /// A reuse holds its budget slot for the whole miss I/O — without this,
-    /// a concurrent worker would see the ring transiently below budget and
-    /// take a fresh global victim, silently exceeding the damage bound.
-    in_flight: AtomicUsize,
+    ring: RefCell<VecDeque<(usize, u64)>>,
 }
 
 impl ScanPartition {
@@ -273,17 +274,8 @@ impl ScanPartition {
         self.budget
     }
 
-    /// A popped-for-reuse frame was abandoned (racer adopted, read fault):
-    /// its budget slot frees up.
-    fn end_reuse(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn record_load(&self, idx: usize, pid: u64, reused: bool) {
-        let mut ring = self.ring.lock();
-        if reused {
-            self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        }
+    fn record_load(&self, idx: usize, pid: u64) {
+        let mut ring = self.ring.borrow_mut();
         ring.push_back((idx, pid));
         // Over-budget entries (possible when claims fell back to the global
         // clock) are forgotten, not evicted: their frames stay resident with
@@ -292,18 +284,6 @@ impl ScanPartition {
             ring.pop_front();
         }
     }
-}
-
-/// Outcome of asking a [`ScanPartition`] for a victim frame.
-enum RingClaim {
-    /// Below budget: a fill slot was reserved (charged to `in_flight`);
-    /// the caller claims a fresh global victim under it.
-    Fresh,
-    /// A ring frame was claimed for reuse (charged to `in_flight`).
-    Reused(usize),
-    /// Every ring entry was stale or transiently pinned: fall back to an
-    /// *uncharged* global claim so the scan stays live.
-    Fallback,
 }
 
 /// A pinned, shared-latched, revalidated read view of one pool page.
@@ -777,17 +757,12 @@ impl BufferPool {
     }
 
     /// Claim a victim frame from `part`'s own ring instead of the global
-    /// clock, or reserve a budget slot for a fresh global claim.
-    fn claim_from_ring(&self, part: &ScanPartition) -> Result<RingClaim> {
-        let mut ring = part.ring.lock();
-        // In-flight loads (ring reuses AND pending fresh fills) still own
-        // their budget slots. Reserving the fill slot *under the ring lock*
-        // is what makes the bound hold under concurrency: without it, N
-        // workers could each see the ring one below budget and claim N
-        // fresh global victims.
-        if ring.len() + part.in_flight.load(Ordering::Relaxed) < part.budget {
-            part.in_flight.fetch_add(1, Ordering::Relaxed);
-            return Ok(RingClaim::Fresh);
+    /// clock. `None` means the caller takes a global victim: the ring is
+    /// below budget, or every entry was stale or transiently pinned.
+    fn claim_from_ring(&self, part: &ScanPartition) -> Result<Option<usize>> {
+        let mut ring = part.ring.borrow_mut();
+        if ring.len() < part.budget {
+            return Ok(None);
         }
         for _ in 0..ring.len() {
             let Some((idx, old_pid)) = ring.pop_front() else {
@@ -806,9 +781,8 @@ impl BufferPool {
                 .compare_exchange(0, EVICT_CLAIM, Ordering::AcqRel, Ordering::Relaxed)
                 .is_err()
             {
-                // Transiently pinned (another scan worker, or a live reader
-                // that found the page useful): rotate to the back, try the
-                // next-oldest.
+                // Transiently pinned (another reader that found the page
+                // useful): rotate to the back, try the next-oldest.
                 ring.push_back((idx, old_pid));
                 continue;
             }
@@ -823,21 +797,15 @@ impl BufferPool {
                 f.pins.fetch_sub(EVICT_CLAIM, Ordering::AcqRel);
                 continue;
             }
-            // The popped slot stays charged to the partition until the
-            // reload is recorded (or abandoned).
-            part.in_flight.fetch_add(1, Ordering::Relaxed);
             drop(ring);
-            if let Err(e) = self.evict_claimed(idx) {
-                part.end_reuse();
-                return Err(e);
-            }
-            return Ok(RingClaim::Reused(idx));
+            self.evict_claimed(idx)?;
+            return Ok(Some(idx));
         }
-        // Every entry was stale or transiently pinned: an *uncharged*
-        // global fallback keeps the scan live. With the two-frames-per-
-        // reader floor `scan_partition` enforces, an all-pinned ring is
-        // not a sustained state, so fallbacks stay rare.
-        Ok(RingClaim::Fallback)
+        // Every entry was stale or transiently pinned: a global claim keeps
+        // the scan live. With the two-frame floor `scan_partition`
+        // enforces, an all-pinned ring is not a sustained state, so
+        // fallbacks stay rare.
+        Ok(None)
     }
 
     /// Miss path: claim a victim, load `pid` into it, publish the mapping.
@@ -854,27 +822,13 @@ impl BufferPool {
         scan: Option<&ScanPartition>,
         staged: Option<Result<Page>>,
     ) -> Result<Option<usize>> {
-        let (idx, charged) = match scan {
-            Some(part) => match self.claim_from_ring(part)? {
-                RingClaim::Reused(i) => (i, true),
-                RingClaim::Fresh => match self.claim_victim() {
-                    Ok(i) => (i, true),
-                    Err(e) => {
-                        part.end_reuse();
-                        return Err(e);
-                    }
-                },
-                RingClaim::Fallback => (self.claim_victim()?, false),
-            },
-            None => (self.claim_victim()?, false),
+        let reused = match scan {
+            Some(part) => self.claim_from_ring(part)?,
+            None => None,
         };
-        // A charged claim (ring reuse or reserved fresh fill) keeps its
-        // budget slot until its load is recorded; abandoning it must
-        // release the slot.
-        let abandon_claim = || {
-            if let (true, Some(part)) = (charged, scan) {
-                part.end_reuse();
-            }
+        let idx = match reused {
+            Some(i) => i,
+            None => self.claim_victim()?,
         };
         // A racer may have published `pid` while we were claiming (and
         // possibly writing back) the victim: re-probe before paying the
@@ -884,7 +838,6 @@ impl BufferPool {
             if map.contains_key(&pid.0) {
                 drop(map);
                 self.release_claim(idx);
-                abandon_claim();
                 return Ok(None);
             }
         }
@@ -907,7 +860,6 @@ impl BufferPool {
                 Err(e) => {
                     drop(st);
                     self.release_claim(idx);
-                    abandon_claim();
                     return Err(e);
                 }
             }
@@ -939,14 +891,12 @@ impl BufferPool {
                 of.pins.fetch_sub(1, Ordering::AcqRel);
                 drop(map);
                 self.release_claim(idx);
-                abandon_claim();
                 std::thread::yield_now();
                 return Ok(None);
             }
             of.used.store(true, Ordering::Relaxed);
             drop(map);
             self.release_claim(idx);
-            abandon_claim();
             return Ok(Some(other));
         }
         // Publish: convert the claim into the caller's pin *before* the
@@ -960,7 +910,7 @@ impl BufferPool {
         map.insert(pid.0, idx);
         drop(map);
         if let Some(part) = scan {
-            part.record_load(idx, pid.0, charged);
+            part.record_load(idx, pid.0);
         }
         Ok(Some(idx))
     }
@@ -979,20 +929,19 @@ impl BufferPool {
         }
     }
 
-    /// Create a pin-limited [`ScanPartition`] for `readers` concurrent
-    /// readers — the one budget rule. `budget` 0 means an eighth of the
-    /// pool. The size is then floored at two frames per reader: with fewer,
-    /// the readers' own transient pins could keep every ring entry pinned,
-    /// each miss would fall back to the global clock, and the bound would be
-    /// void. Last, it is capped at half the pool, which wins over the floor:
-    /// a partition may never monopolize the pool it is supposed to protect.
-    pub fn scan_partition(&self, budget: usize, readers: usize) -> ScanPartition {
+    /// Create a pin-limited [`ScanPartition`] — the one budget rule.
+    /// `budget` 0 means an eighth of the pool. The size is then floored at
+    /// two frames: with one, another reader's transient pin could keep the
+    /// only ring entry pinned, each miss would fall back to the global
+    /// clock, and the bound would be void. Last, it is capped at half the
+    /// pool (at least the floor: a pool has four frames or more), so a
+    /// partition never monopolizes the pool it is supposed to protect.
+    pub fn scan_partition(&self, budget: usize) -> ScanPartition {
         let cap = self.frames.len();
         let budget = if budget == 0 { cap / 8 } else { budget };
         ScanPartition {
-            budget: budget.max(2 * readers.max(1)).min(cap / 2),
-            ring: Mutex::new(VecDeque::new()),
-            in_flight: AtomicUsize::new(0),
+            budget: budget.max(2).min(cap / 2),
+            ring: RefCell::new(VecDeque::new()),
         }
     }
 
@@ -1285,14 +1234,6 @@ mod tests {
     use rewind_pagestore::{FileManager, MemFileManager, PageType};
     use rewind_wal::{LogConfig, LogPayloadView, LogRecord};
 
-    impl ScanPartition {
-        /// Frames the partition currently holds: recorded ring entries plus
-        /// reuses in flight (≤ budget at rest; diagnostics).
-        fn frames_held(&self) -> usize {
-            self.ring.lock().len() + self.in_flight.load(Ordering::Relaxed)
-        }
-    }
-
     impl BufferPool {
         /// Number of page-table shards.
         fn shard_count(&self) -> usize {
@@ -1497,14 +1438,14 @@ mod tests {
             pool.with_page(pid, |_| Ok(())).unwrap();
         }
         // Cold stream 4x the pool size through a 4-frame partition.
-        let part = pool.scan_partition(4, 1);
+        let part = pool.scan_partition(4);
         for pid in 100..=228u64 {
             let g = pool
                 .read_page_staged_in(PageId(pid), Some(&part), None)
                 .unwrap();
             assert_eq!(g.page_id(), PageId(0), "fresh pages read as zeroed");
         }
-        assert!(part.frames_held() <= part.budget());
+        assert!(part.ring.borrow().len() <= part.budget());
         // The stream may claim at most its budget from the working set
         // (initial fills come from the global clock until the ring is at
         // budget; everything after reuses the ring).
@@ -1520,21 +1461,20 @@ mod tests {
 
     #[test]
     fn scan_partition_budget_is_clamped() {
-        // (pool frames, budget, readers, frames the partition may hold), in
-        // the order the rule applies: default, floor, cap.
-        for (cap, budget, readers, want) in [
-            (64, 0, 1, 8),    // 0 is an eighth of the pool
-            (64, 5, 1, 5),    // an explicit budget is kept
-            (64, 5, 4, 8),    // floored at two frames per reader
-            (64, 0, 8, 16),   // the floor applies to the default too
-            (64, 100, 1, 32), // capped at half the pool
-            (8, 2, 4, 4),     // on a tiny pool the cap wins over the floor
+        // (pool frames, budget, frames the partition may hold), in the
+        // order the rule applies: default, floor, cap.
+        for (cap, budget, want) in [
+            (64, 0, 8),    // 0 is an eighth of the pool
+            (64, 5, 5),    // an explicit budget is kept
+            (64, 1, 2),    // floored at two frames
+            (8, 0, 2),     // the floor applies to the default too
+            (64, 100, 32), // capped at half the pool
         ] {
             let (_fm, _log, pool) = setup(cap);
             assert_eq!(
-                pool.scan_partition(budget, readers).budget(),
+                pool.scan_partition(budget).budget(),
                 want,
-                "pool {cap}, budget {budget}, {readers} readers"
+                "pool {cap}, budget {budget}"
             );
         }
     }
@@ -1542,7 +1482,7 @@ mod tests {
     #[test]
     fn unpartitioned_path_unaffected_by_partition_existence() {
         let (_fm, _log, pool) = setup(8);
-        let _part = pool.scan_partition(2, 1);
+        let _part = pool.scan_partition(2);
         format_on(&pool, PageId(1), Lsn(1)); // miss
         pool.with_page(PageId(1), |_| Ok(())).unwrap(); // hit
         let s = pool.stats();

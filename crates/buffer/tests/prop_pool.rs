@@ -196,7 +196,7 @@ proptest! {
     #[test]
     fn scan_partition_keeps_default_path_exact_and_bounds_damage(
         ops in proptest::collection::vec(op_strategy(24), 1..120),
-        // At or above the one-reader floor, so the partition keeps it.
+        // At or above the two-frame floor, so the partition keeps it.
         budget in 2usize..6,
         sweep in 24u64..80,
     ) {
@@ -218,7 +218,7 @@ proptest! {
         let pool = BufferPool::with_shards(fm.clone(), log, cap, 4);
         // The partition exists for the whole run: its mere existence must
         // not perturb default-path accounting.
-        let part = pool.scan_partition(budget, 1);
+        let part = pool.scan_partition(budget);
         let mut lsn = 1u64;
         for op in &ops {
             match op {

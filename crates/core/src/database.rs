@@ -17,7 +17,7 @@ use rewind_recovery::{
 };
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{LockKey, LockManager, LockMode, ObjectLatches, TxnManager, TxnShared, TxnState};
-use rewind_wal::{LogConfig, LogManager, LogPayloadView, LogRecord};
+use rewind_wal::{CheckpointBody, LogConfig, LogManager, LogPayloadView, LogRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,13 +30,12 @@ pub struct DbConfig {
     pub buffer_pages: usize,
     /// The size, in pool frames, of the scan partition every bulk as-of
     /// stream runs in — each multi-row snapshot read (`scan_all`,
-    /// `scan_prefix`, `scan_between`, tree or heap), `prefetch_table` and a
-    /// repair's leaf prefetch; 0 (the default) is an eighth of the pool. A
-    /// bulk as-of stream larger than the buffer pool disturbs at most this
-    /// many of the pool's frames, so the live working set survives
-    /// snapshot table scans. It sizes the partition and never turns it off:
-    /// the pool floors it at two frames per prepare worker and caps it at
-    /// half the pool (`BufferPool::scan_partition`).
+    /// `scan_prefix`, `scan_between`, tree or heap) and `prefetch_table`;
+    /// 0 (the default) is an eighth of the pool. A bulk as-of stream larger
+    /// than the buffer pool disturbs at most this many of the pool's
+    /// frames, so the live working set survives snapshot table scans. It
+    /// sizes the partition and never turns it off: the pool floors it at
+    /// two frames and caps it at half the pool (`BufferPool::scan_partition`).
     pub asof_scan_budget: usize,
     /// Full-page-image interval N (paper §6.1); 0 disables FPIs.
     pub fpi_interval: u32,
@@ -1207,6 +1206,12 @@ fn defer_error(errors: &Mutex<Vec<(String, Error)>>, what: &str, e: Error) {
 /// Truncate log older than `retention_micros` and not needed by crash
 /// recovery, active transactions or open snapshots. Free-standing so the
 /// checkpoint daemon can run it without a `Database` handle.
+///
+/// Crash recovery needs the log from the lowest recLSN of two dirty-page
+/// tables: the pool's, and the newest durable checkpoint's, which restart
+/// redoes from. An incremental checkpoint's table can name a page long
+/// since written back, so the pool's table alone is not enough. When the
+/// checkpoint's record cannot be read, nothing is cut.
 fn enforce_retention_on(
     parts: &EngineParts,
     txns: &TxnManager,
@@ -1225,6 +1230,10 @@ fn enforce_retention_on(
     if let Some(l) = txns.oldest_active_first_lsn() {
         cut = cut.min(l);
     }
+    let Some(restart_from) = checkpoint_redo_floor(&parts.log) else {
+        return;
+    };
+    cut = cut.min(restart_from);
     for e in parts.pool.dirty_page_table() {
         cut = cut.min(e.rec_lsn);
     }
@@ -1232,6 +1241,21 @@ fn enforce_retention_on(
         cut = cut.min(snap.min_needed_lsn());
     }
     parts.log.truncate_before(cut);
+}
+
+/// The lowest recLSN in the dirty-page table of the newest durable
+/// checkpoint (`Lsn::MAX` for an empty table), or `None` when there is no
+/// such checkpoint or its end record does not read back.
+fn checkpoint_redo_floor(log: &LogManager) -> Option<Lsn> {
+    let flushed = log.flushed_lsn();
+    let dir = log.checkpoints();
+    let newest = dir.iter().rev().find(|c| c.end_lsn < flushed)?;
+    let rec = log.get_record_ref(newest.end_lsn).ok()?;
+    let (_, LogPayloadView::CheckpointEnd { tables, .. }) = rec.view().ok()? else {
+        return None;
+    };
+    let body = CheckpointBody::decode(tables).ok()?;
+    Some(body.dpt.iter().map(|e| e.rec_lsn).min().unwrap_or(Lsn::MAX))
 }
 
 /// Everything the checkpoint daemon needs, cloned out of the database so

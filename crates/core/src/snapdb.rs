@@ -38,7 +38,7 @@ use rewind_access::keys::{encode_key, prefix_upper_bound};
 use rewind_access::value::decode_row;
 use rewind_access::{Row, Value};
 use rewind_buffer::ScanPartition;
-use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
+use rewind_common::{Error, Lsn, ObjectId, Result, Timestamp};
 use rewind_recovery::AccessKind;
 use rewind_snapshot::AsOfSnapshot;
 use std::collections::HashMap;
@@ -51,9 +51,6 @@ pub struct SnapshotDb {
     snap: Arc<AsOfSnapshot>,
     sys: SysTrees,
     cache: Arc<RwLock<HashMap<String, Arc<TableInfo>>>>,
-    /// Worker threads a full tree scan prepares its leaves on (1 = serial,
-    /// the default).
-    prefetch_workers: usize,
     /// Pool frames each multi-row read's scan partition may hold (0 = an
     /// eighth of the pool, sized by `BufferPool::scan_partition`).
     scan_budget: usize,
@@ -67,49 +64,34 @@ impl SnapshotDb {
             snap,
             sys,
             cache: Arc::new(RwLock::new(HashMap::new())),
-            prefetch_workers: 1,
             scan_budget: 0,
         })
     }
 
-    /// Return a handle whose full tree scans prepare their leaves across
-    /// `workers` threads (ROADMAP perf item (c)).
-    pub fn with_prefetch_workers(mut self, workers: usize) -> SnapshotDb {
-        self.prefetch_workers = workers.max(1);
-        self
-    }
-
     /// Return a handle whose multi-row reads run in scan partitions of
     /// `budget` pool frames (ROADMAP perf item (h); 0, the default, is an
-    /// eighth of the pool). The pool floors it at two frames per reader and
-    /// caps it at half the pool.
+    /// eighth of the pool). The pool floors it at two frames and caps it at
+    /// half the pool.
     pub fn with_scan_budget(mut self, budget: usize) -> SnapshotDb {
         self.scan_budget = budget;
         self
     }
 
-    /// Concurrently prepare every leaf page of `table` into the side file,
-    /// returning the number of pages newly prepared. Internal pages are
-    /// prepared serially by the structural walk that discovers the leaves;
-    /// the leaves themselves — the bulk of any real table — prepare on
-    /// `workers` threads. All of it runs through one pin-limited scan
-    /// partition, so a table larger than the buffer pool cannot evict the
-    /// live working set. Subsequent reads of those pages are zero-copy
-    /// side-file hits.
-    pub fn prefetch_table(&self, table: &TableInfo, workers: usize) -> Result<u64> {
+    /// Prepare every leaf page of `table` into the side file, returning the
+    /// number of pages newly prepared. The structural walk that discovers
+    /// the leaves prepares the internal pages; the leaves — the bulk of any
+    /// real table — then prepare in one [`AsOfSnapshot::prepare_pages`]
+    /// run. All of it reads through one pin-limited scan partition, so a
+    /// table larger than the buffer pool cannot evict the live working set.
+    /// Subsequent reads of those pages are zero-copy side-file hits.
+    pub fn prefetch_table(&self, table: &TableInfo) -> Result<u64> {
         if table.kind != TableKind::Tree {
             return Ok(0);
         }
-        let part = self.snap.scan_partition(self.scan_budget, workers);
-        self.prefetch_table_in(table, workers, &part)
+        self.prefetch_table_in(table, &self.snap.scan_partition(self.scan_budget))
     }
 
-    fn prefetch_table_in(
-        &self,
-        table: &TableInfo,
-        workers: usize,
-        part: &ScanPartition,
-    ) -> Result<u64> {
+    fn prefetch_table_in(&self, table: &TableInfo, part: &ScanPartition) -> Result<u64> {
         // Discovery reads internal pages — part of the cold stream, so it
         // runs inside the partition too.
         let store = self.snap.store_partitioned(part);
@@ -117,40 +99,7 @@ impl SnapshotDb {
         if leaves.len() < 2 {
             return Ok(0);
         }
-        Ok(self.snap.prepare_pages(&leaves, workers, part)?.prepared())
-    }
-
-    /// Concurrently prepare only the leaf pages that hold `keys`
-    /// (already-encoded key bytes) — the point-read counterpart of
-    /// [`SnapshotDb::prefetch_table`]. Each key's leaf is located by
-    /// reading internal pages only, so preparation work stays proportional
-    /// to the keys actually touched, never to table size. A fan-out device:
-    /// with `workers <= 1` the point reads themselves prepare their pages,
-    /// and this is a no-op.
-    pub fn prefetch_leaves_for_keys(
-        &self,
-        table: &TableInfo,
-        keys: &[&[u8]],
-        workers: usize,
-    ) -> Result<u64> {
-        if table.kind != TableKind::Tree || workers <= 1 {
-            return Ok(0);
-        }
-        let store = self.snap.store();
-        let tree = table.tree()?;
-        let mut leaves: Vec<PageId> = Vec::new();
-        for key in keys {
-            if let Some(pid) = tree.leaf_for_key_unread(&store, key)? {
-                if !leaves.contains(&pid) {
-                    leaves.push(pid);
-                }
-            }
-        }
-        if leaves.len() < 2 {
-            return Ok(0);
-        }
-        let part = self.snap.scan_partition(self.scan_budget, workers);
-        Ok(self.snap.prepare_pages(&leaves, workers, &part)?.prepared())
+        self.snap.prepare_pages(&leaves, part)
     }
 
     /// Resolve an object id against a snapshot's own catalog (used by the
@@ -300,11 +249,9 @@ impl SnapshotDb {
         hi: Bound<&[u8]>,
     ) -> Result<Vec<Row>> {
         let full = matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
-        let part = self
-            .snap
-            .scan_partition(self.scan_budget, self.prefetch_workers);
+        let part = self.snap.scan_partition(self.scan_budget);
         if full && table.kind == TableKind::Tree {
-            self.prefetch_table_in(table, self.prefetch_workers, &part)?;
+            self.prefetch_table_in(table, &part)?;
         }
         let store = self.snap.store_partitioned(&part);
         self.gated(

@@ -25,13 +25,6 @@ pub struct PrepareStats {
     pub fpi_restored: bool,
 }
 
-impl PrepareStats {
-    /// Total log-record fetches performed.
-    pub fn log_reads(&self) -> u64 {
-        self.records_undone + self.fpi_chain_reads
-    }
-}
-
 /// Rewind `page` (currently at some state with `pageLSN >= as_of`) back to
 /// `as_of`, using the per-page chain in `log`.
 ///

@@ -33,15 +33,12 @@ pub enum ConflictPolicy {
 pub struct RepairConfig {
     /// Conflict handling.
     pub policy: ConflictPolicy,
-    /// Worker threads preparing witness pages (1 = serial).
-    pub prefetch_workers: usize,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 1,
         }
     }
 }
@@ -77,8 +74,6 @@ pub struct RepairReport {
     pub unsupported: Vec<UnsupportedNote>,
     /// The compensation transaction, when one ran and logged anything.
     pub repair_txn: Option<TxnId>,
-    /// Witness leaf pages prepared concurrently.
-    pub pages_prefetched: u64,
     /// The full per-key plan (inspect for auditing; [`RepairPlan::entries`]
     /// carries witness and live images per key).
     pub plan: RepairPlan,
@@ -95,7 +90,6 @@ pub fn plan_flashback(db: &Database, target: &RepairTarget) -> Result<RepairRepo
         target,
         &RepairConfig {
             policy: ConflictPolicy::ReportOnly,
-            ..RepairConfig::default()
         },
     )
 }
@@ -123,13 +117,11 @@ pub fn flashback(db: &Database, target: &RepairTarget, cfg: &RepairConfig) -> Re
         .map(|t| t.commit_at)
         .unwrap_or_default();
     let mut harvest = harvest;
-    let witness = db
-        .create_snapshot_at_lsn(&witness_name, label, harvest.split_lsn)?
-        .with_prefetch_workers(cfg.prefetch_workers.max(1));
+    let witness = db.create_snapshot_at_lsn(&witness_name, label, harvest.split_lsn)?;
     obs.record(EventKind::RepairWitness, harvest.split_lsn.0, 0, 0);
     let result = (|| {
         let plan_started = obs.now_us();
-        let mut plan = plan::build_plan(db, &witness, &harvest, cfg.prefetch_workers.max(1))?;
+        let mut plan = plan::build_plan(db, &witness, &harvest)?;
         // Close the harvest→plan window: a transaction that committed
         // while the plan was being built is visible to the plan's live
         // reads but absent from the harvested conflict map — without this
@@ -177,7 +169,6 @@ fn apply(
         witness_split: plan.split_lsn,
         keys_examined: harvest.touched.len(),
         unsupported: plan.unsupported.clone(),
-        pages_prefetched: plan.pages_prefetched,
         ..RepairReport::default()
     };
 

@@ -23,9 +23,7 @@
 //!    per key, yields typed compensation DML (re-insert / delete /
 //!    restore-update). Keys also written by a later committed non-target
 //!    transaction are flagged **conflicted** and resolved by policy:
-//!    skip, overwrite, or report-only. Wide repairs fan the witness page
-//!    preparation out across a bounded worker pool
-//!    (`AsOfSnapshot::prepare_pages`).
+//!    skip, overwrite, or report-only.
 //! 4. **Apply** ([`engine`]): the plan executes as one regular logged
 //!    transaction through the live DML path — locked, index-maintained,
 //!    undoable, and visible to every subsequent as-of query.
@@ -37,7 +35,7 @@
 //! let report = flashback(
 //!     db,
 //!     &RepairTarget::Txns([bad_txn].into()),
-//!     &RepairConfig { policy: ConflictPolicy::Skip, prefetch_workers: 4 },
+//!     &RepairConfig { policy: ConflictPolicy::Skip },
 //! )?;
 //! println!("reverted {} rows, {} conflicts skipped",
 //!          report.applied, report.skipped_conflicts.len());

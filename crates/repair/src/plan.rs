@@ -2,13 +2,10 @@
 //! against the live database and decide, per key, how to put the pre-image
 //! back.
 //!
-//! The witness read is the multi-page as-of workload the concurrent
-//! prepare fan-out exists for: the planner locates the leaf page of every
-//! touched key (reading internal pages only) and fans their preparation
-//! out through `SnapshotDb::prefetch_leaves_for_keys` before issuing its
-//! point reads — a wide repair prepares pages in parallel instead of
-//! paying one serial `PreparePageAsOf` per touched leaf, and a narrow
-//! repair of a huge table never prepares beyond the keys it touches.
+//! The witness is read by point reads of the touched keys only, so each
+//! read prepares the pages on its own path (one `PreparePageAsOf` per page
+//! touched, paper §5.3) and a narrow repair of a huge table never prepares
+//! beyond the keys it touches.
 
 use crate::harvest::{ConflictInfo, Harvest, TargetTxn};
 use rewind_access::value::decode_row;
@@ -77,8 +74,6 @@ pub struct RepairPlan {
     pub entries: Vec<KeyRepair>,
     /// Objects skipped wholesale.
     pub unsupported: Vec<UnsupportedNote>,
-    /// Leaf pages prepared concurrently ahead of the witness reads.
-    pub pages_prefetched: u64,
 }
 
 impl RepairPlan {
@@ -104,12 +99,7 @@ fn schemas_agree(a: &TableInfo, b: &TableInfo) -> bool {
 /// for every harvested key and derive the action. Live reads here are
 /// unlocked (the plan is advisory); apply re-reads each row under an X
 /// lock and re-derives the action before touching anything.
-pub fn build_plan(
-    db: &Database,
-    witness: &SnapshotDb,
-    harvest: &Harvest,
-    prefetch_workers: usize,
-) -> Result<RepairPlan> {
+pub fn build_plan(db: &Database, witness: &SnapshotDb, harvest: &Harvest) -> Result<RepairPlan> {
     let mut plan = RepairPlan {
         split_lsn: harvest.split_lsn,
         targets: harvest.targets.clone(),
@@ -148,7 +138,7 @@ pub fn build_plan(
         .flat_map(|t| t.indexes.iter().map(|i| i.id.0))
         .collect();
 
-    // Group keys by object so prefetch and skip decisions are per-table.
+    // Group keys by object so skip decisions are per-table.
     let mut by_object: HashMap<ObjectId, Vec<&Vec<u8>>> = HashMap::new();
     for (object, key) in harvest.touched.keys() {
         by_object.entry(*object).or_default().push(key);
@@ -195,16 +185,6 @@ pub fn build_plan(
                     ),
                 });
                 continue;
-            }
-
-            // Fan out the witness page preparation before the point reads —
-            // but only over the leaves the touched keys actually live on,
-            // so preparation stays proportional to the repair, never to
-            // table size.
-            if keys.len() >= 8 {
-                let key_slices: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                plan.pages_prefetched +=
-                    witness.prefetch_leaves_for_keys(wit_info, &key_slices, prefetch_workers)?;
             }
 
             let store = db.store(&txn);

@@ -120,7 +120,7 @@ proptest! {
         db.clock().advance_secs(10);
 
         let target = RepairTarget::Txns(BTreeSet::from([bad_txn]));
-        let cfg = RepairConfig { policy: ConflictPolicy::Skip, prefetch_workers: 1 };
+        let cfg = RepairConfig { policy: ConflictPolicy::Skip };
         let first = flashback(&db, &target, &cfg).unwrap();
         let after_first = table_rows(&db);
 

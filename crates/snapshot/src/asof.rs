@@ -2,12 +2,12 @@
 //! preparation entry point.
 //!
 //! A snapshot prepares a page only when something reads it (§5.3). Many
-//! pages at once — a table prefetch, a repair's witness leaves — go through
-//! [`AsOfSnapshot::prepare_pages`], which fans the pages out over a bounded
-//! set of worker threads inside a caller-owned [`ScanPartition`], so one
-//! operation's discovery, fan-out and straggler reads share one frame
-//! budget. [`AsOfSnapshot::scan_partition`] hands the sizing to the pool's
-//! one budget rule; nothing in this crate computes a budget.
+//! pages at once — a table prefetch — go through
+//! [`AsOfSnapshot::prepare_pages`], one serial loop of `PreparePageAsOf`
+//! calls inside a caller-owned [`ScanPartition`], so one operation's
+//! discovery, preparation and straggler reads share one frame budget.
+//! [`AsOfSnapshot::scan_partition`] hands the sizing to the pool's one
+//! budget rule; nothing in this crate computes a budget.
 
 use crate::stats::SnapshotStatsView;
 use crate::store::{SnapInner, SnapshotMutator, SnapshotStore};
@@ -39,46 +39,6 @@ pub struct CreationInfo {
     pub loser_count: usize,
     /// Row/table locks reacquired for them.
     pub locks_reacquired: usize,
-}
-
-/// Prepare work done by one fan-out worker of
-/// [`AsOfSnapshot::prepare_pages`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrefetchWorkerStats {
-    /// Page ids this worker pulled off the shared cursor.
-    pub pages: u64,
-    /// Pages this worker actually prepared (side-file misses).
-    pub prepared: u64,
-    /// Log records undone across those preparations.
-    pub records_undone: u64,
-    /// FPI-chain records inspected across those preparations.
-    pub fpi_chain_reads: u64,
-}
-
-impl PrefetchWorkerStats {
-    /// Random log-record fetches this worker performed (potential stalls).
-    pub fn log_reads(&self) -> u64 {
-        self.records_undone + self.fpi_chain_reads
-    }
-}
-
-/// Outcome of one concurrent multi-page prepare.
-#[derive(Clone, Debug, Default)]
-pub struct PrefetchOutcome {
-    /// One entry per worker thread.
-    pub per_worker: Vec<PrefetchWorkerStats>,
-}
-
-impl PrefetchOutcome {
-    /// Pages newly prepared by this fan-out (side-file misses).
-    pub fn prepared(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.prepared).sum()
-    }
-
-    /// Total random log reads across all workers.
-    pub fn log_reads(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.log_reads()).sum()
-    }
 }
 
 /// A read-only database as of a point in time in the past.
@@ -234,11 +194,11 @@ impl AsOfSnapshot {
         }
     }
 
-    /// A pin-limited scan partition over the primary's pool for `readers`
-    /// concurrent readers, sized by [`rewind_buffer::BufferPool::scan_partition`]
+    /// A pin-limited scan partition over the primary's pool for one
+    /// operation, sized by [`rewind_buffer::BufferPool::scan_partition`]
     /// (`budget` 0 = an eighth of the pool).
-    pub fn scan_partition(&self, budget: usize, readers: usize) -> ScanPartition {
-        self.inner.pool.scan_partition(budget, readers)
+    pub fn scan_partition(&self, budget: usize) -> ScanPartition {
+        self.inner.pool.scan_partition(budget)
     }
 
     fn mutator(&self) -> SnapshotMutator<'_> {
@@ -376,101 +336,49 @@ impl AsOfSnapshot {
         self.locks.wait_until_object_free(object)
     }
 
-    /// Prepare `pids` concurrently on a bounded pool of `workers` threads
-    /// (ROADMAP perf item (c): concurrent `PreparePageAsOf` fan-out),
-    /// **scan-resistantly** (ROADMAP item (h)): the whole fan-out runs in
-    /// `part`, so its cold §5.3 step (b) reads reuse a bounded ring of pool
-    /// frames instead of marching the clock over the live working set. The
-    /// partition is the caller's so that one budget can cover a whole
-    /// operation — leaf discovery, this fan-out and the scan's own
-    /// straggler reads — instead of each piece claiming its own; size it
-    /// with [`AsOfSnapshot::scan_partition`] for `workers` readers.
+    /// Prepare `pids` in order, **scan-resistantly** (ROADMAP item (h)):
+    /// the whole run reads through `part`, so its cold §5.3 step (b) reads
+    /// reuse a bounded ring of pool frames instead of marching the clock
+    /// over the live working set. The partition is the caller's so that one
+    /// budget covers a whole operation — leaf discovery, this preparation
+    /// and the scan's own straggler reads. Pages already resident in the
+    /// side file are hits and cost nothing.
     ///
-    /// Distinct pages prepare fully in parallel — the §5.3 protocol already
-    /// serializes only *same-page* first-preparations through the per-page
-    /// gate, and the side file accepts concurrent puts of distinct pages.
-    /// Pages already resident in the side file are counted as hits and cost
-    /// nothing.
+    /// The pages go in chunks of the pool's I/O batch size, and each
+    /// chunk's cold primaries are vector-read up front: one `read_pages`
+    /// device op per contiguous run per chunk. Records one scan batch.
     ///
-    /// Work is split by static interleave over chunks of the pool's I/O
-    /// batch size: worker `w` prepares chunks `w, w+N, w+2N, …` (at batch
-    /// size 1, pids `w, w+N, …` — the historical stride). On
-    /// stall-dominated media a dynamic queue would converge to the same
-    /// even split (every fetch blocks its worker for a media round-trip, so
-    /// claims alternate); the static partition gives identical balance
-    /// deterministically — including on machines whose core count would let
-    /// one worker drain a shared queue before the others are scheduled.
-    /// Owning whole chunks also lets each worker vector-read its cold
-    /// primaries: one `read_pages` device op per contiguous run per chunk.
-    ///
-    /// Returns per-worker aggregates.
-    pub fn prepare_pages(
-        &self,
-        pids: &[PageId],
-        workers: usize,
-        part: &ScanPartition,
-    ) -> Result<PrefetchOutcome> {
-        let workers = workers.clamp(1, pids.len().max(1));
-        if pids.is_empty() {
-            return Ok(PrefetchOutcome::default());
-        }
+    /// Returns the number of pages newly prepared (side-file misses).
+    pub fn prepare_pages(&self, pids: &[PageId], part: &ScanPartition) -> Result<u64> {
         let inner = &self.inner;
-        let chunk = inner.pool.io_batch_pages();
-        let results: Vec<Result<PrefetchWorkerStats>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let batch_started = inner.obs.now_us();
-                        let mut stats = PrefetchWorkerStats::default();
-                        for run in pids.chunks(chunk).skip(w).step_by(workers) {
-                            // Vector-read this chunk's cold primaries up
-                            // front: only side-file misses can reach step
-                            // (b), and `stage_read_run` skips pool-resident
-                            // pids (those would have been hits). Serially
-                            // this stages exactly the pages the loop below
-                            // would read one by one.
-                            let wanted: Vec<PageId> = run
-                                .iter()
-                                .copied()
-                                .filter(|&pid| inner.side.get(pid).is_none())
-                                .collect();
-                            let mut staged = inner.pool.stage_read_run(&wanted);
-                            for &pid in run {
-                                let pre = staged
-                                    .iter()
-                                    .position(|(p, _)| *p == pid)
-                                    .map(|i| staged.remove(i).1);
-                                let (_, prep) = inner.fetch_traced(pid, Some(part), pre)?;
-                                stats.pages += 1;
-                                if let Some(p) = prep {
-                                    stats.prepared += 1;
-                                    stats.records_undone += p.records_undone;
-                                    stats.fpi_chain_reads += p.fpi_chain_reads;
-                                }
-                            }
-                        }
-                        // One scan batch per worker: its whole stride of
-                        // the bulk preparation.
-                        let dur = inner.obs.now_us().saturating_sub(batch_started);
-                        inner.obs.scan_batch_us(dur);
-                        inner.obs.record(EventKind::ScanBatch, 0, stats.pages, dur);
-                        Ok(stats)
-                    })
-                })
+        let started = inner.obs.now_us();
+        let mut prepared = 0u64;
+        for run in pids.chunks(inner.pool.io_batch_pages()) {
+            // Only side-file misses can reach step (b), and
+            // `stage_read_run` skips pool-resident pids (those would have
+            // been hits), so this stages exactly the pages the loop below
+            // would read one by one.
+            let wanted: Vec<PageId> = run
+                .iter()
+                .copied()
+                .filter(|&pid| inner.side.get(pid).is_none())
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(Error::Internal("prefetch worker panicked".into())),
-                })
-                .collect()
-        });
-        let mut out = PrefetchOutcome::default();
-        for r in results {
-            out.per_worker.push(r?);
+            let mut staged = inner.pool.stage_read_run(&wanted);
+            for &pid in run {
+                let pre = staged
+                    .iter()
+                    .position(|(p, _)| *p == pid)
+                    .map(|i| staged.remove(i).1);
+                let (_, fresh) = inner.fetch_traced(pid, Some(part), pre)?;
+                prepared += u64::from(fresh);
+            }
         }
-        Ok(out)
+        let dur = inner.obs.now_us().saturating_sub(started);
+        inner.obs.scan_batch_us(dur);
+        inner
+            .obs
+            .record(EventKind::ScanBatch, 0, pids.len() as u64, dur);
+        Ok(prepared)
     }
 
     /// Deregister the COW sink (regular snapshots) — call when dropping the

@@ -30,6 +30,6 @@ pub mod asof;
 pub mod stats;
 pub mod store;
 
-pub use asof::{AsOfSnapshot, CowPusher, PrefetchOutcome, PrefetchWorkerStats};
+pub use asof::{AsOfSnapshot, CowPusher};
 pub use stats::SnapshotStats;
 pub use store::{SnapshotMutator, SnapshotStore};

@@ -155,14 +155,12 @@ impl SnapInner {
         self.preparing.entries()
     }
 
-    /// [`SnapInner::fetch_image`] plus the prepare cost actually paid:
-    /// `None` when the page was served from the side file, `Some(stats)`
-    /// when this call prepared it. The concurrent prepare fan-out uses the
-    /// trace to attribute undo work to individual workers, and passes a
+    /// [`SnapInner::fetch_image`], plus whether this call prepared the
+    /// page (`false` when the side file served it). A bulk read passes a
     /// [`ScanPartition`] so cold step (b) reads stay inside a bounded frame
     /// budget of the shared pool. `staged` is an optional pre-fetched
     /// primary read for `pid` — one slot of a vectored `read_pages` batch
-    /// issued by the bulk prepare fan-out — consumed only if this call
+    /// issued by `AsOfSnapshot::prepare_pages` — consumed only if this call
     /// reaches step (b) itself (side miss, gate won); otherwise it is
     /// dropped, exactly like the pool's own staged misses.
     pub(crate) fn fetch_traced(
@@ -170,11 +168,11 @@ impl SnapInner {
         pid: PageId,
         scan: Option<&ScanPartition>,
         staged: Option<Result<Page>>,
-    ) -> Result<(PageImage, Option<rewind_recovery::PrepareStats>)> {
+    ) -> Result<(PageImage, bool)> {
         let mut staged = staged;
         if let Some(img) = self.side.get(pid) {
             self.stats.side_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((img, None));
+            return Ok((img, false));
         }
         // Serialize concurrent first-preparations of the same page; the
         // gate entry is removed again on every exit path (including
@@ -207,10 +205,10 @@ impl SnapInner {
         pid: PageId,
         scan: Option<&ScanPartition>,
         staged: Option<Result<Page>>,
-    ) -> Result<(PageImage, Option<rewind_recovery::PrepareStats>)> {
+    ) -> Result<(PageImage, bool)> {
         if let Some(img) = self.side.get(pid) {
             self.stats.side_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((img, None));
+            return Ok((img, false));
         }
         let prepare_started = self.obs.now_us();
         self.obs
@@ -247,7 +245,7 @@ impl SnapInner {
         // of this page shares this allocation.
         let img = PageImage::new(page);
         self.side.put_image(pid, img.clone());
-        Ok((img, Some(st)))
+        Ok((img, true))
     }
 
     /// Write a page fixed up by logical undo back to the side file (§5.2:

@@ -104,7 +104,7 @@ fn main() -> Result<()> {
     // keeps reading.
     println!(
         "\nmounting snapshot as of t0; scanning {BIG_ROWS} history rows \
-         (≥2x pool) with 4 prepare workers, budget {SCAN_BUDGET} frames…"
+         (≥2x pool), budget {SCAN_BUDGET} frames…"
     );
     let snap = db.create_snapshot_asof("analytics", t0)?;
     snap.wait_undo_complete()?;
@@ -131,7 +131,7 @@ fn main() -> Result<()> {
                 Ok(())
             })
         };
-        let prepared = snap.prefetch_table(&events, 4)?;
+        let prepared = snap.prefetch_table(&events)?;
         let rows = snap.scan_all(&events)?;
         stop.store(true, Ordering::Relaxed);
         live.join().expect("live reader panicked")?;

@@ -43,13 +43,12 @@ fn main() -> Result<()> {
     // ---- the flashback ----------------------------------------------------
     // No guessing at timestamps, no restore: name the transaction, revert
     // its rows. The witness snapshot mounts just before its first log
-    // record; page preparation fans out across 4 workers.
+    // record and prepares only the pages the reverted rows live on.
     let report = flashback(
         &db,
         &RepairTarget::Txns(BTreeSet::from([bad_txn])),
         &RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 4,
         },
     )?;
     println!(

@@ -124,10 +124,11 @@ fn snapshots_are_stable_under_concurrent_writes() {
 }
 
 #[test]
-fn parallel_prepare_fanout_equals_serial_scan() {
-    // Two snapshots of the same past instant: one scanned serially, one
-    // with its leaf preparation fanned out over 4 workers. Same rows, and
-    // the fan-out actually prepares pages (misses, not side-file hits).
+fn prefetched_scan_equals_cold_scan() {
+    // Two snapshots of the same past instant: one scanned cold, one whose
+    // leaves were prepared ahead by `prefetch_table`. Same rows, the
+    // prefetch actually prepares pages (misses, not side-file hits), and
+    // the scan after it prepares none.
     let db = Database::create(DbConfig::default()).unwrap();
     let filler = "y".repeat(200);
     db.with_txn(|txn| {
@@ -161,24 +162,27 @@ fn parallel_prepare_fanout_equals_serial_scan() {
     })
     .unwrap();
 
-    let serial = db.create_snapshot_asof("serial", mark).unwrap();
-    let st = serial.table("wide").unwrap();
-    let serial_rows = serial.scan_all(&st).unwrap();
+    let cold = db.create_snapshot_asof("cold", mark).unwrap();
+    let ct = cold.table("wide").unwrap();
+    let cold_rows = cold.scan_all(&ct).unwrap();
 
-    let fanout = db
-        .create_snapshot_asof("fanout", mark)
-        .unwrap()
-        .with_prefetch_workers(4);
-    let ft = fanout.table("wide").unwrap();
-    let prepared = fanout.prefetch_table(&ft, 4).unwrap();
-    assert!(prepared > 8, "fan-out prepared only {prepared} pages");
-    let fanout_rows = fanout.scan_all(&ft).unwrap();
+    let warm = db.create_snapshot_asof("prefetched", mark).unwrap();
+    let wt = warm.table("wide").unwrap();
+    let prepared = warm.prefetch_table(&wt).unwrap();
+    assert!(prepared > 8, "the prefetch prepared only {prepared} pages");
+    let before = warm.stats().pages_prepared;
+    let warm_rows = warm.scan_all(&wt).unwrap();
+    assert_eq!(
+        warm.stats().pages_prepared,
+        before,
+        "the scan hit every leaf"
+    );
 
-    assert_eq!(serial_rows, fanout_rows);
-    assert_eq!(fanout_rows.len(), 2000);
-    assert!(fanout_rows.iter().all(|r| r[1] != Value::str("post-mark")));
-    db.drop_snapshot("serial").unwrap();
-    db.drop_snapshot("fanout").unwrap();
+    assert_eq!(cold_rows, warm_rows);
+    assert_eq!(warm_rows.len(), 2000);
+    assert!(warm_rows.iter().all(|r| r[1] != Value::str("post-mark")));
+    db.drop_snapshot("cold").unwrap();
+    db.drop_snapshot("prefetched").unwrap();
 }
 
 #[test]

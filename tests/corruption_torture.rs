@@ -297,7 +297,6 @@ fn flashback_works_after_salvage() {
         &RepairTarget::Txns(BTreeSet::from([bad_txn])),
         &RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 1,
         },
     )
     .unwrap();

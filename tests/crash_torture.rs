@@ -851,3 +851,120 @@ fn restart_never_reuses_a_transaction_id() {
         "restart handed out {next:?}; the log holds up to {logged:?}"
     );
 }
+
+/// Commit padded rows into table `pad` (id column first, from `*next`),
+/// one per transaction, until `done` holds.
+fn pad_until(db: &Database, next: &mut u64, mut done: impl FnMut(&Database) -> bool) {
+    let pad = "p".repeat(2_000);
+    while !done(db) {
+        db.with_txn(|txn| db.insert(txn, "pad", &[Value::U64(*next), Value::str(&pad)]))
+            .unwrap();
+        *next += 1;
+    }
+}
+
+/// Retention never truncates a frame restart reads. A daemon checkpoint
+/// is incremental, so its dirty-page table can name a page whose recLSN
+/// lies far below its begin marker. Once that page is written back, the
+/// pool's own dirty-page table forgets it, but restart still redoes from
+/// the checkpoint's table: the cut must stop at its lowest recLSN too.
+#[test]
+fn retention_keeps_what_the_newest_checkpoint_redoes_from() {
+    const INTERVAL: u64 = 4 << 20;
+    let db = Database::create_with_clock(
+        DbConfig {
+            checkpoint_interval_bytes: INTERVAL,
+            ..DbConfig::default()
+        },
+        SimClock::starting_at(Timestamp::from_secs(1_000)),
+    )
+    .unwrap();
+    db.with_txn(|txn| {
+        db.create_table(txn, "t", schema())?;
+        db.create_table(txn, "pad", schema())?;
+        db.insert(txn, "t", &[Value::U64(1), Value::str("before")])
+    })
+    .unwrap();
+    db.set_undo_interval(Duration::from_secs(10)).unwrap();
+    let mut next = 0;
+    pad_until(&db, &mut next, |db| db.log().tail_lsn().0 >= 2 << 20);
+    db.with_txn(|txn| db.update(txn, "t", &[Value::U64(1), Value::str("after")]))
+        .unwrap();
+    let checkpoints = db.log().checkpoints().len();
+    pad_until(&db, &mut next, |db| {
+        db.log().checkpoints().len() > checkpoints
+    });
+    db.quiesce_checkpoints();
+    assert!(db.take_background_errors().is_empty());
+    // Every page goes back to the media, so the pool's dirty-page table is
+    // empty; the daemon checkpoint's table still names the pages it left.
+    db.parts().pool.flush_all().unwrap();
+    db.clock().advance_secs(20);
+    db.enforce_retention();
+    let db = Database::recover(db.simulate_crash()).unwrap();
+    let row = db
+        .with_txn(|txn| db.get(txn, "t", &[Value::U64(1)]))
+        .unwrap();
+    assert_eq!(row.unwrap()[1], Value::str("after"));
+    let rows = db.with_txn(|txn| db.scan_all(txn, "pad")).unwrap();
+    assert_eq!(rows.len() as u64, next);
+}
+
+/// Restart reads only its window: from the newest checkpoint's begin to
+/// the durable tail, however much older log the retention period keeps.
+/// The checkpoint is a full one, so its dirty-page table starts nothing
+/// below its begin; an in-flight transaction makes restart undo as well.
+#[test]
+fn restart_reads_only_its_window() {
+    /// The log's segment size.
+    const SEGMENT_BYTES: u64 = 1 << 20;
+    let db = Database::create(DbConfig {
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.with_txn(|txn| {
+        db.create_table(txn, "t", schema())?;
+        db.create_table(txn, "pad", schema())
+    })
+    .unwrap();
+    let mut next = 0;
+    pad_until(&db, &mut next, |db| {
+        db.log().tail_lsn().0 >= 3 * SEGMENT_BYTES
+    });
+    db.checkpoint().unwrap();
+    let begin = db.log().checkpoint_before(Lsn::MAX).unwrap().begin_lsn;
+    for i in 0..50u64 {
+        db.with_txn(|txn| db.insert(txn, "t", &[Value::U64(i), Value::str("committed")]))
+            .unwrap();
+    }
+    let loser = db.begin();
+    for i in 100..150u64 {
+        db.insert(&loser, "t", &[Value::U64(i), Value::str("doomed")])
+            .unwrap();
+    }
+    // A later commit makes the loser's records durable.
+    db.with_txn(|txn| db.insert(txn, "t", &[Value::U64(50), Value::str("committed")]))
+        .unwrap();
+    std::mem::forget(loser);
+    let tail = db.log().flushed_lsn();
+    let window = tail.0 - begin.0;
+    assert!(
+        begin.0 >= 3 * SEGMENT_BYTES,
+        "the retained log is multi-MiB"
+    );
+    let before = db.log().io_stats().snapshot();
+    let db = Database::recover(db.simulate_crash()).unwrap();
+    let scanned = db
+        .log()
+        .io_stats()
+        .snapshot()
+        .delta(before)
+        .log_bytes_scanned;
+    assert!(
+        scanned >= window && scanned <= window + SEGMENT_BYTES,
+        "restart scanned {scanned} B; its window is {window} B"
+    );
+    let rows = db.with_txn(|txn| db.scan_all(txn, "t")).unwrap();
+    assert_eq!(rows.len(), 51);
+}

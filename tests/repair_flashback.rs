@@ -138,7 +138,6 @@ fn erroneous_batch_flashback_matches_oracle() {
         &RepairTarget::Txns(BTreeSet::from([bad_txn])),
         &RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 2,
         },
     )
     .unwrap();
@@ -265,7 +264,6 @@ fn conflict_policies_skip_then_overwrite() {
         &RepairTarget::Txns(BTreeSet::from([bad_txn])),
         &RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 1,
         },
     )
     .unwrap();
@@ -300,7 +298,6 @@ fn conflict_policies_skip_then_overwrite() {
         &RepairTarget::Txns(BTreeSet::from([bad_txn])),
         &RepairConfig {
             policy: ConflictPolicy::Overwrite,
-            prefetch_workers: 1,
         },
     )
     .unwrap();
@@ -522,94 +519,6 @@ fn diff_table_is_empty_without_changes() {
     db.drop_snapshot("quiet").unwrap();
 }
 
-/// The witness prepare fan-out is a pure work split: over identical fresh
-/// witnesses at the repair split, 1 worker and 4 workers prepare the same
-/// pages with the same log reads, every worker's share is attributed to it,
-/// and the shares sum to the snapshot's own counters.
-#[test]
-fn witness_prepare_fanout_splits_the_same_work() {
-    const ROWS: u64 = 1_500;
-    let db = mk_db();
-    let filler = "x".repeat(256);
-    db.with_txn(|txn| {
-        db.create_table(
-            txn,
-            "wide",
-            Schema::new(
-                vec![
-                    Column::new("id", DataType::U64),
-                    Column::new("v", DataType::Str),
-                ],
-                &["id"],
-            )?,
-        )?;
-        for i in 0..ROWS {
-            db.insert(txn, "wide", &[Value::U64(i), Value::str(&filler)])?;
-        }
-        Ok(())
-    })
-    .unwrap();
-    db.clock().advance_secs(600);
-    db.checkpoint().unwrap();
-    // The erroneous batch: one transaction rewrites every row.
-    let bad = "BAD".repeat(85);
-    let bad_txn = {
-        let txn = db.begin();
-        for i in 0..ROWS {
-            db.update(&txn, "wide", &[Value::U64(i), Value::str(&bad)])
-                .unwrap();
-        }
-        let id = txn.id();
-        db.commit(txn).unwrap();
-        id
-    };
-    db.clock().advance_secs(600);
-    let target = RepairTarget::Txns(BTreeSet::from([bad_txn]));
-    let split = harvest_log(db.log(), &target).unwrap().split_lsn;
-
-    let fan_out = |workers: usize| {
-        let name = format!("witness-{workers}");
-        let witness = db
-            .create_snapshot_at_lsn(&name, Timestamp::from_secs(0), split)
-            .unwrap();
-        let info = witness.table("wide").unwrap();
-        let leaves = info
-            .tree()
-            .unwrap()
-            .unread_leaf_pages(&witness.raw().store())
-            .unwrap();
-        assert!(leaves.len() >= 32, "only {} leaves", leaves.len());
-        let before = witness.stats();
-        let part = witness.raw().scan_partition(0, workers);
-        let outcome = witness
-            .raw()
-            .prepare_pages(&leaves, workers, &part)
-            .unwrap();
-        let after = witness.stats();
-        assert_eq!(outcome.per_worker.len(), workers);
-        assert!(outcome.per_worker.iter().all(|w| w.pages > 0));
-        // The stalls a fan-out pays are its busiest worker's: with four,
-        // at most half of what the serial walk pays.
-        let busiest = outcome.per_worker.iter().map(|w| w.log_reads()).max();
-        assert!(workers == 1 || 2 * busiest.unwrap() <= outcome.log_reads());
-        assert_eq!(
-            outcome.prepared(),
-            after.pages_prepared - before.pages_prepared
-        );
-        assert_eq!(
-            outcome.log_reads(),
-            (after.records_undone + after.fpi_chain_reads)
-                - (before.records_undone + before.fpi_chain_reads)
-        );
-        db.drop_snapshot(&name).unwrap();
-        (leaves, outcome.prepared(), outcome.log_reads())
-    };
-    let serial = fan_out(1);
-    assert_eq!(serial.1, serial.0.len() as u64, "every leaf was cold");
-    assert!(serial.2 >= ROWS, "the batch put undo work on every leaf");
-    assert_eq!(fan_out(4), serial);
-}
-
 /// A table of padded rows, for log volume that touches no repaired key.
 fn fill_table(db: &Database) {
     db.with_txn(|txn| {
@@ -682,7 +591,6 @@ fn a_writer_that_began_below_the_scan_start_is_still_a_conflict() {
         &target,
         &RepairConfig {
             policy: ConflictPolicy::Skip,
-            prefetch_workers: 1,
         },
     )
     .unwrap();

@@ -97,7 +97,7 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
     snap.wait_undo_complete().unwrap();
     let big = snap.table("big").unwrap();
     let s1 = db.pool_stats();
-    let prepared = snap.prefetch_table(&big, 4).unwrap();
+    let prepared = snap.prefetch_table(&big).unwrap();
     assert!(
         prepared > POOL as u64,
         "scan must exceed the pool to prove anything: {prepared} pages"
@@ -138,11 +138,11 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
     assert!(pids.len() > POOL);
     db.parts().pool.drop_cache();
     let (io0, s0) = (db.data_io(), db.pool_stats());
-    let part = snap.raw().scan_partition(0, 1);
-    let cold = snap.raw().prepare_pages(&pids, 1, &part).unwrap();
+    let part = snap.raw().scan_partition(0);
+    let prepared = snap.raw().prepare_pages(&pids, &part).unwrap();
     let (io, pool) = (db.data_io().delta(io0), db.pool_stats().delta(s0));
     let n = pids.len() as u64;
-    assert_eq!((cold.prepared(), pool.misses, io.page_reads), (n, n, n));
+    assert_eq!((prepared, pool.misses, io.page_reads), (n, n, n));
     assert_eq!(io.vectored_read_ops, n.div_ceil(16));
     db.drop_snapshot("cold").unwrap();
 }
@@ -150,10 +150,10 @@ fn bulk_asof_scan_larger_than_pool_spares_live_working_set() {
 /// A *serial* cold multi-row read must run in a scan partition at every
 /// `DbConfig::asof_scan_budget` — a configured one, and 0, the default,
 /// which is an eighth of the pool. (Regressions: the partition originally
-/// engaged only when `prefetch_workers > 1`, so the serial scan path
-/// silently bypassed a configured budget; and until every multi-row read
-/// partitioned, budget 0 meant no partition at all, so a default engine's
-/// serial scans evicted the hot set.)
+/// engaged only when leaf preparation ran on several threads, so the serial
+/// scan path silently bypassed a configured budget; and until every
+/// multi-row read partitioned, budget 0 meant no partition at all, so a
+/// default engine's serial scans evicted the hot set.)
 #[test]
 fn serial_scan_with_configured_budget_engages_partition() {
     const POOL: usize = 128;
@@ -340,7 +340,7 @@ fn partitioned_prepare_races_drop_cache_split_consistently() {
                 .with_scan_budget(6);
             snap.wait_undo_complete().unwrap();
             let big = snap.table("big").unwrap();
-            let prepared = snap.prefetch_table(&big, 4).unwrap();
+            let prepared = snap.prefetch_table(&big).unwrap();
             assert!(prepared > POOL as u64, "round {round}: {prepared} pages");
             // Split consistency: every row is epoch 0, byte-exact.
             let rows = snap.scan_all(&big).unwrap();
