@@ -43,7 +43,7 @@ pub enum ModKind {
 /// Latching contract: `with_page` holds at most a **shared** page latch for
 /// the duration of `f` and releases it before returning; `modify` takes the
 /// page latch **exclusively**. Implementations must guarantee `f` sees a
-/// consistent image of exactly the requested page (the sharded buffer pool
+/// consistent image of exactly the requested page (the buffer pool
 /// revalidates the frame after latching and retries if crash simulation
 /// invalidated it). Closures must not re-enter the store for the same page
 /// — latches are not re-entrant.

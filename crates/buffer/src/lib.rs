@@ -12,36 +12,33 @@
 //! equal to SplitLSN are durable", §5.1), and `drop_cache` to simulate a
 //! crash (volatile state vanishes, file + log survive).
 //!
-//! # Sharded page table and the frame claim protocol
+//! # The page table and the frame claim protocol
 //!
-//! The page table is split into pid-hashed shards, each a
-//! `RwLock<HashMap<pid, frame>>`. Concurrent readers of *different* pages
-//! touch different shards; readers of the *same* shard still proceed in
-//! parallel because a resident-page hit needs only the shard lock in
-//! **shared** mode: look the frame up, pin it with an atomic increment, set
-//! the clock-reference bit, release. No page access — live or as-of —
-//! blocks behind another reader, and an as-of reader never blocks behind a
-//! live writer's exclusive *frame* latch on an unrelated shard, because the
-//! shard lock is dropped before the frame latch is taken.
+//! The page table is one `RwLock<HashMap<pid, frame>>`. A resident-page hit
+//! needs it only in **shared** mode: look the frame up, pin it with an
+//! atomic increment, set the clock-reference bit, release. Concurrent hits
+//! therefore proceed in parallel, and an as-of reader never blocks behind a
+//! live writer's exclusive *frame* latch on another page, because the
+//! table lock is dropped before the frame latch is taken.
 //!
-//! Frames themselves stay global, as does the clock hand, so **eviction
-//! order is exactly the pre-shard single-clock order**: the hit/IO/eviction
-//! classification of any serial access sequence is bit-identical to the old
-//! single-`Mutex<HashMap>` pool (the Figs. 5–11 "must not drift" invariant;
-//! enforced by the trace-replay property test in `tests/prop_pool.rs`).
+//! Frames are global, as is the clock hand, so the hit/IO/eviction
+//! classification of any serial access sequence is bit-identical to a
+//! single-`Mutex<HashMap>` single-clock pool (the Figs. 5–11 "must not
+//! drift" invariant; enforced by the trace-replay property test in
+//! `tests/prop_pool.rs`).
 //!
 //! A miss claims a victim frame by CAS-ing its pin count from `0` to the
 //! [`EVICT_CLAIM`] sentinel. A claimed frame cannot be pinned: a racing
 //! fast-path reader that observes a pin count at or above the sentinel
 //! backs out and retries. The claimant then (1) flushes the victim if dirty
-//! (WAL rule first), (2) unmaps the victim's old pid under its home shard's
-//! write lock, (3) waits for transient back-off pins to drain, (4) loads
-//! the new page while holding the frame latch exclusively, and (5) under
-//! the target shard's write lock either publishes the mapping and converts
-//! the claim into the caller's pin, or — if a racer published the pid first
-//! — releases the frame and pins the racer's. At most one shard lock is
-//! held at any point and never together with a frame latch, so there is no
-//! lock-order cycle.
+//! (WAL rule first), (2) unmaps the victim's old pid under the table's
+//! write lock, (3) waits for transient back-off pins to drain, (4) re-probes
+//! the table and, if no racer published the pid, loads the new page while
+//! holding the frame latch exclusively, and (5) under the table's write
+//! lock either publishes the mapping and converts the claim into the
+//! caller's pin, or — if a racer published the pid first — releases the
+//! frame and pins the racer's. The table lock is never held together with
+//! a frame latch or across I/O, so there is no lock-order cycle.
 //!
 //! `drop_cache` (crash simulation) is the one operation that invalidates
 //! frames *without* owning their pins, so `with_page`/`with_page_mut`
@@ -99,8 +96,7 @@
 //! * **recLSN ≤ pageLSN** while dirty, and recLSN is pinned to the *first*
 //!   dirtying record since the page was last clean.
 //! * **Serial-trace accounting** — hits, IOs (reads and write-backs) and
-//!   evictions for a serial trace equal the pre-shard single-clock oracle,
-//!   for every shard count.
+//!   evictions for a serial trace equal the single-clock oracle.
 
 pub mod salvage;
 
@@ -119,8 +115,10 @@ use std::sync::Arc;
 /// claimed frame sees `prev >= EVICT_CLAIM`, backs out and retries.
 const EVICT_CLAIM: u32 = 1 << 30;
 
-/// Default number of page-table shards (power of two).
-const DEFAULT_SHARDS: usize = 16;
+/// The smallest pool: a scan partition's two-frame floor must fit in half
+/// of it. `Database` rejects a smaller `buffer_pages` with
+/// `Error::InvalidArg` before it builds a pool.
+pub const MIN_FRAMES: usize = 4;
 
 /// Retry budget for transient I/O failures on the miss-read and write-back
 /// paths. Mirrors the log-flush retry bound: enough attempts for a device
@@ -146,9 +144,10 @@ struct Frame {
     state: RwLock<FrameState>,
     pins: AtomicU32,
     used: AtomicBool,
-    /// Mirror of `state.pid` readable without the frame latch: the victim
-    /// search uses it to find a candidate's home shard, and the stale-entry
-    /// sweep uses it to recognize mappings orphaned by `drop_cache`.
+    /// Mirror of `state.pid` readable without the frame latch: eviction
+    /// uses it to find the victim's mapping, a scan partition to check that
+    /// a ring frame is still its own, and the stale-entry sweep to
+    /// recognize mappings orphaned by `drop_cache`.
     /// Updated only while the frame is claimed (or by `drop_cache`, which
     /// holds the frame latch).
     tag: AtomicU64,
@@ -191,10 +190,6 @@ impl FrameView<'_> {
     }
 }
 
-struct Shard {
-    map: RwLock<HashMap<u64, usize>>,
-}
-
 // Pool counter indices into the striped array. The counters are a
 // `rewind_common::StripedCounters` — the same cache-padded, thread-striped,
 // exact-on-sum discipline as `IoStats`, extracted into the shared helper so
@@ -218,7 +213,7 @@ pub struct PoolStatsView {
     pub misses: u64,
     /// Victim frames that held a valid page when reclaimed.
     pub evictions: u64,
-    /// Shard-lock acquisitions that could not be granted immediately
+    /// Page-table lock acquisitions that could not be granted immediately
     /// (contention probe; `e2ebench` reports it as `buffer.map_contended`).
     pub map_contended: u64,
 }
@@ -359,8 +354,8 @@ impl PoolIoConfig {
 /// The buffer pool. Thread-safe; shared via `Arc`.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    shards: Vec<Shard>,
-    shard_mask: usize,
+    /// The page table: pid → frame index.
+    map: RwLock<HashMap<u64, usize>>,
     hand: AtomicUsize,
     stats: PoolStats,
     fm: Arc<dyn FileManager>,
@@ -378,39 +373,22 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool of `capacity` frames over `fm`, flushing through `log` (WAL
-    /// rule), with the default shard count.
+    /// rule), with scalar I/O.
     pub fn new(fm: Arc<dyn FileManager>, log: Arc<LogManager>, capacity: usize) -> Self {
-        Self::with_shards(fm, log, capacity, DEFAULT_SHARDS)
+        Self::with_io(fm, log, capacity, PoolIoConfig::default())
     }
 
-    /// A pool with an explicit page-table shard count (rounded up to a
-    /// power of two). `shards == 1` reproduces a single-table pool — useful
-    /// as a baseline; accounting is identical for serial traces at *every*
-    /// shard count.
-    pub fn with_shards(
-        fm: Arc<dyn FileManager>,
-        log: Arc<LogManager>,
-        capacity: usize,
-        shards: usize,
-    ) -> Self {
-        Self::with_io(fm, log, capacity, shards, PoolIoConfig::default())
-    }
-
-    /// A pool with explicit shard count *and* batched-I/O configuration.
-    /// Per-page hit/miss/eviction accounting of any serial trace is
-    /// bit-identical at every `io` setting; only device-op counts (and
-    /// which thread performs flush writes) change.
+    /// A pool with a batched-I/O configuration. Per-page hit/miss/eviction
+    /// accounting of any serial trace is bit-identical at every `io`
+    /// setting; only device-op counts (and which thread performs flush
+    /// writes) change. `capacity` must be at least [`MIN_FRAMES`].
     pub fn with_io(
         fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         capacity: usize,
-        shards: usize,
         io: PoolIoConfig,
     ) -> Self {
-        assert!(capacity >= 4, "buffer pool needs at least 4 frames");
-        let shards = if shards == 0 { DEFAULT_SHARDS } else { shards }
-            .clamp(1, 1024)
-            .next_power_of_two();
+        debug_assert!(capacity >= MIN_FRAMES, "pool smaller than MIN_FRAMES");
         let frames = (0..capacity)
             .map(|_| Frame {
                 state: RwLock::new(FrameState {
@@ -436,12 +414,7 @@ impl BufferPool {
         };
         BufferPool {
             frames,
-            shards: (0..shards)
-                .map(|_| Shard {
-                    map: RwLock::new(HashMap::new()),
-                })
-                .collect(),
-            shard_mask: shards - 1,
+            map: RwLock::new(HashMap::new()),
             hand: AtomicUsize::new(0),
             stats: PoolStats::default(),
             fm,
@@ -483,7 +456,7 @@ impl BufferPool {
         }
     }
 
-    /// Access counters (hits, misses, evictions, shard contention).
+    /// Access counters (hits, misses, evictions, page-table contention).
     pub fn stats(&self) -> PoolStatsView {
         let s = self.stats.sums();
         PoolStatsView {
@@ -503,19 +476,14 @@ impl BufferPool {
             .count()
     }
 
+    /// Shared page-table acquisition with a contention probe.
     #[inline]
-    fn shard_of_raw(&self, raw: u64) -> &Shard {
-        &self.shards[rewind_common::shard_index(raw, self.shard_mask + 1)]
-    }
-
-    /// Shared shard-map acquisition with a contention probe.
-    #[inline]
-    fn read_map<'a>(&self, shard: &'a Shard) -> RwLockReadGuard<'a, HashMap<u64, usize>> {
-        match shard.map.try_read() {
+    fn read_map(&self) -> RwLockReadGuard<'_, HashMap<u64, usize>> {
+        match self.map.try_read() {
             Some(g) => g,
             None => {
                 self.stats.incr(PS_MAP_CONTENDED);
-                shard.map.read()
+                self.map.read()
             }
         }
     }
@@ -604,10 +572,9 @@ impl BufferPool {
             return Err(Error::InvalidPage(pid));
         }
         loop {
-            // Optimistic fast path: shard lock shared, pin via atomics.
+            // Optimistic fast path: table lock shared, pin via atomics.
             {
-                let shard = self.shard_of_raw(pid.0);
-                let map = self.read_map(shard);
+                let map = self.read_map();
                 if let Some(&idx) = map.get(&pid.0) {
                     let f = &self.frames[idx];
                     let prev = f.pins.fetch_add(1, Ordering::AcqRel);
@@ -722,7 +689,7 @@ impl BufferPool {
             }
         }
         {
-            let mut map = self.shard_of_raw(tag).map.write();
+            let mut map = self.map.write();
             if map.get(&tag) == Some(&idx) {
                 map.remove(&tag);
             }
@@ -834,7 +801,7 @@ impl BufferPool {
         // possibly writing back) the victim: re-probe before paying the
         // read I/O, handing the claimed frame back free on a hit.
         {
-            let map = self.read_map(self.shard_of_raw(pid.0));
+            let map = self.read_map();
             if map.contains_key(&pid.0) {
                 drop(map);
                 self.release_claim(idx);
@@ -876,12 +843,11 @@ impl BufferPool {
             pid.0,
             self.obs.now_us().saturating_sub(fill_started),
         );
-        let shard = self.shard_of_raw(pid.0);
-        let mut map = shard.map.write();
+        let mut map = self.map.write();
         if let Some(&other) = map.get(&pid.0) {
             // A racer loaded the page first. Try to adopt its frame — but
             // it may itself already be claimed for eviction (the claim CAS
-            // happens before the evictor reaches this shard's lock), and
+            // happens before the evictor reaches the table lock), and
             // our own image may predate a write-back of that frame, so on
             // a claimed racer we discard everything and retry from the
             // fast path instead.
@@ -922,8 +888,7 @@ impl BufferPool {
     /// Drop a mapping that points at a frame no longer holding `pid`
     /// (orphaned by `drop_cache`), so retries make progress.
     fn forget_stale(&self, pid: PageId, idx: usize) {
-        let shard = self.shard_of_raw(pid.0);
-        let mut map = shard.map.write();
+        let mut map = self.map.write();
         if map.get(&pid.0) == Some(&idx) && self.frames[idx].tag.load(Ordering::Acquire) != pid.0 {
             map.remove(&pid.0);
         }
@@ -1050,13 +1015,13 @@ impl BufferPool {
 
     /// Whether `pid` is currently resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        self.read_map(self.shard_of_raw(pid.0)).contains_key(&pid.0)
+        self.read_map().contains_key(&pid.0)
     }
 
     /// Flush one page if resident and dirty.
     pub fn flush_page(&self, pid: PageId) -> Result<()> {
         let idx = {
-            let map = self.read_map(self.shard_of_raw(pid.0));
+            let map = self.read_map();
             match map.get(&pid.0) {
                 Some(&i) => i,
                 None => return Ok(()),
@@ -1160,7 +1125,7 @@ impl BufferPool {
         // Pass 2: clear dirty bits only for pages that landed unchanged.
         for pid in succeeded {
             let idx = {
-                let map = self.read_map(self.shard_of_raw(pid.0));
+                let map = self.read_map();
                 match map.get(&pid.0) {
                     Some(&i) => i,
                     None => continue, // evicted mid-flight (already clean)
@@ -1211,9 +1176,7 @@ impl BufferPool {
     /// racing load is either cleared here or swept lazily by the stale-entry
     /// path.
     pub fn drop_cache(&self) {
-        for shard in &self.shards {
-            shard.map.write().clear();
-        }
+        self.map.write().clear();
         for frame in &self.frames {
             let mut st = frame.state.write();
             st.pid = PageId::INVALID;
@@ -1233,13 +1196,6 @@ mod tests {
     use rewind_common::{ObjectId, TxnId};
     use rewind_pagestore::{FileManager, MemFileManager, PageType};
     use rewind_wal::{LogConfig, LogPayloadView, LogRecord};
-
-    impl BufferPool {
-        /// Number of page-table shards.
-        fn shard_count(&self) -> usize {
-            self.shards.len()
-        }
-    }
 
     fn setup(cap: usize) -> (Arc<MemFileManager>, Arc<LogManager>, BufferPool) {
         let fm = Arc::new(MemFileManager::new());
@@ -1499,20 +1455,6 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert_eq!(s.hits, 1);
         assert_eq!(s.evictions, 0);
-    }
-
-    #[test]
-    fn shard_count_is_power_of_two_and_single_shard_works() {
-        let fm = Arc::new(MemFileManager::new());
-        let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_shards(fm, log, 8, 3);
-        assert_eq!(pool.shard_count(), 4);
-        format_on(&pool, PageId(9), Lsn(1));
-        pool.with_page(PageId(9), |p| {
-            assert_eq!(p.page_id(), PageId(9));
-            Ok(())
-        })
-        .unwrap();
     }
 
     /// A file manager that fails the next N reads/writes — exercises the

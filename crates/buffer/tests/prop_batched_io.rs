@@ -53,7 +53,7 @@ struct Accounting {
 fn replay(ops: &[Op], cap: usize, io: PoolIoConfig) -> Accounting {
     let fm = Arc::new(MemFileManager::new());
     let log = Arc::new(LogManager::new(LogConfig::default()));
-    let pool = BufferPool::with_io(fm.clone(), log, cap, 4, io);
+    let pool = BufferPool::with_io(fm.clone(), log, cap, io);
     let io0 = fm.io_stats().snapshot();
     let mut lsn = 1u64;
     for op in ops {
@@ -140,7 +140,7 @@ fn stage_read_run_coalesces_to_exact_vectored_op_count() {
     let run = |batch: usize| {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_io(fm.clone(), log, 32, 4, PoolIoConfig::batched(batch, 0));
+        let pool = BufferPool::with_io(fm.clone(), log, 32, PoolIoConfig::batched(batch, 0));
         let pids: Vec<PageId> = (1..=16).map(PageId).collect();
         let mut staged = pool.stage_read_run(&pids);
         for &pid in &pids {
@@ -166,7 +166,7 @@ fn mid_batch_transient_read_costs_exactly_one_retry() {
     let run = |batch: usize| {
         let fi = Arc::new(FaultInjector::new(7));
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_io(fi.clone(), log, 16, 4, PoolIoConfig::batched(batch, 0));
+        let pool = BufferPool::with_io(fi.clone(), log, 16, PoolIoConfig::batched(batch, 0));
         // Second read of the run fails transiently (EIO before accounting).
         fi.arm_eio_reads(2);
         let pids: Vec<PageId> = (10..14).map(PageId).collect();

@@ -1,10 +1,10 @@
-//! Serial-trace accounting oracle: the sharded pool must classify every
-//! access of a serial trace (hit vs IO), charge every write-back, and evict
-//! exactly the frames the pre-shard single-`Mutex<HashMap>` + single-clock
-//! pool would have — for **every shard count**. The hit/IO counters are the
-//! measured quantities of the paper's Figs. 5–11; this test is the "must
-//! not drift" invariant from the ROADMAP, checked by replaying random
-//! traces against an in-test reimplementation of the pre-shard algorithm.
+//! Serial-trace accounting oracle: the pool must classify every access of a
+//! serial trace (hit vs IO), charge every write-back, and evict exactly the
+//! frames a single-`Mutex<HashMap>` + single-clock pool would have. The
+//! hit/IO counters are the measured quantities of the paper's Figs. 5–11;
+//! this test is the "must not drift" invariant from the ROADMAP, checked by
+//! replaying random traces against an in-test reimplementation of that
+//! single-clock algorithm.
 
 use proptest::prelude::*;
 use rewind_buffer::BufferPool;
@@ -38,7 +38,7 @@ fn op_strategy(pages: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The pre-shard pool, reduced to its accounting-relevant state machine:
+/// The single-clock pool, reduced to its accounting-relevant state machine:
 /// one page table, one clock hand over `cap` frames, used bits, dirty
 /// bits. Serially, pins are always zero outside an access, so the victim
 /// search needs only the used bit.
@@ -78,7 +78,7 @@ impl Oracle {
                 i
             }
             None => {
-                // Clock sweep, exactly as the pre-shard find_victim: up to
+                // Clock sweep, exactly as the pool's claim_victim: up to
                 // two full sweeps, first pass clears used bits.
                 let mut victim = None;
                 for _ in 0..2 * self.cap + 1 {
@@ -140,10 +140,10 @@ impl Oracle {
     }
 }
 
-fn replay(ops: &[Op], cap: usize, shards: usize) -> (u64, u64, u64, u64, Vec<u64>) {
+fn replay(ops: &[Op], cap: usize) -> (u64, u64, u64, u64, Vec<u64>) {
     let fm = Arc::new(MemFileManager::new());
     let log = Arc::new(LogManager::new(LogConfig::default()));
-    let pool = BufferPool::with_shards(fm.clone(), log, cap, shards);
+    let pool = BufferPool::new(fm.clone(), log, cap);
     let io0 = fm.io_stats().snapshot();
     let mut lsn = 1u64;
     for op in ops {
@@ -215,7 +215,7 @@ proptest! {
 
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_shards(fm.clone(), log, cap, 4);
+        let pool = BufferPool::new(fm.clone(), log, cap);
         // The partition exists for the whole run: its mere existence must
         // not perturb default-path accounting.
         let part = pool.scan_partition(budget);
@@ -272,7 +272,7 @@ proptest! {
     }
 
     #[test]
-    fn sharded_pool_matches_single_clock_oracle(
+    fn pool_matches_single_clock_oracle(
         ops in proptest::collection::vec(op_strategy(24), 1..250),
         cap in prop_oneof![Just(4usize), Just(7usize), Just(16usize)],
     ) {
@@ -290,15 +290,11 @@ proptest! {
         let mut expect_resident: Vec<u64> = oracle.map.keys().copied().collect();
         expect_resident.sort_unstable();
 
-        // The sharded pool must match at every shard count, including the
-        // degenerate single-shard configuration.
-        for shards in [1usize, 4, 16] {
-            let (hits, misses, evictions, writes, resident) = replay(&ops, cap, shards);
-            prop_assert_eq!(hits, oracle.hits, "hits @ {} shards", shards);
-            prop_assert_eq!(misses, oracle.misses, "IOs @ {} shards", shards);
-            prop_assert_eq!(evictions, oracle.evictions, "evictions @ {} shards", shards);
-            prop_assert_eq!(writes, oracle.page_writes, "write-backs @ {} shards", shards);
-            prop_assert_eq!(resident, expect_resident.clone(), "residency @ {} shards", shards);
-        }
+        let (hits, misses, evictions, writes, resident) = replay(&ops, cap);
+        prop_assert_eq!(hits, oracle.hits, "hits");
+        prop_assert_eq!(misses, oracle.misses, "IOs");
+        prop_assert_eq!(evictions, oracle.evictions, "evictions");
+        prop_assert_eq!(writes, oracle.page_writes, "write-backs");
+        prop_assert_eq!(resident, expect_resident, "residency");
     }
 }

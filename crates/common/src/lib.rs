@@ -27,13 +27,3 @@ pub use error::{CorruptionKind, Error, Result};
 pub use ids::{Lsn, ObjectId, PageId, SlotId, TxnId};
 pub use media::{IoSnapshot, IoStats, MediaModel};
 pub use stripe::{thread_stripe, StripedCounters, COUNTER_STRIPES};
-
-/// Shard pick for pid-keyed sharded structures (buffer-pool page table,
-/// snapshot side file, prepare gates): Fibonacci multiplicative hash so
-/// sequentially-allocated ids spread evenly. `shards` must be a power of
-/// two — the pick is a mask.
-#[inline]
-pub fn shard_index(key: u64, shards: usize) -> usize {
-    debug_assert!(shards.is_power_of_two());
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (shards - 1)
-}

@@ -7,7 +7,7 @@ use crate::snapdb::SnapshotDb;
 use parking_lot::{Condvar, Mutex, RwLock};
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap, Schema};
-use rewind_buffer::{BufferPool, PoolIoConfig};
+use rewind_buffer::{BufferPool, PoolIoConfig, MIN_FRAMES};
 use rewind_common::{Error, IoSnapshot, Lsn, ObjectId, PageId, Result, SimClock, Timestamp, TxnId};
 use rewind_obs::{EventKind, FnSource, IoStatsSource, MetricsRegistry, MetricsSnapshot, Obs};
 use rewind_pagestore::{FileManager, MemFileManager, PageType};
@@ -26,7 +26,9 @@ use std::time::Duration;
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct DbConfig {
-    /// Buffer pool size in 8 KiB frames.
+    /// Buffer pool size in 8 KiB frames: at least
+    /// `rewind_buffer::MIN_FRAMES` (4), else creating, opening or
+    /// recovering the database fails with `Error::InvalidArg`.
     pub buffer_pages: usize,
     /// The size, in pool frames, of the scan partition every bulk as-of
     /// stream runs in — each multi-row snapshot read (`scan_all`,
@@ -55,10 +57,6 @@ pub struct DbConfig {
     pub retention_micros: u64,
 }
 
-/// Buffer pool page-table shards: 0 = the pool's own default. Sharding
-/// changes only contention, never accounting, so no caller has a reason to
-/// choose (`crates/buffer/tests/prop_pool.rs` sweeps it as the reference).
-const BUFFER_SHARDS: usize = 0;
 /// Pages per vectored read / batched write device op. Batching changes only
 /// the device-op count, never per-page accounting
 /// (`crates/buffer/tests/prop_batched_io.rs` sweeps it as the reference).
@@ -249,15 +247,20 @@ impl Database {
         fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         config: &DbConfig,
-    ) -> Arc<EngineParts> {
+    ) -> Result<Arc<EngineParts>> {
+        if config.buffer_pages < MIN_FRAMES {
+            return Err(Error::InvalidArg(format!(
+                "buffer_pages is {}; the pool needs at least {MIN_FRAMES} frames",
+                config.buffer_pages
+            )));
+        }
         let pool = Arc::new(BufferPool::with_io(
             fm,
             log.clone(),
             config.buffer_pages,
-            BUFFER_SHARDS,
             PoolIoConfig::batched(IO_BATCH_PAGES, WRITEBACK_WORKERS),
         ));
-        Arc::new(EngineParts {
+        Ok(Arc::new(EngineParts {
             pool,
             log,
             latches: Arc::new(ObjectLatches::new()),
@@ -266,7 +269,7 @@ impl Database {
             cow_sinks: RwLock::new(Vec::new()),
             cow_token: AtomicU64::new(1),
             fpi_interval: config.fpi_interval,
-        })
+        }))
     }
 
     fn assemble(
@@ -277,7 +280,7 @@ impl Database {
         config: DbConfig,
         bootstrap: bool,
     ) -> Result<Database> {
-        let parts = Self::make_parts(fm, log, &config);
+        let parts = Self::make_parts(fm, log, &config)?;
         Self::assemble_from_parts(parts, fm_mem, clock, config, bootstrap)
     }
 
@@ -464,8 +467,8 @@ impl Database {
         self.parts.pool.file_manager().io_stats().snapshot()
     }
 
-    /// Buffer pool access counters (hits, misses, evictions, shard-lock
-    /// contention).
+    /// Buffer pool access counters (hits, misses, evictions, page-table
+    /// lock contention).
     pub fn pool_stats(&self) -> rewind_buffer::PoolStatsView {
         self.parts.pool.stats()
     }
@@ -1082,7 +1085,7 @@ impl Database {
         // forward scan, with redo hash-partitioned by page across one worker
         // per available core — accounting is bit-identical at every worker
         // count, so the count is the machine's to choose, not a knob.
-        let parts = Self::make_parts(fm, log, &config);
+        let parts = Self::make_parts(fm, log, &config)?;
         let obs = parts.log.obs().clone();
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         // Media hardening: a damaged frame the pass reads ends the log there

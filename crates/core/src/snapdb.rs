@@ -5,9 +5,9 @@
 //! consistent read-only database that supports arbitrary queries"). All
 //! reads run through the snapshot's page-access protocol, so prior versions
 //! are produced only for the data actually touched. Primary-page reads go
-//! through the (sharded) buffer manager with a shared latch, so concurrent
-//! as-of queries scale with live traffic instead of serializing behind a
-//! global page-table lock.
+//! through the buffer manager with a shared latch; a resident page takes
+//! the pool's page-table lock only in shared mode, so concurrent as-of
+//! queries do not serialize behind live traffic.
 //!
 //! Reads gate on the locks reacquired for transactions in flight at the
 //! SplitLSN (§5.2): a point read blocks on its row's lock, a multi-row read

@@ -2,8 +2,8 @@
 //! recovery, as-of snapshots, dropped-table recovery, retention.
 
 use rewind_core::{
-    restore_table_from_snapshot, Column, DataType, Database, DbConfig, Error, Schema, Timestamp,
-    Value,
+    restore_table_from_snapshot, Column, CrashArtifacts, DataType, Database, DbConfig, Error,
+    Schema, Timestamp, Value,
 };
 use std::time::Duration;
 
@@ -93,6 +93,39 @@ fn duplicate_and_missing_are_reported() {
         db.get(&txn, "missing", &[Value::U64(1)]),
         Err(Error::TableNotFound(_))
     ));
+    db.rollback(txn).unwrap();
+}
+
+#[test]
+fn a_pool_below_four_frames_is_a_typed_error() {
+    let config = |buffer_pages| DbConfig {
+        buffer_pages,
+        ..small_config()
+    };
+    assert!(matches!(
+        Database::create(config(3)),
+        Err(Error::InvalidArg(_))
+    ));
+    let db = Database::create(config(4)).unwrap();
+    setup_items(&db, 5);
+    let artifacts = db.simulate_crash();
+    let reopen = |buffer_pages| CrashArtifacts {
+        fm: artifacts.fm.clone(),
+        fm_mem: artifacts.fm_mem.clone(),
+        log: artifacts.log.clone(),
+        clock: artifacts.clock.clone(),
+        config: config(buffer_pages),
+    };
+    assert!(matches!(
+        Database::recover(reopen(3)),
+        Err(Error::InvalidArg(_))
+    ));
+    let db = Database::recover(reopen(4)).unwrap();
+    let txn = db.begin();
+    assert_eq!(
+        db.get(&txn, "items", &[Value::U64(4)]).unwrap(),
+        Some(item(4, "item-4", 40))
+    );
     db.rollback(txn).unwrap();
 }
 

@@ -1,9 +1,9 @@
 //! `lock-across-io`: no lock guard lives across a media call.
 //!
-//! PRs 4–5 established by hand that the buffer pool never holds a shard
-//! latch across a miss fill and the log writer mutex never covers a
-//! physical flush — the difference between "fast path stalls behind one
-//! disk" and not. This lint makes the rule structural.
+//! The buffer pool never holds its page-table lock across a miss fill,
+//! and the log writer mutex never covers a physical flush — the
+//! difference between "fast path stalls behind one disk" and not. This
+//! lint makes the rule structural.
 //!
 //! Heuristic, deliberately simple and brace-scoped:
 //!

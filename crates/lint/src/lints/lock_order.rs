@@ -3,10 +3,10 @@
 //! Nested lock acquisitions are annotated at the acquisition site:
 //!
 //! ```text
-//! // tidy: lock-order(pool_shard < side_shard) -- miss path installs into the side file
+//! // tidy: lock-order(pool_table < side_file) -- miss path installs into the side file
 //! ```
 //!
-//! reading "`pool_shard` is (somewhere) held while `side_shard` is
+//! reading "`pool_table` is (somewhere) held while `side_file` is
 //! acquired". All facts across the workspace form one directed graph;
 //! any cycle means two code paths can acquire the same pair of locks in
 //! opposite orders — a deadlock waiting for the right interleaving — and

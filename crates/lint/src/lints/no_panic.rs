@@ -7,10 +7,13 @@
 //! the invariant structural: in non-test library code,
 //!
 //! * `.unwrap()` / `.expect(…)` method calls,
-//! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` macros
+//! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` macros,
+//! * `assert!` / `assert_eq!` / `assert_ne!` macros
 //!
-//! are findings. Provably-infallible sites (a `try_into` on a slice whose
-//! length the previous line pinned) take an explained
+//! are findings. `debug_assert*` lexes as a different ident and stays
+//! allowed: it states an invariant without panicking a release build.
+//! Provably-infallible sites (a `try_into` on a slice whose length the
+//! previous line pinned) take an explained
 //! `// tidy: allow(no-panic) -- <proof>`.
 //!
 //! Tool crates (`bench`) are exempt: a benchmark's top level may unwrap.
@@ -20,7 +23,15 @@ use crate::lexer::TokKind;
 use crate::report::Finding;
 use crate::walk::{CrateKind, FileCtx};
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if ctx.kind != CrateKind::Library {
@@ -60,9 +71,9 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
                     ctx,
                     line,
                     format!(
-                        "`{text}!` in library code — corruption and \
-                         impossible states surface as `Error::Corruption`/\
-                         `Error::Internal`, never a panic"
+                        "`{text}!` in library code — bad input and \
+                         impossible states surface as `Error::InvalidArg`/\
+                         `Error::Corruption`/`Error::Internal`, never a panic"
                     ),
                 ));
             }

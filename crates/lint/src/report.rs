@@ -18,7 +18,7 @@
 //! Lock-order facts use the same comment channel:
 //!
 //! ```text
-//! // tidy: lock-order(pool_shard < side_file) -- shard latch taken first on the miss path
+//! // tidy: lock-order(pool_table < side_file) -- table lock taken first on the miss path
 //! ```
 
 use std::fmt::Write as _;

@@ -19,6 +19,7 @@ mod tests {
     fn test_code_may_panic() {
         let v: Option<u32> = None;
         v.unwrap();
+        assert_eq!(v, Some(1), "tests assert freely");
         panic!("tests panic freely");
     }
 }

@@ -1,5 +1,5 @@
 // Fixture: every panic-shaped construct in library code, one per line.
-// Expected: exactly 6 `no-panic` findings (lines 5, 8, 11, 14, 17, 20).
+// Expected: 9 `no-panic` findings (5, 8, 10, 13, 16, 20, 24, 25, 26); none for debug_assert*.
 
 pub fn f(v: Option<u32>) -> u32 {
     let a = v.unwrap();
@@ -18,4 +18,13 @@ pub fn f(v: Option<u32>) -> u32 {
     }
     ;
     unimplemented!()
+}
+
+pub fn g(a: u32, b: u32) {
+    assert!(a > 0, "positive");
+    assert_eq!(a, b);
+    assert_ne!(a, 0);
+    debug_assert!(a > 0);
+    debug_assert_eq!(a, b);
+    debug_assert_ne!(a, 0);
 }

@@ -40,10 +40,10 @@ fn no_panic_flags_every_shape_with_exact_lines() {
     let (findings, _) = lint_fixture("no_panic_violations.rs");
     assert_eq!(
         lines_of(&findings, "no-panic"),
-        vec![5, 8, 10, 13, 16, 20],
+        vec![5, 8, 10, 13, 16, 20, 24, 25, 26],
         "{findings:#?}"
     );
-    assert_eq!(findings.len(), 6, "only no-panic findings expected");
+    assert_eq!(findings.len(), 9, "only no-panic findings expected");
 }
 
 #[test]
@@ -312,7 +312,7 @@ fn malformed_and_unused_allows_are_findings() {
 fn json_report_contains_findings_and_allows() {
     let (findings, _) = lint_fixture("no_panic_violations.rs");
     let json = rewind_lint::report::to_json(&findings, &[], 1);
-    assert!(json.contains("\"finding_count\": 6"));
+    assert!(json.contains("\"finding_count\": 9"));
     assert!(json.contains("\"no-panic\""));
     assert!(json.contains("\"files_scanned\": 1"));
 }

@@ -23,7 +23,7 @@
 //!
 //! `PageImage` lives here, next to [`Page`], rather than in `rewind-common`:
 //! the page format is pagestore's, and `rewind-common` sits below it in the
-//! crate graph (it hosts the generic striping/sharding helpers instead).
+//! crate graph (it hosts the generic striped-counter helper instead).
 
 use crate::page::Page;
 use std::ops::Deref;

@@ -17,7 +17,7 @@
 //! * [`PageImage`] — an immutable, `Arc`-shared page image: the zero-copy
 //!   currency of the snapshot read path,
 //! * [`SideFile`] — the NTFS-sparse-file substitute backing database
-//!   snapshots (§2.2, §5.3), a sharded store of [`PageImage`]s.
+//!   snapshots (§2.2, §5.3), one locked map of [`PageImage`]s.
 
 pub mod alloc;
 pub mod fault;
@@ -36,4 +36,5 @@ pub use side::SideFile;
 
 // The shared counting allocator's "large allocation" threshold is sized to
 // the page: every 8 KiB page clone must land in its large-alloc counter.
+// tidy: allow(no-panic) -- a const item: a false assertion fails the build, never a run
 const _: () = assert!(PAGE_SIZE == rewind_common::testalloc::LARGE_ALLOC_MIN);

@@ -7,29 +7,25 @@
 //! it as a cache of pages already unwound to the SplitLSN (§5.3) and as the
 //! destination for pages fixed up by background logical undo (§5.2).
 //!
-//! [`SideFile`] reproduces those semantics with a **sharded** store of
-//! immutable [`PageImage`]s: the map is split into pid-hashed shards, each
-//! behind its own `RwLock`, so concurrent snapshot readers never block
-//! behind a writer (a preparer's `put`, undo's fix-up, or a COW push)
-//! landing on an unrelated shard. Within a shard, reads are shared; only a
-//! `put` takes the shard exclusively.
+//! [`SideFile`] reproduces those semantics with one map of immutable
+//! [`PageImage`]s behind one `RwLock`. Reads are shared; only a `put`
+//! (a preparer's install, undo's fix-up, or a COW push) takes the lock
+//! exclusively, and only for a map insert.
 //!
 //! # Zero-copy hits and the copy-on-write epoch invariant
 //!
 //! A [`SideFile::get`] is an `Arc` clone — **no page bytes move** on a hit,
-//! and the shard lock is held only for the map probe. Stored images are
+//! and the side-file lock is held only for the map probe. Stored images are
 //! immutable; overwriting an entry (undo's fix-up path) *replaces* the
 //! `Arc`, so a reader that fetched the old image keeps exactly the version
 //! it fetched — an in-flight scan never observes a torn or mixed-epoch
 //! page, which is the PR 4 split-consistency invariant carried down to the
 //! byte level.
 //!
-//! **No shard lock is ever held across an 8 KiB copy.** The borrowing
-//! copy-on-write push ([`SideFile::put_if_absent`]) clones the caller's
-//! page into a fresh image *before* taking the shard lock; the owning path
-//! ([`SideFile::put_image`]) never copies at all. (The pre-image `SideFile`
-//! copied 8 KiB under the shard lock on both `get` and `put`, serializing
-//! every same-shard reader behind the memcpy.)
+//! **The side-file lock is never held across an 8 KiB copy.** The
+//! borrowing copy-on-write push ([`SideFile::put_if_absent`]) clones the
+//! caller's page into a fresh image *before* taking the lock; the owning
+//! path ([`SideFile::put_image`]) never copies at all.
 
 use crate::image::PageImage;
 use crate::page::Page;
@@ -37,22 +33,10 @@ use parking_lot::RwLock;
 use rewind_common::PageId;
 use std::collections::HashMap;
 
-/// Number of shards (power of two so the pick is a mask).
-const SIDE_SHARDS: usize = 16;
-
 /// A page-addressed sparse store of immutable page-version images.
+#[derive(Default)]
 pub struct SideFile {
-    shards: Vec<RwLock<HashMap<u64, PageImage>>>,
-}
-
-impl Default for SideFile {
-    fn default() -> Self {
-        SideFile {
-            shards: (0..SIDE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
-    }
+    map: RwLock<HashMap<u64, PageImage>>,
 }
 
 impl SideFile {
@@ -61,38 +45,32 @@ impl SideFile {
         Self::default()
     }
 
-    #[inline]
-    fn shard(&self, pid: u64) -> &RwLock<HashMap<u64, PageImage>> {
-        &self.shards[rewind_common::shard_index(pid, SIDE_SHARDS)]
-    }
-
     /// Fetch the stored version of `pid`, if any. An `Arc` clone: zero page
-    /// bytes copied, shard lock held only for the probe.
+    /// bytes copied, lock held only for the probe.
     pub fn get(&self, pid: PageId) -> Option<PageImage> {
-        self.shard(pid.0).read().get(&pid.0).cloned()
+        self.map.read().get(&pid.0).cloned()
     }
 
     /// Store (or overwrite) the version of `pid` from an owned image — the
     /// zero-copy install path. Readers holding the previous image keep it
     /// (epoch stability); new readers see `image`.
     pub fn put_image(&self, pid: PageId, image: PageImage) {
-        self.shard(pid.0).write().insert(pid.0, image);
+        self.map.write().insert(pid.0, image);
     }
 
     /// Store the version of `pid` only if none is present yet. Returns
     /// whether the page was stored. This is the copy-on-write primitive:
     /// only the *first* post-snapshot modification pushes the old image.
     ///
-    /// The copy is made outside the shard lock; a cheap shared-mode probe
+    /// The copy is made outside the lock; a cheap shared-mode probe
     /// first skips the copy entirely when a version is already present (the
     /// common case — every modification after the first).
     pub fn put_if_absent(&self, pid: PageId, page: &Page) -> bool {
-        if self.shard(pid.0).read().contains_key(&pid.0) {
+        if self.map.read().contains_key(&pid.0) {
             return false;
         }
         let image = PageImage::new(page.clone());
-        let mut shard = self.shard(pid.0).write();
-        if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid.0) {
+        if let std::collections::hash_map::Entry::Vacant(e) = self.map.write().entry(pid.0) {
             e.insert(image);
             true
         } else {
@@ -102,21 +80,17 @@ impl SideFile {
 
     /// Number of page versions stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.map.read().len()
     }
 
     /// Whether the side file is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.map.read().is_empty()
     }
 
     /// Page ids currently stored (diagnostics, tests).
     pub fn page_ids(&self) -> Vec<PageId> {
-        let mut v: Vec<PageId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().map(|&k| PageId(k)).collect::<Vec<_>>())
-            .collect();
+        let mut v: Vec<PageId> = self.map.read().keys().map(|&k| PageId(k)).collect();
         v.sort();
         v
     }
@@ -198,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn many_pages_spread_across_shards() {
+    fn many_pages_all_read_back() {
         let sf = SideFile::new();
         for pid in 1..=200u64 {
             sf.put_image(PageId(pid), image(pid, 1));

@@ -18,9 +18,10 @@
 //!
 //! Step (b) reads the primary **through the buffer manager** with a shared
 //! latch (paper §2.1 — every page access, live or as-of, goes through the
-//! buffer pool). The pool's page table is sharded, so an as-of reader never
-//! blocks behind a live writer's exclusive latch on an unrelated shard; a
-//! resident page costs a shared shard probe plus an atomic pin. The image
+//! buffer pool). The pool's page-table lock is taken shared and dropped
+//! before the frame latch, so an as-of reader never blocks behind a live
+//! writer's exclusive latch on another page; a resident page costs a
+//! shared table probe plus an atomic pin. The image
 //! obtained may be *newer* than the durable version (live writers keep
 //! modifying), which is fine: `PreparePageAsOf` walks the per-page chain
 //! backward from whatever `pageLSN` the image carries.

@@ -1,10 +1,10 @@
-//! Regression test for the prepare-gate leak: the pre-shard snapshot store
-//! inserted one `Arc<Mutex<()>>` per first-prepared page into a global
+//! Regression test for the prepare-gate leak: an early snapshot store
+//! inserted one `Arc<Mutex<()>>` per first-prepared page into its
 //! `preparing` map and never removed it, so the gate table grew with every
-//! page a snapshot ever touched. The sharded gate table holds entries only
-//! while a preparation is in flight: preparing 10k pages must leave it
-//! empty, and mid-flight it is bounded by the number of concurrent
-//! preparers, never by pages touched.
+//! page a snapshot ever touched. The gate table holds an entry only while a
+//! preparation is in flight: preparing 10k pages must leave it empty, and
+//! mid-flight it is bounded by the number of concurrent preparers, never by
+//! pages touched.
 
 use parking_lot::{Mutex, RwLock};
 use rewind_access::store::Store;

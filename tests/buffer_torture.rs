@@ -1,6 +1,6 @@
 //! Buffer-pool concurrency torture: live readers + an as-of reader mix vs.
 //! a page writer vs. an evictor vs. `drop_cache` crash simulation, all on
-//! one sharded pool.
+//! one pool.
 //!
 //! Invariants checked:
 //! * **no torn FrameView access** — a latched frame always holds exactly

@@ -96,8 +96,8 @@ fn snapshots_are_stable_under_concurrent_writes() {
         db.drop_snapshot(&name).unwrap();
     }
 
-    // The sharded read path made the snapshot rounds fast enough that on a
-    // 1-core machine all five can finish before any writer is scheduled:
+    // The snapshot rounds are fast enough that on a 1-core machine all
+    // five can finish before any writer is scheduled:
     // wait for the first commit (bounded) before stopping, so the assert
     // below checks what it means to check — that writers *can* progress
     // under concurrent snapshots, not how the OS happened to schedule them.

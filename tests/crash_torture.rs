@@ -178,7 +178,6 @@ fn restart_is_bit_identical_across_worker_counts() {
             artifacts.fm.clone(),
             artifacts.log.clone(),
             128,
-            0,
             PoolIoConfig::batched(16, 2),
         );
         let out = pipelined_restart(&artifacts.log, &pool, workers).unwrap();

@@ -4,8 +4,7 @@
 //! hit is an `Arc` clone served borrowed to the query closure. A counting
 //! global allocator verifies the claim the hard way: re-reading prepared
 //! pages performs **zero page-sized allocations** — no 8 KiB page is ever
-//! cloned on the warm path. (The pre-image side file cloned 8 KiB per hit,
-//! under the shard lock.)
+//! cloned on the warm path.
 
 use rewind::access::store::Store;
 use rewind::common::testalloc::{thread_allocations, thread_large_allocations, CountingAllocator};
