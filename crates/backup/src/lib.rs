@@ -14,7 +14,7 @@
 use rewind_common::{Error, Lsn, MediaModel, Result, SimClock, Timestamp};
 use rewind_core::{Database, DbConfig};
 use rewind_pagestore::{FileManager, MemFileManager, Page, PAGE_SIZE};
-use rewind_wal::{find_split_lsn_deep, LogManager};
+use rewind_wal::{find_split_lsn, LogManager};
 use std::sync::Arc;
 
 /// A full database backup: a page-image copy plus the log position it was
@@ -94,7 +94,7 @@ pub fn restore_to_point_in_time(
             backup.taken_at
         )));
     }
-    let split = find_split_lsn_deep(log, t)?;
+    let split = find_split_lsn(log, t)?;
     let mut report = RestoreReport::default();
 
     // 1. Restore the image (sequential copy).
@@ -106,7 +106,7 @@ pub fn restore_to_point_in_time(
     // 2. Replay the log forward from the backup position to the split.
     let io0 = log.io_stats().snapshot();
     let scan_to = Lsn(split.0 + 1);
-    log.scan_refs(backup.backup_lsn, scan_to, true, |rec| {
+    log.scan_refs(backup.backup_lsn, scan_to, |rec| {
         let (header, view) = rec.view()?;
         if header.is_page_op() && header.page.is_valid() {
             let mut page = fm.read_page(header.page)?;

@@ -280,7 +280,7 @@ impl AnalysisBuilder {
             .min();
         if let Some(from) = earliest {
             let ids: Vec<u64> = att.keys().copied().collect();
-            log.scan_refs(from, scan_start, true, |rec| {
+            log.scan_refs(from, scan_start, |rec| {
                 let (header, view) = rec.view()?;
                 if header.txn.is_valid() && ids.contains(&header.txn.0) {
                     let (first, second) = locks_for(header.flags, header.object, &view);
@@ -343,7 +343,7 @@ pub fn analyze(log: &LogManager, bound: Lsn) -> Result<AnalysisResult> {
     // row bytes are inspected in place for lock keys, never copied.
     // `scan_end()` saturates, so the `Lsn::MAX` crash-restart sentinel
     // stays "to the end of the log" instead of overflowing to NULL.
-    log.scan_refs(builder.scan_start(), bound.scan_end(), true, |rec| {
+    log.scan_refs(builder.scan_start(), bound.scan_end(), |rec| {
         let (header, view) = rec.view()?;
         builder.observe(&header, &view);
         Ok(true)

@@ -144,7 +144,7 @@ fn scan_and_dispatch(
         .collect();
     let prefix_from = seed.values().copied().min().filter(|l| *l < scan_start);
     if let Some(from) = prefix_from {
-        log.scan_refs(from, scan_start, false, |rec| {
+        log.scan_refs(from, scan_start, |rec| {
             let header = rec.header()?;
             if header.is_page_op() && header.page.is_valid() {
                 if let Some(&rec_lsn) = seed.get(&header.page) {
@@ -158,7 +158,7 @@ fn scan_and_dispatch(
     }
     // Combined scan: every record feeds analysis; page-ops that qualify
     // against the first-sighting recLSN are dispatched immediately.
-    log.scan_refs(scan_start, Lsn::MAX, true, |rec| {
+    log.scan_refs(scan_start, Lsn::MAX, |rec| {
         let (header, view) = rec.view()?;
         if let Some(rec_lsn) = builder.observe(&header, &view) {
             if header.lsn >= rec_lsn {

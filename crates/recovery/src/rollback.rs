@@ -159,7 +159,8 @@ pub fn undo_record_view<S: Store>(
 /// same tree.
 ///
 /// `read` fetches a record ([`LogManager::get_record_ref`] for the live log,
-/// the archive-aware read for restore). CLRs jump via `undo_next` (so
+/// [`LogManager::get_record_deep`], which reaches archived history too, for
+/// restore). CLRs jump via `undo_next` (so
 /// completed structure modifications and already-compensated work are
 /// skipped) after a header-only decode — their payloads are never
 /// materialized; every other record is handed to `undo` as its header and

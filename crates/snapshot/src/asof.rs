@@ -111,6 +111,11 @@ impl AsOfSnapshot {
         split: Lsn,
         cow: bool,
     ) -> Result<Arc<AsOfSnapshot>> {
+        // Retention (§4.3): the log from the split on must be retained,
+        // not merely archived.
+        if split < parts.log.truncation_point() {
+            return Err(retention_of(&parts.log, t)(Error::LogTruncated(split)));
+        }
         // Creation checkpoint (§5.1): every page change ≤ split becomes
         // durable in the primary file, so the snapshot can always read the
         // primary file and roll backward.

@@ -38,4 +38,4 @@ pub use record::{
     PayloadKind, RecordFlags, TxnTableEntry, RECORD_HEADER_BYTES, REC_FLAG_CLR, REC_FLAG_HEAP,
     REC_FLAG_SYSTEM,
 };
-pub use split::{find_split_lsn, find_split_lsn_deep};
+pub use split::find_split_lsn;

@@ -3,7 +3,8 @@
 //! The stream is a sequence of `[u32 length][u32 CRC-32C][record body]`
 //! frames; a record's LSN is the byte offset of its length prefix. The
 //! stream is held in fixed-size in-memory segments; truncation (retention
-//! enforcement, §4.3) drops whole segments from the front.
+//! enforcement, §4.3) moves the truncation point forward by whole segments
+//! and drops them from the front, or, when archiving, keeps them below it.
 //!
 //! # Media hardening: checksummed frames
 //!
@@ -40,10 +41,10 @@
 //! wall-clock time"). The directory lists them, one entry per record, and
 //! is trimmed only by the log's two cuts: `cut_at` (a crash or damage)
 //! drops the entries at or past the cut, and [`LogManager::truncate_before`]
-//! drops those whose begin marker it truncated away (none, when
-//! archiving). So after any sequence of appends, flushes, cuts and
-//! truncations the directory equals a from-scratch scan of the
-//! `CheckpointEnd` records in the retained (and archived) log, and a crash
+//! drops those whose begin marker it dropped (none, when archiving). So
+//! after any sequence of appends, flushes, cuts and truncations the
+//! directory equals a from-scratch scan of the `CheckpointEnd` records in
+//! the segments the log holds, and a crash
 //! loses none of it. A damaged `CheckpointEnd` frame that restart reads is
 //! an ordinary damaged frame: the log is cut there, and the previous
 //! checkpoint governs.
@@ -54,13 +55,13 @@
 //! and the highest commit/checkpoint stamp framed in it. `append_locked`
 //! folds every record into the active segment's summary under the writer
 //! mutex, sealing freezes it beside the bytes, `cut_at` recomputes it for
-//! the one segment it shortens, and `truncate_before` and the archive carry
-//! it with its segment. So each summary equals a recomputation over its
+//! the one segment it shortens, and truncation keeps or drops it with its
+//! segment. So each summary equals a recomputation over its
 //! segment's bytes. Summaries live in memory only; the log format does not
 //! change. [`LogManager::first_segment_where`] reads them to find the first
-//! segment that can hold what a walk looks for: flashback's harvest starts
-//! at the segment of its target's first record, not at the truncation
-//! point.
+//! retained segment that can hold what a walk looks for: flashback's
+//! harvest starts at the segment of its target's first record, not at the
+//! truncation point.
 //!
 //! Random record reads (`get_record_ref`) are how `PreparePageAsOf` walks
 //! per-page chains. Each read is classified as a *log cache hit* or a *log
@@ -78,15 +79,19 @@
 //!   it is *sealed*: its bytes move into an `Arc<[u8]>` that is never
 //!   mutated again. Only the single active tail segment is ever written,
 //!   and only under the writer mutex.
-//! * **One published index.** The set of sealed segments (plus the
-//!   truncation point and the archive) lives in an immutable
+//! * **One published index.** The sealed segments (one contiguous vector,
+//!   archived ones first) and the truncation point live in an immutable
 //!   [`SealedIndex`] behind an `Arc`. Writers publish a new index on every
 //!   seal/truncate/cut and bump a version counter. A read clones the
 //!   current `Arc` out under its own small mutex — never the writer mutex —
-//!   and resolves against it: the four read entry points (`get_record_ref`,
-//!   `get_record_deep`, `scan_refs`, `scan_views`) decode sealed bytes with
-//!   no lock held; only reads that land in the active tail segment take the
-//!   writer mutex. A scan holds the index it loaded and re-loads it only
+//!   and resolves against it: every read reaches every segment the log
+//!   holds, and a read below the oldest one is [`Error::LogTruncated`].
+//!   The read entry points (`get_record_ref`, `get_record_deep`,
+//!   `scan_refs`, `scan_views`) decode sealed bytes with no lock held; only
+//!   reads that land in the active tail segment take the writer mutex.
+//!   Retention is not a mode of the reader: `get_record_ref` refuses a
+//!   record below the truncation point, and as-of snapshot creation refuses
+//!   a split below it. A scan holds the index it loaded and re-loads it only
 //!   when the version counter has moved (one atomic load per record), so a
 //!   seal, cut or truncation is seen at the very next record. No reader
 //!   keeps an index past its read.
@@ -195,9 +200,11 @@ pub struct LogConfig {
     /// Number of 64 KiB blocks the read cache holds.
     pub cache_blocks: usize,
     /// Keep truncated segments as a *log archive* (the moral equivalent of
-    /// incremental log backups, paper §1). Archived log is out of retention
-    /// for the as-of machinery but remains readable to point-in-time
-    /// restore via [`LogManager::get_record_deep`] and deep scans.
+    /// incremental log backups, paper §1): truncation moves the truncation
+    /// point past them but keeps them in the one segment vector. Archived
+    /// log is out of retention for the as-of machinery but stays readable
+    /// to scans and [`LogManager::get_record_deep`], so point-in-time
+    /// restore reaches it.
     pub archive_on_truncate: bool,
     /// Modeled latency of one physical flush, in microseconds (a device
     /// write barrier / fsync). `0` (the default) makes flushes instantaneous
@@ -385,32 +392,40 @@ fn parse_frame(data: &[u8], off: usize) -> std::result::Result<Range<usize>, Fra
     Ok(body..end)
 }
 
-/// An immutable snapshot of everything readers need: the sealed segments,
-/// the archive, and the truncation point. Published via `Arc` swap;
-/// monotonically versioned.
+/// An immutable snapshot of everything readers need: the sealed segments
+/// and the truncation point. Published via `Arc` swap; monotonically
+/// versioned.
 struct SealedIndex {
     version: u64,
-    /// Offsets below this have been truncated away.
+    /// The retention point: offsets below it are out of retention, and
+    /// held (in the archive) only when archiving.
     trunc: u64,
     /// End of sealed data == start offset of the active tail segment.
     sealed_end: u64,
-    /// Retained sealed segments, ascending by start, contiguous.
+    /// Held sealed segments, ascending by start, contiguous: the archived
+    /// ones, which end at or below `trunc`, then the retained ones.
     segs: Vec<SealedSeg>,
-    /// Truncated segments retained as the log archive (oldest first).
-    archive: Vec<SealedSeg>,
 }
 
 impl SealedIndex {
-    fn lookup(segs: &[SealedSeg], off: u64) -> Option<&SealedSeg> {
-        let idx = segs.partition_point(|s| s.start <= off);
-        if idx == 0 {
-            return None;
-        }
-        let seg = &segs[idx - 1];
-        if off < seg.end() {
-            Some(seg)
-        } else {
-            None
+    /// Start of the oldest held byte: reads below it are truncated away.
+    fn floor(&self) -> u64 {
+        self.segs.first().map_or(self.sealed_end, |s| s.start)
+    }
+
+    fn lookup(&self, off: u64) -> Option<&SealedSeg> {
+        let idx = self.segs.partition_point(|s| s.start <= off);
+        let seg = self.segs.get(idx.checked_sub(1)?)?;
+        (off < seg.end()).then_some(seg)
+    }
+
+    /// The same index with `segs`, at the next version.
+    fn with_segs(&self, segs: Vec<SealedSeg>, sealed_end: u64) -> SealedIndex {
+        SealedIndex {
+            version: self.version + 1,
+            trunc: self.trunc,
+            sealed_end,
+            segs,
         }
     }
 }
@@ -574,7 +589,6 @@ impl LogManager {
                 trunc: Lsn::FIRST.0,
                 sealed_end: Lsn::FIRST.0,
                 segs: Vec::new(),
-                archive: Vec::new(),
             })),
             version: AtomicU64::new(1),
             tail: AtomicU64::new(Lsn::FIRST.0),
@@ -633,13 +647,7 @@ impl LogManager {
             data,
             summary,
         });
-        self.publish(SealedIndex {
-            version: old.version + 1,
-            trunc: old.trunc,
-            sealed_end: inner.active_start,
-            segs,
-            archive: old.archive.clone(),
-        });
+        self.publish(old.with_segs(segs, inner.active_start));
     }
 
     /// Frame one record into the active segment. Writer mutex held; the
@@ -814,7 +822,8 @@ impl LogManager {
         Lsn(self.tail.load(Ordering::Acquire))
     }
 
-    /// Oldest LSN still present (truncation point).
+    /// Oldest LSN in retention (the truncation point). Archived log below
+    /// it is still held; see [`LogManager::earliest_available_lsn`].
     pub fn truncation_point(&self) -> Lsn {
         Lsn(self.load_sealed().trunc)
     }
@@ -873,7 +882,7 @@ impl LogManager {
                 // fall back to flushing the whole tail rather than silently
                 // skipping — callers like the buffer pool's write-back rely
                 // on flush_to upholding the WAL rule unconditionally.
-                let end = SealedIndex::lookup(&index.segs, lsn.0).and_then(|seg| {
+                let end = index.lookup(lsn.0).and_then(|seg| {
                     let body = self.read_frame(&seg.data, lsn.0 - seg.start, lsn).ok()?;
                     Some(seg.start + body.end as u64)
                 });
@@ -984,21 +993,18 @@ impl LogManager {
     }
 
     /// Resolve a record's bytes without touching the cache model. A record
-    /// in a sealed segment (or the archive, with `deep`) is read with no
-    /// lock held; only tail-segment reads take the writer mutex, and those
-    /// copy the frame out so the mutex is never held across decoding. Takes
-    /// the index the caller already loaded, so a read pays one load.
-    fn read_ref_in(&self, index: &SealedIndex, lsn: Lsn, deep: bool) -> Result<RecordRef> {
-        if lsn.0 < index.trunc {
-            if deep {
-                if let Some(seg) = SealedIndex::lookup(&index.archive, lsn.0) {
-                    return self.ref_in_segment(seg, lsn);
-                }
-            }
+    /// in a sealed segment, archived or retained, is read with no lock held;
+    /// only tail-segment reads take the writer mutex, and those copy the
+    /// frame out so the mutex is never held across decoding. A record below
+    /// the oldest held segment is [`Error::LogTruncated`]. Takes the index
+    /// the caller already loaded, so a read pays one load.
+    fn read_ref_in(&self, index: &SealedIndex, lsn: Lsn) -> Result<RecordRef> {
+        if lsn.0 < index.floor() {
             return Err(Error::LogTruncated(lsn));
         }
         if lsn.0 < index.sealed_end {
-            let seg = SealedIndex::lookup(&index.segs, lsn.0)
+            let seg = index
+                .lookup(lsn.0)
                 .ok_or_else(|| Error::corruption(format!("log offset {} out of range", lsn.0)))?;
             return self.ref_in_segment(seg, lsn);
         }
@@ -1008,7 +1014,7 @@ impl LogManager {
             // The segment sealed between the index load and the lock: read
             // it from the index that sealing published.
             drop(inner);
-            return self.read_ref_in(&self.load_sealed(), lsn, deep);
+            return self.read_ref_in(&self.load_sealed(), lsn);
         }
         let body = self.read_frame(&inner.active, lsn.0 - inner.active_start, lsn)?;
         let data: Arc<[u8]> = Arc::from(&inner.active[body]);
@@ -1057,23 +1063,23 @@ impl LogManager {
             &self.config,
             &self.stats,
         );
-        self.read_ref_in(&index, lsn, false)
+        self.read_ref_in(&index, lsn)
     }
 
     /// Iterate records in `[from, to)` in order, handing `f` each one as a
     /// zero-copy [`RecordRef`] — to decode in place, or to `clone` (an `Arc`
     /// bump) and ship to another thread, which is how partitioned redo fans
     /// out. `f` returns `Ok(false)` to stop. Returns the LSN one past the
-    /// last record visited. `deep` reads archived history below the
-    /// truncation point too (restore, analysis); without it such a start is
-    /// [`Error::LogTruncated`]. Sequential bytes are accounted as
-    /// `log_bytes_scanned`. Holds the index it loaded while the log's
-    /// version stands still, so it takes no lock over sealed history.
+    /// last record visited. Reads every segment the log holds, archived
+    /// history below the truncation point included; a record below the
+    /// oldest held segment is [`Error::LogTruncated`]. Sequential bytes are
+    /// accounted as `log_bytes_scanned`. Holds the index it loaded while
+    /// the log's version stands still, so it takes no lock over sealed
+    /// history.
     pub fn scan_refs(
         &self,
         from: Lsn,
         to: Lsn,
-        deep: bool,
         mut f: impl FnMut(&RecordRef) -> Result<bool>,
     ) -> Result<Lsn> {
         let mut cur = from;
@@ -1082,13 +1088,10 @@ impl LogManager {
             if index.version != self.version.load(Ordering::Acquire) {
                 index = self.load_sealed();
             }
-            if !deep && cur.0 < index.trunc {
-                return Err(Error::LogTruncated(cur));
-            }
             if cur.0 >= self.tail.load(Ordering::Acquire) || cur >= to {
                 return Ok(cur);
             }
-            let rec_ref = self.read_ref_in(&index, cur, deep)?;
+            let rec_ref = self.read_ref_in(&index, cur)?;
             let frame = rec_ref.frame_len();
             self.stats.add_log_bytes_scanned(frame);
             cur = Lsn(cur.0 + frame);
@@ -1098,16 +1101,15 @@ impl LogManager {
         }
     }
 
-    /// [`LogManager::scan_refs`] over retained history, yielding each
-    /// record's header and borrowed payload view. The workhorse of SplitLSN
-    /// search and the repair harvest.
+    /// [`LogManager::scan_refs`], yielding each record's header and borrowed
+    /// payload view. The workhorse of the repair harvest.
     pub fn scan_views(
         &self,
         from: Lsn,
         to: Lsn,
         mut f: impl FnMut(&LogRecordHeader, &LogPayloadView<'_>) -> Result<bool>,
     ) -> Result<Lsn> {
-        self.scan_refs(from, to, false, |rec_ref| {
+        self.scan_refs(from, to, |rec_ref| {
             let (header, view) = rec_ref.view()?;
             f(&header, &view)
         })
@@ -1140,7 +1142,7 @@ impl LogManager {
     /// at the first record.
     pub fn earliest_retained_time(&self) -> Option<Timestamp> {
         let mut first = None;
-        self.scan_refs(self.truncation_point(), Lsn::MAX, false, |rec| {
+        self.scan_refs(self.truncation_point(), Lsn::MAX, |rec| {
             first = rec.view()?.1.time_stamp();
             Ok(first.is_none())
         })
@@ -1165,7 +1167,8 @@ impl LogManager {
     pub fn first_segment_where(&self, holds: impl Fn(&SegmentSummary) -> bool) -> Lsn {
         let inner = self.inner.lock();
         let index = self.published.lock().clone();
-        let sealed = index.segs.iter().find(|s| holds(&s.summary));
+        let archived = index.segs.partition_point(|s| s.start < index.trunc);
+        let sealed = index.segs[archived..].iter().find(|s| holds(&s.summary));
         Lsn(match sealed {
             Some(seg) => seg.start,
             None if !inner.active.is_empty() && holds(&inner.active_summary) => inner.active_start,
@@ -1173,97 +1176,70 @@ impl LogManager {
         })
     }
 
-    /// Drop whole segments that lie entirely before `lsn` (moving them to
-    /// the archive when archiving is enabled). Returns the new truncation
-    /// point. Never truncates past the flushed LSN.
+    /// Move the truncation point forward to the end of the last whole
+    /// segment before `lsn`, dropping the segments it passes, or keeping
+    /// them as the archive when archiving is enabled. Returns the new
+    /// truncation point. Never truncates past the flushed LSN.
     ///
     /// Publication, not destruction: readers holding the previous index or a
-    /// [`RecordRef`] into a truncated segment keep reading it; the memory is
+    /// [`RecordRef`] into a dropped segment keep reading it; the memory is
     /// freed when the last holder drops.
     pub fn truncate_before(&self, lsn: Lsn) -> Lsn {
-        let archive_cfg = self.config.archive_on_truncate;
+        let archive = self.config.archive_on_truncate;
         // tidy: lock-order(log_inner < log_published) -- the writer mutex is
         // held across every published-index swap, never the reverse.
         let mut inner = self.inner.lock();
         let limit = lsn.0.min(self.flushed.load(Ordering::Acquire));
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
-        let mut archive = old.archive.clone();
-        let mut trunc = old.trunc;
         let mut sealed_end = old.sealed_end;
 
-        let drop_n = segs.iter().take_while(|s| s.end() <= limit).count();
-        if drop_n > 0 {
-            trunc = segs[drop_n - 1].end();
-        }
-        let removed: Vec<SealedSeg> = segs.drain(..drop_n).collect();
-        let mut changed = !removed.is_empty();
-        if archive_cfg {
-            archive.extend(removed);
-        }
+        let passed = segs.iter().take_while(|s| s.end() <= limit).count();
+        let mut trunc = segs[..passed].last().map_or(0, SealedSeg::end);
         // The active tail is the last "segment": it truncates too once every
-        // sealed segment before it is gone and it is itself fully covered.
-        if segs.is_empty() && !inner.active.is_empty() {
-            let end = inner.active_start + inner.active.len() as u64;
-            if end <= limit {
-                let data: Arc<[u8]> =
-                    Arc::from(std::mem::take(&mut inner.active).into_boxed_slice());
-                let summary = std::mem::take(&mut inner.active_summary);
-                if archive_cfg {
-                    archive.push(SealedSeg {
-                        start: inner.active_start,
-                        data,
-                        summary,
-                    });
-                }
-                inner.active_start = end;
-                trunc = end;
-                sealed_end = end;
-                changed = true;
-            }
+        // sealed segment is passed and it is itself fully covered.
+        let end = inner.active_start + inner.active.len() as u64;
+        if passed == segs.len() && !inner.active.is_empty() && end <= limit {
+            segs.push(SealedSeg {
+                start: inner.active_start,
+                data: Arc::from(std::mem::take(&mut inner.active).into_boxed_slice()),
+                summary: std::mem::take(&mut inner.active_summary),
+            });
+            inner.active_start = end;
+            trunc = end;
+            sealed_end = end;
         }
-        if changed {
+        let trunc = trunc.max(old.trunc);
+        if !archive {
+            segs.retain(|s| s.start >= trunc);
+        }
+        if trunc > old.trunc {
             self.publish(SealedIndex {
                 version: old.version + 1,
                 trunc,
                 sealed_end,
                 segs,
-                archive,
             });
         }
-        if !archive_cfg {
+        if !archive {
             let dir = Arc::make_mut(&mut inner.checkpoints);
             dir.retain(|c| c.begin_lsn.0 >= trunc);
         }
         Lsn(trunc)
     }
 
-    /// Bytes held in the log archive.
-    pub fn archived_bytes(&self) -> u64 {
-        self.load_sealed()
-            .archive
-            .iter()
-            .map(|s| s.data.len() as u64)
-            .sum()
-    }
-
-    /// Earliest LSN readable through the deep (archive-aware) methods.
+    /// Earliest LSN any read reaches: the start of the oldest segment the
+    /// log holds — below the truncation point when archiving.
     pub fn earliest_available_lsn(&self) -> Lsn {
-        let index = self.load_sealed();
-        Lsn(index
-            .archive
-            .first()
-            .map(|s| s.start)
-            .unwrap_or(index.trunc))
+        Lsn(self.load_sealed().floor())
     }
 
-    /// Read a record as a zero-copy [`RecordRef`], falling back to the
-    /// archive for truncated history. Point-in-time restore and checkpoint
-    /// seeding use this — the as-of machinery stays retention-bound on
-    /// purpose. Reads like [`LogManager::get_record_ref`], without cache
-    /// accounting.
+    /// Read a record as a zero-copy [`RecordRef`] from any segment the log
+    /// holds, archived history included, without cache accounting. The
+    /// analysis seed and restore's undo use it; the as-of machinery reads
+    /// through [`LogManager::get_record_ref`], which stays retention-bound.
     pub fn get_record_deep(&self, lsn: Lsn) -> Result<RecordRef> {
-        self.read_ref_in(&self.load_sealed(), lsn, true)
+        self.read_ref_in(&self.load_sealed(), lsn)
     }
 
     /// Cut the log at byte offset `cut` (a frame boundary): nothing at or
@@ -1299,13 +1275,7 @@ impl LogManager {
         // Bytes past the cut are gone, durable or not (a damage cut lands
         // below the flushed LSN): the clean prefix is the durable horizon.
         self.flushed.fetch_min(tail, Ordering::AcqRel);
-        self.publish(SealedIndex {
-            version: old.version + 1,
-            trunc: old.trunc,
-            sealed_end: inner.active_start,
-            segs,
-            archive: old.archive.clone(),
-        });
+        self.publish(old.with_segs(segs, inner.active_start));
         Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
         self.cache.blocks.lock().clear();
         // Outstanding flush requests above the new tail point at bytes that
@@ -1330,7 +1300,8 @@ impl LogManager {
     /// Cut the log at the frame a read failed on, if that frame is damaged:
     /// the restart-time half of the media-hardening contract. `err` is what
     /// the read returned; only a [`CorruptionKind::LogBlock`] error naming a
-    /// frame in the retained log qualifies, and only that one frame is
+    /// frame in the retained log — at or above the truncation point, never
+    /// in the archive — qualifies, and only that one frame is
     /// parsed again. When it does not parse, the log is cut there with
     /// [`LogManager::discard_unflushed`]'s cut, the flushed LSN is pulled
     /// back with it, and `true` is returned: everything before the frame —
@@ -1352,7 +1323,10 @@ impl LogManager {
         };
         let mut inner = self.inner.lock();
         let index = self.published.lock().clone();
-        let parsed = match SealedIndex::lookup(&index.segs, at) {
+        if at < index.trunc {
+            return false;
+        }
+        let parsed = match index.lookup(at) {
             Some(seg) => parse_frame(&seg.data, (at - seg.start) as usize),
             None if (inner.active_start..inner.tail).contains(&at) => {
                 parse_frame(&inner.active, (at - inner.active_start) as usize)
@@ -1378,7 +1352,8 @@ impl LogManager {
             return false;
         }
         let mut inner = self.inner.lock();
-        if offset >= inner.tail {
+        let old = self.published.lock().clone();
+        if offset >= inner.tail || offset < old.trunc {
             return false;
         }
         if offset >= inner.active_start {
@@ -1389,20 +1364,13 @@ impl LogManager {
             inner.active[off] ^= xor;
             return true;
         }
-        let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
         for seg in segs.iter_mut() {
             if offset >= seg.start && offset < seg.end() {
                 let mut data = seg.data.to_vec();
                 data[(offset - seg.start) as usize] ^= xor;
                 seg.data = Arc::from(data.into_boxed_slice());
-                self.publish(SealedIndex {
-                    version: old.version + 1,
-                    trunc: old.trunc,
-                    sealed_end: old.sealed_end,
-                    segs,
-                    archive: old.archive.clone(),
-                });
+                self.publish(old.with_segs(segs, old.sealed_end));
                 return true;
             }
         }
@@ -1542,7 +1510,7 @@ mod tests {
             lsns.push(log.append(&insert_rec(i, 8)));
         }
         let mut seen = Vec::new();
-        log.scan_refs(lsns[2], lsns[7], false, |r| {
+        log.scan_refs(lsns[2], lsns[7], |r| {
             seen.push(r.lsn());
             Ok(true)
         })
@@ -1550,7 +1518,7 @@ mod tests {
         assert_eq!(seen, lsns[2..7].to_vec());
         // early stop
         let mut count = 0;
-        log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |_| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, |_| {
             count += 1;
             Ok(count < 3)
         })
@@ -1574,7 +1542,7 @@ mod tests {
             }
         }
         let mut owned = Vec::new();
-        log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
+        log.scan_refs(Lsn::FIRST, Lsn::MAX, |r| {
             let (h, v) = r.view()?;
             owned.push((h.lsn, h.txn, v.kind()));
             Ok(true)
@@ -1979,7 +1947,7 @@ mod tests {
             assert!(get(&log, l).is_ok(), "clean prefix must survive");
         }
         let mut seen = 0;
-        log.scan_refs(lsns[0], Lsn::MAX, false, |_| {
+        log.scan_refs(lsns[0], Lsn::MAX, |_| {
             seen += 1;
             Ok(true)
         })
@@ -2066,8 +2034,11 @@ mod tests {
     /// A log of `n` 3 000-byte inserts, a commit stamp after every fourth
     /// and a checkpoint after inserts 420, 450 and 480: several sealed
     /// segments and an active tail. Nothing flushed.
-    fn long_log(n: u64) -> (LogManager, Vec<Lsn>) {
-        let log = LogManager::new(LogConfig::default());
+    fn long_log(n: u64, archive_on_truncate: bool) -> (LogManager, Vec<Lsn>) {
+        let log = LogManager::new(LogConfig {
+            archive_on_truncate,
+            ..LogConfig::default()
+        });
         let mut lsns = Vec::new();
         for i in 0..n {
             lsns.push(log.append(&insert_rec(i, 3000)));
@@ -2101,14 +2072,16 @@ mod tests {
     /// fault is the typed `LogBlock` error; what it *counts* as is pinned
     /// per caller: a reader counts a CRC mismatch and nothing else,
     /// `flush_target` counts one only over sealed bytes, and a scan that
-    /// meets the frame followed by the cut counts one in total.
+    /// meets the frame followed by the cut counts one in total. A damaged
+    /// frame that truncation moved into the archive still reads as damage,
+    /// but the cut refuses it: it is outside the retained log.
     #[test]
     fn frame_faults_read_the_same_through_every_caller() {
         use Damage::*;
         for sealed in [true, false] {
             for damage in [TornHeader, TornBody, HugeLen, CrcFlip] {
                 let case = format!("{damage:?}, sealed = {sealed}");
-                let (log, lsns) = long_log(900);
+                let (log, lsns) = long_log(900, false);
                 let victim = if sealed {
                     lsns[40]
                 } else {
@@ -2155,7 +2128,7 @@ mod tests {
 
                 let d0 = detected();
                 let mut seen = 0;
-                let scan = log.scan_refs(lsns[38], Lsn::MAX, false, |_| {
+                let scan = log.scan_refs(lsns[38], Lsn::MAX, |_| {
                     seen += 1;
                     Ok(true)
                 });
@@ -2176,7 +2149,7 @@ mod tests {
                 );
 
                 let d0 = detected();
-                let restart = || log.scan_refs(lsns[38], Lsn::MAX, false, |_| Ok(true));
+                let restart = || log.scan_refs(lsns[38], Lsn::MAX, |_| Ok(true));
                 let err = restart().expect_err(&case);
                 assert!(log.cut_at_damage(&err), "{case}");
                 assert_eq!(detected() - d0, 1, "{case}: scan, then cut: one in total");
@@ -2187,6 +2160,19 @@ mod tests {
                 assert_eq!(detected() - d0, 1, "{case}");
             }
         }
+
+        let (log, lsns) = long_log(900, true);
+        log.flush_to(log.tail_lsn());
+        let victim = lsns[40];
+        assert!(log.corrupt_byte_at(victim.0 + FRAME_HEADER as u64 + 5, 0x04));
+        let err = get(&log, victim).err().expect("the damaged frame fails");
+        assert!(log.truncate_before(lsns[400]) > victim);
+        assert!(log.earliest_available_lsn() <= victim, "archived");
+        let deep = log.get_record_deep(victim).err().expect("still damaged");
+        assert_eq!(deep.corruption_kind(), Some(CorruptionKind::LogBlock));
+        let tail = log.tail_lsn();
+        assert!(!log.cut_at_damage(&err), "an archived frame is not cut");
+        assert_eq!((log.tail_lsn(), log.flushed_lsn()), (tail, tail));
     }
 
     /// The crash cut and the damage cut are one `cut_at`. The same log cut
@@ -2236,7 +2222,7 @@ mod tests {
 
         for at in [500usize, 897] {
             let build = || {
-                let (log, lsns) = long_log(900);
+                let (log, lsns) = long_log(900, false);
                 log.flush_up_to(lsns[at]);
                 assert!(log.truncate_before(lsns[400]) > Lsn::FIRST);
                 let held = log.get_record_ref(lsns[at + 1]).unwrap();
@@ -2283,7 +2269,7 @@ mod tests {
         fn scanned(log: &LogManager) -> Vec<CheckpointInfo> {
             let from = log.earliest_available_lsn();
             let mut dir = Vec::new();
-            log.scan_refs(from, Lsn::MAX, true, |r| {
+            log.scan_refs(from, Lsn::MAX, |r| {
                 if let (h, LogPayloadView::CheckpointEnd { at, begin_lsn, .. }) = r.view()? {
                     if begin_lsn >= from {
                         dir.push(CheckpointInfo {
@@ -2299,8 +2285,9 @@ mod tests {
             dir
         }
 
-        // Every archived, sealed and active segment: its summary, and the
-        // same two maxima folded from a deep scan of its LSN range.
+        // Every held segment, archived ones included, and the active tail:
+        // its summary, and the same two maxima folded from a scan of its
+        // LSN range.
         fn summaries(log: &LogManager) -> Vec<(u64, SegmentSummary, SegmentSummary)> {
             let inner = log.inner.lock();
             let index = log.published.lock().clone();
@@ -2310,10 +2297,10 @@ mod tests {
                 summary: inner.active_summary,
             };
             drop(inner);
-            let segs = index.archive.iter().chain(&index.segs).chain([&active]);
+            let segs = index.segs.iter().chain([&active]);
             segs.map(|seg| {
                 let mut scanned = SegmentSummary::default();
-                log.scan_refs(Lsn(seg.start), Lsn(seg.end()), true, |r| {
+                log.scan_refs(Lsn(seg.start), Lsn(seg.end()), |r| {
                     let (h, view) = r.view()?;
                     scanned.max_txn = scanned.max_txn.max(h.txn);
                     if let Some(at) = view.time_stamp() {

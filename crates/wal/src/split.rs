@@ -6,75 +6,54 @@
 //! the transaction log region using checkpoint log records which store
 //! wall-clock time and then by using transaction commit log records to find
 //! the actual SplitLSN."
+//!
+//! One search serves both ways back in time: as-of snapshot creation and
+//! point-in-time restore. It reads every segment the log holds, the archive
+//! included; whether a split below the truncation point may be used is the
+//! caller's policy (as-of creation refuses it, restore replays it).
 
 use crate::logmgr::LogManager;
 use rewind_common::{Error, Lsn, Result, Timestamp};
 
-/// Find the SplitLSN for wall-clock time `t`.
+/// Find the SplitLSN for wall-clock time `t`: the last commit or checkpoint
+/// record stamped at or before `t`.
 ///
 /// The snapshot will contain exactly the records with `lsn <= split`:
 /// every transaction that committed at or before `t` is included, and
 /// transactions still in flight at `t` are undone by snapshot recovery.
+/// Records after the split are "the future" from the snapshot's point of
+/// view. The scan starts at the newest checkpoint taken by `t`, floored at
+/// the oldest held record, and decodes only the time stamps.
 ///
-/// Returns [`Error::RetentionExceeded`] when `t` precedes the retained log.
+/// Returns [`Error::RetentionExceeded`] when no held record is stamped by
+/// `t` and older history is gone; `Lsn::FIRST` when `t` predates a log that
+/// is whole.
 pub fn find_split_lsn(log: &LogManager, t: Timestamp) -> Result<Lsn> {
-    // Narrow the scan region by the checkpoint directory: the log's own
-    // checkpoint records, which store wall-clock time.
+    let floor = log.earliest_available_lsn();
     let start = log
         .checkpoint_before_time(t)
-        .map_or(log.truncation_point(), |c| c.begin_lsn);
-
-    if start < log.truncation_point() {
-        return Err(retention_err(log, t));
-    }
-
-    match last_stamp_by(log, start, t, false)? {
-        Some(lsn) => Ok(lsn),
-        None => {
-            // No commit at or before `t` in the retained region: if the log
-            // was truncated, the time is out of retention; otherwise the time
-            // predates all activity and the empty-database state applies.
-            if log.truncation_point() > Lsn::FIRST {
-                Err(retention_err(log, t))
-            } else {
-                Ok(Lsn::FIRST)
-            }
-        }
-    }
-}
-
-fn retention_err(log: &LogManager, t: Timestamp) -> Error {
-    Error::RetentionExceeded {
-        requested: t,
-        earliest: log.earliest_retained_time().unwrap_or(Timestamp::ZERO),
-    }
-}
-
-/// Archive-aware SplitLSN search, for point-in-time restore: may reach back
-/// into log that is out of retention but still archived (log backups).
-pub fn find_split_lsn_deep(log: &LogManager, t: Timestamp) -> Result<Lsn> {
-    let start = log
-        .checkpoint_before_time(t)
-        .map(|c| c.begin_lsn)
-        .unwrap_or_else(|| log.earliest_available_lsn());
-    Ok(last_stamp_by(log, start, t, true)?.unwrap_or(Lsn::FIRST))
-}
-
-/// Scan forward from `start` for the last commit/checkpoint record stamped
-/// at or before `t`. Transactions with no commit stamp by `t` are losers;
-/// records after the chosen split are simply "the future" from the
-/// snapshot's point of view. Only the time stamps are decoded.
-fn last_stamp_by(log: &LogManager, start: Lsn, t: Timestamp, deep: bool) -> Result<Option<Lsn>> {
-    let mut split = None;
-    log.scan_refs(start, Lsn::MAX, deep, |rec| {
+        .map_or(floor, |c| c.begin_lsn.max(floor));
+    let (mut split, mut later) = (None, None);
+    log.scan_refs(start, Lsn::MAX, |rec| {
         match rec.view()?.1.time_stamp() {
             Some(at) if at <= t => split = Some(rec.lsn()),
-            Some(_) => return Ok(false), // stamps are time-ordered; we can stop
+            Some(at) => {
+                // Stamps are time-ordered: nothing later can be by `t`.
+                later = Some(at);
+                return Ok(false);
+            }
             None => {}
         }
         Ok(true)
     })?;
-    Ok(split)
+    match split {
+        Some(lsn) => Ok(lsn),
+        None if floor == Lsn::FIRST => Ok(Lsn::FIRST),
+        None => Err(Error::RetentionExceeded {
+            requested: t,
+            earliest: later.unwrap_or(Timestamp::ZERO),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -160,7 +139,7 @@ mod tests {
     /// Oracle: linear scan of the whole log.
     fn oracle_split(log: &LogManager, t: Timestamp) -> Lsn {
         let mut split = Lsn::FIRST;
-        log.scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
+        log.scan_refs(log.truncation_point(), Lsn::MAX, |rec| {
             let (header, view) = rec.view()?;
             if view.time_stamp().is_some_and(|at| at <= t) {
                 split = header.lsn;

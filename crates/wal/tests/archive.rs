@@ -1,10 +1,12 @@
-//! Log-archive behaviour: retention-bound reads vs. deep (archive-aware)
-//! reads, and crash-tail discard interplay.
+//! Log-archive behaviour: the archive is the oldest part of the one
+//! segment vector, so scans, `get_record_deep` and the split search reach
+//! it while `get_record_ref` stays retention-bound; and crash-tail discard
+//! interplay. That as-of creation refuses an archived time is checked at
+//! the `Database` level (`tests/restore_vs_asof.rs`).
 
 use rewind_common::{Error, Lsn, ObjectId, PageId, Timestamp, TxnId};
 use rewind_wal::{
-    find_split_lsn, find_split_lsn_deep, LogConfig, LogManager, LogPayload, LogPayloadView,
-    LogRecord, Payload,
+    find_split_lsn, LogConfig, LogManager, LogPayload, LogPayloadView, LogRecord, Payload,
 };
 
 fn rec<B, I>(txn: u64, payload: Payload<B, I>) -> LogRecord<B, I> {
@@ -51,14 +53,17 @@ fn truncation_without_archive_discards_history() {
     let (log, commits) = build(false);
     log.truncate_before(commits[500]);
     assert!(log.truncation_point() > Lsn::FIRST);
-    assert_eq!(log.archived_bytes(), 0);
+    assert_eq!(log.earliest_available_lsn(), log.truncation_point());
     assert!(matches!(
         log.get_record_ref(commits[10])
             .and_then(|r| r.view().map(|(h, _)| h)),
         Err(Error::LogTruncated(_))
     ));
     // deep reads cannot help: the bytes are gone
-    assert!(log.get_record_deep(commits[10]).is_err());
+    assert!(matches!(
+        log.get_record_deep(commits[10]),
+        Err(Error::LogTruncated(_))
+    ));
 }
 
 #[test]
@@ -67,7 +72,6 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
     log.truncate_before(commits[500]);
     let trunc = log.truncation_point();
     assert!(trunc > Lsn::FIRST);
-    assert!(log.archived_bytes() > 0);
     assert_eq!(log.earliest_available_lsn(), Lsn::FIRST);
 
     // shallow (retention-bound) read still refuses
@@ -80,19 +84,19 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
     let r = log.get_record_deep(commits[10]).unwrap();
     assert_eq!(r.view().unwrap().0.lsn, commits[10]);
 
-    // deep scan crosses the archive/live boundary seamlessly
+    // a scan from the oldest record crosses the archive/live boundary
     let mut seen = 0u64;
-    log.scan_refs(Lsn::FIRST, Lsn::MAX, true, |r| {
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, |r| {
         r.view()?;
         seen += 1;
         Ok(true)
     })
     .unwrap();
-    assert_eq!(seen, 1600, "all records visible deeply");
+    assert_eq!(seen, 1600, "all records visible from the archive on");
 
-    // shallow scan from the truncation point sees only the retained suffix
+    // a scan from the truncation point sees only the retained suffix
     let mut shallow = 0u64;
-    log.scan_refs(trunc, Lsn::MAX, false, |r| {
+    log.scan_refs(trunc, Lsn::MAX, |r| {
         r.view()?;
         shallow += 1;
         Ok(true)
@@ -102,23 +106,25 @@ fn archive_keeps_history_readable_deeply_but_not_shallowly() {
 }
 
 #[test]
-fn split_search_is_retention_bound_but_deep_variant_reaches_archive() {
-    let (log, commits) = build(true);
-    log.truncate_before(commits[500]);
-    // the as-of path refuses out-of-retention times
-    match find_split_lsn(&log, Timestamp::from_secs(10)) {
+fn split_search_reaches_the_archive() {
+    let (archived, commits) = build(true);
+    let (dropped, _) = build(false);
+    for log in [&archived, &dropped] {
+        log.truncate_before(commits[500]);
+    }
+    // the archived commit is found, below the truncation point
+    let split = find_split_lsn(&archived, Timestamp::from_secs(10)).unwrap();
+    assert_eq!(split, commits[9]);
+    assert!(split < archived.truncation_point());
+    // without the archive the time is gone
+    match find_split_lsn(&dropped, Timestamp::from_secs(10)) {
         Err(Error::RetentionExceeded { .. }) => {}
         other => panic!("expected RetentionExceeded, got {other:?}"),
     }
-    // restore's deep variant finds the archived commit
-    let split = find_split_lsn_deep(&log, Timestamp::from_secs(10)).unwrap();
-    assert_eq!(split, commits[9]);
-    // recent times agree between the two
+    // recent times are unchanged
     let t = Timestamp::from_secs(700);
-    assert_eq!(
-        find_split_lsn(&log, t).unwrap(),
-        find_split_lsn_deep(&log, t).unwrap()
-    );
+    assert_eq!(find_split_lsn(&archived, t).unwrap(), commits[699]);
+    assert_eq!(find_split_lsn(&dropped, t).unwrap(), commits[699]);
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn concurrent_readers_writer_truncator_no_torn_reads() {
                     if rng.next().is_multiple_of(8) {
                         // bounded scan from the pick (validates frame chaining)
                         let mut n = 0;
-                        let res = log.scan_refs(lsn, Lsn::MAX, false, |rec| {
+                        let res = log.scan_refs(lsn, Lsn::MAX, |rec| {
                             assert!(rec.view()?.0.lsn >= lsn, "scan went backwards");
                             n += 1;
                             Ok(n < 16)
@@ -297,7 +297,7 @@ fn discard_unflushed_racing_append_keeps_flushed_prefix() {
     // The surviving stream decodes cleanly end to end (no torn frames).
     let mut last = Lsn::NULL;
     let end = log
-        .scan_refs(log.truncation_point(), Lsn::MAX, false, |rec| {
+        .scan_refs(log.truncation_point(), Lsn::MAX, |rec| {
             let (header, _) = rec.view()?;
             assert!(header.lsn > last);
             last = header.lsn;

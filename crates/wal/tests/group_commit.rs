@@ -77,7 +77,7 @@ fn oversized_record_reads_back_and_scans() {
 
     // The scan walks straight across the oversized segment's boundaries.
     let mut seen = Vec::new();
-    log.scan_refs(Lsn::FIRST, Lsn::MAX, false, |r| {
+    log.scan_refs(Lsn::FIRST, Lsn::MAX, |r| {
         seen.push(r.view()?.0.lsn);
         Ok(true)
     })

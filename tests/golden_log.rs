@@ -200,7 +200,7 @@ fn golden_log_bytes_and_kind_counts() {
     let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
     let mut counts: BTreeMap<u8, u64> = BTreeMap::new();
     let mut cursor = from;
-    log.scan_refs(from, to, false, |rec| {
+    log.scan_refs(from, to, |rec| {
         assert_eq!(rec.lsn(), cursor, "frames are contiguous");
         let body = rec.body();
         fnv.eat(&(body.len() as u32).to_le_bytes());

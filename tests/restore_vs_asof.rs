@@ -5,8 +5,10 @@
 
 use rewind::backup::{restore_to_point_in_time, take_full_backup};
 use rewind::tpcc::{create_schema, load_initial, run_mixed, DriverConfig, TpccScale};
-use rewind::{Database, DbConfig, Result, Row, SimClock, Value};
+use rewind::wal::LogConfig;
+use rewind::{Column, DataType, Database, DbConfig, Error, Result, Row, Schema, SimClock, Value};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by_key(|r| format!("{r:?}"));
@@ -131,5 +133,77 @@ fn restore_includes_inflight_undo() -> Result<()> {
         "committed update must survive restore"
     );
     db.rollback(inflight)?;
+    Ok(())
+}
+
+/// A time whose log retention truncated away. As-of creation refuses it
+/// whether or not the truncated log is archived: the archive is out of
+/// retention. Restore replays the archive when there is one; without it
+/// the time is gone, and restore refuses it too rather than return the
+/// backup image as if nothing had committed since the backup.
+#[test]
+fn restore_into_truncated_history_needs_the_archive() -> Result<()> {
+    for archive_on_truncate in [false, true] {
+        let config = DbConfig {
+            checkpoint_interval_bytes: 0,
+            log: LogConfig {
+                archive_on_truncate,
+                ..LogConfig::default()
+            },
+            ..DbConfig::default()
+        };
+        let db = Database::create(config.clone())?;
+        let schema = Schema::new(
+            vec![
+                Column::new("id", DataType::U64),
+                Column::new("v", DataType::Str),
+            ],
+            &["id"],
+        )?;
+        db.with_txn(|txn| {
+            db.create_table(txn, "t", schema.clone())?;
+            db.create_table(txn, "pad", schema)
+        })?;
+        let backup = take_full_backup(&db)?;
+        db.clock().advance_secs(1);
+        db.with_txn(|txn| db.insert(txn, "t", &[Value::U64(1), Value::str("at t")]))?;
+        let t = db.clock().now();
+        let after_t = db.log().tail_lsn();
+        db.clock().advance_secs(1);
+        // 4 MiB of padding, so that truncation passes whole segments.
+        let filler = "x".repeat(1000);
+        for chunk in 0..64u64 {
+            db.with_txn(|txn| {
+                for id in chunk * 64..(chunk + 1) * 64 {
+                    db.insert(txn, "pad", &[Value::U64(id), Value::str(&filler)])?;
+                }
+                Ok(())
+            })?;
+        }
+        db.checkpoint()?;
+        db.clock().advance_secs(60);
+        db.checkpoint()?;
+        db.set_undo_interval(Duration::from_secs(10))?;
+        db.enforce_retention();
+        let case = format!("archive_on_truncate = {archive_on_truncate}");
+        assert!(db.log().truncation_point() >= after_t, "{case}");
+
+        match db.create_snapshot_asof("at_t", t) {
+            Err(Error::RetentionExceeded { .. }) => {}
+            other => panic!("{case}: as-of gave {:?}", other.map(|_| ())),
+        }
+        let restored =
+            restore_to_point_in_time(&backup, db.log(), t, config, SimClock::starting_at(t));
+        if archive_on_truncate {
+            let (restored, _) = restored?;
+            let rows = restored.with_txn(|txn| restored.scan_all(txn, "t"))?;
+            assert_eq!(rows.len(), 1, "{case}: the commit at t is restored");
+        } else {
+            match restored {
+                Err(Error::RetentionExceeded { .. }) => {}
+                other => panic!("{case}: restore gave {:?}", other.map(|(_, r)| r)),
+            }
+        }
+    }
     Ok(())
 }
