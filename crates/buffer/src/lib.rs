@@ -86,6 +86,21 @@
 //! a bounded exponential-backoff retry before surfacing, each attempt
 //! counted as an I/O retry.
 //!
+//! # Write-back
+//!
+//! Pages reach the media three ways: an evictor writes its dirty victim
+//! under the frame latch, [`BufferPool::flush_all`],
+//! [`BufferPool::flush_older_than`] and [`BufferPool::flush_page`] share one
+//! flush routine, and salvage writes a repaired image back. The flush
+//! routine writes only a **pinned** page's clone: the pin keeps the frame
+//! from being evicted while the clone is in flight, so no evictor can write
+//! a newer image that the clone then overwrites. The flush gate stays for
+//! the same reason across flushes: two overlapping flushes could each clone
+//! a page and land the older clone last. Every landed write bumps the
+//! page's write sequence, which is how a staged read learns that its image
+//! may be older than the media's. No flush thread outlives its call: the
+//! one helper writer is a scoped thread, joined before the routine returns.
+//!
 //! Invariants enforced by tests (`tests/buffer_torture.rs`,
 //! `tests/prop_pool.rs` in the workspace root and `crates/buffer/tests/`):
 //!
@@ -103,7 +118,7 @@ pub mod salvage;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rewind_common::{CorruptionKind, Error, Lsn, PageId, Result, StripedCounters};
 use rewind_obs::{EventKind, Obs};
-use rewind_pagestore::{FileManager, Page, WritebackPool};
+use rewind_pagestore::{FileManager, Page};
 use rewind_wal::{DptEntry, LogManager};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -313,43 +328,19 @@ impl Drop for PageReadGuard<'_> {
     }
 }
 
-/// Batched-I/O knobs for a [`BufferPool`] — how misses are vector-read and
-/// how flushes are written back. The default is fully scalar (batch size 1,
-/// no writeback threads), so a plain `BufferPool::new` pool behaves — and
-/// accounts — exactly as before the batched backend existed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolIoConfig {
-    /// Maximum pages per staged vectored read (`FileManager::read_pages`)
-    /// and per writeback batch. `0` or `1` means scalar.
-    pub io_batch_pages: usize,
-    /// Background writeback threads for `flush_all`/`flush_older_than`.
-    /// `0` keeps flushes synchronous per-page (the scalar path).
-    pub writeback_workers: usize,
+/// One page's slot of a vectored read staged by
+/// [`BufferPool::stage_read_run`]: the read's result, and the page's write
+/// sequence as it stood before the read. A miss consumes the result only
+/// while that sequence is unchanged.
+pub struct StagedRead {
+    seq: u32,
+    read: Result<Page>,
 }
 
-/// Bound of the writeback queue, in batches; `WritebackPool::submit` applies
-/// backpressure beyond it.
-const WRITEBACK_QUEUE_BATCHES: usize = 64;
-
-impl Default for PoolIoConfig {
-    fn default() -> Self {
-        PoolIoConfig {
-            io_batch_pages: 1,
-            writeback_workers: 0,
-        }
-    }
-}
-
-impl PoolIoConfig {
-    /// A batched configuration: vectored reads of up to `batch` pages and
-    /// `workers` background writeback threads.
-    pub fn batched(batch: usize, workers: usize) -> Self {
-        PoolIoConfig {
-            io_batch_pages: batch.max(1),
-            writeback_workers: workers,
-        }
-    }
-}
+/// Slots of the pool's write-sequence array. A page owns slot
+/// `pid % WRITE_SEQ_SLOTS`; pages that share a slot can only cost a
+/// discarded staged image (one more device read), never a stale one.
+const WRITE_SEQ_SLOTS: usize = 1 << 14;
 
 /// The buffer pool. Thread-safe; shared via `Arc`.
 pub struct BufferPool {
@@ -362,31 +353,32 @@ pub struct BufferPool {
     log: Arc<LogManager>,
     /// The engine's observability handle, shared from the log manager.
     obs: Arc<Obs>,
-    io: PoolIoConfig,
-    /// Background writeback workers (batched flush mode only).
-    writeback: Option<WritebackPool>,
-    /// Serializes batched flushes so one flush's drained outcomes can never
-    /// be consumed by a concurrent flush (per-page outcomes decide which
-    /// dirty bits clear).
+    /// Pages per vectored read and per write-back chunk (`>= 1`).
+    io_batch_pages: usize,
+    /// Serializes the flush routine, so two overlapping flushes cannot land
+    /// an older clone of a page after a newer one.
     flush_gate: Mutex<()>,
+    /// Per-slot count of the page writes the pool has landed (eviction,
+    /// flush chunk, salvage write-back); see [`StagedRead`].
+    write_seqs: Box<[AtomicU32]>,
 }
 
 impl BufferPool {
     /// A pool of `capacity` frames over `fm`, flushing through `log` (WAL
     /// rule), with scalar I/O.
     pub fn new(fm: Arc<dyn FileManager>, log: Arc<LogManager>, capacity: usize) -> Self {
-        Self::with_io(fm, log, capacity, PoolIoConfig::default())
+        Self::with_io(fm, log, capacity, 1)
     }
 
-    /// A pool with a batched-I/O configuration. Per-page hit/miss/eviction
-    /// accounting of any serial trace is bit-identical at every `io`
-    /// setting; only device-op counts (and which thread performs flush
-    /// writes) change. `capacity` must be at least [`MIN_FRAMES`].
+    /// A pool that reads and writes back up to `io_batch_pages` pages per
+    /// device call. Per-page hit/miss/eviction/write accounting of any
+    /// serial trace is bit-identical at every batch size; only device-op
+    /// counts change. `capacity` must be at least [`MIN_FRAMES`].
     pub fn with_io(
         fm: Arc<dyn FileManager>,
         log: Arc<LogManager>,
         capacity: usize,
-        io: PoolIoConfig,
+        io_batch_pages: usize,
     ) -> Self {
         debug_assert!(capacity >= MIN_FRAMES, "pool smaller than MIN_FRAMES");
         let frames = (0..capacity)
@@ -403,15 +395,6 @@ impl BufferPool {
                 tag: AtomicU64::new(TAG_FREE),
             })
             .collect();
-        let writeback = if io.writeback_workers > 0 {
-            Some(WritebackPool::new(
-                Arc::clone(&fm),
-                io.writeback_workers,
-                WRITEBACK_QUEUE_BATCHES,
-            ))
-        } else {
-            None
-        };
         BufferPool {
             frames,
             map: RwLock::new(HashMap::new()),
@@ -420,9 +403,9 @@ impl BufferPool {
             fm,
             obs: log.obs().clone(),
             log,
-            io,
-            writeback,
+            io_batch_pages: io_batch_pages.max(1),
             flush_gate: Mutex::new(()),
+            write_seqs: (0..WRITE_SEQ_SLOTS).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -436,24 +419,23 @@ impl BufferPool {
         &self.fm
     }
 
-    /// The configured read/writeback batch size (`>= 1`).
+    /// The configured read/write-back batch size (`>= 1`).
     pub fn io_batch_pages(&self) -> usize {
-        self.io.io_batch_pages.max(1)
+        self.io_batch_pages
     }
 
-    /// Wait until no background writeback work is queued or in flight.
-    /// Every flush drains its own submissions before returning, so this is
-    /// a cheap no-op unless a flush is concurrently mid-submit; crash
-    /// simulation calls it (after stopping the checkpointer) to guarantee
-    /// no background write lands after the crash point.
-    pub fn quiesce_writeback(&self) {
-        if let Some(wb) = &self.writeback {
-            // Taking the flush gate first means an in-flight batched flush
-            // finishes (and consumes its own outcomes) before we drain, so
-            // quiescing can never steal a flush's per-page results.
-            let _gate = self.flush_gate.lock();
-            let _ = wb.drain();
-        }
+    /// The write-sequence slot of `pid`.
+    fn write_seq(&self, pid: PageId) -> &AtomicU32 {
+        &self.write_seqs[(pid.0 % WRITE_SEQ_SLOTS as u64) as usize]
+    }
+
+    /// Record that the pool has just written `pid` to the media: a staged
+    /// image of it taken before this point is no longer safe to install.
+    /// The bump follows the write; a staged read samples the sequence
+    /// (`Acquire`) before it reads, so a read that saw the old sequence
+    /// began before this bump and may predate the write.
+    fn wrote(&self, pid: PageId) {
+        self.write_seq(pid).fetch_add(1, Ordering::AcqRel);
     }
 
     /// Access counters (hits, misses, evictions, page-table contention).
@@ -541,7 +523,9 @@ impl BufferPool {
                 // only reaches flushed records, so the WAL rule holds by
                 // construction; the flush_to is a cheap no-op guard.
                 self.log.flush_to(page.page_lsn());
-                self.with_io_retry(|| self.fm.write_page(pid, &page))?;
+                let written = self.with_io_retry(|| self.fm.write_page(pid, &page));
+                self.wrote(pid);
+                written?;
                 self.fm.io_stats().add_page_salvage();
                 self.obs
                     .record(EventKind::PageSalvage, page.page_lsn().0, pid.0, 0);
@@ -566,7 +550,7 @@ impl BufferPool {
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
-        mut staged: Option<Result<Page>>,
+        mut staged: Option<StagedRead>,
     ) -> Result<usize> {
         if !pid.is_valid() {
             return Err(Error::InvalidPage(pid));
@@ -675,8 +659,10 @@ impl BufferPool {
             if st.dirty {
                 // tidy: allow(lock-across-io) -- frame latch must cover WAL-first flush of the victim
                 self.log.flush_to(st.page.page_lsn());
-                // tidy: allow(lock-across-io) -- writeback under the frame latch; pool-level locks are not held
-                if let Err(e) = self.with_io_retry(|| self.fm.write_page(st.pid, &st.page)) {
+                // tidy: allow(lock-across-io) -- write-back under the frame latch; pool-level locks are not held
+                let written = self.with_io_retry(|| self.fm.write_page(st.pid, &st.page));
+                self.wrote(st.pid);
+                if let Err(e) = written {
                     drop(st);
                     // The victim is still mapped, so transient fast-path
                     // pins may be in flight: release the claim
@@ -787,7 +773,7 @@ impl BufferPool {
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
-        staged: Option<Result<Page>>,
+        staged: Option<StagedRead>,
     ) -> Result<Option<usize>> {
         let reused = match scan {
             Some(part) => self.claim_from_ring(part)?,
@@ -817,10 +803,12 @@ impl BufferPool {
             let first = match staged {
                 // The staged slot of a vectored batch replaces the device
                 // read; hardening (retry, salvage) resumes from it exactly
-                // as if `fm.read_page` had just returned it.
-                Some(r) => r,
+                // as if `fm.read_page` had just returned it. A page the
+                // pool wrote since it was staged may be newer on the media
+                // than the staged image, so that image is discarded.
+                Some(s) if s.seq == self.write_seq(pid).load(Ordering::Acquire) => s.read,
                 // tidy: allow(lock-across-io) -- miss fill reads under the claimed frame's latch; no pool-level locks are held
-                None => self.fm.read_page(pid),
+                _ => self.fm.read_page(pid),
             };
             match self.hardened_from(pid, first) {
                 Ok(page) => st.page = page,
@@ -920,8 +908,8 @@ impl BufferPool {
     /// stream. `scan` routes cold misses through a [`ScanPartition`]
     /// (bounded frame budget, ring reuse); `staged` is a first read attempt
     /// from [`BufferPool::stage_read_run`], which a cold miss consumes
-    /// instead of issuing its own device read — the caller must know
-    /// nothing can have written `pid` since the batch was staged. Hits, and
+    /// instead of issuing its own device read — unless the pool has written
+    /// `pid` since it was staged, in which case the miss reads scalar. Hits, and
     /// everything else about a miss — classification, victim choice,
     /// eviction accounting, retry/salvage hardening — are bit-identical to
     /// the default path.
@@ -929,7 +917,7 @@ impl BufferPool {
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
-        staged: Option<Result<Page>>,
+        staged: Option<StagedRead>,
     ) -> Result<PageReadGuard<'_>> {
         let mut staged = staged;
         loop {
@@ -960,7 +948,12 @@ impl BufferPool {
     /// stays bit-identical to the scalar backend; contiguous ids inside a
     /// chunk coalesce into single device ops. With batch size 1 (or an
     /// empty filter result) this degenerates to exactly the scalar path.
-    pub fn stage_read_run(&self, pids: &[PageId]) -> Vec<(PageId, Result<Page>)> {
+    ///
+    /// Each slot carries its page's write sequence sampled before the read:
+    /// if a live writer loads, changes and evicts a staged page before its
+    /// miss, the write bumps the sequence and the miss discards the staged
+    /// image instead of installing an image older than the media's.
+    pub fn stage_read_run(&self, pids: &[PageId]) -> Vec<(PageId, StagedRead)> {
         let batch = self.io_batch_pages();
         if batch <= 1 {
             // Scalar configuration: nothing to stage; callers fall through
@@ -974,8 +967,18 @@ impl BufferPool {
             .collect();
         let mut out = Vec::with_capacity(wanted.len());
         for chunk in wanted.chunks(batch) {
+            let seqs: Vec<u32> = chunk
+                .iter()
+                .map(|&pid| self.write_seq(pid).load(Ordering::Acquire))
+                .collect();
             let results = self.fm.read_pages(chunk);
-            out.extend(chunk.iter().copied().zip(results));
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(seqs)
+                    .zip(results)
+                    .map(|((&pid, seq), read)| (pid, StagedRead { seq, read })),
+            );
         }
         out
     }
@@ -1018,32 +1021,17 @@ impl BufferPool {
         self.read_map().contains_key(&pid.0)
     }
 
-    /// Flush one page if resident and dirty.
+    /// Flush one page if resident and dirty: the flush routine with one
+    /// candidate.
     pub fn flush_page(&self, pid: PageId) -> Result<()> {
-        let idx = {
-            let map = self.read_map();
-            match map.get(&pid.0) {
-                Some(&i) => i,
-                None => return Ok(()),
-            }
-        };
-        let mut st = self.frames[idx].state.write();
-        if st.pid == pid && st.dirty {
-            // tidy: allow(lock-across-io) -- frame latch must cover WAL-first flush of this page
-            self.log.flush_to(st.page.page_lsn());
-            // tidy: allow(lock-across-io) -- writeback under the frame latch; pool-level locks are not held
-            self.with_io_retry(|| self.fm.write_page(st.pid, &st.page))?;
-            st.dirty = false;
-            st.rec_lsn = Lsn::NULL;
-        }
-        Ok(())
+        self.flush_matching(Lsn::MAX, Some(pid))
     }
 
     /// Flush every dirty page (blocking on in-flight latches). After this,
     /// every logged change up to the flush point is durable in the file —
     /// the property as-of snapshot creation needs (§5.1).
     pub fn flush_all(&self) -> Result<()> {
-        self.flush_matching(Lsn::MAX)
+        self.flush_matching(Lsn::MAX, None)
     }
 
     /// Flush dirty pages whose recLSN is older than `before` (blocking on
@@ -1053,103 +1041,143 @@ impl BufferPool {
     /// `recLSN >= before` — which is what bounds the crash-redo window to
     /// the checkpoint cadence instead of the whole log.
     pub fn flush_older_than(&self, before: Lsn) -> Result<()> {
-        self.flush_matching(before)
+        self.flush_matching(before, None)
     }
 
-    /// Flush dirty pages with `recLSN < before` (`Lsn::MAX` = all), scalar
-    /// or through the background writeback pool per the pool's
-    /// [`PoolIoConfig`].
-    fn flush_matching(&self, before: Lsn) -> Result<()> {
-        match &self.writeback {
-            Some(wb) => self.flush_matching_batched(wb, before),
-            None => self.flush_matching_scalar(before),
-        }
-    }
-
-    fn flush_matching_scalar(&self, before: Lsn) -> Result<()> {
-        for frame in &self.frames {
-            let mut st = frame.state.write();
-            if st.pid.is_valid() && st.dirty && st.rec_lsn < before {
-                // tidy: allow(lock-across-io) -- frame latch must cover WAL-first flush of this page
-                self.log.flush_to(st.page.page_lsn());
-                // tidy: allow(lock-across-io) -- writeback under the frame latch; pool-level locks are not held
-                self.with_io_retry(|| self.fm.write_page(st.pid, &st.page))?;
-                st.dirty = false;
-                st.rec_lsn = Lsn::NULL;
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched flush: clone qualifying dirty pages under their (shared)
-    /// latches, force the log once per submitted batch (WAL rule — the log
-    /// is ahead of every clone before its batch can be written), hand
-    /// contiguous runs to the writeback pool, and only after draining clear
-    /// the dirty bit of pages whose write landed *and* whose content is
-    /// unchanged since the clone. Pages that failed — or were re-dirtied
-    /// mid-flight — stay dirty, so a deferred writeback error can degrade
-    /// checkpoint progress but never durability. The checkpointer daemon
-    /// thereby stops serializing on per-page `write_page`: it pays clone
-    /// cost up front and the device time lands on writeback threads.
-    fn flush_matching_batched(&self, wb: &WritebackPool, before: Lsn) -> Result<()> {
-        // One batched flush at a time: drained per-page outcomes belong to
-        // exactly one flush.
+    /// The flush routine: write back every dirty page with
+    /// `recLSN < before` (`Lsn::MAX` = all), or only `only` when given.
+    ///
+    /// Under the flush gate it collects the candidates, sorts them by pid
+    /// so adjacent pages share a device op, forces the log once to the
+    /// highest pageLSN seen (WAL rule), and splits the list into chunks of
+    /// [`BufferPool::io_batch_pages`]. The calling thread and, when there is
+    /// more than one chunk, one scoped helper take chunks from a shared
+    /// counter ([`BufferPool::write_chunk`]); the helper is joined before
+    /// the call returns. A failed chunk stops both writers; its failed
+    /// pages, and those of chunks not taken, stay dirty.
+    fn flush_matching(&self, before: Lsn, only: Option<PageId>) -> Result<()> {
         let _gate = self.flush_gate.lock();
-        // Pass 1: snapshot qualifying dirty pages (pid, clone, pageLSN).
-        let mut candidates: Vec<(PageId, Page, Lsn)> = Vec::new();
-        for frame in &self.frames {
-            let st = frame.state.read();
-            if st.pid.is_valid() && st.dirty && st.rec_lsn < before {
-                candidates.push((st.pid, st.page.clone(), st.page.page_lsn()));
+        let mut todo: Vec<(PageId, usize)> = Vec::new();
+        let mut high = Lsn::NULL;
+        let mut collect = |idx: usize| {
+            let st = self.frames[idx].state.read();
+            if st.pid.is_valid()
+                && st.dirty
+                && st.rec_lsn < before
+                && only.is_none_or(|pid| pid == st.pid)
+            {
+                high = high.max(st.page.page_lsn());
+                todo.push((st.pid, idx));
             }
+        };
+        match only {
+            Some(pid) => {
+                let idx = self.read_map().get(&pid.0).copied();
+                idx.into_iter().for_each(&mut collect);
+            }
+            None => (0..self.frames.len()).for_each(&mut collect),
         }
-        if candidates.is_empty() {
+        if todo.is_empty() {
             return Ok(());
         }
-        // Sort by pid so physically adjacent pages land in the same batch
-        // and coalesce into single device ops.
-        candidates.sort_by_key(|(pid, _, _)| *pid);
-        let batch = self.io_batch_pages();
-        for chunk in candidates.chunks(batch) {
-            let mut high = Lsn::NULL;
-            for (_, _, lsn) in chunk {
-                high = high.max(*lsn);
-            }
-            // WAL rule, once per batch: the log covers every clone in the
-            // batch before any of its pages can reach the device.
-            // tidy: allow(lock-across-io) -- flush serialization gate, not a data lock; WAL-first ordering requires it held
-            self.log.flush_to(high);
-            wb.submit(chunk.iter().map(|(p, pg, _)| (*p, pg.clone())).collect());
-        }
-        let (succeeded, failed) = wb.drain();
-        // Pass 2: clear dirty bits only for pages that landed unchanged.
-        for pid in succeeded {
-            let idx = {
-                let map = self.read_map();
-                match map.get(&pid.0) {
-                    Some(&i) => i,
-                    None => continue, // evicted mid-flight (already clean)
+        todo.sort_unstable_by_key(|&(pid, _)| pid);
+        // tidy: allow(lock-across-io) -- the flush gate orders write-backs and guards no data; the WAL rule needs the log forced before any chunk is written
+        self.log.flush_to(high);
+        // Each writer pins one chunk at a time: two chunks of at most a
+        // quarter of the pool leave at least half the frames unpinned.
+        let size = self.io_batch_pages.min(self.frames.len() / 4).max(1);
+        let chunks: Vec<&[(PageId, usize)]> = todo.chunks(size).collect();
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let writer = || -> Result<()> {
+            while !failed.load(Ordering::Acquire) {
+                let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                if let Err(e) = self.write_chunk(chunk) {
+                    failed.store(true, Ordering::Release);
+                    return Err(e);
                 }
-            };
-            let cloned_lsn = candidates
-                .binary_search_by_key(&pid, |(p, _, _)| *p)
-                .ok()
-                .map(|i| candidates[i].2);
-            let mut st = self.frames[idx].state.write();
-            if st.pid == pid && st.dirty && Some(st.page.page_lsn()) == cloned_lsn {
-                st.dirty = false;
-                st.rec_lsn = Lsn::NULL;
             }
-            // A page re-dirtied since its clone keeps its dirty bit and
-            // recLSN: the clone that landed is consistent but stale, and
-            // the next flush owes the device the newer version.
+            Ok(())
+        };
+        std::thread::scope(|s| {
+            // No helper when there is one chunk, or when the OS refuses a
+            // thread: the caller then writes every chunk itself.
+            let helper = if chunks.len() > 1 {
+                std::thread::Builder::new().spawn_scoped(s, writer).ok()
+            } else {
+                None
+            };
+            let mine = writer();
+            let theirs = match helper {
+                Some(h) => h
+                    .join()
+                    .unwrap_or_else(|_| Err(Error::Internal("flush writer panicked".into()))),
+                None => Ok(()),
+            };
+            mine.and(theirs)
+        })
+    }
+
+    /// Write back one chunk of the flush routine's candidates. Each page is
+    /// pinned for the whole chunk, so it cannot be evicted — and written
+    /// newer by its evictor — before its clone lands; a frame already
+    /// claimed for eviction is skipped, because its evictor writes it under
+    /// the latch. The page is cloned under the shared latch, the log is
+    /// forced to the chunk's highest clone LSN (a no-op unless a page
+    /// changed after the collect pass), and the clones go out as one
+    /// `write_pages` batch, each failed slot resuming the scalar retry
+    /// protocol. The dirty bit clears only where the pageLSN still equals
+    /// the clone's: a page changed since keeps it, and the next flush owes
+    /// the device the newer image.
+    fn write_chunk(&self, chunk: &[(PageId, usize)]) -> Result<()> {
+        let mut batch: Vec<(PageId, Page)> = Vec::with_capacity(chunk.len());
+        let mut pinned: Vec<usize> = Vec::with_capacity(chunk.len());
+        let mut high = Lsn::NULL;
+        for &(pid, idx) in chunk {
+            let f = &self.frames[idx];
+            if f.pins.fetch_add(1, Ordering::AcqRel) >= EVICT_CLAIM {
+                f.pins.fetch_sub(1, Ordering::AcqRel);
+                continue;
+            }
+            let clone = {
+                let st = f.state.read();
+                (st.pid == pid && st.dirty).then(|| st.page.clone())
+            };
+            match clone {
+                Some(page) => {
+                    high = high.max(page.page_lsn());
+                    batch.push((pid, page));
+                    pinned.push(idx);
+                }
+                None => self.unpin(idx),
+            }
         }
-        if let Some((_pid, e)) = failed.into_iter().next() {
-            // Surface one failure (the page stays dirty and reachable);
-            // the checkpointer defers it like any background error.
-            return Err(e);
+        if batch.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        self.log.flush_to(high);
+        let results = self.fm.write_pages(&batch);
+        let mut first_err = None;
+        for (((pid, page), idx), first) in batch.iter().zip(pinned).zip(results) {
+            let written = self.retry_from(first, || self.fm.write_page(*pid, page));
+            self.wrote(*pid);
+            match written {
+                Ok(()) => {
+                    let mut st = self.frames[idx].state.write();
+                    if st.pid == *pid && st.dirty && st.page.page_lsn() == page.page_lsn() {
+                        st.dirty = false;
+                        st.rec_lsn = Lsn::NULL;
+                    }
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+            self.unpin(idx);
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The ARIES dirty-page table: (page, recLSN) for every dirty frame.
@@ -1458,11 +1486,15 @@ mod tests {
     }
 
     /// A file manager that fails the next N reads/writes — exercises the
-    /// claim-release error paths that `MemFileManager` can never reach.
+    /// claim-release error paths that `MemFileManager` can never reach —
+    /// and, while `hold_batches` is set, parks every `write_pages` call (a
+    /// flush chunk) with `held` raised until the flag clears.
     struct FaultyFm {
         inner: MemFileManager,
         fail_reads: AtomicU32,
         fail_writes: AtomicU32,
+        hold_batches: AtomicBool,
+        held: AtomicBool,
     }
 
     impl FaultyFm {
@@ -1471,6 +1503,8 @@ mod tests {
                 inner: MemFileManager::new(),
                 fail_reads: AtomicU32::new(0),
                 fail_writes: AtomicU32::new(0),
+                hold_batches: AtomicBool::new(false),
+                held: AtomicBool::new(false),
             }
         }
 
@@ -1496,6 +1530,18 @@ mod tests {
                 return Err(Error::Internal("injected write fault".into()));
             }
             self.inner.write_page(pid, page)
+        }
+        fn write_pages(&self, batch: &[(PageId, Page)]) -> Vec<Result<()>> {
+            if self.hold_batches.load(Ordering::Acquire) {
+                self.held.store(true, Ordering::Release);
+                while self.hold_batches.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            batch
+                .iter()
+                .map(|(pid, page)| self.write_page(*pid, page))
+                .collect()
         }
         fn write_page_seq(&self, pid: PageId, page: &Page) -> Result<()> {
             self.inner.write_page_seq(pid, page)
@@ -1570,6 +1616,101 @@ mod tests {
             PageType::Heap,
             "dirty page survived the injected fault"
         );
+    }
+
+    /// Touch enough other pages of a 4-frame pool to evict every unpinned
+    /// frame that held something before.
+    fn churn(pool: &BufferPool) {
+        for i in 100..=108u64 {
+            pool.with_page(PageId(i), |_| Ok(())).unwrap();
+        }
+    }
+
+    fn set_lsn(pool: &BufferPool, pid: PageId, lsn: Lsn) {
+        pool.with_page_mut(pid, |v| {
+            v.page_mut().set_page_lsn(lsn);
+            v.mark_dirty(lsn);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// A flush chunk is held in flight while its page changes to LSN 20 and
+    /// the pool is churned. The page is pinned by the flush, so no eviction
+    /// can write LSN 20 before the LSN 10 clone lands over it: the pool
+    /// keeps serving 20, the page stays dirty, and the next flush writes 20.
+    #[test]
+    fn a_flush_never_lands_an_older_clone_over_an_eviction_write() {
+        let fm = Arc::new(FaultyFm::new());
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let pool = BufferPool::with_io(fm.clone(), log, 4, 16);
+        format_on(&pool, PageId(1), Lsn(10));
+        fm.hold_batches.store(true, Ordering::Release);
+        std::thread::scope(|s| {
+            let flusher = s.spawn(|| pool.flush_all());
+            while !fm.held.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            set_lsn(&pool, PageId(1), Lsn(20));
+            churn(&pool);
+            fm.hold_batches.store(false, Ordering::Release);
+            flusher.join().unwrap().unwrap();
+        });
+        assert_eq!(pool.read_page(PageId(1)).unwrap().page_lsn(), Lsn(20));
+        assert!(
+            pool.dirty_page_table().iter().any(|e| e.page == PageId(1)),
+            "a page changed after its clone stays dirty"
+        );
+        pool.flush_all().unwrap();
+        assert_eq!(fm.read_page(PageId(1)).unwrap().page_lsn(), Lsn(20));
+        assert_eq!(pool.pinned_frames(), 0);
+    }
+
+    /// Page 1 is staged at LSN 10; a live writer then loads it, changes it
+    /// to LSN 20 and evicts it. The miss must discard the staged image and
+    /// read the media's, not install the older one.
+    #[test]
+    fn a_staged_image_is_discarded_once_its_page_was_written() {
+        let (fm, log, _) = setup(4);
+        let pool = BufferPool::with_io(fm.clone(), log, 4, 16);
+        format_on(&pool, PageId(1), Lsn(10));
+        churn(&pool);
+        assert!(!pool.contains(PageId(1)));
+        let (pid, staged) = pool.stage_read_run(&[PageId(1)]).pop().unwrap();
+        assert_eq!(pid, PageId(1));
+        set_lsn(&pool, PageId(1), Lsn(20));
+        churn(&pool);
+        assert!(!pool.contains(PageId(1)));
+        assert_eq!(fm.read_page(PageId(1)).unwrap().page_lsn(), Lsn(20));
+        let reads = fm.io_stats().snapshot().page_reads;
+        let g = pool
+            .read_page_staged_in(PageId(1), None, Some(staged))
+            .unwrap();
+        assert_eq!(g.page_lsn(), Lsn(20), "the pool serves the media's image");
+        assert_eq!(
+            fm.io_stats().snapshot().page_reads,
+            reads + 1,
+            "the discarded slot costs one scalar read"
+        );
+    }
+
+    /// Each transient fault on a flush chunk's slot resumes the pool's one
+    /// retry protocol: one counted retry per fault, and every page lands.
+    #[test]
+    fn flush_retries_each_faulted_slot_once() {
+        let fi = Arc::new(rewind_pagestore::FaultInjector::new(5));
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let pool = BufferPool::with_io(fi.clone(), log, 16, 16);
+        for i in 1..=3u64 {
+            format_on(&pool, PageId(i), Lsn(i));
+        }
+        fi.arm_eio_writes(2);
+        pool.flush_all().unwrap();
+        assert_eq!(fi.io_stats().snapshot().io_retries, 2);
+        assert!(pool.dirty_page_table().is_empty());
+        for i in 1..=3u64 {
+            assert_eq!(fi.read_page(PageId(i)).unwrap().page_lsn(), Lsn(i));
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Batched-backend accounting oracle: replaying one serial trace — including
-//! staged vectored read runs and writeback-pool flushes — must classify every
-//! access (hit vs IO), charge every write-back and retry, and leave the same
-//! residency at **every I/O batch size** as the fully scalar backend.
-//! Batching may only change device-op counts (`vectored_read_ops`,
+//! Batched-I/O accounting oracle: replaying one serial trace — including
+//! staged vectored read runs and flushes — must classify every access (hit
+//! vs IO), charge every write-back and retry, and leave the same residency
+//! at **every I/O batch size** as the same pool at batch size 1. Batching
+//! may only change device-op counts (`vectored_read_ops`,
 //! `batched_write_ops`), never per-page accounting — the invariant the
 //! ROADMAP's batched-I/O milestone pins.
 
 use proptest::prelude::*;
-use rewind_buffer::{BufferPool, PoolIoConfig};
+use rewind_buffer::BufferPool;
 use rewind_common::{Lsn, ObjectId, PageId};
 use rewind_pagestore::{FaultInjector, FileManager, MemFileManager, PageType};
 use rewind_wal::{LogConfig, LogManager};
@@ -22,7 +22,7 @@ enum Op {
     /// Stage a contiguous pid run through the vectored read path, then
     /// consume it — the bulk-scan prefetch shape.
     StageRun(u64, u64),
-    /// Flush every dirty frame (scalar loop or writeback pool).
+    /// Flush every dirty frame through the one flush routine.
     FlushAll,
     /// Crash simulation: all volatile state vanishes.
     DropCache,
@@ -50,10 +50,10 @@ struct Accounting {
     resident: Vec<u64>,
 }
 
-fn replay(ops: &[Op], cap: usize, io: PoolIoConfig) -> Accounting {
+fn replay(ops: &[Op], cap: usize, batch: usize) -> Accounting {
     let fm = Arc::new(MemFileManager::new());
     let log = Arc::new(LogManager::new(LogConfig::default()));
-    let pool = BufferPool::with_io(fm.clone(), log, cap, io);
+    let pool = BufferPool::with_io(fm.clone(), log, cap, batch);
     let io0 = fm.io_stats().snapshot();
     let mut lsn = 1u64;
     for op in ops {
@@ -83,15 +83,9 @@ fn replay(ops: &[Op], cap: usize, io: PoolIoConfig) -> Accounting {
                 }
             }
             Op::FlushAll => pool.flush_all().unwrap(),
-            Op::DropCache => {
-                // Settle in-flight background writes first, as the engine's
-                // own crash path does, so the dropped state is settled.
-                pool.quiesce_writeback();
-                pool.drop_cache();
-            }
+            Op::DropCache => pool.drop_cache(),
         }
     }
-    pool.quiesce_writeback();
     let io = fm.io_stats().snapshot().delta(io0);
     let s = pool.stats();
     let mut resident: Vec<u64> = (1..=512u64).filter(|&p| pool.contains(PageId(p))).collect();
@@ -115,17 +109,18 @@ fn replay(ops: &[Op], cap: usize, io: PoolIoConfig) -> Accounting {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// One serial trace, four backends: scalar (batch 1, no writeback) and
-    /// batched at 4 and 16 pages with background writeback. Every per-page
-    /// counter and the final residency must be bit-identical.
+    /// One serial trace, one pool routine at three batch sizes: the
+    /// reference is batch 1, and batches of 4 and 16 pages (staged reads,
+    /// flush chunks) must match its every per-page counter and its final
+    /// residency bit for bit.
     #[test]
     fn batched_backend_is_accounting_identical_to_scalar(
         ops in proptest::collection::vec(op_strategy(24), 1..160),
         cap in prop_oneof![Just(6usize), Just(16usize)],
     ) {
-        let scalar = replay(&ops, cap, PoolIoConfig::default());
-        for batch in [1usize, 4, 16] {
-            let batched = replay(&ops, cap, PoolIoConfig::batched(batch, 2));
+        let scalar = replay(&ops, cap, 1);
+        for batch in [4usize, 16] {
+            let batched = replay(&ops, cap, batch);
             prop_assert_eq!(&batched, &scalar, "batch size {}", batch);
         }
     }
@@ -140,7 +135,7 @@ fn stage_read_run_coalesces_to_exact_vectored_op_count() {
     let run = |batch: usize| {
         let fm = Arc::new(MemFileManager::new());
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_io(fm.clone(), log, 32, PoolIoConfig::batched(batch, 0));
+        let pool = BufferPool::with_io(fm.clone(), log, 32, batch);
         let pids: Vec<PageId> = (1..=16).map(PageId).collect();
         let mut staged = pool.stage_read_run(&pids);
         for &pid in &pids {
@@ -166,7 +161,7 @@ fn mid_batch_transient_read_costs_exactly_one_retry() {
     let run = |batch: usize| {
         let fi = Arc::new(FaultInjector::new(7));
         let log = Arc::new(LogManager::new(LogConfig::default()));
-        let pool = BufferPool::with_io(fi.clone(), log, 16, PoolIoConfig::batched(batch, 0));
+        let pool = BufferPool::with_io(fi.clone(), log, 16, batch);
         // Second read of the run fails transiently (EIO before accounting).
         fi.arm_eio_reads(2);
         let pids: Vec<PageId> = (10..14).map(PageId).collect();

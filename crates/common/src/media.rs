@@ -221,8 +221,8 @@ impl IoStats {
     }
 
     /// Record one batched write *device op*: a contiguous dirty-page run
-    /// submitted as a single modeled device round trip (writeback pool or
-    /// synchronous `write_pages`). Per-page `page_writes` is unchanged.
+    /// submitted as a single modeled device round trip (one `write_pages`
+    /// call per run). Per-page `page_writes` is unchanged.
     #[inline]
     pub fn add_batched_write_ops(&self, n: u64) {
         self.counters.add(IO_BATCHED_WRITE_OPS, n);

@@ -7,7 +7,7 @@ use crate::snapdb::SnapshotDb;
 use parking_lot::{Condvar, Mutex, RwLock};
 use rewind_access::store::{ModKind, Store};
 use rewind_access::{BTree, Heap, Schema};
-use rewind_buffer::{BufferPool, PoolIoConfig, MIN_FRAMES};
+use rewind_buffer::{BufferPool, MIN_FRAMES};
 use rewind_common::{Error, IoSnapshot, Lsn, ObjectId, PageId, Result, SimClock, Timestamp, TxnId};
 use rewind_obs::{EventKind, FnSource, IoStatsSource, MetricsRegistry, MetricsSnapshot, Obs};
 use rewind_pagestore::{FileManager, MemFileManager, PageType};
@@ -57,12 +57,10 @@ pub struct DbConfig {
     pub retention_micros: u64,
 }
 
-/// Pages per vectored read / batched write device op. Batching changes only
-/// the device-op count, never per-page accounting
-/// (`crates/buffer/tests/prop_batched_io.rs` sweeps it as the reference).
+/// Pages per vectored read / write-back chunk. Batching changes only the
+/// device-op count, never per-page accounting
+/// (`crates/buffer/tests/prop_batched_io.rs` sweeps it against batch 1).
 const IO_BATCH_PAGES: usize = 16;
-/// Background writeback threads for checkpoint/flush page writes.
-const WRITEBACK_WORKERS: usize = 2;
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -258,7 +256,7 @@ impl Database {
             fm,
             log.clone(),
             config.buffer_pages,
-            PoolIoConfig::batched(IO_BATCH_PAGES, WRITEBACK_WORKERS),
+            IO_BATCH_PAGES,
         ));
         Ok(Arc::new(EngineParts {
             pool,
@@ -1051,14 +1049,12 @@ impl Database {
     /// and the clock survive.
     pub fn simulate_crash(self) -> CrashArtifacts {
         // Stop maintenance first: a daemon checkpoint racing the teardown
-        // would append log records after the "crash" point.
+        // would append log records after the "crash" point. Its page
+        // writes end with it: no flush thread outlives its call, so once
+        // the daemon is joined no page write can land after this returns.
         if let Some(c) = &self.checkpointer {
             c.stop();
         }
-        // Settle background writeback before declaring the crash point:
-        // every queued batch either lands now or never — no page write can
-        // race the artifacts after this returns.
-        self.parts.pool.quiesce_writeback();
         self.parts.pool.drop_cache();
         self.parts.log.discard_unflushed();
         CrashArtifacts {
@@ -1184,10 +1180,6 @@ impl Drop for Database {
         if let Some(c) = &self.checkpointer {
             c.stop();
         }
-        // Then settle writeback: with the daemon joined no new batches can
-        // be submitted, so after the drain the queue is empty and the
-        // pool's worker threads park until the pool itself drops.
-        self.parts.pool.quiesce_writeback();
     }
 }
 

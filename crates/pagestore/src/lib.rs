@@ -11,9 +11,8 @@
 //! * [`FileManager`] — the one media trait: random page I/O with accounting,
 //!   scalar (`read_page`/`write_page`) and batched (`read_pages`/
 //!   `write_pages`, one device op per contiguous run), with in-memory and
-//!   on-disk implementations; the background [`WritebackPool`] writes
-//!   batches through it (see the [`io`] module docs for the batching cost
-//!   model),
+//!   on-disk implementations (see the [`io`] module docs for the batching
+//!   cost model),
 //! * [`PageImage`] — an immutable, `Arc`-shared page image: the zero-copy
 //!   currency of the snapshot read path,
 //! * [`SideFile`] — the NTFS-sparse-file substitute backing database
@@ -30,7 +29,7 @@ pub mod side;
 pub use fault::FaultInjector;
 pub use file::{DiskFileManager, FileManager, MemFileManager};
 pub use image::PageImage;
-pub use io::{contiguous_runs, contiguous_runs_by, WritebackPool};
+pub use io::{contiguous_runs, contiguous_runs_by};
 pub use page::{Page, PageType, HEADER_SIZE, PAGE_SIZE};
 pub use side::SideFile;
 

@@ -59,7 +59,7 @@
 
 use parking_lot::Mutex;
 use rewind_access::store::{ModKind, Store};
-use rewind_buffer::{BufferPool, ScanPartition};
+use rewind_buffer::{BufferPool, ScanPartition, StagedRead};
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result};
 use rewind_obs::{EventKind, Obs};
 use rewind_pagestore::{Page, PageImage, PageType, SideFile};
@@ -168,7 +168,7 @@ impl SnapInner {
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
-        staged: Option<Result<Page>>,
+        staged: Option<StagedRead>,
     ) -> Result<(PageImage, bool)> {
         let mut staged = staged;
         if let Some(img) = self.side.get(pid) {
@@ -205,7 +205,7 @@ impl SnapInner {
         &self,
         pid: PageId,
         scan: Option<&ScanPartition>,
-        staged: Option<Result<Page>>,
+        staged: Option<StagedRead>,
     ) -> Result<(PageImage, bool)> {
         if let Some(img) = self.side.get(pid) {
             self.stats.side_hits.fetch_add(1, Ordering::Relaxed);

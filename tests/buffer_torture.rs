@@ -14,7 +14,10 @@
 //!   actually issued;
 //! * **split-consistent as-of reads** — an as-of scan racing live writes,
 //!   eviction churn and crash simulation either completes with exactly the
-//!   pre-update image or fails cleanly; it never returns mixed-epoch rows.
+//!   pre-update image or fails cleanly; it never returns mixed-epoch rows;
+//! * **write-back keeps every page's newest image** — flushes racing
+//!   writers and eviction never land an older image over a newer one, so
+//!   after a final flush the media holds each page's last pageLSN.
 
 use rewind::{Column, DataType, Database, DbConfig, Row, Schema, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -182,4 +185,72 @@ fn pool_torture_live_asof_writer_evictor_crash() {
     assert_eq!(rows, expect);
     assert_eq!(snap.raw().prepare_gate_entries(), 0, "gate table leaked");
     db.drop_snapshot("torture").unwrap();
+}
+
+#[test]
+fn write_back_never_lands_an_older_image() {
+    use rewind_common::{Lsn, PageId};
+    const PAGES: u64 = 48; // per writer: 96 scratch pages churn 64 frames
+    const WRITES: u64 = 20_000;
+    let db = Database::create(DbConfig {
+        buffer_pages: 64,
+        checkpoint_interval_bytes: 0,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    let pool = db.parts().pool.clone();
+    // Scratch-page LSNs come from one counter, so every page's are
+    // strictly increasing.
+    let next_lsn = AtomicU64::new(1_000_000);
+    let writers_done = AtomicU64::new(0);
+    let base = |w: u64| 30_000 + w * 1_000;
+    let last: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (pool, next_lsn, writers_done) = (&pool, &next_lsn, &writers_done);
+                s.spawn(move || {
+                    let mut last = vec![0u64; PAGES as usize];
+                    for n in 0..WRITES {
+                        let slot = (n * 7 + w) % PAGES;
+                        let lsn = next_lsn.fetch_add(1, Ordering::Relaxed) + 1;
+                        pool.with_page_mut(PageId(base(w) + slot), |v| {
+                            v.page_mut().set_page_lsn(Lsn(lsn));
+                            v.mark_dirty(Lsn(lsn));
+                            Ok(())
+                        })
+                        .unwrap();
+                        last[slot as usize] = lsn;
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                    last
+                })
+            })
+            .collect();
+        // Flusher: whole-pool flushes and single-page flushes, no crash.
+        s.spawn(|| {
+            let mut n = 0u64;
+            while writers_done.load(Ordering::Acquire) < 2 {
+                if n.is_multiple_of(3) {
+                    pool.flush_all().unwrap();
+                } else {
+                    pool.flush_page(PageId(base(n % 2) + n % PAGES)).unwrap();
+                }
+                n += 1;
+            }
+        });
+        writers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    pool.flush_all().unwrap();
+    assert_eq!(pool.pinned_frames(), 0, "lost pins after the flush race");
+    let fm = pool.file_manager();
+    for (w, last) in last.iter().enumerate() {
+        for (slot, &lsn) in last.iter().enumerate() {
+            let pid = PageId(base(w as u64) + slot as u64);
+            assert_eq!(
+                fm.read_page(pid).unwrap().page_lsn(),
+                Lsn(lsn),
+                "media holds an older image of {pid:?}"
+            );
+        }
+    }
 }

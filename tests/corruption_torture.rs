@@ -675,12 +675,15 @@ fn background_checkpoint_media_errors_surface_typed() {
     db.check_consistency().unwrap();
 }
 
-/// Fault class: transient EIO striking individual pages *inside* vectored
-/// batches. A per-page fault must fail only its own slot — the batch's
-/// clean segments still coalesce and succeed — and the pool's per-page
-/// retry protocol absorbs each faulted slot with exactly one counted
-/// retry, on both the batched read path (restart's staged redo prefetch)
-/// and the batched write path (the checkpoint writeback pool).
+/// Fault class: transient EIO on page writes and on restart's page reads.
+/// On the write side the faults land *inside* a checkpoint's flush chunks:
+/// a per-page fault fails only its own slot — the chunk's clean segments
+/// still coalesce and succeed — and the pool's retry protocol absorbs each
+/// faulted slot with exactly one counted retry. On the read side restart's
+/// redo misses are scalar reads, so the test checks the scalar retry
+/// arithmetic at restart: one counted retry per fault. (Faults inside a
+/// vectored read batch are `prop_batched_io`'s
+/// `mid_batch_transient_read_costs_exactly_one_retry`.)
 #[test]
 fn mid_batch_faults_fail_only_their_page() {
     for seed in SEEDS {
@@ -691,9 +694,9 @@ fn mid_batch_faults_fail_only_their_page() {
             commit_batch(&db, &mut rng, &mut model, round);
         }
 
-        // Batched writes: faults land mid-batch inside the writeback
-        // pool's `write_pages`; only the faulted slots retry (scalar), the
-        // checkpoint still succeeds, and each fault costs exactly one
+        // Batched writes: faults land mid-chunk inside the flush
+        // routine's `write_pages`; only the faulted slots retry (scalar),
+        // the checkpoint still succeeds, and each fault costs exactly one
         // retry.
         let before = db.data_io();
         fi.arm_eio_writes(3);
@@ -709,10 +712,9 @@ fn mid_batch_faults_fail_only_their_page() {
             "checkpoint flush must go through batched writes (seed {seed:#x})"
         );
 
-        // Batched reads: more committed work, then crash. Restart's redo
-        // prefetch stages page runs through `read_pages`; the armed faults
-        // fail individual slots mid-batch, each resuming the scalar retry
-        // protocol at its own miss.
+        // Scalar reads: more committed work, then crash. Restart's redo
+        // misses read one page each; every armed fault fails one read,
+        // which the miss's retry protocol absorbs with one counted retry.
         for round in 4..6 {
             commit_batch(&db, &mut rng, &mut model, round);
         }

@@ -108,7 +108,7 @@ fn crash_recover_repeatedly_matches_model() {
 /// the engine picks the machine's parallelism and lands on the same rows.
 #[test]
 fn restart_is_bit_identical_across_worker_counts() {
-    use rewind::buffer::{BufferPool, PoolIoConfig};
+    use rewind::buffer::BufferPool;
     use rewind::pagestore::{FileManager, PAGE_SIZE};
     use rewind::recovery::pipelined_restart;
     use rewind::CrashArtifacts;
@@ -174,12 +174,7 @@ fn restart_is_bit_identical_across_worker_counts() {
     let run = |workers: usize| -> Outcome {
         let artifacts = crash();
         let io0 = artifacts.fm.io_stats().snapshot();
-        let pool = BufferPool::with_io(
-            artifacts.fm.clone(),
-            artifacts.log.clone(),
-            128,
-            PoolIoConfig::batched(16, 2),
-        );
+        let pool = BufferPool::with_io(artifacts.fm.clone(), artifacts.log.clone(), 128, 16);
         let out = pipelined_restart(&artifacts.log, &pool, workers).unwrap();
         pool.flush_all().unwrap();
         let io = artifacts.fm.io_stats().snapshot().delta(io0);
@@ -510,10 +505,10 @@ fn shortened_segment_truncates_to_last_valid_frame() {
     db.check_consistency().unwrap();
 }
 
-/// The crash point is a *point*: `simulate_crash` settles the background
-/// writeback pool (drain or cancel, deterministically) before returning, so
-/// no page write can land on the surviving file afterwards — the artifacts
-/// a restart recovers from are frozen the moment the call returns.
+/// The crash point is a *point*: no flush thread outlives its call, and
+/// `simulate_crash` joins the checkpoint daemon before it returns, so no
+/// page write can land on the surviving file afterwards — the artifacts a
+/// restart recovers from are frozen the moment the call returns.
 #[test]
 fn no_background_write_lands_after_simulate_crash() {
     use rewind::pagestore::{FileManager, MemFileManager};
@@ -523,9 +518,9 @@ fn no_background_write_lands_after_simulate_crash() {
         fm.clone(),
         DbConfig {
             buffer_pages: 128,
-            // Aggressive daemon checkpoints: the writeback pool is busy
-            // flushing page batches while commits are still arriving, so
-            // the crash lands with writes genuinely in flight.
+            // Aggressive daemon checkpoints: the daemon is busy flushing
+            // page chunks while commits are still arriving, so the crash
+            // lands with writes genuinely in flight.
             checkpoint_interval_bytes: 32 << 10,
             ..DbConfig::default()
         },
@@ -543,8 +538,8 @@ fn no_background_write_lands_after_simulate_crash() {
 
     let arts = db.simulate_crash();
     let frozen = fm.io_stats().snapshot();
-    // Any straggler writeback thread would land its batch within this
-    // window; the shutdown contract says there is none left to land.
+    // A straggler flush writer would land its chunk within this window;
+    // none outlives the flush that started it.
     std::thread::sleep(std::time::Duration::from_millis(50));
     let after = fm.io_stats().snapshot();
     assert_eq!(
