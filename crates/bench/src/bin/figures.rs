@@ -257,25 +257,5 @@ fn run_ablations(effort: &Effort) {
         Err(e) => println!("error: {e}"),
     }
 
-    println!("\n## Ablation — §7.1 copy-on-write snapshot overhead vs log-only");
-    match ablation_cow(effort) {
-        Ok(rows) => {
-            println!(
-                "{:>12} | {:>12} | {:>12} | {:>12}",
-                "COW open", "tps (real)", "COW MiB", "log MiB"
-            );
-            println!("{}", "-".repeat(56));
-            for r in rows {
-                println!(
-                    "{:>12} | {:>12.0} | {:>12.1} | {:>12.1}",
-                    r.cow_snapshot_open,
-                    r.tps_real,
-                    r.cow_bytes as f64 / (1 << 20) as f64,
-                    r.log_bytes as f64 / (1 << 20) as f64
-                );
-            }
-        }
-        Err(e) => println!("error: {e}"),
-    }
     println!();
 }

@@ -468,19 +468,6 @@ pub fn ablation_fpi(effort: &Effort) -> Result<Vec<FpiAblationRow>> {
     Ok(rows)
 }
 
-/// COW-snapshot ablation row (§7.1's comparison).
-#[derive(Clone, Copy, Debug)]
-pub struct CowAblationRow {
-    /// Whether a regular COW snapshot was open during the run.
-    pub cow_snapshot_open: bool,
-    /// Committed transactions per real second.
-    pub tps_real: f64,
-    /// Side-file bytes produced by copy-on-write.
-    pub cow_bytes: u64,
-    /// Log bytes produced.
-    pub log_bytes: u64,
-}
-
 /// Log-cache ablation row: the same deep as-of query with different log
 /// read-cache sizes.
 #[derive(Clone, Copy, Debug)]
@@ -536,39 +523,6 @@ pub fn ablation_log_cache(effort: &Effort) -> Result<Vec<CacheAblationRow>> {
             query_us_sas: combined(ddata, dlog, &sas()),
         });
         db.drop_snapshot("cache_ab")?;
-    }
-    Ok(rows)
-}
-
-/// Ablation: overhead of a live copy-on-write snapshot vs the log-only
-/// scheme (related work §7.1: "the overhead introduced by additional
-/// logging is significantly less than copy-on-write snapshots").
-pub fn ablation_cow(effort: &Effort) -> Result<Vec<CowAblationRow>> {
-    let mut rows = Vec::new();
-    for cow in [false, true] {
-        let db = build_db(16, 4 << 20, effort)?;
-        let snap = if cow {
-            Some(db.create_snapshot("cow_ab")?)
-        } else {
-            None
-        };
-        let log0 = db.log().io_stats().snapshot().log_bytes_written;
-        let cfg = driver_cfg(effort, 2);
-        let t0 = Instant::now();
-        let stats = run_mixed(&db, &effort.scale, &cfg)?;
-        let real = t0.elapsed().as_secs_f64();
-        rows.push(CowAblationRow {
-            cow_snapshot_open: cow,
-            tps_real: stats.committed() as f64 / real,
-            cow_bytes: snap
-                .as_ref()
-                .map(|s| s.side_pages() as u64 * 8192)
-                .unwrap_or(0),
-            log_bytes: db.log().io_stats().snapshot().log_bytes_written - log0,
-        });
-        if cow {
-            db.drop_snapshot("cow_ab")?;
-        }
     }
     Ok(rows)
 }

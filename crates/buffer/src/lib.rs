@@ -97,9 +97,11 @@
 //! a newer image that the clone then overwrites. The flush gate stays for
 //! the same reason across flushes: two overlapping flushes could each clone
 //! a page and land the older clone last. Every landed write bumps the
-//! page's write sequence, which is how a staged read learns that its image
-//! may be older than the media's. No flush thread outlives its call: the
-//! one helper writer is a scoped thread, joined before the routine returns.
+//! page's write sequence, which is how a miss learns that its image (staged
+//! or read scalar) may be older than the media's: it publishes the image
+//! only if the sequence has not moved since the read began. No flush thread
+//! outlives its call: the one helper writer is a scoped thread, joined
+//! before the routine returns.
 //!
 //! Invariants enforced by tests (`tests/buffer_torture.rs`,
 //! `tests/prop_pool.rs` in the workspace root and `crates/buffer/tests/`):
@@ -507,10 +509,11 @@ impl BufferPool {
     /// page is alone at fault), then checksum/torn failures salvage from the
     /// per-page log chain with a repair-on-read write-back. Every counter
     /// (`page_reads`, `io_retries`, `page_salvages`) moves exactly as it
-    /// would on the fully scalar path.
-    fn hardened_from(&self, pid: PageId, first: Result<Page>) -> Result<Page> {
+    /// would on the fully scalar path. The flag says whether a repair write
+    /// landed (and so bumped the page's write sequence).
+    fn hardened_from(&self, pid: PageId, first: Result<Page>) -> Result<(Page, bool)> {
         match self.retry_from(first, || self.fm.read_page(pid)) {
-            Ok(page) => Ok(page),
+            Ok(page) => Ok((page, false)),
             Err(cause)
                 if matches!(
                     cause.corruption_kind(),
@@ -529,7 +532,7 @@ impl BufferPool {
                 self.fm.io_stats().add_page_salvage();
                 self.obs
                     .record(EventKind::PageSalvage, page.page_lsn().0, pid.0, 0);
-                Ok(page)
+                Ok((page, true))
             }
             Err(e) => Err(e),
         }
@@ -769,6 +772,13 @@ impl BufferPool {
     /// ring once it is at budget, and the loaded frame is published with
     /// the reference bit **clear** — cold scan pages are the global clock's
     /// preferred victims, never its protected residents.
+    ///
+    /// The image is published only if the page's write sequence is where it
+    /// was before the image was read (plus the fill's own repair write). A
+    /// racer that loads, changes and evicts the page while the read is in
+    /// flight has unmapped it by the time of the publish, so the table
+    /// cannot show the race; its eviction write moved the sequence, and the
+    /// older image is discarded instead of published.
     fn load_miss_in(
         &self,
         pid: PageId,
@@ -796,22 +806,27 @@ impl BufferPool {
         }
         let f = &self.frames[idx];
         let fill_started = self.obs.now_us();
+        let expected_seq;
         {
             // Exclusive by construction: the frame is claimed and unmapped,
             // so only crash simulation can race this latch.
             let mut st = f.state.write();
+            let read_seq = self.write_seq(pid).load(Ordering::Acquire);
             let first = match staged {
                 // The staged slot of a vectored batch replaces the device
                 // read; hardening (retry, salvage) resumes from it exactly
                 // as if `fm.read_page` had just returned it. A page the
                 // pool wrote since it was staged may be newer on the media
                 // than the staged image, so that image is discarded.
-                Some(s) if s.seq == self.write_seq(pid).load(Ordering::Acquire) => s.read,
+                Some(s) if s.seq == read_seq => s.read,
                 // tidy: allow(lock-across-io) -- miss fill reads under the claimed frame's latch; no pool-level locks are held
                 _ => self.fm.read_page(pid),
             };
             match self.hardened_from(pid, first) {
-                Ok(page) => st.page = page,
+                Ok((page, repaired)) => {
+                    st.page = page;
+                    expected_seq = read_seq.wrapping_add(u32::from(repaired));
+                }
                 Err(e) => {
                     drop(st);
                     self.release_claim(idx);
@@ -852,6 +867,13 @@ impl BufferPool {
             drop(map);
             self.release_claim(idx);
             return Ok(Some(other));
+        }
+        if self.write_seq(pid).load(Ordering::Acquire) != expected_seq {
+            // Written since our read began: the media may hold a newer
+            // image than ours. Discard it and retry from the fast path.
+            drop(map);
+            self.release_claim(idx);
+            return Ok(None);
         }
         // Publish: convert the claim into the caller's pin *before* the
         // mapping becomes visible. Arithmetic, not a store: a stale
@@ -1488,13 +1510,17 @@ mod tests {
     /// A file manager that fails the next N reads/writes — exercises the
     /// claim-release error paths that `MemFileManager` can never reach —
     /// and, while `hold_batches` is set, parks every `write_pages` call (a
-    /// flush chunk) with `held` raised until the flag clears.
+    /// flush chunk) with `held` raised until the flag clears. Armed with
+    /// `hold_one_read`, it parks the next `read_page` *after* it has read
+    /// the media, with `read_parked` raised until the test clears it.
     struct FaultyFm {
         inner: MemFileManager,
         fail_reads: AtomicU32,
         fail_writes: AtomicU32,
         hold_batches: AtomicBool,
         held: AtomicBool,
+        hold_one_read: AtomicBool,
+        read_parked: AtomicBool,
     }
 
     impl FaultyFm {
@@ -1505,6 +1531,8 @@ mod tests {
                 fail_writes: AtomicU32::new(0),
                 hold_batches: AtomicBool::new(false),
                 held: AtomicBool::new(false),
+                hold_one_read: AtomicBool::new(false),
+                read_parked: AtomicBool::new(false),
             }
         }
 
@@ -1520,7 +1548,14 @@ mod tests {
             if Self::trip(&self.fail_reads) {
                 return Err(Error::Internal("injected read fault".into()));
             }
-            self.inner.read_page(pid)
+            let read = self.inner.read_page(pid);
+            if self.hold_one_read.swap(false, Ordering::AcqRel) {
+                self.read_parked.store(true, Ordering::Release);
+                while self.read_parked.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            read
         }
         fn read_page_seq(&self, pid: PageId) -> Result<Page> {
             self.inner.read_page_seq(pid)
@@ -1692,6 +1727,37 @@ mod tests {
             reads + 1,
             "the discarded slot costs one scalar read"
         );
+    }
+
+    /// A scalar miss of page 1 reads LSN 10 and is held in flight; a live
+    /// writer meanwhile loads page 1, changes it to LSN 20 and evicts it.
+    /// The held miss must not publish its older image: the pool serves 20.
+    #[test]
+    fn a_scalar_miss_never_publishes_an_image_older_than_the_media() {
+        let fm = Arc::new(FaultyFm::new());
+        let log = Arc::new(LogManager::new(LogConfig::default()));
+        let pool = BufferPool::new(fm.clone(), log, 4);
+        format_on(&pool, PageId(1), Lsn(10));
+        churn(&pool);
+        assert_eq!(fm.read_page(PageId(1)).unwrap().page_lsn(), Lsn(10));
+        fm.hold_one_read.store(true, Ordering::Release);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| pool.read_page(PageId(1)).map(|g| g.page_lsn()));
+            while !fm.read_parked.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            set_lsn(&pool, PageId(1), Lsn(20));
+            churn(&pool);
+            assert_eq!(fm.read_page(PageId(1)).unwrap().page_lsn(), Lsn(20));
+            fm.read_parked.store(false, Ordering::Release);
+            assert_eq!(
+                reader.join().unwrap().unwrap(),
+                Lsn(20),
+                "the held miss serves the media's newer image"
+            );
+        });
+        assert_eq!(pool.read_page(PageId(1)).unwrap().page_lsn(), Lsn(20));
+        assert_eq!(pool.pinned_frames(), 0);
     }
 
     /// Each transient fault on a flush chunk's slot resumes the pool's one

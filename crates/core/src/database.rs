@@ -263,9 +263,6 @@ impl Database {
             log,
             latches: Arc::new(ObjectLatches::new()),
             alloc_lock: Mutex::new(()),
-            mod_gate: RwLock::new(()),
-            cow_sinks: RwLock::new(Vec::new()),
-            cow_token: AtomicU64::new(1),
             fpi_interval: config.fpi_interval,
         }))
     }
@@ -929,18 +926,6 @@ impl Database {
         self.parts.log.tail_lsn().bytes_since(last) >= interval
     }
 
-    /// Synchronously take a checkpoint if enough log accumulated since the
-    /// last one; also enforces the retention policy. Manual-maintenance
-    /// entry point — commits instead kick the background daemon, which
-    /// takes *incremental* checkpoints off the commit path.
-    pub fn maybe_checkpoint(&self) -> Result<()> {
-        if self.checkpoint_due() {
-            self.checkpoint()?;
-            self.enforce_retention();
-        }
-        Ok(())
-    }
-
     /// `ALTER DATABASE SET UNDO_INTERVAL` (paper §4.3): retain enough log to
     /// rewind `interval` into the past. Durable (logged on the boot page).
     pub fn set_undo_interval(&self, interval: Duration) -> Result<()> {
@@ -974,7 +959,8 @@ impl Database {
 
     /// `CREATE DATABASE <name> AS SNAPSHOT OF <db> AS OF '<t>'` (paper §5.1):
     /// build an as-of snapshot and start its background undo. The snapshot
-    /// is queryable immediately.
+    /// is queryable immediately. A snapshot of the current state (the
+    /// paper's §2.2 regular snapshot) is `t = self.clock().now()`.
     pub fn create_snapshot_asof(&self, name: &str, t: Timestamp) -> Result<SnapshotDb> {
         let snap = AsOfSnapshot::create(name, &self.parts, t)?;
         self.finish_snapshot_setup(name, snap)
@@ -994,17 +980,10 @@ impl Database {
         self.finish_snapshot_setup(name, snap)
     }
 
-    /// A regular (copy-on-write) snapshot of the current state (§2.2).
-    pub fn create_snapshot(&self, name: &str) -> Result<SnapshotDb> {
-        let snap = AsOfSnapshot::create_regular(name, &self.parts, self.clock.now())?;
-        self.finish_snapshot_setup(name, snap)
-    }
-
     fn finish_snapshot_setup(&self, name: &str, snap: Arc<AsOfSnapshot>) -> Result<SnapshotDb> {
         {
             let mut snaps = self.snapshots.lock();
             if snaps.contains_key(name) {
-                snap.detach(&self.parts);
                 return Err(Error::InvalidArg(format!(
                     "snapshot '{name}' already exists"
                 )));
@@ -1031,14 +1010,13 @@ impl Database {
         Ok(SnapshotDb::open(snap)?.with_scan_budget(self.config.asof_scan_budget))
     }
 
-    /// Drop a snapshot: detach its COW sink and release its log pin.
+    /// Drop a snapshot: release its log pin, so retention may truncate the
+    /// log it needed.
     pub fn drop_snapshot(&self, name: &str) -> Result<()> {
-        let snap = self
-            .snapshots
+        self.snapshots
             .lock()
             .remove(name)
             .ok_or_else(|| Error::SnapshotNotFound(name.to_string()))?;
-        snap.detach(&self.parts);
         Ok(())
     }
 

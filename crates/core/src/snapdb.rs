@@ -45,7 +45,8 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// A queryable handle over an as-of (or regular) snapshot.
+/// A queryable handle over an as-of snapshot (a snapshot of "now" is one
+/// whose time is the current clock).
 #[derive(Clone)]
 pub struct SnapshotDb {
     snap: Arc<AsOfSnapshot>,

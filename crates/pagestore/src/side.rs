@@ -2,17 +2,17 @@
 //!
 //! SQL Server database snapshots store page versions in NTFS sparse files
 //! (paper §2.2): a page-addressed store that holds only the pages that have
-//! been pushed to it, and answers "do you have page X?" cheaply. Regular
-//! snapshots fill it via copy-on-write from the primary; as-of snapshots use
-//! it as a cache of pages already unwound to the SplitLSN (§5.3) and as the
-//! destination for pages fixed up by background logical undo (§5.2).
+//! been pushed to it, and answers "do you have page X?" cheaply. As-of
+//! snapshots use it as a cache of pages already unwound to the SplitLSN
+//! (§5.3) and as the destination for pages fixed up by background logical
+//! undo (§5.2).
 //!
 //! [`SideFile`] reproduces those semantics with one map of immutable
-//! [`PageImage`]s behind one `RwLock`. Reads are shared; only a `put`
-//! (a preparer's install, undo's fix-up, or a COW push) takes the lock
-//! exclusively, and only for a map insert.
+//! [`PageImage`]s behind one `RwLock`. Reads are shared; only a put (a
+//! preparer's install or undo's fix-up) takes the lock exclusively, and
+//! only for a map insert.
 //!
-//! # Zero-copy hits and the copy-on-write epoch invariant
+//! # Zero-copy hits and the epoch invariant
 //!
 //! A [`SideFile::get`] is an `Arc` clone — **no page bytes move** on a hit,
 //! and the side-file lock is held only for the map probe. Stored images are
@@ -22,13 +22,11 @@
 //! page, which is the PR 4 split-consistency invariant carried down to the
 //! byte level.
 //!
-//! **The side-file lock is never held across an 8 KiB copy.** The
-//! borrowing copy-on-write push ([`SideFile::put_if_absent`]) clones the
-//! caller's page into a fresh image *before* taking the lock; the owning
-//! path ([`SideFile::put_image`]) never copies at all.
+//! **The side-file lock is never held across an 8 KiB copy.** The one
+//! install path, [`SideFile::put_image`], takes an owned image and never
+//! copies at all.
 
 use crate::image::PageImage;
-use crate::page::Page;
 use parking_lot::RwLock;
 use rewind_common::PageId;
 use std::collections::HashMap;
@@ -56,26 +54,6 @@ impl SideFile {
     /// (epoch stability); new readers see `image`.
     pub fn put_image(&self, pid: PageId, image: PageImage) {
         self.map.write().insert(pid.0, image);
-    }
-
-    /// Store the version of `pid` only if none is present yet. Returns
-    /// whether the page was stored. This is the copy-on-write primitive:
-    /// only the *first* post-snapshot modification pushes the old image.
-    ///
-    /// The copy is made outside the lock; a cheap shared-mode probe
-    /// first skips the copy entirely when a version is already present (the
-    /// common case — every modification after the first).
-    pub fn put_if_absent(&self, pid: PageId, page: &Page) -> bool {
-        if self.map.read().contains_key(&pid.0) {
-            return false;
-        }
-        let image = PageImage::new(page.clone());
-        if let std::collections::hash_map::Entry::Vacant(e) = self.map.write().entry(pid.0) {
-            e.insert(image);
-            true
-        } else {
-            false
-        }
     }
 
     /// Number of page versions stored.
@@ -107,7 +85,7 @@ impl std::fmt::Debug for SideFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PageType;
+    use crate::page::{Page, PageType};
     use rewind_common::{Lsn, ObjectId};
 
     fn image(pid: u64, lsn: u64) -> PageImage {
@@ -149,17 +127,6 @@ mod tests {
         assert_eq!(held.page_lsn(), Lsn(10));
         assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(20));
         assert!(!held.same_as(&sf.get(PageId(9)).unwrap()));
-    }
-
-    #[test]
-    fn cow_put_if_absent_keeps_first_version() {
-        let sf = SideFile::new();
-        assert!(sf.put_if_absent(PageId(9), &image(9, 10)));
-        assert!(!sf.put_if_absent(PageId(9), &image(9, 20)));
-        assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(10));
-        // but an explicit put (undo fix-up path) does overwrite
-        sf.put_image(PageId(9), image(9, 20));
-        assert_eq!(sf.get(PageId(9)).unwrap().page_lsn(), Lsn(20));
     }
 
     #[test]

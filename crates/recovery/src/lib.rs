@@ -29,8 +29,7 @@
 //!   allocation bits and partial structure modifications.
 //! * [`EngineStore`] — the canonical live-engine [`rewind_access::Store`]
 //!   implementation:
-//!   buffer pool + WAL + per-page/per-txn chains + FPI cadence + the
-//!   copy-on-write hook used by regular snapshots.
+//!   buffer pool + WAL + per-page/per-txn chains + FPI cadence.
 
 pub mod analysis;
 pub mod checkpoint;
@@ -44,4 +43,4 @@ pub use checkpoint::{take_checkpoint, take_checkpoint_incremental};
 pub use prepare::{prepare_page_as_of, PrepareStats};
 pub use restart::{pipelined_restart, PartitionedRedo, RestartOutcome};
 pub use rollback::{rollback_chain, undo_sweep, AccessKind};
-pub use store::{CowSink, EngineParts, EngineStore};
+pub use store::{EngineParts, EngineStore};

@@ -8,14 +8,14 @@
 //! * the **FPI cadence** (§6.1): "we optionally emit preformat log records
 //!   containing the complete image of the data page after every Nth
 //!   modification to the page" — implemented as `FullPageImage` records
-//!   chained via `prevFpiLSN`;
-//! * the **copy-on-write hook** (§2.2): registered regular snapshots receive
-//!   the pre-image of the first modification after their creation;
-//! * the **modification gate**: snapshot creation briefly blocks writers to
-//!   pin a consistent split point.
+//!   chained via `prevFpiLSN`.
+//!
+//! A modification takes no engine-wide lock before the frame latch: a
+//! snapshot, including one of "now", is an as-of snapshot (§5), which
+//! needs only the log and the pages, never a quiesced writer.
 
 use crate::rollback;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rewind_access::store::{ModKind, Store};
 use rewind_buffer::BufferPool;
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result};
@@ -23,13 +23,6 @@ use rewind_pagestore::{Page, PageType};
 use rewind_txn::{ObjectLatches, TxnShared};
 use rewind_wal::{LogManager, LogPayloadView, LogRecord, REC_FLAG_CLR, REC_FLAG_SYSTEM};
 use std::sync::Arc;
-
-/// Receiver of copy-on-write pre-images (regular database snapshots).
-pub trait CowSink: Send + Sync {
-    /// Called with the current image of `pid` immediately before it is
-    /// modified. Implementations store it if they don't have a version yet.
-    fn before_modify(&self, pid: PageId, current: &Page);
-}
 
 /// Everything the live `Store` needs, shared across transactions.
 pub struct EngineParts {
@@ -41,12 +34,6 @@ pub struct EngineParts {
     pub latches: Arc<ObjectLatches>,
     /// Serializes page allocation.
     pub alloc_lock: Mutex<()>,
-    /// Writers take this shared; snapshot creation takes it exclusive.
-    pub mod_gate: RwLock<()>,
-    /// Registered copy-on-write sinks (regular snapshots), keyed by token.
-    pub cow_sinks: RwLock<Vec<(u64, Arc<dyn CowSink>)>>,
-    /// Next COW registration token.
-    pub cow_token: std::sync::atomic::AtomicU64,
     /// Full-page-image interval N (0 = disabled), paper §6.1.
     pub fpi_interval: u32,
 }
@@ -57,20 +44,6 @@ impl EngineParts {
     /// that one instance.
     pub fn obs(&self) -> &Arc<rewind_obs::Obs> {
         self.log.obs()
-    }
-
-    /// Register a copy-on-write sink; returns a token for deregistration.
-    pub fn register_cow(&self, sink: Arc<dyn CowSink>) -> u64 {
-        let token = self
-            .cow_token
-            .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-        self.cow_sinks.write().push((token, sink));
-        token
-    }
-
-    /// Deregister a copy-on-write sink by token.
-    pub fn deregister_cow(&self, token: u64) {
-        self.cow_sinks.write().retain(|(t, _)| *t != token);
     }
 }
 
@@ -105,16 +78,6 @@ fn record_object(payload: &LogPayloadView<'_>, page: &Page) -> ObjectId {
     match payload {
         LogPayloadView::Format { object, .. } | LogPayloadView::Reformat { object, .. } => *object,
         _ => page.object_id(),
-    }
-}
-
-/// Copy-on-write push for regular snapshots (paper §2.2): the *first*
-/// post-snapshot modification pushes the page's current image;
-/// `before_modify` is expected to ignore later calls.
-fn push_cow(parts: &EngineParts, pid: PageId, page: &Page) {
-    let sinks = parts.cow_sinks.read();
-    for (_, sink) in sinks.iter() {
-        sink.before_modify(pid, page);
     }
 }
 
@@ -160,11 +123,9 @@ impl Store for EngineStore<'_> {
         kind: ModKind,
         extra_flags: u8,
     ) -> Result<Lsn> {
-        let _gate = self.parts.mod_gate.read();
         let parts = self.parts;
         parts.pool.with_page_mut(pid, |v| {
             payload.precheck(v.page())?;
-            push_cow(parts, pid, v.page());
             let (flags, undo_next) = mod_flags(kind);
             let object = record_object(&payload, v.page());
             let mut rec = LogRecord {
@@ -205,7 +166,6 @@ impl Store for EngineStore<'_> {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
-        let _gate = self.parts.mod_gate.read();
         let parts = self.parts;
         parts.pool.with_page_mut(pid, |v| {
             // Validate the WHOLE batch before logging a single byte: replay
@@ -224,7 +184,6 @@ impl Store for EngineStore<'_> {
                         })?;
                 }
             }
-            push_cow(parts, pid, v.page());
             let (flags, undo_next) = mod_flags(kind);
             let n = payloads.len();
             let mut recs: Vec<_> = payloads

@@ -84,11 +84,6 @@ impl RepairPlan {
             .filter(|e| e.action != RepairAction::Noop)
             .count()
     }
-
-    /// Actionable entries flagged as conflicted.
-    pub fn conflicted(&self) -> usize {
-        self.entries.iter().filter(|e| e.conflict.is_some()).count()
-    }
 }
 
 fn schemas_agree(a: &TableInfo, b: &TableInfo) -> bool {

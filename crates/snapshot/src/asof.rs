@@ -1,6 +1,11 @@
 //! As-of snapshot creation and recovery (paper §5.1–5.2), and the one bulk
 //! preparation entry point.
 //!
+//! There are two entry points, by wall-clock time ([`AsOfSnapshot::create`])
+//! and by exact LSN ([`AsOfSnapshot::create_at_lsn`]), and one build behind
+//! them. A snapshot of the current state is the case `t = now`: the same
+//! split search, analysis and lazy preparation, with no writer held off.
+//!
 //! A snapshot prepares a page only when something reads it (§5.3). Many
 //! pages at once — a table prefetch — go through
 //! [`AsOfSnapshot::prepare_pages`], one serial loop of `PreparePageAsOf`
@@ -15,9 +20,8 @@ use parking_lot::{Condvar, Mutex};
 use rewind_buffer::ScanPartition;
 use rewind_common::{Error, Lsn, ObjectId, PageId, Result, Timestamp};
 use rewind_obs::EventKind;
-use rewind_pagestore::Page;
 use rewind_recovery::rollback::undo_record_view;
-use rewind_recovery::{analyze, undo_sweep, AccessKind, CowSink, EngineParts, LoserTxn};
+use rewind_recovery::{analyze, undo_sweep, AccessKind, EngineParts, LoserTxn};
 use rewind_txn::{LockManager, LockMode, ObjectLatches};
 use rewind_wal::find_split_lsn;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,7 +67,6 @@ pub struct AsOfSnapshot {
     undo_epoch: AtomicU64,
     /// Completion latch: `None` while undo runs, then its outcome.
     undo_signal: (Mutex<Option<Result<()>>>, Condvar),
-    cow_token: Option<u64>,
 }
 
 impl AsOfSnapshot {
@@ -71,7 +74,7 @@ impl AsOfSnapshot {
     /// time `t` (paper §5.1).
     pub fn create(name: &str, parts: &EngineParts, t: Timestamp) -> Result<Arc<AsOfSnapshot>> {
         let split = find_split_lsn(&parts.log, t)?;
-        Self::build(name, parts, t, split, false)
+        Self::build(name, parts, t, split)
     }
 
     /// Create an as-of snapshot split at an **exact LSN** rather than a
@@ -86,22 +89,7 @@ impl AsOfSnapshot {
         t: Timestamp,
         split: Lsn,
     ) -> Result<Arc<AsOfSnapshot>> {
-        Self::build(name, parts, t, split, false)
-    }
-
-    /// Create a regular (copy-on-write) snapshot of the current state
-    /// (paper §2.2): split at "now" under the modification gate, then
-    /// register a COW sink so future modifications push pre-images.
-    pub fn create_regular(
-        name: &str,
-        parts: &EngineParts,
-        now: Timestamp,
-    ) -> Result<Arc<AsOfSnapshot>> {
-        let _gate = parts.mod_gate.write();
-        // With the gate held no modification can race: flush everything,
-        // pin the split just below the tail, and activate COW atomically.
-        let split = Lsn(parts.log.tail_lsn().0.saturating_sub(1));
-        Self::build(name, parts, now, split, true)
+        Self::build(name, parts, t, split)
     }
 
     fn build(
@@ -109,7 +97,6 @@ impl AsOfSnapshot {
         parts: &EngineParts,
         t: Timestamp,
         split: Lsn,
-        cow: bool,
     ) -> Result<Arc<AsOfSnapshot>> {
         // Retention (§4.3): the log from the split on must be retained,
         // not merely archived.
@@ -142,14 +129,6 @@ impl AsOfSnapshot {
         }
 
         let inner = Arc::new(SnapInner::new(parts.pool.clone(), parts.log.clone(), split));
-        let cow_token = if cow {
-            Some(parts.register_cow(Arc::new(CowPusher {
-                inner: inner.clone(),
-            })))
-        } else {
-            None
-        };
-
         let snap = Arc::new(AsOfSnapshot {
             name: name.to_string(),
             as_of: t,
@@ -168,7 +147,6 @@ impl AsOfSnapshot {
             undo_done: AtomicBool::new(false),
             undo_epoch: AtomicU64::new(0),
             undo_signal: (Mutex::new(None), Condvar::new()),
-            cow_token,
         });
         if snap.losers.is_empty() {
             snap.mark_undo_done(Ok(()));
@@ -386,14 +364,6 @@ impl AsOfSnapshot {
         Ok(prepared)
     }
 
-    /// Deregister the COW sink (regular snapshots) — call when dropping the
-    /// snapshot.
-    pub fn detach(&self, parts: &EngineParts) {
-        if let Some(token) = self.cow_token {
-            parts.deregister_cow(token);
-        }
-    }
-
     /// Number of page versions currently held by the side file.
     pub fn side_pages(&self) -> usize {
         self.inner.side.len()
@@ -422,18 +392,6 @@ impl AsOfSnapshot {
     /// pass it while the snapshot is open).
     pub fn min_needed_lsn(&self) -> Lsn {
         self.creation.analysis_start
-    }
-}
-
-/// Copy-on-write sink for regular snapshots: stores the pre-image of the
-/// first post-snapshot modification of each page (paper §2.2).
-pub struct CowPusher {
-    inner: Arc<SnapInner>,
-}
-
-impl CowSink for CowPusher {
-    fn before_modify(&self, pid: PageId, current: &Page) {
-        self.inner.side.put_if_absent(pid, current);
     }
 }
 

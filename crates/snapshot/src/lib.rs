@@ -1,4 +1,4 @@
-//! Database snapshots: regular (copy-on-write) and **as-of** (log-rewound).
+//! Database snapshots, all **as-of** (log-rewound).
 //!
 //! This crate implements paper §5. An [`AsOfSnapshot`] is a read-only,
 //! transactionally consistent replica of the database at an arbitrary past
@@ -22,14 +22,15 @@
 //!    through [`SnapshotStore`] — the snapshot looks like a regular
 //!    read-only database.
 //!
-//! A *regular* snapshot (§2.2) is the degenerate case `as-of now`, plus a
-//! registered copy-on-write sink ([`CowPusher`]) so later primary
-//! modifications push pre-images instead of relying on log undo.
+//! The paper's *regular* snapshot (§2.2) is the case `as-of now`: a split at
+//! the current time, read through the same §5.3 path, so later primary
+//! modifications are rolled back from the log like any others. There is one
+//! snapshot kind.
 
 pub mod asof;
 pub mod stats;
 pub mod store;
 
-pub use asof::{AsOfSnapshot, CowPusher};
+pub use asof::AsOfSnapshot;
 pub use stats::SnapshotStats;
 pub use store::{SnapshotMutator, SnapshotStore};

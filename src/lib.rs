@@ -41,9 +41,10 @@
 //! allocation maps, file managers, the snapshot side file), [`wal`] (the
 //! extended ARIES log), [`buffer`], [`txn_crate`] (2PL + latches),
 //! [`access`] (B-Trees, heaps, allocator, codecs), [`recovery`]
-//! (checkpoints, restart, `PreparePageAsOf`), [`snapshot`] (as-of and
-//! copy-on-write snapshots), `core` (the [`Database`] facade), [`backup`]
-//! (the restore baseline) and [`tpcc`] (the paper's workload).
+//! (checkpoints, restart, `PreparePageAsOf`), [`snapshot`] (as-of
+//! snapshots, by time or by LSN; a snapshot of "now" is one of them),
+//! `core` (the [`Database`] facade), [`backup`] (the restore baseline) and
+//! [`tpcc`] (the paper's workload).
 
 pub use rewind_core::*;
 
@@ -66,7 +67,7 @@ pub use rewind_common as common;
 pub use rewind_pagestore as pagestore;
 /// Checkpoints, restart recovery, `PreparePageAsOf`.
 pub use rewind_recovery as recovery;
-/// As-of and copy-on-write snapshots.
+/// As-of snapshots.
 pub use rewind_snapshot as snapshot;
 /// Transactions, locks and latches.
 pub use rewind_txn as txn_crate;

@@ -6,7 +6,7 @@
 //! mid-flight it is bounded by the number of concurrent preparers, never by
 //! pages touched.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rewind_access::store::Store;
 use rewind_buffer::BufferPool;
 use rewind_common::{ObjectId, PageId, SimClock};
@@ -15,7 +15,7 @@ use rewind_recovery::{take_checkpoint, EngineParts};
 use rewind_snapshot::AsOfSnapshot;
 use rewind_txn::{ObjectLatches, TxnManager};
 use rewind_wal::{LogConfig, LogManager};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const PAGES: u64 = 10_000;
@@ -34,9 +34,6 @@ fn engine_with_pages() -> Arc<EngineParts> {
         log,
         latches: Arc::new(ObjectLatches::new()),
         alloc_lock: Mutex::new(()),
-        mod_gate: RwLock::new(()),
-        cow_sinks: RwLock::new(Vec::new()),
-        cow_token: AtomicU64::new(1),
         fpi_interval: 0,
     })
 }

@@ -263,13 +263,15 @@ fn snapshot_of_running_state_is_transactionally_consistent() {
         }));
     }
 
-    // Take snapshots of the *recent past* while transfers are in flight:
-    // each must see a total of exactly 16_000 despite concurrent and
-    // in-flight transfers at its split point.
+    // Take snapshots of the *recent past* and of *now* while transfers are
+    // in flight: each must see a total of exactly 16_000 despite
+    // concurrent and in-flight transfers at its split point. A snapshot of
+    // now is split while writers append past it, with no writer held off.
     let mut checked = 0;
-    while checked < 5 {
+    while checked < 10 {
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let t = db.clock().now().minus_micros(2_000);
+        let back = if checked % 2 == 0 { 2_000 } else { 0 };
+        let t = db.clock().now().minus_micros(back);
         let name = format!("live_{checked}");
         let snap = match db.create_snapshot_asof(&name, t) {
             Ok(s) => s,
@@ -281,7 +283,7 @@ fn snapshot_of_running_state_is_transactionally_consistent() {
         let total: i64 = rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
         assert_eq!(
             total, 16_000,
-            "snapshot {checked} must be transactionally consistent"
+            "snapshot {checked} ({back} us back) must be transactionally consistent"
         );
         snap.wait_undo_complete().unwrap();
         db.drop_snapshot(&name).unwrap();

@@ -86,8 +86,8 @@ impl FileManager for FailingFm {
     }
 }
 
-/// Regression: `Database::commit` used to run `maybe_checkpoint()` on the
-/// commit path and propagate its error, reporting `Err` for a transaction
+/// Regression: `Database::commit` used to take a due checkpoint
+/// synchronously on the commit path and propagate its error, reporting `Err` for a transaction
 /// that was already durably committed. A checkpoint failure must now be
 /// deferred, every such commit must return `Ok`, and the data must survive.
 #[test]
