@@ -6,27 +6,42 @@
 //! I/O plus log replay, regardless of how little data is wanted, while the
 //! as-of snapshot costs are proportional to the data touched.
 //!
+//! A backup is what restart already reads: a full checkpoint, then a
+//! sequential copy of every page through the [`FileManager`] trait, so any
+//! backend can be backed up. A restore is restart over it:
+//! [`Database::recover`] runs over a copy of the pages and a fork of the
+//! live log cut at the target time, seeding its analysis from the backup's
+//! own checkpoint. That checkpoint's begin precedes every page write the
+//! copy can lack, so nothing committed beside the backup is lost, and the
+//! restored database keeps its log (and with it its as-of history) up to
+//! the cut.
+//!
 //! §6.4 observes the flip side: with enough data accessed or enough
 //! modifications to undo, restore wins; a generalized system picks the
 //! faster path per request. [`choose_access_path`] implements that picker
 //! over the same cost model.
 
 use rewind_common::{Error, Lsn, MediaModel, Result, SimClock, Timestamp};
-use rewind_core::{Database, DbConfig};
-use rewind_pagestore::{FileManager, MemFileManager, Page, PAGE_SIZE};
+use rewind_core::{CrashArtifacts, Database, DbConfig};
+use rewind_pagestore::{FileManager, MemFileManager, PAGE_SIZE};
 use rewind_wal::{find_split_lsn, LogManager};
 use std::sync::Arc;
 
-/// A full database backup: a page-image copy plus the log position it was
-/// taken at.
+/// A full database backup: a page copy taken after a checkpoint, and the
+/// log positions restart needs to read it.
 pub struct FullBackup {
-    /// Wall-clock time of the backup.
+    /// Wall-clock time of the backup, read after the copy: every commit
+    /// the copy can hold is stamped at or before it.
     pub taken_at: Timestamp,
-    /// Log position: restore replays the log from here.
-    pub backup_lsn: Lsn,
     /// Bytes in the backup image.
     pub bytes: u64,
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    /// End of the checkpoint the backup took: restore's restart seeds its
+    /// analysis from it.
+    checkpoint_lsn: Lsn,
+    /// The log's flushed LSN after the copy: no copied page carries a
+    /// pageLSN at or past it, so a restore's log reaches at least here.
+    end_lsn: Lsn,
+    image: MemFileManager,
 }
 
 /// What a restore did; feeds the cost model.
@@ -34,12 +49,12 @@ pub struct FullBackup {
 pub struct RestoreReport {
     /// Bytes copied back from the backup image (sequential read + write).
     pub restore_bytes: u64,
-    /// Log bytes replayed from `backup_lsn` to the split point.
+    /// Log bytes restart scanned, from the backup's checkpoint to the cut.
     pub replay_bytes: u64,
-    /// Records applied during replay.
+    /// Page operations restart redid.
     pub records_replayed: u64,
-    /// In-flight transactions undone at the split point.
-    pub losers_undone: usize,
+    /// Transactions in flight at the cut, undone by restart.
+    pub losers_undone: u64,
     /// Log bytes after the split that a real system would need to examine /
     /// initialize ("initialization for the unused portion of transaction
     /// log", §6.2).
@@ -57,30 +72,33 @@ impl RestoreReport {
     }
 }
 
-/// Take a full backup of `db` (sequential copy of every page, accounted on
-/// the database's I/O counters).
+/// Take a full backup of `db`: a full checkpoint (it flushes every dirty
+/// page and logs the dirty-page table), then a sequential copy of every
+/// page, accounted on the database's I/O counters. Writers keep running.
 pub fn take_full_backup(db: &Database) -> Result<FullBackup> {
-    let fm = db
-        .mem_file()
-        .ok_or_else(|| Error::InvalidArg("backup requires the in-memory file backend".into()))?;
-    // Make the file consistent up to "now" (same flush snapshot creation
-    // uses), then snapshot the pages.
-    db.parts().pool.flush_all()?;
-    let backup_lsn = db.log().tail_lsn();
-    let pages = fm.clone_contents();
-    let bytes = pages.len() as u64 * PAGE_SIZE as u64;
-    fm.io_stats().add_seq_data_bytes(bytes);
+    let checkpoint_lsn = db.checkpoint()?;
+    let image = MemFileManager::copy_of(db.parts().pool.file_manager().as_ref())?;
+    // The end first, then the time: a commit below the end is stamped at
+    // or before `taken_at`.
+    let end_lsn = db.log().flushed_lsn();
     Ok(FullBackup {
         taken_at: db.clock().now(),
-        backup_lsn,
-        bytes,
-        pages,
+        bytes: image.page_count() * PAGE_SIZE as u64,
+        checkpoint_lsn,
+        end_lsn,
+        image,
     })
 }
 
 /// Restore `backup` and roll the copy forward to wall-clock time `t` using
 /// the primary's log (the traditional point-in-time restore sequence from
 /// paper §1). Returns the restored, queryable database plus a cost report.
+///
+/// The restored log is `log` forked after the split for `t`, or after the
+/// backup's end when that is later: no commit lies between the two, since
+/// stamps are monotone in LSN and the backup's time was read after its end.
+/// Fails with [`Error::RetentionExceeded`] when the backup's checkpoint is
+/// no longer in the log (truncated, not archived).
 pub fn restore_to_point_in_time(
     backup: &FullBackup,
     log: &Arc<LogManager>,
@@ -95,143 +113,31 @@ pub fn restore_to_point_in_time(
         )));
     }
     let split = find_split_lsn(log, t)?;
-    let mut report = RestoreReport::default();
-
-    // 1. Restore the image (sequential copy).
-    let fm = Arc::new(MemFileManager::new());
-    fm.replace_contents(backup.pages.clone());
-    report.restore_bytes = backup.bytes;
-    fm.io_stats().add_seq_data_bytes(backup.bytes);
-
-    // 2. Replay the log forward from the backup position to the split.
-    let io0 = log.io_stats().snapshot();
-    let scan_to = Lsn(split.0 + 1);
-    log.scan_refs(backup.backup_lsn, scan_to, |rec| {
-        let (header, view) = rec.view()?;
-        if header.is_page_op() && header.page.is_valid() {
-            let mut page = fm.read_page(header.page)?;
-            if page.page_lsn() < header.lsn {
-                view.redo(&mut page, header.page, header.lsn)?;
-                fm.write_page(header.page, &page)?;
-                report.records_replayed += 1;
-            }
-        }
-        Ok(true)
+    let split_end = Lsn(split.0 + log.get_record_deep(split)?.frame_len());
+    let fork = Arc::new(log.fork(split_end.max(backup.end_lsn)));
+    let held = fork.checkpoint_before(backup.checkpoint_lsn);
+    if held.map(|c| c.end_lsn) != Some(backup.checkpoint_lsn) {
+        return Err(Error::RetentionExceeded {
+            requested: backup.taken_at,
+            earliest: log.earliest_retained_time().unwrap_or(t),
+        });
+    }
+    let db = Database::recover(CrashArtifacts {
+        fm: Arc::new(MemFileManager::copy_of(&backup.image)?),
+        log: fork.clone(),
+        clock,
+        config,
+        checkpoint_bound: backup.checkpoint_lsn,
     })?;
-    report.replay_bytes = log.io_stats().snapshot().delta(io0).log_bytes_scanned;
-    report.unused_log_bytes = log.tail_lsn().bytes_since(split);
-
-    // 3. Undo transactions in flight at the split (logical undo applied
-    //    directly to the restored pages — the copy has its own lifetime, so
-    //    no compensation logging is needed).
-    let analysis = rewind_recovery::analyze(log, split)?;
-    report.losers_undone = analysis.losers.len();
-    if !analysis.losers.is_empty() {
-        undo_losers_on_restored(&fm, log, &analysis)?;
-    }
-
-    // 4. Open it.
-    let restored_log = Arc::new(LogManager::new(config.log.clone()));
-    let db = Database::open_existing(fm, restored_log, clock, config)?;
+    let restart = db.last_recovery().unwrap_or_default();
+    let report = RestoreReport {
+        restore_bytes: backup.bytes,
+        replay_bytes: fork.io_stats().snapshot().log_bytes_scanned,
+        records_replayed: restart.records_redone,
+        losers_undone: restart.losers,
+        unused_log_bytes: log.tail_lsn().bytes_since(split),
+    };
     Ok((db, report))
-}
-
-/// Undo in-flight transactions directly on restored pages, in a merged
-/// descending-LSN sweep (same discipline as snapshot recovery).
-fn undo_losers_on_restored(
-    fm: &Arc<MemFileManager>,
-    log: &Arc<LogManager>,
-    analysis: &rewind_recovery::AnalysisResult,
-) -> Result<()> {
-    use rewind_access::store::{ModKind, Store};
-    use rewind_common::{ObjectId, PageId};
-    use rewind_pagestore::PageType;
-    use rewind_wal::LogPayloadView;
-
-    /// A no-log store over the restored file (the restore copy is
-    /// freestanding; compensations need no durability).
-    struct RestoreStore<'a> {
-        fm: &'a Arc<MemFileManager>,
-    }
-
-    impl Store for RestoreStore<'_> {
-        fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> Result<R>) -> Result<R> {
-            let p = self.fm.read_page(pid)?;
-            f(&p)
-        }
-
-        fn modify_flagged(
-            &self,
-            pid: PageId,
-            payload: LogPayloadView<'_>,
-            _kind: ModKind,
-            _extra: u8,
-        ) -> Result<Lsn> {
-            let mut p = self.fm.read_page(pid)?;
-            payload.precheck(&p)?;
-            let lsn = p.page_lsn();
-            payload.redo(&mut p, pid, lsn)?;
-            self.fm.write_page(pid, &p)?;
-            Ok(lsn)
-        }
-
-        fn allocate(
-            &self,
-            object: ObjectId,
-            ty: PageType,
-            level: u16,
-            next: PageId,
-            prev: PageId,
-            _kind: ModKind,
-        ) -> Result<PageId> {
-            let pid = PageId(self.fm.page_count().max(1) + (1 << 20));
-            let mut p = Page::formatted(pid, object, ty);
-            p.set_level(level);
-            p.set_next_page(next);
-            p.set_prev_page(prev);
-            self.fm.write_page(pid, &p)?;
-            Ok(pid)
-        }
-
-        fn free_page(&self, _pid: PageId, _kind: ModKind) -> Result<()> {
-            Err(Error::Internal("restore undo never deallocates".into()))
-        }
-
-        fn with_object_latch<R>(
-            &self,
-            _object: ObjectId,
-            _exclusive: bool,
-            f: impl FnOnce() -> Result<R>,
-        ) -> Result<R> {
-            f() // restore undo is single-threaded
-        }
-
-        fn end_smo(&self, _undo_next: Lsn) -> Result<()> {
-            Ok(())
-        }
-
-        fn txn_last_lsn(&self) -> Lsn {
-            Lsn::NULL
-        }
-
-        fn writable(&self) -> bool {
-            true
-        }
-    }
-
-    let store = RestoreStore { fm };
-    let sys = rewind_core::catalog::SysTrees::load(&store)?;
-    let resolver = |obj| rewind_core::catalog::resolve_access(&store, &sys, obj);
-
-    rewind_recovery::undo_sweep(
-        analysis.losers.iter().map(|l| (l.last_lsn, l.id)),
-        |lsn| log.get_record_deep(lsn),
-        |_, header, view| {
-            rewind_recovery::rollback::undo_record_view(&store, header, view, &resolver)
-        },
-        |_| {},
-    )?;
-    Ok(())
 }
 
 /// Which mechanism answers a point-in-time request fastest (§6.4).

@@ -161,24 +161,30 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// What survives a crash: the database file, the durable log, and the clock.
+/// What [`Database::recover`] reads: the database file, the durable log,
+/// the clock and the checkpoint to restart from. A crash leaves them
+/// ([`Database::simulate_crash`]); so does a restore, whose file is a
+/// backup's page copy and whose log is a fork of the live one.
 pub struct CrashArtifacts {
     /// The database file.
     pub fm: Arc<dyn FileManager>,
-    /// In-memory backend handle, when applicable (backup support).
-    pub fm_mem: Option<Arc<MemFileManager>>,
     /// The write-ahead log (its unflushed tail is discarded by recovery).
     pub log: Arc<LogManager>,
     /// The simulated wall clock.
     pub clock: SimClock,
     /// Configuration to reopen with.
     pub config: DbConfig,
+    /// Restart seeds its analysis from the newest checkpoint ending at or
+    /// before this LSN: `Lsn::MAX` after a crash, whose file holds
+    /// everything the newest checkpoint flushed; the end of the backup's
+    /// own checkpoint after a restore, since later checkpoints describe
+    /// the live pool and not the copied pages.
+    pub checkpoint_bound: Lsn,
 }
 
 /// An embedded database instance.
 pub struct Database {
     pub(crate) parts: Arc<EngineParts>,
-    fm_mem: Option<Arc<MemFileManager>>,
     pub(crate) txns: Arc<TxnManager>,
     pub(crate) locks: Arc<LockManager>,
     pub(crate) clock: SimClock,
@@ -210,35 +216,19 @@ impl Database {
 
     /// Create a fresh in-memory database sharing an external clock.
     pub fn create_with_clock(config: DbConfig, clock: SimClock) -> Result<Database> {
-        let fm_mem = Arc::new(MemFileManager::new());
-        let fm: Arc<dyn FileManager> = fm_mem.clone();
-        let log = Arc::new(LogManager::new(config.log.clone()));
-        let db = Self::assemble(fm, Some(fm_mem), log, clock, config, true)?;
-        Ok(db)
+        Self::create_on(Arc::new(MemFileManager::new()), config, clock)
     }
 
     /// Create a fresh database over an arbitrary [`FileManager`] backend
-    /// (fault-injection harnesses, alternative storage). Backends that are
-    /// not [`MemFileManager`] have no backup support.
+    /// (fault-injection harnesses, alternative storage).
     pub fn create_on(
         fm: Arc<dyn FileManager>,
         config: DbConfig,
         clock: SimClock,
     ) -> Result<Database> {
         let log = Arc::new(LogManager::new(config.log.clone()));
-        Self::assemble(fm, None, log, clock, config, true)
-    }
-
-    /// Open a database over an already-consistent file and log (no
-    /// recovery). Used by backup/restore, which rebuilds the file itself.
-    pub fn open_existing(
-        fm_mem: Arc<MemFileManager>,
-        log: Arc<LogManager>,
-        clock: SimClock,
-        config: DbConfig,
-    ) -> Result<Database> {
-        let fm: Arc<dyn FileManager> = fm_mem.clone();
-        Self::assemble(fm, Some(fm_mem), log, clock, config, false)
+        let parts = Self::make_parts(fm, log, &config)?;
+        Self::assemble_from_parts(parts, clock, config, true)
     }
 
     fn make_parts(
@@ -267,21 +257,8 @@ impl Database {
         }))
     }
 
-    fn assemble(
-        fm: Arc<dyn FileManager>,
-        fm_mem: Option<Arc<MemFileManager>>,
-        log: Arc<LogManager>,
-        clock: SimClock,
-        config: DbConfig,
-        bootstrap: bool,
-    ) -> Result<Database> {
-        let parts = Self::make_parts(fm, log, &config)?;
-        Self::assemble_from_parts(parts, fm_mem, clock, config, bootstrap)
-    }
-
     fn assemble_from_parts(
         parts: Arc<EngineParts>,
-        fm_mem: Option<Arc<MemFileManager>>,
         clock: SimClock,
         config: DbConfig,
         bootstrap: bool,
@@ -352,7 +329,6 @@ impl Database {
         });
         let db = Database {
             parts,
-            fm_mem,
             txns,
             locks,
             clock,
@@ -450,11 +426,6 @@ impl Database {
     /// The write-ahead log.
     pub fn log(&self) -> &Arc<LogManager> {
         &self.parts.log
-    }
-
-    /// The in-memory file backend, when applicable (backup support).
-    pub fn mem_file(&self) -> Option<&Arc<MemFileManager>> {
-        self.fm_mem.as_ref()
     }
 
     /// Data-file I/O counters.
@@ -1037,21 +1008,23 @@ impl Database {
         self.parts.log.discard_unflushed();
         CrashArtifacts {
             fm: self.parts.pool.file_manager().clone(),
-            fm_mem: self.fm_mem.clone(),
             log: self.parts.log.clone(),
             clock: self.clock.clone(),
             config: self.config.clone(),
+            checkpoint_bound: Lsn::MAX,
         }
     }
 
-    /// ARIES restart: analysis, redo, undo (with CLRs), then reopen.
+    /// ARIES restart: analysis, redo, undo (with CLRs), then reopen. Crash
+    /// restart and restore both come here; they differ only in the
+    /// artifacts.
     pub fn recover(artifacts: CrashArtifacts) -> Result<Database> {
         let CrashArtifacts {
             fm,
-            fm_mem,
             log,
             clock,
             config,
+            checkpoint_bound,
         } = artifacts;
         log.discard_unflushed();
         // Repeat history before touching any structure (the boot page itself
@@ -1075,7 +1048,7 @@ impl Database {
             analysis_us,
             redo_us,
         } = loop {
-            match pipelined_restart(&parts.log, &parts.pool, workers) {
+            match pipelined_restart(&parts.log, &parts.pool, checkpoint_bound, workers) {
                 Err(e) if parts.log.cut_at_damage(&e) => parts.pool.drop_cache(),
                 outcome => break outcome?,
             }
@@ -1093,7 +1066,7 @@ impl Database {
             redo_us,
         );
 
-        let db = Self::assemble_from_parts(parts, fm_mem, clock, config, false)?;
+        let db = Self::assemble_from_parts(parts, clock, config, false)?;
         // Analysis sees only the ids after the newest checkpoint's begin;
         // older committed ids are still in the retained log, so the floor
         // is the log's high-water mark as well.

@@ -111,10 +111,10 @@ fn a_pool_below_four_frames_is_a_typed_error() {
     let artifacts = db.simulate_crash();
     let reopen = |buffer_pages| CrashArtifacts {
         fm: artifacts.fm.clone(),
-        fm_mem: artifacts.fm_mem.clone(),
         log: artifacts.log.clone(),
         clock: artifacts.clock.clone(),
         config: config(buffer_pages),
+        checkpoint_bound: artifacts.checkpoint_bound,
     };
     assert!(matches!(
         Database::recover(reopen(3)),

@@ -193,9 +193,23 @@ impl MemFileManager {
         Ok(())
     }
 
-    /// Deep-copy the entire file (used by backup to capture an image).
-    pub fn clone_contents(&self) -> Vec<Option<Box<[u8; PAGE_SIZE]>>> {
-        self.pages.read().clone()
+    /// A page-by-page copy of `src` with fresh counters: every page is
+    /// read with `read_page_seq` and written with `write_page_seq`, so both
+    /// files count the copy as sequential bytes. A page that reads back all
+    /// zero (never written) stays unwritten, and the copy holds as many
+    /// pages as `src` did when the copy began. Backup copies a live file
+    /// this way, whatever its backend, and restore copies the backup.
+    pub fn copy_of(src: &dyn FileManager) -> Result<MemFileManager> {
+        let copy = MemFileManager::new();
+        let count = src.page_count();
+        copy.grow_to(count)?;
+        for pid in (0..count).map(PageId) {
+            let page = src.read_page_seq(pid)?;
+            if page.image().iter().any(|&b| b != 0) {
+                copy.write_page_seq(pid, &page)?;
+            }
+        }
+        Ok(copy)
     }
 
     /// Fault-injection hook: the raw stored image of `pid`, if one was ever
@@ -214,11 +228,6 @@ impl MemFileManager {
             pages.resize_with(idx + 1, || None);
         }
         pages[idx] = Some(img);
-    }
-
-    /// Replace the entire contents (used by restore).
-    pub fn replace_contents(&self, contents: Vec<Option<Box<[u8; PAGE_SIZE]>>>) {
-        *self.pages.write() = contents;
     }
 }
 
@@ -570,15 +579,30 @@ mod tests {
     }
 
     #[test]
-    fn mem_clone_replace_contents() {
+    fn copy_of_is_a_sequential_copy_that_later_writes_do_not_reach() {
         let fm = MemFileManager::new();
         let p = Page::formatted(PageId(2), ObjectId(1), PageType::Heap);
         fm.write_page(PageId(2), &p).unwrap();
-        let snapshot = fm.clone_contents();
+        fm.grow_to(5).unwrap();
+        let io0 = fm.io_stats().snapshot();
+        let copy = MemFileManager::copy_of(&fm).unwrap();
+        let read = fm.io_stats().snapshot().delta(io0);
+        assert_eq!(read.seq_data_bytes, 5 * PAGE_SIZE as u64, "every page read");
+        assert_eq!(read.page_reads, 0, "as sequential bytes, not random reads");
+        let written = copy.io_stats().snapshot();
+        assert_eq!(
+            written.seq_data_bytes, PAGE_SIZE as u64,
+            "one page held data"
+        );
+        assert_eq!(copy.page_count(), 5);
+        assert!(
+            copy.raw_image(PageId(3)).is_none(),
+            "a zero page stays unwritten"
+        );
+
         let p2 = Page::formatted(PageId(2), ObjectId(9), PageType::Heap);
         fm.write_page(PageId(2), &p2).unwrap();
         assert_eq!(fm.read_page(PageId(2)).unwrap().object_id(), ObjectId(9));
-        fm.replace_contents(snapshot);
-        assert_eq!(fm.read_page(PageId(2)).unwrap().object_id(), ObjectId(1));
+        assert_eq!(copy.read_page(PageId(2)).unwrap().object_id(), ObjectId(1));
     }
 }

@@ -13,7 +13,8 @@
 //! * [`analysis`] — the analysis pass, shared between crash recovery and
 //!   as-of snapshot recovery (§5.2); it also collects the row locks that
 //!   snapshot recovery must reacquire.
-//! * [`restart`] — the one redo: a single forward scan feeds the
+//! * [`restart`] — the one redo, for crash restart and restore alike: a
+//!   single forward scan feeds the
 //!   incremental [`analysis::AnalysisBuilder`] *and* dispatches qualifying
 //!   page-ops to redo workers partitioned by `PageId`. Per-page backward
 //!   chains mean redo's only ordering constraint is per page, so
@@ -24,7 +25,8 @@
 //! * [`rollback::undo_sweep`] — the one undo walk: a merged descending-LSN
 //!   sweep over any number of transaction chains, shared by transaction
 //!   rollback ([`rollback::rollback_chain`], the one-chain case), restart
-//!   undo, as-of snapshot recovery and restore. CLRs carry undo information
+//!   undo (which a restore runs too: it is restart over a backup's page
+//!   copy) and as-of snapshot recovery. CLRs carry undo information
 //!   (§4.2-2); undo is logical for B-Tree rows, physical for heap rows,
 //!   allocation bits and partial structure modifications.
 //! * [`EngineStore`] — the canonical live-engine [`rewind_access::Store`]

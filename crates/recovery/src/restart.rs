@@ -171,8 +171,11 @@ fn scan_and_dispatch(
 }
 
 /// Run restart's analysis and redo as one pipelined pass from the newest
-/// checkpoint to the end of the log, with redo partitioned across
-/// `workers` threads (at least 1), so the scan always overlaps apply.
+/// checkpoint ending at or before `bound` to the end of the log, with redo
+/// partitioned across `workers` threads (at least 1), so the scan always
+/// overlaps apply. After a crash the bound is `Lsn::MAX` (the newest
+/// checkpoint); after a restore it is the end of the checkpoint the backup
+/// took, the newest one its page copy holds everything before.
 ///
 /// The pass reads `[restart's start, tail)` and nothing else, where the
 /// start is the lowest of the checkpoint's begin, its DPT's lowest recLSN
@@ -186,11 +189,12 @@ fn scan_and_dispatch(
 pub fn pipelined_restart(
     log: &LogManager,
     pool: &BufferPool,
+    bound: Lsn,
     workers: usize,
 ) -> Result<RestartOutcome> {
     let workers = workers.max(1);
     let started = rewind_obs::monotonic_us();
-    let mut builder = AnalysisBuilder::seed(log, Lsn::MAX)?;
+    let mut builder = AnalysisBuilder::seed(log, bound)?;
     let obs = log.obs().clone();
 
     let redo = std::thread::scope(|s| -> Result<PartitionedRedo> {

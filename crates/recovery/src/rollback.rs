@@ -158,11 +158,10 @@ pub fn undo_record_view<S: Store>(
 /// structure-modification ordering honoured when several losers touched the
 /// same tree.
 ///
-/// `read` fetches a record ([`LogManager::get_record_ref`] for the live log,
-/// [`LogManager::get_record_deep`], which reaches archived history too, for
-/// restore). CLRs jump via `undo_next` (so
-/// completed structure modifications and already-compensated work are
-/// skipped) after a header-only decode — their payloads are never
+/// `read` fetches a record ([`LogManager::get_record_ref`]). CLRs jump via
+/// `undo_next` (so completed structure modifications and
+/// already-compensated work are skipped) after a header-only decode —
+/// their payloads are never
 /// materialized; every other record is handed to `undo` as its header and
 /// borrowed payload view, which the caller binds to the transaction's
 /// store through [`undo_record_view`]. `chain_done` fires when a

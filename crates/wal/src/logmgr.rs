@@ -1236,10 +1236,45 @@ impl LogManager {
 
     /// Read a record as a zero-copy [`RecordRef`] from any segment the log
     /// holds, archived history included, without cache accounting. The
-    /// analysis seed and restore's undo use it; the as-of machinery reads
-    /// through [`LogManager::get_record_ref`], which stays retention-bound.
+    /// analysis seed uses it, since the checkpoint it seeds from may lie in
+    /// the archive; the as-of machinery reads through
+    /// [`LogManager::get_record_ref`], which stays retention-bound.
     pub fn get_record_deep(&self, lsn: Lsn) -> Result<RecordRef> {
         self.read_ref_in(&self.load_sealed(), lsn)
+    }
+
+    /// A second log holding this one's records below the frame boundary
+    /// `cut` (clamped to the tail), as a restored database's log. The fork
+    /// shares every sealed segment's bytes and copies only the active tail;
+    /// then the crash cut, `cut_at`, cuts it, so its checkpoint directory
+    /// and segment summaries follow exactly as after a crash. Everything
+    /// the fork holds is durable and in its retention, the archive
+    /// included: it is a new database's whole history. It has its own I/O
+    /// counters and observability handle; appends to either log are
+    /// invisible to the other.
+    pub fn fork(&self, cut: Lsn) -> LogManager {
+        let fork = LogManager::new(self.config.clone());
+        let inner = self.inner.lock();
+        let live = self.load_sealed();
+        let mut forked = fork.inner.lock();
+        forked.active = inner.active.clone();
+        forked.active_summary = inner.active_summary;
+        forked.active_start = inner.active_start;
+        forked.tail = inner.tail;
+        forked.checkpoints = inner.checkpoints.clone();
+        forked.max_txn = inner.max_txn;
+        let cut = cut.0.min(inner.tail);
+        drop(inner);
+        fork.tail.store(forked.tail, Ordering::Release);
+        fork.flushed.store(forked.tail, Ordering::Release);
+        let mut index = fork
+            .load_sealed()
+            .with_segs(live.segs.clone(), live.sealed_end);
+        index.trunc = live.floor();
+        fork.publish(index);
+        fork.cut_at(&mut forked, cut);
+        drop(forked);
+        fork
     }
 
     /// Cut the log at byte offset `cut` (a frame boundary): nothing at or
@@ -1248,8 +1283,8 @@ impl LogManager {
     /// cut falls inside is *replaced* by a shorter copy — sealed bytes are
     /// never mutated in place, so a reader holding a [`RecordRef`] past the
     /// cut still decodes it. The tail, the flushed LSN, the published index,
-    /// the checkpoint directory, the read cache and the flush queue all
-    /// follow. Writer mutex held.
+    /// the checkpoint directory, the stamp clamp, the read cache and the
+    /// flush queue all follow. Writer mutex held.
     fn cut_at(&self, inner: &mut LogInner, cut: u64) {
         let old = self.published.lock().clone();
         let mut segs = old.segs.clone();
@@ -1275,6 +1310,10 @@ impl LogManager {
         // Bytes past the cut are gone, durable or not (a damage cut lands
         // below the flushed LSN): the clean prefix is the durable horizon.
         self.flushed.fetch_min(tail, Ordering::AcqRel);
+        inner.last_stamp = segs
+            .iter()
+            .map(|s| s.summary.max_stamp)
+            .fold(inner.active_summary.max_stamp, Timestamp::max);
         self.publish(old.with_segs(segs, inner.active_start));
         Arc::make_mut(&mut inner.checkpoints).retain(|c| c.end_lsn.0 < tail);
         self.cache.blocks.lock().clear();
@@ -2263,7 +2302,8 @@ mod tests {
     /// any seeded sequence of appends, checkpoints, flushes, crash cuts,
     /// damage cuts and truncations it equals a from-scratch scan of the
     /// `CheckpointEnd` records the log still holds — the archive included,
-    /// when archiving.
+    /// when archiving. Forks at frame boundaries along the way are held to
+    /// the same rule, and share the sealed bytes without sharing appends.
     #[test]
     fn checkpoint_directory_equals_a_scan_of_the_log() {
         fn scanned(log: &LogManager) -> Vec<CheckpointInfo> {
@@ -2314,6 +2354,60 @@ mod tests {
             .collect()
         }
 
+        // A fork at `cut`, with `first` a record the live log holds: the
+        // fork's directory and summaries equal a scan of the fork, its
+        // sealed segments are the live log's allocations (the one the cut
+        // falls inside excepted), an append to the fork stays there and is
+        // stamped no earlier than what the fork holds, and a `RecordRef`
+        // taken before the fork still decodes.
+        fn check_fork(log: &LogManager, cut: Lsn, first: Lsn, case: &str) -> LogManager {
+            let taken = log.get_record_deep(first).unwrap();
+            let fork = log.fork(cut);
+            assert_eq!((fork.tail_lsn(), fork.flushed_lsn()), (cut, cut), "{case}");
+            assert_eq!(*fork.checkpoints(), scanned(&fork), "{case}");
+            for (start, kept, scanned) in summaries(&fork) {
+                assert_eq!(kept, scanned, "fork segment at {start}: {case}");
+            }
+            let (live, forked) = (log.load_sealed(), fork.load_sealed());
+            for (i, seg) in forked.segs.iter().enumerate() {
+                let same = live.segs.iter().find(|s| s.start == seg.start).unwrap();
+                if seg.end() == same.end() {
+                    assert!(Arc::ptr_eq(&seg.data, &same.data), "{case}");
+                } else {
+                    assert_eq!((i + 1, seg.end()), (forked.segs.len(), cut.0), "{case}");
+                }
+            }
+            let live_tail = log.tail_lsn();
+            assert_eq!(fork.append(&insert_rec(2, 10)), cut, "{case}");
+            assert_eq!(log.tail_lsn(), live_tail, "{case}");
+            // A backward clock is clamped to the newest stamp the fork
+            // holds, not to the live log's.
+            let held = summaries(&fork).iter().map(|(_, s, _)| s.max_stamp).max();
+            let mut commit = rec(
+                3,
+                LogPayloadView::Commit {
+                    at: Timestamp::ZERO,
+                },
+            );
+            let at = fork
+                .append_stamped(None, &mut commit, &|| Timestamp::ZERO)
+                .start;
+            let stamp = fork
+                .get_record_deep(at)
+                .unwrap()
+                .view()
+                .unwrap()
+                .1
+                .time_stamp();
+            assert_eq!(stamp, held, "{case}");
+            assert_eq!(taken.header().unwrap().lsn, first, "{case}");
+            if first < cut {
+                let again = fork.get_record_deep(first).unwrap();
+                assert_eq!(again.body(), taken.body(), "{case}");
+            }
+            fork
+        }
+
         for archive_on_truncate in [false, true] {
             for seed in [0x9E37_79B9_u64, 0x85EB_CA6B] {
                 let log = LogManager::new(LogConfig {
@@ -2331,6 +2425,7 @@ mod tests {
                 // truncation targets that land on frame boundaries.
                 let mut lsns = vec![log.append(&insert_rec(0, 10))];
                 let (mut secs, mut cuts, mut truncations) = (0, 0, 0);
+                let mut forks = Vec::new();
                 for step in 0..300 {
                     match next(32) {
                         0..=13 => {
@@ -2386,7 +2481,33 @@ mod tests {
                              seed {seed:#x}, step {step}"
                         );
                     }
+                    if step % 10 == 9 {
+                        // Picked without drawing from `next`, so the live
+                        // log sees the same seeded steps as without forks.
+                        let floor = log.earliest_available_lsn();
+                        let held: Vec<Lsn> = lsns.iter().copied().filter(|l| *l >= floor).collect();
+                        let cut = held[(step as usize * 7919) % held.len()];
+                        let case =
+                            format!("archive {archive_on_truncate}, seed {seed:#x}, step {step}");
+                        let fork = check_fork(&log, cut, held[0], &case);
+                        forks.push((fork.tail_lsn(), fork.checkpoints(), fork, case));
+                    }
                 }
+                // Everything the live log did after each fork left it as
+                // it was.
+                for (tail, dir, fork, case) in &forks {
+                    assert_eq!(fork.tail_lsn(), *tail, "{case}");
+                    assert_eq!(
+                        (fork.checkpoints(), scanned(fork)),
+                        (dir.clone(), dir.to_vec()),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        fork.scan_refs(*tail, Lsn::MAX, |_| Ok(true)).unwrap(),
+                        *tail
+                    );
+                }
+                assert!(forks.len() >= 8, "seed {seed:#x}: {} forks", forks.len());
                 assert!(log.checkpoints().len() >= 2, "seed {seed:#x}");
                 assert!(cuts > 0 && truncations > 0, "seed {seed:#x}");
             }

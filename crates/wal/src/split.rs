@@ -10,7 +10,9 @@
 //! One search serves both ways back in time: as-of snapshot creation and
 //! point-in-time restore. It reads every segment the log holds, the archive
 //! included; whether a split below the truncation point may be used is the
-//! caller's policy (as-of creation refuses it, restore replays it).
+//! caller's policy. As-of creation refuses it; restore forks the log just
+//! past the split ([`LogManager::fork`]) and runs restart over the fork, so
+//! a split in the archive is as good as any other.
 
 use crate::logmgr::LogManager;
 use rewind_common::{Error, Lsn, Result, Timestamp};

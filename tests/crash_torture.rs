@@ -109,9 +109,10 @@ fn crash_recover_repeatedly_matches_model() {
 #[test]
 fn restart_is_bit_identical_across_worker_counts() {
     use rewind::buffer::BufferPool;
-    use rewind::pagestore::{FileManager, PAGE_SIZE};
+    use rewind::pagestore::PAGE_SIZE;
     use rewind::recovery::pipelined_restart;
     use rewind::CrashArtifacts;
+    use rewind::PageId;
 
     let crash = || -> CrashArtifacts {
         let db = Database::create(DbConfig {
@@ -163,7 +164,7 @@ fn restart_is_bit_identical_across_worker_counts() {
     };
 
     struct Outcome {
-        image: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+        image: Vec<[u8; PAGE_SIZE]>,
         scanned: u64,
         applied: u64,
         losers: Vec<TxnId>,
@@ -175,7 +176,8 @@ fn restart_is_bit_identical_across_worker_counts() {
         let artifacts = crash();
         let io0 = artifacts.fm.io_stats().snapshot();
         let pool = BufferPool::with_io(artifacts.fm.clone(), artifacts.log.clone(), 128, 16);
-        let out = pipelined_restart(&artifacts.log, &pool, workers).unwrap();
+        let out =
+            pipelined_restart(&artifacts.log, &pool, artifacts.checkpoint_bound, workers).unwrap();
         pool.flush_all().unwrap();
         let io = artifacts.fm.io_stats().snapshot().delta(io0);
         assert_eq!(
@@ -185,7 +187,9 @@ fn restart_is_bit_identical_across_worker_counts() {
         assert_eq!(out.redo.per_worker.len(), workers, "one tally per worker");
         assert_eq!(out.redo.per_worker.iter().sum::<u64>(), out.redo.applied);
         Outcome {
-            image: artifacts.fm_mem.unwrap().clone_contents(),
+            image: (0..artifacts.fm.page_count())
+                .map(|pid| *artifacts.fm.read_page(PageId(pid)).unwrap().image())
+                .collect(),
             scanned: out.analysis.records_scanned,
             applied: out.redo.applied,
             losers: out.analysis.losers.iter().map(|l| l.id).collect(),
@@ -214,7 +218,7 @@ fn restart_is_bit_identical_across_worker_counts() {
     let artifacts = crash();
     let io0 = artifacts.fm.io_stats().snapshot();
     let db = Database::recover(artifacts).unwrap();
-    let io = db.mem_file().unwrap().io_stats().snapshot().delta(io0);
+    let io = db.data_io().delta(io0);
     assert_eq!(io.vectored_read_ops, 0, "recover issues no vectored reads");
     let report = db.last_recovery().expect("recover() leaves a report");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
